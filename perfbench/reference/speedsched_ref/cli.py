@@ -1,0 +1,346 @@
+"""Command-line front end.
+
+Subcommands: ``gen`` (instance files), ``partition`` (bags from predictions),
+``schedule`` (place bags under true speeds), ``evaluate`` (single-instance
+ratio), ``experiment`` (parameter-sweep CSV), ``verify`` (property suite), and
+``curves`` (guarantee envelopes per alpha).
+
+Everything is flag-driven; the one environment override is ``SPEEDSCHED_SEED``,
+which supplies a default seed where a ``--seed`` flag is absent (an explicit
+flag always wins).  Exit codes: 0 success, 1 verification failures, 2 usage or
+malformed input, 3 solver budget exhausted.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import os
+import sys
+from typing import Sequence
+
+from .gen import (
+    Dist,
+    SyntheticConfig,
+    gen_binary_lb_instance,
+    gen_prop1_instance,
+    gen_synthetic,
+    gen_tradeoff_instance,
+    synthetic_batch,
+)
+from .harness import (
+    AlgorithmSpec,
+    ExperimentConfig,
+    curves_to_csv,
+    evaluate,
+    make_partition,
+    rows_to_csv,
+    run_experiment,
+    theory_curves,
+    verify_properties,
+)
+from .model import (
+    bag_load,
+    instance_to_json,
+    load_instance,
+    load_partition,
+    partition_to_json,
+    save_instance,
+    validate_partition,
+)
+from .solvers import (
+    DEFAULT_NODE_BUDGET,
+    BudgetExceededError,
+    exact_schedule,
+    lpt_schedule,
+)
+
+EXIT_OK = 0
+EXIT_VERIFY_FAILED = 1
+EXIT_USAGE = 2
+EXIT_BUDGET = 3
+
+SEED_ENV_VAR = "SPEEDSCHED_SEED"
+
+
+def _resolve_seed(flag_value: int | None, fallback: int) -> int:
+    """Flag beats environment beats fallback."""
+    if flag_value is not None:
+        return flag_value
+    env = os.environ.get(SEED_ENV_VAR)
+    if env is not None:
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    return fallback
+
+
+def _write(text: str, path: str | None) -> None:
+    if path is None or path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _add_budget_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--node-budget",
+        type=int,
+        default=DEFAULT_NODE_BUDGET,
+        help="branch-and-bound node limit for exact solves",
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="speedsched",
+        description="Two-stage scheduling with speed predictions: generators, "
+        "partitioners, schedulers, experiments, verification.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+
+    p = sub.add_parser("gen", help="generate an instance (JSON)")
+    p.add_argument(
+        "--kind",
+        choices=("synthetic", "prop1", "tradeoff", "binary-lb"),
+        default="synthetic",
+        help="synthetic draws from distributions; the others are fixed adversarial families",
+    )
+    p.add_argument("--n", type=int, default=None, help="job count (synthetic: 12, prop1: 10)")
+    p.add_argument("--m", type=int, default=None, help="machine count (synthetic/tradeoff: 4, prop1: 2)")
+    p.add_argument("--k", type=int, default=None, help="binary-lb scale parameter (default 2)")
+    p.add_argument("--job-dist", default="uniform(0,100)", help="uniform(lo,hi) or normal(mu,sigma)")
+    p.add_argument("--speed-dist", default="uniform(0,40)", help="uniform(lo,hi) or normal(mu,sigma)")
+    p.add_argument("--err-sigma", type=float, default=0.0, help="additive speed-prediction noise scale")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--count", type=int, default=1, help="write this many instances at seeds seed, seed+1, ...")
+    p.add_argument("--out", default=None, help="output path; with --count > 1, a template containing {seed}")
+
+    p = sub.add_parser("partition", help="partition an instance's jobs into bags")
+    p.add_argument("--in", dest="infile", required=True, help="instance JSON file")
+    p.add_argument("--algo", choices=("one-consistent", "ipr", "lpt"), default="ipr")
+    p.add_argument("--alpha", type=float, default=0.5, help="consistency-loss tolerance (ipr)")
+    p.add_argument("--rho", type=float, default=4.0, help="bag-balance target (ipr)")
+    p.add_argument("--scheduler", choices=("exact", "lpt"), default="exact")
+    _add_budget_flag(p)
+    p.add_argument("--out", default=None, help="partition JSON file (default stdout)")
+
+    p = sub.add_parser("schedule", help="place a partition's bags on the true speeds")
+    p.add_argument("--in", dest="infile", required=True, help="instance JSON file")
+    p.add_argument("--partition", required=True, help="partition JSON file")
+    p.add_argument("--scheduler", choices=("exact", "lpt"), default="exact")
+    _add_budget_flag(p)
+    p.add_argument("--out", default=None, help="schedule JSON file (default stdout)")
+
+    p = sub.add_parser("evaluate", help="approximation ratio of one algorithm on one instance")
+    p.add_argument("--in", dest="infile", required=True, help="instance JSON file")
+    p.add_argument("--algo", choices=("one-consistent", "ipr", "lpt"), required=True)
+    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--rho", type=float, default=4.0)
+    p.add_argument("--scheduler", choices=("exact", "lpt"), default="exact")
+    p.add_argument("--oracle", choices=("exact", "lower_bound"), default="exact")
+    _add_budget_flag(p)
+    p.add_argument("--format", choices=("csv", "json"), default=None, help="default: bare ratio")
+    p.add_argument("--out", default=None)
+
+    p = sub.add_parser("experiment", help="run a parameter sweep and emit aggregated rows")
+    p.add_argument("--config", default=None, help="experiment config JSON (default: built-in sweep)")
+    p.add_argument("--seed", type=int, default=None, help="override the config's base seed")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default=None, help="results file (default stdout)")
+
+    p = sub.add_parser("verify", help="run the property-verification suite")
+    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--seed", type=int, default=None)
+    _add_budget_flag(p)
+    p.add_argument("--out", default=None, help="also write the report as JSON")
+
+    p = sub.add_parser("curves", help="tabulate guarantee envelopes per alpha (CSV)")
+    p.add_argument(
+        "--alphas",
+        default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
+        help="comma-separated alpha values in (0,1)",
+    )
+    p.add_argument("--out", default=None)
+
+    return parser
+
+
+def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
+    if args.kind != "synthetic" and args.count != 1:
+        raise ValueError("--count applies only to --kind synthetic")
+    if args.kind == "synthetic":
+        config = SyntheticConfig(
+            n=args.n if args.n is not None else 12,
+            m=args.m if args.m is not None else 4,
+            job_dist=Dist.parse(args.job_dist),
+            speed_dist=Dist.parse(args.speed_dist),
+            err_sigma=args.err_sigma,
+            seed=_resolve_seed(args.seed, 0),
+        )
+        if args.count == 1:
+            _write(instance_to_json(gen_synthetic(config)), args.out)
+            return EXIT_OK
+        if args.out is None or "{seed}" not in args.out:
+            raise ValueError("--count > 1 needs --out with a {seed} placeholder")
+        for instance in synthetic_batch(config, args.count):
+            path = args.out.replace("{seed}", str(instance.seed))
+            save_instance(instance, path)
+            print(path)
+        return EXIT_OK
+    if args.kind == "prop1":
+        instance = gen_prop1_instance(
+            args.n if args.n is not None else 10, args.m if args.m is not None else 2
+        )
+    elif args.kind == "tradeoff":
+        instance = gen_tradeoff_instance(args.m if args.m is not None else 4)
+    else:
+        instance = gen_binary_lb_instance(args.k if args.k is not None else 2)
+    _write(instance_to_json(instance), args.out)
+    return EXIT_OK
+
+
+def _algorithm_from_args(args: argparse.Namespace) -> AlgorithmSpec:
+    return AlgorithmSpec(args.algo, alpha=args.alpha, rho=args.rho)
+
+
+def _cmd_partition(args: argparse.Namespace) -> int:
+    instance = load_instance(args.infile)
+    part = make_partition(
+        instance, _algorithm_from_args(args), scheduler=args.scheduler, node_budget=args.node_budget
+    )
+    _write(partition_to_json(part), args.out)
+    return EXIT_OK
+
+
+def _cmd_schedule(args: argparse.Namespace) -> int:
+    instance = load_instance(args.infile)
+    part = load_partition(args.partition)
+    validate_partition(part, instance.n, instance.m)
+    loads = [bag_load(bag, instance.jobs) for bag in part.bags]
+    if args.scheduler == "exact":
+        result = exact_schedule(loads, instance.true_speeds, args.node_budget)
+    else:
+        result = lpt_schedule(loads, instance.true_speeds)
+    doc = {
+        "makespan": result.makespan,
+        "bag_to_machine": list(result.schedule.bag_to_machine),
+        "optimal": result.optimal,
+    }
+    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    return EXIT_OK
+
+
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    instance = load_instance(args.infile)
+    spec = _algorithm_from_args(args)
+    ratio = evaluate(
+        instance,
+        spec,
+        scheduler=args.scheduler,
+        oracle=args.oracle,
+        node_budget=args.node_budget,
+    )
+    if args.format == "json":
+        doc = {
+            "instance": instance.name,
+            "algorithm": spec.label,
+            "scheduler": args.scheduler,
+            "oracle_kind": args.oracle,
+            "ratio": ratio,
+        }
+        text = json.dumps(doc, indent=2) + "\n"
+    elif args.format == "csv":
+        import csv as _csv
+        import io as _io
+
+        buf = _io.StringIO()
+        writer = _csv.writer(buf, lineterminator="\n")
+        writer.writerow(["instance", "algorithm", "scheduler", "oracle_kind", "ratio"])
+        writer.writerow([instance.name or "", spec.label, args.scheduler, args.oracle, repr(ratio)])
+        text = buf.getvalue()
+    else:
+        text = f"{ratio!r}\n"
+    _write(text, args.out)
+    return EXIT_OK
+
+
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = ExperimentConfig.from_json_dict(json.load(fh))
+    else:
+        config = ExperimentConfig()
+    seed = _resolve_seed(args.seed, config.seed)
+    if seed != config.seed:
+        config = dataclasses.replace(config, seed=seed)
+    rows = run_experiment(config)
+    if args.format == "json":
+        text = json.dumps([dataclasses.asdict(r) for r in rows], indent=2) + "\n"
+    else:
+        text = rows_to_csv(rows)
+    _write(text, args.out)
+    return EXIT_OK
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    report = verify_properties(
+        seed=_resolve_seed(args.seed, 0), trials=args.trials, node_budget=args.node_budget
+    )
+    lines = []
+    for prop in report.properties:
+        status = "PASS" if prop.ok else "FAIL"
+        line = f"{status} {prop.name} ({prop.passed}/{prop.trials})"
+        if not prop.ok and prop.counterexample:
+            line += "\n  counterexample: " + " ".join(prop.counterexample.split())
+        lines.append(line)
+    n_ok = sum(1 for prop in report.properties if prop.ok)
+    lines.append(f"{n_ok}/{len(report.properties)} properties passed")
+    print("\n".join(lines))
+    if args.out is not None:
+        _write(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+    return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
+
+
+def _cmd_curves(args: argparse.Namespace) -> int:
+    try:
+        alphas = [float(tok) for tok in args.alphas.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"--alphas must be comma-separated numbers, got {args.alphas!r}") from None
+    if not alphas:
+        raise ValueError("--alphas is empty")
+    _write(curves_to_csv(theory_curves(alphas)), args.out)
+    return EXIT_OK
+
+
+_HANDLERS = {
+    "gen": _cmd_gen,
+    "partition": _cmd_partition,
+    "schedule": _cmd_schedule,
+    "evaluate": _cmd_evaluate,
+    "experiment": _cmd_experiment,
+    "verify": _cmd_verify,
+    "curves": _cmd_curves,
+}
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _HANDLERS[args.command](args)
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+if __name__ == "__main__":
+    sys.exit(main())

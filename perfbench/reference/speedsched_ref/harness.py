@@ -1,0 +1,976 @@
+"""Experiment runner, metric aggregation, and the property-verification suite.
+
+``evaluate`` measures one (instance, algorithm) pair end to end: partition on
+predicted speeds, schedule the bags on true speeds, divide by an oracle value.
+``run_experiment`` sweeps a parameter and aggregates mean/std ratios into
+deterministic CSV rows.  ``verify_properties`` re-checks every structural
+guarantee the algorithms are supposed to satisfy (balance bounds, monotone
+rebalancing, iteration caps, consistency/robustness envelopes, certificate
+feasibility, oracle agreement) over seeded random instances and reports the
+first counterexample when one exists.  ``theory_curves`` tabulates the
+guarantee envelopes as functions of the consistency knob alpha.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+from .gen import (
+    Dist,
+    SplitMix64,
+    SyntheticConfig,
+    gen_binary_lb_instance,
+    gen_prop1_instance,
+    gen_synthetic,
+    gen_tradeoff_instance,
+    substream,
+)
+from .model import (
+    Instance,
+    Partition,
+    bag_load,
+    beta_ratio,
+    instance_to_json,
+    prediction_error,
+    validate_partition,
+)
+from .partition import (
+    IprConfig,
+    binary_speed_partition,
+    consistent_partition,
+    fluid_ipr,
+    ipr,
+    lpt_partition,
+)
+from .solvers import (
+    DEFAULT_NODE_BUDGET,
+    BudgetExceededError,
+    brute_force_makespan,
+    capacity_robust_schedule,
+    exact_schedule,
+    lpt_schedule,
+    merge_to_fit,
+    opt_lower_bound,
+)
+
+SCHEDULERS = ("exact", "lpt")
+ORACLES = ("exact", "lower_bound")
+SWEEP_PARAMS = ("err_sigma", "n", "m", "sigma_p", "sigma_s")
+
+_ALGO_ALIASES = {
+    "one-consistent": "one-consistent",
+    "consistent": "one-consistent",
+    "consistent_partition": "one-consistent",
+    "lpt": "lpt",
+    "lpt_partition": "lpt",
+    "lpt-partition": "lpt",
+    "ipr": "ipr",
+}
+
+# Availability cutoff for all-or-nothing speed instances: the generator encodes
+# "unusable" as 1e-3 and "usable" as 1.0, so any threshold strictly between
+# them works; 0.5 is documented as the contract.
+BINARY_AVAILABLE_THRESHOLD = 0.5
+
+
+@dataclass(frozen=True)
+class AlgorithmSpec:
+    """A partitioning algorithm choice: name plus parameters where relevant.
+
+    ``scheduler`` optionally pins this algorithm's solver (both the inner
+    partitioning solve and the bag-scheduling stage); ``None`` inherits the
+    caller's scheduler.  The published experiment protocol handicaps the
+    rebalancing algorithm with the greedy scheduler while the benchmarks get
+    exact scheduling, which this field expresses.
+    """
+
+    name: str
+    alpha: float = 0.5
+    rho: float = 4.0
+    scheduler: str | None = None
+
+    def __post_init__(self) -> None:
+        canonical = _ALGO_ALIASES.get(self.name)
+        if canonical is None:
+            raise ValueError(
+                f"unknown algorithm {self.name!r}; expected one of "
+                f"{sorted(set(_ALGO_ALIASES.values()))}"
+            )
+        object.__setattr__(self, "name", canonical)
+        if self.name == "ipr":
+            IprConfig(alpha=self.alpha, rho=self.rho)  # validates ranges
+        if self.scheduler is not None and self.scheduler not in SCHEDULERS:
+            raise ValueError(f"algorithm scheduler must be one of {SCHEDULERS} or None")
+
+    @property
+    def label(self) -> str:
+        if self.name == "ipr":
+            return f"ipr(alpha={self.alpha:g},rho={self.rho:g})"
+        return self.name
+
+
+def parse_algorithm(spec: "AlgorithmSpec | str | dict") -> AlgorithmSpec:
+    if isinstance(spec, AlgorithmSpec):
+        return spec
+    if isinstance(spec, str):
+        return AlgorithmSpec(name=spec)
+    if isinstance(spec, dict):
+        extra = spec.keys() - {"name", "alpha", "rho", "scheduler"}
+        if extra:
+            raise ValueError(f"unknown algorithm keys: {sorted(extra)}")
+        if "name" not in spec:
+            raise ValueError('algorithm object needs a "name"')
+        return AlgorithmSpec(
+            name=spec["name"],
+            alpha=float(spec.get("alpha", 0.5)),
+            rho=float(spec.get("rho", 4.0)),
+            scheduler=spec.get("scheduler"),
+        )
+    raise ValueError(f"cannot parse algorithm spec {spec!r}")
+
+
+# ---------------------------------------------------------------------------
+# Evaluation
+# ---------------------------------------------------------------------------
+
+
+def binary_counts(instance: Instance) -> tuple[int, int]:
+    """(predicted usable, actually usable) machine counts for all-or-nothing speeds."""
+    m_hat = sum(1 for v in instance.predicted_speeds if v > BINARY_AVAILABLE_THRESHOLD)
+    m_zero = sum(1 for v in instance.true_speeds if v > BINARY_AVAILABLE_THRESHOLD)
+    return m_hat, m_zero
+
+
+def is_binary_speed(instance: Instance) -> bool:
+    """True for all-or-nothing speed instances: every speed is exactly 1.0
+    (usable) or at most the availability threshold (unusable), with at least
+    one usable machine on each side."""
+    values = instance.predicted_speeds + instance.true_speeds
+    if not all(v == 1.0 or v <= BINARY_AVAILABLE_THRESHOLD for v in values):
+        return False
+    m_hat, m_zero = binary_counts(instance)
+    return m_hat >= 1 and m_zero >= 1
+
+
+def make_partition(
+    instance: Instance,
+    algorithm: "AlgorithmSpec | str | dict",
+    scheduler: str = "exact",
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> Partition:
+    """Run the named partitioner on (jobs, predicted speeds).
+
+    On all-or-nothing speed instances the prediction-trusting algorithm routes
+    to :func:`~speedsched.partition.binary_speed_partition` with the predicted
+    usable count.
+    """
+    spec = parse_algorithm(algorithm)
+    if scheduler not in SCHEDULERS:
+        raise ValueError(f"scheduler must be one of {SCHEDULERS}")
+    if spec.scheduler is not None:
+        scheduler = spec.scheduler
+    if spec.name == "lpt":
+        return lpt_partition(instance.jobs, instance.m)
+    if spec.name == "one-consistent":
+        if is_binary_speed(instance):
+            m_hat, _ = binary_counts(instance)
+            return binary_speed_partition(
+                instance.jobs, instance.m, m_hat, solver=scheduler, node_budget=node_budget
+            )
+        return consistent_partition(
+            instance.jobs, instance.predicted_speeds, solver=scheduler, node_budget=node_budget
+        ).partition
+    config = IprConfig(
+        alpha=spec.alpha, rho=spec.rho, initial_solver=scheduler, node_budget=node_budget
+    )
+    return ipr(instance.jobs, instance.predicted_speeds, config).partition
+
+
+def oracle_value(
+    instance: Instance, oracle: str = "exact", node_budget: int = DEFAULT_NODE_BUDGET
+) -> float:
+    """Reference makespan for ratio computation.
+
+    On all-or-nothing speed instances the reference schedules jobs on the
+    *actually usable* machines only (all unit speed); otherwise on the true
+    speeds.  ``oracle="lower_bound"`` substitutes the cheap bound, making
+    reported ratios upper bounds on the true approximation ratio.
+    """
+    if oracle not in ORACLES:
+        raise ValueError(f"oracle must be one of {ORACLES}")
+    if is_binary_speed(instance):
+        _, m_zero = binary_counts(instance)
+        speeds: Sequence[float] = [1.0] * m_zero
+    else:
+        speeds = instance.true_speeds
+    if oracle == "exact":
+        return exact_schedule(instance.jobs, speeds, node_budget).makespan
+    return opt_lower_bound(instance.jobs, speeds)
+
+
+def _stage2_makespan(
+    instance: Instance,
+    part: Partition,
+    scheduler: str,
+    node_budget: int,
+) -> float:
+    loads = [bag_load(bag, instance.jobs) for bag in part.bags]
+    if is_binary_speed(instance):
+        _, m_zero = binary_counts(instance)
+        merged = merge_to_fit(loads, m_zero)
+        return max(merged) if merged else 0.0
+    if scheduler == "exact":
+        return exact_schedule(loads, instance.true_speeds, node_budget).makespan
+    return lpt_schedule(loads, instance.true_speeds).makespan
+
+
+def evaluate(
+    instance: Instance,
+    algorithm: "AlgorithmSpec | str | dict",
+    scheduler: str = "exact",
+    oracle: str = "exact",
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> float:
+    """Approximation ratio of one algorithm on one instance.
+
+    Partitions on predicted speeds, schedules the bags on true speeds with the
+    chosen scheduler (for all-or-nothing speed instances: merge bags down to
+    the usable machine count, one bag per machine), and divides by
+    :func:`oracle_value`.
+    """
+    spec = parse_algorithm(algorithm)
+    if spec.scheduler is not None:
+        scheduler = spec.scheduler
+    try:
+        part = make_partition(instance, spec, scheduler, node_budget)
+        alg = _stage2_makespan(instance, part, scheduler, node_budget)
+        ref = oracle_value(instance, oracle, node_budget)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"{exc} [instance name={instance.name!r} seed={instance.seed!r}]",
+            nodes_explored=exc.nodes_explored,
+        ) from exc
+    return alg / ref
+
+
+# ---------------------------------------------------------------------------
+# Experiments
+# ---------------------------------------------------------------------------
+
+
+def _default_algorithms() -> tuple[AlgorithmSpec, ...]:
+    return (
+        AlgorithmSpec("one-consistent"),
+        AlgorithmSpec("ipr", alpha=0.5, rho=4.0),
+        AlgorithmSpec("lpt"),
+    )
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A parameter sweep over synthetic instances.
+
+    ``sweep_param`` selects what varies: the prediction-error scale
+    (``err_sigma``), instance shape (``n``/``m``), or a normal distribution's
+    spread (``sigma_p``/``sigma_s``).  For ``err_sigma`` the default grid is 11
+    evenly spaced points from 0 to the speed distribution's mean; other sweeps
+    must list ``sweep_values`` explicitly.  Per sweep point,
+    ``instances_per_point`` instances are drawn with seeds ``seed + rep`` —
+    the same seeds across points, so algorithms that ignore the swept
+    parameter produce identical columns.
+    """
+
+    n: int = 12
+    m: int = 4
+    job_dist: Dist = Dist.uniform(0.0, 100.0)
+    speed_dist: Dist = Dist.uniform(0.0, 40.0)
+    err_sigma: float = 0.0
+    sweep_param: str = "err_sigma"
+    sweep_values: tuple[float, ...] | None = None
+    algorithms: tuple[AlgorithmSpec, ...] = ()
+    instances_per_point: int = 100
+    scheduler: str = "exact"
+    oracle: str = "exact"
+    seed: int = 0
+    node_budget: int = DEFAULT_NODE_BUDGET
+
+    def __post_init__(self) -> None:
+        if self.n < 1 or self.m < 1:
+            raise ValueError("n and m must be at least 1")
+        if self.err_sigma < 0.0:
+            raise ValueError("err_sigma must be non-negative")
+        if self.sweep_param not in SWEEP_PARAMS:
+            raise ValueError(f"sweep_param must be one of {SWEEP_PARAMS}")
+        if self.instances_per_point < 1:
+            raise ValueError("instances_per_point must be at least 1")
+        if self.scheduler not in SCHEDULERS:
+            raise ValueError(f"scheduler must be one of {SCHEDULERS}")
+        if self.oracle not in ORACLES:
+            raise ValueError(f"oracle must be one of {ORACLES}")
+        if not self.algorithms:
+            object.__setattr__(self, "algorithms", _default_algorithms())
+        else:
+            object.__setattr__(
+                self, "algorithms", tuple(parse_algorithm(a) for a in self.algorithms)
+            )
+        labels = [a.label for a in self.algorithms]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate algorithm labels: {labels}")
+        if self.sweep_values is not None:
+            object.__setattr__(
+                self, "sweep_values", tuple(float(v) for v in self.sweep_values)
+            )
+
+    def resolved_sweep_values(self) -> tuple[float, ...]:
+        if self.sweep_values is not None:
+            return self.sweep_values
+        if self.sweep_param == "err_sigma":
+            mu = self.speed_dist.mean
+            return tuple(i * mu / 10.0 for i in range(11))
+        raise ValueError(f"sweep_values must be given for sweep_param={self.sweep_param!r}")
+
+    def synthetic_config_at(self, value: float, seed: int) -> SyntheticConfig:
+        n, m = self.n, self.m
+        job_dist, speed_dist = self.job_dist, self.speed_dist
+        err_sigma = self.err_sigma
+        if self.sweep_param == "err_sigma":
+            err_sigma = value
+        elif self.sweep_param in ("n", "m"):
+            if value != int(value) or int(value) < 1:
+                raise ValueError(f"swept {self.sweep_param} must be a positive integer, got {value}")
+            if self.sweep_param == "n":
+                n = int(value)
+            else:
+                m = int(value)
+        elif self.sweep_param == "sigma_p":
+            if job_dist.kind != "normal":
+                raise ValueError("sigma_p sweep requires a normal job distribution")
+            job_dist = Dist.normal(job_dist.a, value)
+        else:  # sigma_s
+            if speed_dist.kind != "normal":
+                raise ValueError("sigma_s sweep requires a normal speed distribution")
+            speed_dist = Dist.normal(speed_dist.a, value)
+        return SyntheticConfig(
+            n=n, m=m, job_dist=job_dist, speed_dist=speed_dist, err_sigma=err_sigma, seed=seed
+        )
+
+    def to_json_dict(self) -> dict:
+        def _algorithm_json(a: AlgorithmSpec) -> "dict | str":
+            if a.name != "ipr" and a.scheduler is None:
+                return a.name
+            doc: dict = {"name": a.name}
+            if a.name == "ipr":
+                doc["alpha"] = a.alpha
+                doc["rho"] = a.rho
+            if a.scheduler is not None:
+                doc["scheduler"] = a.scheduler
+            return doc
+
+        return {
+            "n": self.n,
+            "m": self.m,
+            "job_dist": self.job_dist.to_json_dict(),
+            "speed_dist": self.speed_dist.to_json_dict(),
+            "err_sigma": self.err_sigma,
+            "sweep_param": self.sweep_param,
+            "sweep_values": None if self.sweep_values is None else list(self.sweep_values),
+            "algorithms": [_algorithm_json(a) for a in self.algorithms],
+            "instances_per_point": self.instances_per_point,
+            "scheduler": self.scheduler,
+            "oracle": self.oracle,
+            "seed": self.seed,
+            "node_budget": self.node_budget,
+        }
+
+    @classmethod
+    def from_json_dict(cls, doc: object) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ValueError("experiment config must be a JSON object")
+        known = {
+            "n", "m", "job_dist", "speed_dist", "err_sigma", "sweep_param",
+            "sweep_values", "algorithms", "instances_per_point", "scheduler",
+            "oracle", "seed", "node_budget",
+        }
+        extra = doc.keys() - known
+        if extra:
+            raise ValueError(f"unknown experiment config keys: {sorted(extra)}")
+        kwargs: dict = {}
+        for key in ("n", "m", "err_sigma", "sweep_param", "instances_per_point",
+                    "scheduler", "oracle", "seed", "node_budget"):
+            if key in doc:
+                kwargs[key] = doc[key]
+        if "job_dist" in doc:
+            kwargs["job_dist"] = Dist.from_json_dict(doc["job_dist"])
+        if "speed_dist" in doc:
+            kwargs["speed_dist"] = Dist.from_json_dict(doc["speed_dist"])
+        if doc.get("sweep_values") is not None:
+            kwargs["sweep_values"] = tuple(doc["sweep_values"])
+        if "algorithms" in doc:
+            kwargs["algorithms"] = tuple(parse_algorithm(a) for a in doc["algorithms"])
+        return cls(**kwargs)
+
+
+@dataclass(frozen=True)
+class ExperimentRow:
+    sweep_param: str
+    sweep_value: float
+    algorithm: str
+    mean_ratio: float
+    std_ratio: float
+    n_instances: int
+    oracle_kind: str
+
+
+EXPERIMENT_CSV_HEADER = (
+    "sweep_param",
+    "sweep_value",
+    "algorithm",
+    "mean_ratio",
+    "std_ratio",
+    "n_instances",
+    "oracle_kind",
+)
+
+
+def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
+    """Evaluate every (sweep point, algorithm) cell; deterministic given config.
+
+    Means and sample standard deviations are accumulated in seed order.  The
+    per-instance oracle value is computed once and shared across algorithms.
+    With the exact oracle, any ratio below ``1 - 1e-9`` aborts loudly — it
+    would mean the oracle is not an oracle.
+    """
+    rows: list[ExperimentRow] = []
+    oracle_cache: dict[tuple, float] = {}
+    for value in config.resolved_sweep_values():
+        ratios: dict[str, list[float]] = {spec.label: [] for spec in config.algorithms}
+        for rep in range(config.instances_per_point):
+            inst_seed = config.seed + rep
+            syn = config.synthetic_config_at(value, inst_seed)
+            instance = gen_synthetic(syn)
+            cache_key = (instance.jobs, instance.true_speeds)
+            ref = oracle_cache.get(cache_key)
+            if ref is None:
+                ref = oracle_value(instance, config.oracle, config.node_budget)
+                oracle_cache[cache_key] = ref
+            for spec in config.algorithms:
+                sched = spec.scheduler if spec.scheduler is not None else config.scheduler
+                try:
+                    part = make_partition(instance, spec, sched, config.node_budget)
+                    alg = _stage2_makespan(instance, part, sched, config.node_budget)
+                except BudgetExceededError:
+                    raise
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"evaluation failed at {config.sweep_param}={value}, "
+                        f"algorithm={spec.label}, seed={inst_seed}: {exc}"
+                    ) from exc
+                ratio = alg / ref
+                if config.oracle == "exact" and ratio < 1.0 - 1e-9:
+                    raise RuntimeError(
+                        f"ratio {ratio} below 1 with exact oracle "
+                        f"({config.sweep_param}={value}, seed={inst_seed}); solver bug"
+                    )
+                ratios[spec.label].append(ratio)
+        for spec in config.algorithms:
+            values_list = ratios[spec.label]
+            mean = sum(values_list) / len(values_list)
+            if len(values_list) > 1:
+                var = sum((x - mean) ** 2 for x in values_list) / (len(values_list) - 1)
+                std = math.sqrt(var)
+            else:
+                std = 0.0
+            rows.append(
+                ExperimentRow(
+                    sweep_param=config.sweep_param,
+                    sweep_value=value,
+                    algorithm=spec.label,
+                    mean_ratio=mean,
+                    std_ratio=std,
+                    n_instances=len(values_list),
+                    oracle_kind=config.oracle,
+                )
+            )
+    return rows
+
+
+def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(EXPERIMENT_CSV_HEADER)
+    for r in rows:
+        writer.writerow(
+            [r.sweep_param, repr(r.sweep_value), r.algorithm, repr(r.mean_ratio),
+             repr(r.std_ratio), r.n_instances, r.oracle_kind]
+        )
+    return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Theory curves
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CurveRow:
+    alpha: float
+    consistency: float
+    robustness_general: float
+    robustness_equal_jobs: float
+    robustness_fluid: float
+
+
+CURVES_CSV_HEADER = (
+    "alpha",
+    "consistency",
+    "robustness_general",
+    "robustness_equal_jobs",
+    "robustness_fluid",
+)
+
+
+def theory_curves(alphas: Sequence[float]) -> list[CurveRow]:
+    """Guarantee envelopes per alpha: consistency ``1 + a``; worst-case ratio
+    ``2 + 2/a`` in general, ``2 + 1/a`` for equal-size jobs, ``1 + 1/a`` for
+    infinitesimal jobs."""
+    rows = []
+    for a in alphas:
+        a = float(a)
+        if not 0.0 < a < 1.0:
+            raise ValueError(f"alpha values must be in (0, 1), got {a!r}")
+        rows.append(
+            CurveRow(
+                alpha=a,
+                consistency=1.0 + a,
+                robustness_general=2.0 + 2.0 / a,
+                robustness_equal_jobs=2.0 + 1.0 / a,
+                robustness_fluid=1.0 + 1.0 / a,
+            )
+        )
+    return rows
+
+
+def curves_to_csv(rows: Sequence[CurveRow]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CURVES_CSV_HEADER)
+    for r in rows:
+        writer.writerow(
+            [repr(r.alpha), repr(r.consistency), repr(r.robustness_general),
+             repr(r.robustness_equal_jobs), repr(r.robustness_fluid)]
+        )
+    return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Property verification
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PropertyCheck:
+    name: str
+    passed: int
+    trials: int
+    counterexample: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.passed == self.trials
+
+
+@dataclass(frozen=True)
+class MetricsReport:
+    """Aggregated results: experiment rows and/or property verdicts."""
+
+    rows: tuple[ExperimentRow, ...] = ()
+    properties: tuple[PropertyCheck, ...] = ()
+
+    @property
+    def all_passed(self) -> bool:
+        return all(p.ok for p in self.properties)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "all_passed": self.all_passed,
+            "properties": [
+                {
+                    "name": p.name,
+                    "passed": p.passed,
+                    "trials": p.trials,
+                    "counterexample": p.counterexample,
+                }
+                for p in self.properties
+            ],
+        }
+
+
+def _le(a: float, b: float) -> bool:
+    """a <= b up to 1e-9 relative-ish slack (bounds are mathematical, loads are FP)."""
+    return a <= b + 1e-9 * max(1.0, abs(a), abs(b))
+
+
+_ALPHA_CYCLE = (0.25, 0.5, 0.75)
+
+
+def random_small_instance(
+    rng: SplitMix64,
+    n_max: int = 12,
+    m_max: int = 4,
+    unit_jobs: bool = False,
+) -> Instance:
+    """Small random instance in the experiment-section style: n in 2..n_max,
+    m in 2..m_max, jobs/speeds from one of the four distribution pairings,
+    error scale uniform in [0, speed mean]."""
+    n = 2 + rng.next_u64() % (n_max - 1)
+    m = 2 + rng.next_u64() % (m_max - 1)
+    combo = rng.next_u64() % 4
+    job_dist = Dist.uniform(0.0, 100.0) if combo & 1 else Dist.normal(50.0, 5.0)
+    speed_dist = Dist.uniform(0.0, 40.0) if combo & 2 else Dist.normal(20.0, 4.0)
+    err_sigma = speed_dist.mean * rng.next_float()
+    config = SyntheticConfig(
+        n=n,
+        m=m,
+        job_dist=job_dist,
+        speed_dist=speed_dist,
+        err_sigma=err_sigma,
+        seed=rng.next_u64(),
+    )
+    instance = gen_synthetic(config)
+    if unit_jobs:
+        instance = Instance(
+            jobs=(1.0,) * n,
+            true_speeds=instance.true_speeds,
+            predicted_speeds=instance.predicted_speeds,
+            name=f"unit-{instance.name}",
+            seed=instance.seed,
+        )
+    return instance
+
+
+class _Recorder:
+    """Per-property pass counting with first-counterexample capture."""
+
+    def __init__(self) -> None:
+        self._acc: dict[str, list] = {}
+        self._order: list[str] = []
+
+    def record(self, name: str, ok: bool, detail: Callable[[], str]) -> None:
+        if name not in self._acc:
+            self._acc[name] = [0, 0, None]
+            self._order.append(name)
+        entry = self._acc[name]
+        entry[1] += 1
+        if ok:
+            entry[0] += 1
+        elif entry[2] is None:
+            entry[2] = detail()
+
+    def checks(self) -> list[PropertyCheck]:
+        return [
+            PropertyCheck(name=n, passed=e[0], trials=e[1], counterexample=e[2])
+            for n, e in ((n, self._acc[n]) for n in self._order)
+        ]
+
+
+def _dump(instance: Instance, extra: str = "") -> str:
+    text = instance_to_json(instance).strip()
+    return f"{extra + '; ' if extra else ''}instance: {text}"
+
+
+def verify_properties(
+    seed: int = 0,
+    trials: int = 200,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> MetricsReport:
+    """Check every structural property over ``trials`` random small instances
+    each, plus the fixed adversarial families.  Failures are reported as data
+    (pass counts + first counterexample), never raised."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    rec = _Recorder()
+
+    # --- generator validation sweep -------------------------------------
+    rng = substream(seed, 101)
+    for _ in range(trials):
+        inst = random_small_instance(rng)
+        ok = True
+        detail = ""
+        try:
+            eta = prediction_error(inst.predicted_speeds, inst.true_speeds)
+            ok = eta >= 1.0 and all(p >= 1e-3 for p in inst.jobs)
+            detail = f"eta={eta}"
+        except ValueError as exc:
+            ok, detail = False, str(exc)
+        rec.record("gen-valid-instances", ok, lambda i=inst, d=detail: _dump(i, d))
+
+    # --- LPT partition balance + min-bag bound + eta symmetry -----------
+    rng = substream(seed, 102)
+    for _ in range(trials):
+        inst = random_small_instance(rng)
+        part = lpt_partition(inst.jobs, inst.m)
+        beta = beta_ratio(part, inst.jobs)
+        rec.record(
+            "lpt-partition-beta-le-2",
+            _le(beta, 2.0),
+            lambda i=inst, b=beta: _dump(i, f"beta={b}"),
+        )
+        loads = [bag_load(b, inst.jobs) for b in part.bags]
+        all_ratio_ok = min(loads) > 0.0 and max(loads) <= 2.0 * min(loads)
+        if all_ratio_ok:
+            bound = sum(inst.jobs) / (2 * inst.m - 1)
+            rec.record(
+                "balanced-min-bag-load",
+                _le(bound, min(loads)),
+                lambda i=inst, lo=min(loads), bd=bound: _dump(i, f"min={lo} bound={bd}"),
+            )
+        else:
+            rec.record("balanced-min-bag-load", True, lambda: "")
+        eta_ab = prediction_error(inst.predicted_speeds, inst.true_speeds)
+        eta_ba = prediction_error(inst.true_speeds, inst.predicted_speeds)
+        rec.record(
+            "prediction-error-symmetric",
+            math.isclose(eta_ab, eta_ba, rel_tol=1e-9),
+            lambda i=inst, x=eta_ab, y=eta_ba: _dump(i, f"eta={x} vs {y}"),
+        )
+
+    # --- IPR trace properties (rho = 4) ----------------------------------
+    rng = substream(seed, 103)
+    for t in range(trials):
+        inst = random_small_instance(rng)
+        alpha = _ALPHA_CYCLE[t % len(_ALPHA_CYCLE)]
+        config = IprConfig(alpha=alpha, rho=4.0, node_budget=node_budget)
+        result = ipr(inst.jobs, inst.predicted_speeds, config)
+        state = result.state
+        hist = state.b_min_history
+        start = next((i for i, v in enumerate(hist) if v > 0.0), len(hist))
+        monotone = all(_le(hist[i], hist[i + 1]) for i in range(start, len(hist) - 1))
+        rec.record(
+            "ipr-bmin-monotone-rho4",
+            monotone,
+            lambda i=inst, h=hist, a=alpha: _dump(i, f"alpha={a} history={h}"),
+        )
+        rec.record(
+            "ipr-iterations-le-m-squared",
+            state.iterations <= inst.m * inst.m,
+            lambda i=inst, it=state.iterations: _dump(i, f"iterations={it}"),
+        )
+        beta = beta_ratio(result.partition, inst.jobs)
+        rec.record(
+            "ipr-beta-le-robust-bound",
+            _le(beta, 2.0 + 2.0 / alpha),
+            lambda i=inst, b=beta, a=alpha: _dump(i, f"alpha={a} beta={b}"),
+        )
+        validate_partition(result.partition, inst.n, inst.m)
+
+    # --- consistency: perfect predictions --------------------------------
+    rng = substream(seed, 104)
+    for t in range(trials):
+        base = random_small_instance(rng)
+        inst = Instance(
+            jobs=base.jobs,
+            true_speeds=base.true_speeds,
+            predicted_speeds=base.true_speeds,
+            name=base.name,
+            seed=base.seed,
+        )
+        for alpha in _ALPHA_CYCLE:
+            config = IprConfig(alpha=alpha, rho=4.0, node_budget=node_budget)
+            result = ipr(inst.jobs, inst.predicted_speeds, config)
+            speeds_desc = sorted(inst.predicted_speeds, reverse=True)
+            final = max(
+                sum(bag_load(b, inst.jobs) for b in coll) / s
+                for coll, s in zip(result.state.assignment.collections, speeds_desc)
+            )
+            bound = (1.0 + alpha) * result.state.opt_c_bar
+            rec.record(
+                "ipr-consistency-guard",
+                _le(final, bound),
+                lambda i=inst, f=final, bd=bound, a=alpha: _dump(
+                    i, f"alpha={a} makespan={f} bound={bd}"
+                ),
+            )
+
+    # --- robustness: adversarial true speeds ------------------------------
+    rng = substream(seed, 105)
+    for _ in range(trials):
+        base = random_small_instance(rng)
+        adversarial = tuple(
+            max(40.0 * rng.next_float(), 1e-3) for _ in range(base.m)
+        )
+        inst = Instance(
+            jobs=base.jobs,
+            true_speeds=adversarial,
+            predicted_speeds=base.predicted_speeds,
+            name=f"adversarial-{base.name}",
+            seed=base.seed,
+        )
+        ratio = evaluate(inst, AlgorithmSpec("ipr", alpha=0.5, rho=4.0), "exact", "exact", node_budget)
+        rec.record(
+            "ipr-robust-ratio-le-6",
+            _le(ratio, 6.0),
+            lambda i=inst, r=ratio: _dump(i, f"ratio={r}"),
+        )
+
+    # --- unit jobs, rho = 2 ----------------------------------------------
+    rng = substream(seed, 106)
+    for t in range(trials):
+        inst = random_small_instance(rng, unit_jobs=True)
+        alpha = _ALPHA_CYCLE[t % len(_ALPHA_CYCLE)]
+        config = IprConfig(alpha=alpha, rho=2.0, node_budget=node_budget)
+        result = ipr(inst.jobs, inst.predicted_speeds, config)
+        beta = beta_ratio(result.partition, inst.jobs)
+        rec.record(
+            "unit-ipr-rho2-beta-bound",
+            _le(beta, 2.0 + 1.0 / alpha),
+            lambda i=inst, b=beta, a=alpha: _dump(i, f"alpha={a} beta={b}"),
+        )
+        hist = result.state.b_min_history
+        start = next((i for i, v in enumerate(hist) if v > 0.0), len(hist))
+        rec.record(
+            "unit-ipr-rho2-bmin-monotone",
+            all(_le(hist[i], hist[i + 1]) for i in range(start, len(hist) - 1)),
+            lambda i=inst, h=hist: _dump(i, f"history={h}"),
+        )
+
+    # --- fluid variant -----------------------------------------------------
+    rng = substream(seed, 107)
+    for t in range(trials):
+        m = 2 + rng.next_u64() % 3
+        speeds = [max(40.0 * rng.next_float(), 1e-3) for _ in range(m)]
+        total = 1.0 + 999.0 * rng.next_float()
+        alpha = _ALPHA_CYCLE[t % len(_ALPHA_CYCLE)]
+        loads = fluid_ipr(total, speeds, alpha, rho=2.0)
+        ok_ratio = _le(max(loads), (1.0 + 1.0 / alpha) * min(loads))
+        rec.record(
+            "fluid-rho2-balance-bound",
+            ok_ratio,
+            lambda s=speeds, ld=loads, a=alpha: f"alpha={a} speeds={s} loads={ld}",
+        )
+        rec.record(
+            "fluid-conserves-load",
+            math.isclose(sum(loads), total, rel_tol=1e-9),
+            lambda s=speeds, ld=loads, w=total: f"speeds={s} loads={ld} total={w}",
+        )
+
+    # --- all-or-nothing speeds ---------------------------------------------
+    rng = substream(seed, 108)
+    for _ in range(trials):
+        n = 1 + rng.next_u64() % 12
+        m = 1 + rng.next_u64() % 5
+        m_hat = 1 + rng.next_u64() % m
+        m_zero = 1 + rng.next_u64() % m
+        dist = Dist.uniform(0.0, 100.0)
+        jrng = SplitMix64(rng.next_u64())
+        jobs = [max(dist.sample(jrng), 1e-3) for _ in range(n)]
+        part = binary_speed_partition(jobs, m, m_hat, solver="exact", node_budget=node_budget)
+        loads = [bag_load(b, jobs) for b in part.bags]
+        opt_m = exact_schedule(jobs, [1.0] * m, node_budget).makespan
+        rec.record(
+            "binary-stage1-max-bag-le-2opt",
+            _le(max(loads), 2.0 * opt_m),
+            lambda j=jobs, ld=loads, o=opt_m: f"jobs={j} loads={ld} opt_m={o}",
+        )
+        merged = merge_to_fit(loads, m_zero)
+        alg = max(merged) if merged else 0.0
+        opt0 = exact_schedule(jobs, [1.0] * m_zero, node_budget).makespan
+        rec.record(
+            "binary-merge-ratio-le-2",
+            _le(alg, 2.0 * opt0),
+            lambda j=jobs, a=alg, o=opt0, mm=(m, m_hat, m_zero): (
+                f"(m,m_hat,m_zero)={mm} jobs={j} alg={a} opt={o}"
+            ),
+        )
+        rec.record(
+            "merge-preserves-total",
+            math.isclose(sum(merged), sum(loads), rel_tol=1e-9)
+            and (not merged or max(merged) >= max(loads) - 1e-9 * max(1.0, max(loads))),
+            lambda ld=loads, mg=merged: f"loads={ld} merged={mg}",
+        )
+
+    # --- capacity certificate ----------------------------------------------
+    rng = substream(seed, 109)
+    for _ in range(trials):
+        inst = random_small_instance(rng)
+        opt = exact_schedule(inst.jobs, inst.true_speeds, node_budget).makespan
+        parts = [lpt_partition(inst.jobs, inst.m)]
+        random_bags: list[list[int]] = [[] for _ in range(inst.m)]
+        for j in range(inst.n):
+            random_bags[rng.next_u64() % inst.m].append(j)
+        parts.append(Partition(tuple(tuple(b) for b in random_bags)))
+        for part in parts:
+            beta = beta_ratio(part, inst.jobs)
+            factor = max(2.0, beta)
+            try:
+                result = capacity_robust_schedule(
+                    part, inst.jobs, inst.true_speeds, node_budget=node_budget
+                )
+                ok = _le(result.makespan, factor * opt) if math.isfinite(factor) else True
+                detail = f"beta={beta} makespan={result.makespan} opt={opt}"
+            except Exception as exc:  # infeasibility would be an invariant bug
+                ok, detail = False, f"error: {exc}"
+            rec.record(
+                "capacity-certificate",
+                ok,
+                lambda i=inst, d=detail, p=part: _dump(i, f"{d} bags={p.bags}"),
+            )
+
+    # --- solver oracle agreement --------------------------------------------
+    rng = substream(seed, 110)
+    for _ in range(trials):
+        inst = random_small_instance(rng, n_max=8, m_max=3)
+        exact = exact_schedule(inst.jobs, inst.true_speeds, node_budget)
+        greedy = lpt_schedule(inst.jobs, inst.true_speeds)
+        brute = brute_force_makespan(inst.jobs, inst.true_speeds)
+        rec.record(
+            "exact-matches-enumeration",
+            math.isclose(exact.makespan, brute, rel_tol=1e-12, abs_tol=1e-12),
+            lambda i=inst, e=exact.makespan, b=brute: _dump(i, f"exact={e} brute={b}"),
+        )
+        rec.record(
+            "exact-le-lpt",
+            exact.makespan <= greedy.makespan * (1.0 + 1e-12),
+            lambda i=inst, e=exact.makespan, g=greedy.makespan: _dump(i, f"exact={e} lpt={g}"),
+        )
+        rec.record(
+            "lower-bound-le-exact",
+            opt_lower_bound(inst.jobs, inst.true_speeds) <= exact.makespan * (1.0 + 1e-12),
+            lambda i=inst: _dump(i),
+        )
+
+    # --- fixed adversarial families ------------------------------------------
+    for m in (2, 3):
+        for n in range(m + 1, 13):
+            inst = gen_prop1_instance(n, m)
+            expected = (n - m + 1) / math.ceil(n / m)
+            ratio = evaluate(inst, "one-consistent", "exact", "exact", node_budget)
+            rec.record(
+                "trap-family-exact-ratio",
+                math.isclose(ratio, expected, rel_tol=1e-9),
+                lambda i=inst, r=ratio, e=expected: _dump(i, f"ratio={r} expected={e}"),
+            )
+    for m in (2, 3, 4):
+        inst = gen_tradeoff_instance(m)
+        for alpha in _ALPHA_CYCLE:
+            ratio = evaluate(
+                inst, AlgorithmSpec("ipr", alpha=alpha, rho=4.0), "exact", "exact", node_budget
+            )
+            rec.record(
+                "tradeoff-family-ipr-bound",
+                _le(ratio, 2.0 + 2.0 / alpha),
+                lambda i=inst, r=ratio, a=alpha: _dump(i, f"alpha={a} ratio={r}"),
+            )
+    for k in (1, 2, 3):
+        inst = gen_binary_lb_instance(k)
+        ratio = evaluate(inst, "one-consistent", "exact", "exact", node_budget)
+        rec.record(
+            "binary-family-benchmark-floor",
+            ratio >= 4.0 / 3.0 - 1e-9,
+            lambda i=inst, r=ratio: _dump(i, f"ratio={r}"),
+        )
+
+    return MetricsReport(properties=tuple(rec.checks()))

@@ -1,0 +1,386 @@
+"""Core data types and measurements for two-stage scheduling with speed predictions.
+
+An :class:`Instance` carries job processing times together with two speed vectors
+for the same machines: the speeds that were *predicted* when jobs had to be
+grouped, and the *true* speeds revealed afterwards.  Jobs are first partitioned
+into bags (one future machine-load unit each); bags are later placed on machines
+without being split.  This module defines the containers (:class:`Partition`,
+:class:`Assignment`, :class:`Schedule`, :class:`IprState`), the measurements on
+them (loads, makespan, the bag-balance ratio, the prediction-error factor), and
+deterministic JSON round-trips for instances and partitions.
+
+All validation is eager: malformed data raises ``ValueError`` (or ``IndexError``
+for out-of-range job indices) before it can enter a computation.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, field
+from typing import Sequence
+
+# A bag is a tuple of job indices, kept sorted ascending for determinism.
+Bag = tuple[int, ...]
+
+
+def _as_float_tuple(values: Sequence[float], what: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must be a sequence of numbers") from exc
+
+
+@dataclass(frozen=True)
+class Instance:
+    """A scheduling instance: jobs plus predicted and true machine speeds.
+
+    Parameters
+    ----------
+    jobs:
+        Processing times, one per job; all must be strictly positive.
+    true_speeds:
+        True machine speeds, strictly positive; defines the machine count ``m``.
+    predicted_speeds:
+        Predicted machine speeds, non-negative, same length as ``true_speeds``.
+    name, seed:
+        Optional provenance labels carried through JSON round-trips.
+    """
+
+    jobs: tuple[float, ...]
+    true_speeds: tuple[float, ...]
+    predicted_speeds: tuple[float, ...]
+    name: str | None = None
+    seed: int | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "jobs", _as_float_tuple(self.jobs, "jobs"))
+        object.__setattr__(self, "true_speeds", _as_float_tuple(self.true_speeds, "true_speeds"))
+        object.__setattr__(
+            self, "predicted_speeds", _as_float_tuple(self.predicted_speeds, "predicted_speeds")
+        )
+        if not self.jobs:
+            raise ValueError("instance needs at least one job")
+        if not self.true_speeds:
+            raise ValueError("instance needs at least one machine")
+        if len(self.predicted_speeds) != len(self.true_speeds):
+            raise ValueError(
+                f"predicted_speeds has {len(self.predicted_speeds)} entries, "
+                f"true_speeds has {len(self.true_speeds)}"
+            )
+        for p in self.jobs:
+            if not (p > 0.0) or math.isinf(p) or math.isnan(p):
+                raise ValueError(f"job processing times must be positive finite, got {p!r}")
+        for s in self.true_speeds:
+            if not (s > 0.0) or math.isinf(s) or math.isnan(s):
+                raise ValueError(f"true speeds must be positive finite, got {s!r}")
+        for s in self.predicted_speeds:
+            if s < 0.0 or math.isinf(s) or math.isnan(s):
+                raise ValueError(f"predicted speeds must be non-negative finite, got {s!r}")
+
+    @property
+    def n(self) -> int:
+        return len(self.jobs)
+
+    @property
+    def m(self) -> int:
+        return len(self.true_speeds)
+
+    def to_json_dict(self) -> dict:
+        doc: dict = {
+            "jobs": list(self.jobs),
+            "true_speeds": list(self.true_speeds),
+            "predicted_speeds": list(self.predicted_speeds),
+        }
+        if self.name is not None:
+            doc["name"] = self.name
+        if self.seed is not None:
+            doc["seed"] = self.seed
+        return doc
+
+    @classmethod
+    def from_json_dict(cls, doc: object) -> "Instance":
+        if not isinstance(doc, dict):
+            raise ValueError("instance JSON must be an object")
+        missing = {"jobs", "true_speeds", "predicted_speeds"} - doc.keys()
+        if missing:
+            raise ValueError(f"instance JSON missing keys: {sorted(missing)}")
+        name = doc.get("name")
+        if name is not None and not isinstance(name, str):
+            raise ValueError("instance name must be a string")
+        seed = doc.get("seed")
+        if seed is not None and not isinstance(seed, int):
+            raise ValueError("instance seed must be an integer")
+        return cls(
+            jobs=doc["jobs"],
+            true_speeds=doc["true_speeds"],
+            predicted_speeds=doc["predicted_speeds"],
+            name=name,
+            seed=seed,
+        )
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Disjoint bags of job indices; bags may be empty, order is significant."""
+
+    bags: tuple[Bag, ...]
+
+    def __post_init__(self) -> None:
+        canon = []
+        for bag in self.bags:
+            idx = tuple(sorted(int(j) for j in bag))
+            canon.append(idx)
+        object.__setattr__(self, "bags", tuple(canon))
+
+    @property
+    def m(self) -> int:
+        return len(self.bags)
+
+    def to_json_dict(self) -> dict:
+        return {"bags": [list(bag) for bag in self.bags]}
+
+    @classmethod
+    def from_json_dict(cls, doc: object) -> "Partition":
+        if not isinstance(doc, dict) or "bags" not in doc:
+            raise ValueError('partition JSON must be an object with a "bags" key')
+        bags = doc["bags"]
+        if not isinstance(bags, list) or not all(isinstance(b, list) for b in bags):
+            raise ValueError('"bags" must be a list of lists of job indices')
+        for b in bags:
+            for j in b:
+                if not isinstance(j, int) or isinstance(j, bool):
+                    raise ValueError(f"job index must be an integer, got {j!r}")
+        return cls(bags=tuple(tuple(b) for b in bags))
+
+
+@dataclass(frozen=True)
+class Assignment:
+    """Bags grouped into per-machine collections (machine ``i`` runs ``collections[i]``).
+
+    Flattening the collections in order yields a :class:`Partition` plus the
+    bag-to-machine map, so an assignment fully determines a schedule of its bags.
+    """
+
+    collections: tuple[tuple[Bag, ...], ...]
+
+    def __post_init__(self) -> None:
+        canon = tuple(
+            tuple(tuple(sorted(int(j) for j in bag)) for bag in coll) for coll in self.collections
+        )
+        object.__setattr__(self, "collections", canon)
+
+    @property
+    def m(self) -> int:
+        return len(self.collections)
+
+    def bags(self) -> tuple[Bag, ...]:
+        return tuple(bag for coll in self.collections for bag in coll)
+
+    def to_partition(self) -> Partition:
+        return Partition(bags=self.bags())
+
+    def bag_to_machine(self) -> tuple[int, ...]:
+        return tuple(i for i, coll in enumerate(self.collections) for _ in coll)
+
+    def to_schedule(self) -> "Schedule":
+        return Schedule(bag_to_machine=self.bag_to_machine(), m=self.m)
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Placement of bags onto machines: ``bag_to_machine[k]`` hosts bag ``k``."""
+
+    bag_to_machine: tuple[int, ...]
+    m: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bag_to_machine", tuple(int(i) for i in self.bag_to_machine))
+        if self.m < 0:
+            raise ValueError("machine count must be non-negative")
+        for i in self.bag_to_machine:
+            if not 0 <= i < self.m:
+                raise ValueError(f"machine index {i} out of range for m={self.m}")
+
+
+@dataclass(frozen=True)
+class IprState:
+    """Trace of one iterative-rebalancing run.
+
+    Attributes
+    ----------
+    assignment:
+        Final per-machine collections of bags (machines ordered by predicted
+        speed, fastest first).
+    opt_c_bar:
+        Makespan of the initial prediction-trusting assignment under the
+        predicted speeds; the rebalancing guard is relative to this value.
+    iterations:
+        Number of rebalance steps attempted (including one aborted by the guard).
+    b_min_history:
+        Minimum bag load at each evaluation of the rebalance-loop condition;
+        the last entry is the returned partition's minimum bag load.
+    last_rebalance_load:
+        Total load of the receiving collection in the last rebalance, or
+        ``None`` if no rebalance ran.
+    last_rebalance_count:
+        Number of bags that collection was re-split into, or ``None``.
+    """
+
+    assignment: Assignment
+    opt_c_bar: float
+    iterations: int
+    b_min_history: tuple[float, ...] = field(default_factory=tuple)
+    last_rebalance_load: float | None = None
+    last_rebalance_count: int | None = None
+
+
+# ---------------------------------------------------------------------------
+# Measurements
+# ---------------------------------------------------------------------------
+
+
+def bag_load(bag: Sequence[int], jobs: Sequence[float]) -> float:
+    """Total processing time of the jobs in ``bag`` (0.0 for an empty bag)."""
+    total = 0.0
+    n = len(jobs)
+    for j in bag:
+        if not 0 <= j < n:
+            raise IndexError(f"job index {j} out of range for {n} jobs")
+        total += jobs[j]
+    return total
+
+
+def machine_loads(schedule: Schedule, partition: Partition, jobs: Sequence[float]) -> list[float]:
+    """Per-machine total load induced by placing ``partition``'s bags via ``schedule``."""
+    if len(schedule.bag_to_machine) != partition.m:
+        raise ValueError(
+            f"schedule places {len(schedule.bag_to_machine)} bags, partition has {partition.m}"
+        )
+    loads = [0.0] * schedule.m
+    for bag, machine in zip(partition.bags, schedule.bag_to_machine):
+        loads[machine] += bag_load(bag, jobs)
+    return loads
+
+
+def makespan(
+    schedule: Schedule,
+    partition: Partition,
+    instance: Instance,
+    use_predicted: bool = False,
+) -> float:
+    """Maximum machine completion time ``load_i / speed_i`` under the schedule.
+
+    Uses the true speeds unless ``use_predicted`` is set.  A zero speed on a
+    loaded-or-not machine is rejected (only predicted speeds can be zero in a
+    valid instance, and they cannot be divided by).
+    """
+    if schedule.m != instance.m:
+        raise ValueError(f"schedule has m={schedule.m}, instance has m={instance.m}")
+    speeds = instance.predicted_speeds if use_predicted else instance.true_speeds
+    for s in speeds:
+        if s <= 0.0:
+            raise ValueError("makespan needs strictly positive speeds")
+    loads = machine_loads(schedule, partition, instance.jobs)
+    return max(load / s for load, s in zip(loads, speeds))
+
+
+def beta_ratio(partition: Partition, jobs: Sequence[float]) -> float:
+    """Balance ratio: largest multi-job bag load over smallest bag load.
+
+    Returns ``0.0`` when no bag holds two or more jobs.  Returns ``inf`` when a
+    multi-job bag exists but some bag is empty (load zero), the degenerate
+    "unbalanceable" sentinel.
+    """
+    loads = [bag_load(bag, jobs) for bag in partition.bags]
+    multi = [load for bag, load in zip(partition.bags, loads) if len(bag) >= 2]
+    if not multi:
+        return 0.0
+    b_min = min(loads)
+    if b_min <= 0.0:
+        return math.inf
+    return max(multi) / b_min
+
+
+def prediction_error(predicted: Sequence[float], true: Sequence[float]) -> float:
+    """Worst per-machine speed distortion after aligning the prediction scale.
+
+    Predictions are rescaled multiplicatively so their maximum matches the
+    maximum true speed (the measure ignores a global speed-unit mismatch); the
+    result is the largest factor ``max(pred_i, true_i) / min(pred_i, true_i)``
+    over machines, always >= 1.  Exact predictions give exactly 1.0.
+    """
+    if len(predicted) != len(true):
+        raise ValueError("predicted and true speed vectors must have equal length")
+    if not predicted:
+        raise ValueError("speed vectors must be non-empty")
+    for v in list(predicted) + list(true):
+        if not (v > 0.0):
+            raise ValueError("prediction error requires strictly positive speeds")
+    scale = max(true) / max(predicted)
+    eta = 1.0
+    for p_hat, s in zip(predicted, true):
+        aligned = p_hat * scale
+        eta = max(eta, aligned / s if aligned >= s else s / aligned)
+    return eta
+
+
+def validate_partition(partition: Partition, n: int, m: int) -> None:
+    """Check that ``partition`` covers job indices ``0..n-1`` exactly once with ``m`` bags.
+
+    Raises ``ValueError`` describing the first violation; returns ``None`` when valid.
+    """
+    if partition.m != m:
+        raise ValueError(f"partition has {partition.m} bags, expected {m}")
+    seen: set[int] = set()
+    for k, bag in enumerate(partition.bags):
+        for j in bag:
+            if not 0 <= j < n:
+                raise ValueError(f"bag {k} references job {j}, outside 0..{n - 1}")
+            if j in seen:
+                raise ValueError(f"job {j} appears in more than one bag")
+            seen.add(j)
+    if len(seen) != n:
+        missing = sorted(set(range(n)) - seen)
+        raise ValueError(f"jobs missing from partition: {missing[:8]}")
+
+
+# ---------------------------------------------------------------------------
+# JSON round-trips (bit-exact: floats serialize via repr and parse back equal)
+# ---------------------------------------------------------------------------
+
+
+def instance_to_json(instance: Instance) -> str:
+    return json.dumps(instance.to_json_dict(), indent=2) + "\n"
+
+
+def instance_from_json(text: str) -> Instance:
+    return Instance.from_json_dict(json.loads(text))
+
+
+def save_instance(instance: Instance, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(instance_to_json(instance))
+
+
+def load_instance(path: str) -> Instance:
+    with open(path, "r", encoding="utf-8") as fh:
+        return instance_from_json(fh.read())
+
+
+def partition_to_json(partition: Partition) -> str:
+    return json.dumps(partition.to_json_dict(), indent=2) + "\n"
+
+
+def partition_from_json(text: str) -> Partition:
+    return Partition.from_json_dict(json.loads(text))
+
+
+def save_partition(partition: Partition, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(partition_to_json(partition))
+
+
+def load_partition(path: str) -> Partition:
+    with open(path, "r", encoding="utf-8") as fh:
+        return partition_from_json(fh.read())

@@ -1,0 +1,346 @@
+"""Schedulers for placing indivisible load items onto machines with speeds.
+
+The two workhorses are :func:`lpt_schedule` (longest-processing-time greedy,
+fast, ratio at most 2 on related machines) and :func:`exact_schedule` (a
+depth-first branch-and-bound that returns a provably optimal placement for
+small inputs, or raises :class:`BudgetExceededError` rather than silently
+degrading).  Items may be raw jobs or whole bags; the solvers only see loads.
+
+Also here: the trivial makespan lower bound, a full-enumeration oracle used by
+tests and the verification harness, a capacity-guarded greedy that turns any
+sufficiently balanced partition into a schedule with a certified makespan
+ratio, and the smallest-pair bag merge used for instances where only a subset
+of machines turns out to be usable.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+from .model import Partition, Schedule, bag_load, beta_ratio
+
+DEFAULT_NODE_BUDGET = 20_000_000
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised when the exact solver's node budget runs out.
+
+    The solver never returns a possibly sub-optimal answer: hitting the budget
+    is an error the caller must handle (retry with a bigger budget or switch to
+    the greedy scheduler).
+    """
+
+    def __init__(self, message: str, nodes_explored: int = 0) -> None:
+        super().__init__(message)
+        self.nodes_explored = nodes_explored
+
+
+class CapacityInfeasibleError(RuntimeError):
+    """Internal-invariant failure: the capacity-guarded greedy found no feasible machine."""
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """Outcome of a scheduling call.
+
+    ``schedule`` maps item index to machine index; ``optimal`` is True only for
+    the exact solver.  ``nodes_explored`` counts branch-and-bound nodes (0 for
+    greedy results).
+    """
+
+    schedule: Schedule
+    makespan: float
+    optimal: bool
+    nodes_explored: int = 0
+
+
+def _check_speeds(speeds: Sequence[float]) -> list[float]:
+    out = [float(s) for s in speeds]
+    if not out:
+        raise ValueError("need at least one machine")
+    for s in out:
+        if not (s > 0.0) or math.isinf(s) or math.isnan(s):
+            raise ValueError(f"machine speeds must be positive finite, got {s!r}")
+    return out
+
+
+def _check_loads(loads: Sequence[float]) -> list[float]:
+    out = [float(x) for x in loads]
+    for x in out:
+        if x < 0.0 or math.isinf(x) or math.isnan(x):
+            raise ValueError(f"item loads must be non-negative finite, got {x!r}")
+    return out
+
+
+def opt_lower_bound(loads: Sequence[float], speeds: Sequence[float]) -> float:
+    """Cheap makespan lower bound: total work over total speed, and the largest
+    item on the fastest machine.  Exact solutions can never beat this."""
+    loads = _check_loads(loads)
+    speeds = _check_speeds(speeds)
+    if not loads:
+        return 0.0
+    return max(sum(loads) / sum(speeds), max(loads) / max(speeds))
+
+
+def lpt_schedule(loads: Sequence[float], speeds: Sequence[float]) -> SolveResult:
+    """Greedy: items in non-increasing load order, each to the machine where it
+    finishes earliest given current loads; ties break to the lowest machine
+    index.  Deterministic, never optimal-flagged."""
+    loads = _check_loads(loads)
+    speeds = _check_speeds(speeds)
+    m = len(speeds)
+    assign = [0] * len(loads)
+    machine = [0.0] * m
+    for j in sorted(range(len(loads)), key=lambda j: (-loads[j], j)):
+        best_i = 0
+        best_v = (machine[0] + loads[j]) / speeds[0]
+        for i in range(1, m):
+            v = (machine[i] + loads[j]) / speeds[i]
+            if v < best_v:
+                best_v = v
+                best_i = i
+        machine[best_i] += loads[j]
+        assign[j] = best_i
+    mk = max(machine[i] / speeds[i] for i in range(m))
+    return SolveResult(Schedule(tuple(assign), m), mk, optimal=False, nodes_explored=0)
+
+
+def exact_schedule(
+    loads: Sequence[float],
+    speeds: Sequence[float],
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> SolveResult:
+    """Minimum-makespan placement by depth-first branch and bound.
+
+    Intended for small inputs (roughly <= 15 items, <= 5 machines).  The search
+    seeds its incumbent with the greedy solution, prunes any branch that cannot
+    strictly improve it, and stops early once the incumbent meets the trivial
+    lower bound.  Two symmetry reductions keep highly regular inputs (equal
+    items, equal machines) tractable without affecting the optimal value:
+    machines whose (current load, speed) pair repeats at a node are tried once,
+    and runs of equal-size items use non-decreasing machine indices.
+
+    Raises :class:`BudgetExceededError` after ``node_budget`` node expansions.
+    Ties in the returned placement are resolved deterministically (items in
+    non-increasing load order, lowest machine index first).
+    """
+
+    loads = _check_loads(loads)
+    speeds = _check_speeds(speeds)
+    m = len(speeds)
+    n = len(loads)
+    if n == 0:
+        return SolveResult(Schedule((), m), 0.0, optimal=True, nodes_explored=0)
+
+    incumbent = lpt_schedule(loads, speeds)
+    static_lb = max(sum(loads) / sum(speeds), max(loads) / max(speeds))
+
+    order = [j for j in sorted(range(n), key=lambda j: (-loads[j], j)) if loads[j] > 0.0]
+    sorted_loads = [loads[j] for j in order]
+    k = len(order)
+    suffix_rem = [0.0] * (k + 1)
+    for idx in range(k - 1, -1, -1):
+        suffix_rem[idx] = suffix_rem[idx + 1] + sorted_loads[idx]
+
+    best_val = incumbent.makespan
+    best_assign: list[int] | None = None
+    machine = [0.0] * m
+    path = [0] * k
+    nodes = 0
+
+    def dfs(idx: int, cur_max: float) -> bool:
+        nonlocal nodes, best_val, best_assign
+        if idx == k:
+            best_val = cur_max
+            best_assign = path.copy()
+            return best_val <= static_lb
+        p = sorted_loads[idx]
+        rem_after = suffix_rem[idx + 1]
+        start = path[idx - 1] if idx > 0 and p == sorted_loads[idx - 1] else 0
+        seen: set[tuple[float, float]] = set()
+        for i in range(start, m):
+            key = (machine[i], speeds[i])
+            if key in seen:
+                continue
+            seen.add(key)
+            ratio = (machine[i] + p) / speeds[i]
+            new_max = ratio if ratio > cur_max else cur_max
+            if new_max >= best_val:
+                continue
+            # Capacity bound: beating the incumbent needs the yet-unplaced work
+            # to fit in the machines' remaining room below best_val.  Room is
+            # monotone in the target makespan, so falling short at best_val
+            # rules out every strictly better completion of this branch.
+            cap = 0.0
+            for j in range(m):
+                slack = best_val * speeds[j] - machine[j]
+                if j == i:
+                    slack -= p
+                if slack > 0.0:
+                    cap += slack
+            if cap <= rem_after:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceededError(
+                    f"exact solver exceeded node budget {node_budget} "
+                    f"({n} items, {m} machines)",
+                    nodes_explored=nodes,
+                )
+            machine[i] += p
+            path[idx] = i
+            finished = dfs(idx + 1, new_max)
+            machine[i] -= p
+            if finished:
+                return True
+        return False
+
+    if best_val > static_lb and k > 0:
+        dfs(0, 0.0)
+
+    if best_assign is None:
+        assign = list(incumbent.schedule.bag_to_machine)
+        best_val = incumbent.makespan
+    else:
+        assign = [0] * n
+        for idx, j in enumerate(order):
+            assign[j] = best_assign[idx]
+    return SolveResult(Schedule(tuple(assign), m), best_val, optimal=True, nodes_explored=nodes)
+
+
+def brute_force_makespan(loads: Sequence[float], speeds: Sequence[float]) -> float:
+    """Minimum makespan by full ``m**k`` enumeration.  Test oracle only: shares
+    no search code with :func:`exact_schedule`."""
+    loads = _check_loads(loads)
+    speeds = _check_speeds(speeds)
+    m = len(speeds)
+    k = len(loads)
+    if k == 0:
+        return 0.0
+    if m**k > 50_000_000:
+        raise ValueError(f"enumeration of {m}**{k} assignments is too large")
+    best = math.inf
+    for assign in itertools.product(range(m), repeat=k):
+        machine = [0.0] * m
+        for j, i in enumerate(assign):
+            machine[i] += loads[j]
+        val = max(machine[i] / speeds[i] for i in range(m))
+        if val < best:
+            best = val
+    return best
+
+
+def merge_to_fit(loads: Sequence[float], m0: int) -> list[float]:
+    """Repeatedly merge the two smallest non-empty bag loads until at most
+    ``m0`` non-empty loads remain.
+
+    Each merge removes the two smallest positive loads (ties broken by lower
+    index) and puts their sum at the earlier of the two positions, so a list
+    that already fits comes back unchanged.  Total load is preserved and the
+    maximum load never decreases.
+    """
+    if m0 < 1:
+        raise ValueError("m0 must be at least 1")
+    merged = _check_loads(loads)
+    while sum(1 for x in merged if x > 0.0) > m0:
+        first, second = sorted(
+            (i for i, x in enumerate(merged) if x > 0.0),
+            key=lambda i: (merged[i], i),
+        )[:2]
+        lo, hi = min(first, second), max(first, second)
+        merged[lo] = merged[first] + merged[second]
+        del merged[hi]
+    return merged
+
+
+def capacity_robust_schedule(
+    partition: Partition,
+    jobs: Sequence[float],
+    speeds: Sequence[float],
+    large_singleton_placement: Schedule | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> SolveResult:
+    """Schedule a partition's bags under per-machine capacities that certify a
+    makespan within ``max(2, beta)`` of the optimal job-level schedule, where
+    ``beta`` is the partition's balance ratio.
+
+    Construction: speeds are rescaled so total speed equals total work; the
+    oversized singleton bags (single jobs larger than every multi-job bag) are
+    placed first — by ``large_singleton_placement`` when given (one machine per
+    oversized singleton, in ascending bag-index order), otherwise by the exact
+    solver on those bags alone; every machine gets capacity
+    ``max(2, beta) * scaled_speed``, raised by its oversized-singleton load when
+    that alone exceeds the capacity; remaining bags go largest-first to the
+    least-loaded machine with room.  Failure to fit is an internal-invariant
+    violation and raises :class:`CapacityInfeasibleError` loudly.
+
+    The returned makespan is measured under the original (unscaled) speeds.
+    """
+    jobs = _check_loads(jobs)
+    speeds = _check_speeds(speeds)
+    m = len(speeds)
+    n_bags = partition.m
+    loads = [bag_load(bag, jobs) for bag in partition.bags]
+
+    total_p = sum(jobs)
+    total_s = sum(speeds)
+    scale = total_p / total_s
+    scaled = [s * scale for s in speeds]
+
+    beta = beta_ratio(partition, jobs)
+    factor = beta if beta > 2.0 else 2.0
+
+    max_multi = 0.0
+    for bag, load in zip(partition.bags, loads):
+        if len(bag) >= 2 and load > max_multi:
+            max_multi = load
+    big_singletons = [
+        k for k, bag in enumerate(partition.bags) if len(bag) == 1 and loads[k] > max_multi
+    ]
+
+    machine = [0.0] * m
+    place: list[int | None] = [None] * n_bags
+    nodes = 0
+    if big_singletons:
+        if large_singleton_placement is not None:
+            placed = large_singleton_placement.bag_to_machine
+            if len(placed) != len(big_singletons) or large_singleton_placement.m != m:
+                raise ValueError(
+                    f"large_singleton_placement must place exactly the "
+                    f"{len(big_singletons)} oversized singleton bags on {m} machines"
+                )
+        else:
+            sub = exact_schedule([loads[k] for k in big_singletons], speeds, node_budget)
+            nodes = sub.nodes_explored
+            placed = sub.schedule.bag_to_machine
+        for k, i in zip(big_singletons, placed):
+            place[k] = i
+            machine[i] += loads[k]
+
+    caps = []
+    for i in range(m):
+        base = factor * scaled[i]
+        caps.append(base if machine[i] <= base else base + machine[i])
+
+    rest = sorted(
+        (k for k in range(n_bags) if place[k] is None),
+        key=lambda k: (-loads[k], k),
+    )
+    for k in rest:
+        best_i = -1
+        for i in range(m):
+            if machine[i] + loads[k] <= caps[i] and (best_i < 0 or machine[i] < machine[best_i]):
+                best_i = i
+        if best_i < 0:
+            raise CapacityInfeasibleError(
+                f"no machine can take bag {k} (load {loads[k]!r}) under capacities"
+            )
+        machine[best_i] += loads[k]
+        place[k] = best_i
+
+    final = tuple(int(i) for i in place)  # type: ignore[arg-type]
+    mk = max(machine[i] / speeds[i] for i in range(m)) if n_bags else 0.0
+    return SolveResult(Schedule(final, m), mk, optimal=False, nodes_explored=nodes)
