@@ -8,7 +8,9 @@ ratio), ``experiment`` (parameter-sweep CSV), ``verify`` (property suite), and
 Everything is flag-driven; the one environment override is ``SPEEDSCHED_SEED``,
 which supplies a default seed where a ``--seed`` flag is absent (an explicit
 flag always wins).  Exit codes: 0 success, 1 verification failures, 2 usage or
-malformed input, 3 solver budget exhausted.
+malformed input, 3 solver budget exhausted, 4 internal error (any other
+``RuntimeError``, such as an infeasible capacity placement or the rebalance
+loop's safety bound; each means a bug in this package).
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 SEED_ENV_VAR = "SPEEDSCHED_SEED"
 
@@ -340,6 +343,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -20,9 +20,9 @@ therefore part of the package's external contract and is fixed here:
   applied to an open-interval uniform draw (max relative error ~1.15e-9, which
   is far below the experiment tolerances and identical on every platform).
 
-Sampled values that are not strictly positive are clamped to ``CLAMP_FLOOR``
-(1e-3); that applies to job sizes, true speeds, and predicted speeds (after
-the additive error).  Predicted speeds are ``true + err`` with
+Sampled values below ``CLAMP_FLOOR`` (1e-3) are raised to it, so every value
+is at least the floor; that applies to job sizes, true speeds, and predicted
+speeds (after the additive error).  Predicted speeds are ``true + err`` with
 ``err ~ normal(0, err_sigma)`` drawn from the error stream.
 """
 
@@ -230,14 +230,14 @@ class SyntheticConfig:
 
 
 def _clamp(x: float) -> float:
-    return x if x > 0.0 else CLAMP_FLOOR
+    return max(x, CLAMP_FLOOR)
 
 
 def gen_synthetic(config: SyntheticConfig) -> Instance:
     """Draw an instance: i.i.d. jobs and true speeds from the configured
     distributions; predicted speeds are true speeds plus additive
-    ``normal(0, err_sigma)`` noise.  Non-positive draws are clamped to
-    ``CLAMP_FLOOR``.  Fully determined by ``config`` (see module docstring for
+    ``normal(0, err_sigma)`` noise.  Draws below ``CLAMP_FLOOR`` are raised
+    to it.  Fully determined by ``config`` (see module docstring for
     the stream layout)."""
     jobs_rng = substream(config.seed, _JOBS_TAG)
     speeds_rng = substream(config.seed, _SPEEDS_TAG)

@@ -3,7 +3,9 @@
 ``evaluate`` measures one (instance, algorithm) pair end to end: partition on
 predicted speeds, schedule the bags on true speeds, divide by an oracle value.
 ``run_experiment`` sweeps a parameter and aggregates mean/std ratios into
-deterministic CSV rows.  ``verify_properties`` re-checks every structural
+deterministic CSV rows.  Both evaluate an instance through one function, which
+solves the prediction-trusting partition once and shares it between
+``one-consistent`` and ``ipr``.  ``verify_properties`` re-checks every structural
 guarantee the algorithms are supposed to satisfy (balance bounds, monotone
 rebalancing, iteration caps, consistency/robustness envelopes, certificate
 feasibility, oracle agreement) over seeded random instances and reports the
@@ -39,6 +41,7 @@ from .model import (
     validate_partition,
 )
 from .partition import (
+    ConsistentPartition,
     IprConfig,
     binary_speed_partition,
     consistent_partition,
@@ -156,17 +159,29 @@ def is_binary_speed(instance: Instance) -> bool:
     return m_hat >= 1 and m_zero >= 1
 
 
+def _uses_consistent_partition(instance: Instance, spec: AlgorithmSpec) -> bool:
+    """Whether ``spec`` builds on the prediction-trusting partition: ``ipr``
+    always starts from it; ``one-consistent`` is it, except on all-or-nothing
+    speed instances."""
+    if spec.name == "ipr":
+        return True
+    return spec.name == "one-consistent" and not is_binary_speed(instance)
+
+
 def make_partition(
     instance: Instance,
     algorithm: "AlgorithmSpec | str | dict",
     scheduler: str = "exact",
     node_budget: int = DEFAULT_NODE_BUDGET,
+    initial: ConsistentPartition | None = None,
 ) -> Partition:
     """Run the named partitioner on (jobs, predicted speeds).
 
     On all-or-nothing speed instances the prediction-trusting algorithm routes
     to :func:`~speedsched.partition.binary_speed_partition` with the predicted
-    usable count.
+    usable count.  ``initial``, when given, is the prediction-trusting
+    partition of the instance under the effective scheduler; ``one-consistent``
+    and ``ipr`` then use it instead of solving it again.
     """
     spec = parse_algorithm(algorithm)
     if scheduler not in SCHEDULERS:
@@ -175,19 +190,21 @@ def make_partition(
         scheduler = spec.scheduler
     if spec.name == "lpt":
         return lpt_partition(instance.jobs, instance.m)
-    if spec.name == "one-consistent":
-        if is_binary_speed(instance):
-            m_hat, _ = binary_counts(instance)
-            return binary_speed_partition(
-                instance.jobs, instance.m, m_hat, solver=scheduler, node_budget=node_budget
-            )
-        return consistent_partition(
+    if not _uses_consistent_partition(instance, spec):  # one-consistent, all-or-nothing speeds
+        m_hat, _ = binary_counts(instance)
+        return binary_speed_partition(
+            instance.jobs, instance.m, m_hat, solver=scheduler, node_budget=node_budget
+        )
+    if initial is None:
+        initial = consistent_partition(
             instance.jobs, instance.predicted_speeds, solver=scheduler, node_budget=node_budget
-        ).partition
+        )
+    if spec.name == "one-consistent":
+        return initial.partition
     config = IprConfig(
         alpha=spec.alpha, rho=spec.rho, initial_solver=scheduler, node_budget=node_budget
     )
-    return ipr(instance.jobs, instance.predicted_speeds, config).partition
+    return ipr(instance.jobs, instance.predicted_speeds, config, initial).partition
 
 
 def oracle_value(
@@ -228,6 +245,76 @@ def _stage2_makespan(
     return lpt_schedule(loads, instance.true_speeds).makespan
 
 
+def _instance_ratios(
+    instance: Instance,
+    algorithms: Sequence[AlgorithmSpec],
+    reference: Callable[[], float],
+    scheduler: str = "exact",
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    failure_context: Callable[[AlgorithmSpec], str] | None = None,
+) -> list[float]:
+    """Approximation ratio of each algorithm on one instance, in order.
+
+    Each algorithm runs with its own scheduler if it pins one, else with
+    ``scheduler``.  The prediction-trusting partition is solved at most once
+    per effective scheduler, by the first algorithm that needs it, and shared:
+    ``one-consistent`` reports it and ``ipr`` starts from it.  Every
+    algorithm's bags are then scheduled on the true speeds (for all-or-nothing
+    speed instances: merged down to the usable machine count, one bag per
+    machine), and ``reference()`` — the oracle value, called once after the
+    last algorithm — divides each makespan.
+
+    With ``failure_context``, an algorithm's error other than an exhausted node
+    budget is re-raised as a :class:`RuntimeError` that names
+    ``failure_context(spec)``.
+    """
+    initial: dict[str, ConsistentPartition] = {}
+    makespans = []
+    for spec in algorithms:
+        sched = spec.scheduler if spec.scheduler is not None else scheduler
+        try:
+            if sched not in SCHEDULERS:
+                raise ValueError(f"scheduler must be one of {SCHEDULERS}")
+            if _uses_consistent_partition(instance, spec) and sched not in initial:
+                initial[sched] = consistent_partition(
+                    instance.jobs, instance.predicted_speeds, sched, node_budget
+                )
+            part = make_partition(instance, spec, sched, node_budget, initial.get(sched))
+            makespans.append(_stage2_makespan(instance, part, sched, node_budget))
+        except BudgetExceededError:
+            raise
+        except Exception as exc:
+            if failure_context is None:
+                raise
+            raise RuntimeError(f"evaluation failed at {failure_context(spec)}: {exc}") from exc
+    ref = reference()
+    return [alg / ref for alg in makespans]
+
+
+def _evaluate_all(
+    instance: Instance,
+    algorithms: Sequence[AlgorithmSpec],
+    scheduler: str,
+    oracle: str,
+    node_budget: int,
+) -> list[float]:
+    """:func:`_instance_ratios` against :func:`oracle_value`; an exhausted node
+    budget names the instance."""
+    try:
+        return _instance_ratios(
+            instance,
+            algorithms,
+            lambda: oracle_value(instance, oracle, node_budget),
+            scheduler,
+            node_budget,
+        )
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"{exc} [instance name={instance.name!r} seed={instance.seed!r}]",
+            nodes_explored=exc.nodes_explored,
+        ) from exc
+
+
 def evaluate(
     instance: Instance,
     algorithm: "AlgorithmSpec | str | dict",
@@ -240,21 +327,10 @@ def evaluate(
     Partitions on predicted speeds, schedules the bags on true speeds with the
     chosen scheduler (for all-or-nothing speed instances: merge bags down to
     the usable machine count, one bag per machine), and divides by
-    :func:`oracle_value`.
+    :func:`oracle_value` (see :func:`_instance_ratios`).
     """
     spec = parse_algorithm(algorithm)
-    if spec.scheduler is not None:
-        scheduler = spec.scheduler
-    try:
-        part = make_partition(instance, spec, scheduler, node_budget)
-        alg = _stage2_makespan(instance, part, scheduler, node_budget)
-        ref = oracle_value(instance, oracle, node_budget)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            f"{exc} [instance name={instance.name!r} seed={instance.seed!r}]",
-            nodes_explored=exc.nodes_explored,
-        ) from exc
-    return alg / ref
+    return _evaluate_all(instance, [spec], scheduler, oracle, node_budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +515,12 @@ EXPERIMENT_CSV_HEADER = (
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Evaluate every (sweep point, algorithm) cell; deterministic given config.
 
-    Means and sample standard deviations are accumulated in seed order.  The
-    per-instance oracle value is computed once and shared across algorithms.
-    With the exact oracle, any ratio below ``1 - 1e-9`` aborts loudly — it
-    would mean the oracle is not an oracle.
+    Means and sample standard deviations are accumulated in seed order.  Each
+    instance goes through :func:`_instance_ratios`, so its prediction-trusting
+    partition is solved once for all algorithms.  The oracle value is computed
+    once per distinct (jobs, true speeds) and shared across algorithms and
+    sweep points.  With the exact oracle, any ratio below ``1 - 1e-9`` aborts
+    loudly — it would mean the oracle is not an oracle.
     """
     rows: list[ExperimentRow] = []
     oracle_cache: dict[tuple, float] = {}
@@ -457,19 +535,17 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
             if ref is None:
                 ref = oracle_value(instance, config.oracle, config.node_budget)
                 oracle_cache[cache_key] = ref
-            for spec in config.algorithms:
-                sched = spec.scheduler if spec.scheduler is not None else config.scheduler
-                try:
-                    part = make_partition(instance, spec, sched, config.node_budget)
-                    alg = _stage2_makespan(instance, part, sched, config.node_budget)
-                except BudgetExceededError:
-                    raise
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"evaluation failed at {config.sweep_param}={value}, "
-                        f"algorithm={spec.label}, seed={inst_seed}: {exc}"
-                    ) from exc
-                ratio = alg / ref
+            measured = _instance_ratios(
+                instance,
+                config.algorithms,
+                lambda: ref,
+                config.scheduler,
+                config.node_budget,
+                lambda spec: (
+                    f"{config.sweep_param}={value}, algorithm={spec.label}, seed={inst_seed}"
+                ),
+            )
+            for spec, ratio in zip(config.algorithms, measured):
                 if config.oracle == "exact" and ratio < 1.0 - 1e-9:
                     raise RuntimeError(
                         f"ratio {ratio} below 1 with exact oracle "
@@ -778,9 +854,10 @@ def verify_properties(
             name=base.name,
             seed=base.seed,
         )
+        initial = consistent_partition(inst.jobs, inst.predicted_speeds, "exact", node_budget)
         for alpha in _ALPHA_CYCLE:
             config = IprConfig(alpha=alpha, rho=4.0, node_budget=node_budget)
-            result = ipr(inst.jobs, inst.predicted_speeds, config)
+            result = ipr(inst.jobs, inst.predicted_speeds, config, initial)
             speeds_desc = sorted(inst.predicted_speeds, reverse=True)
             final = max(
                 sum(bag_load(b, inst.jobs) for b in coll) / s
@@ -955,10 +1032,9 @@ def verify_properties(
             )
     for m in (2, 3, 4):
         inst = gen_tradeoff_instance(m)
-        for alpha in _ALPHA_CYCLE:
-            ratio = evaluate(
-                inst, AlgorithmSpec("ipr", alpha=alpha, rho=4.0), "exact", "exact", node_budget
-            )
+        specs = [AlgorithmSpec("ipr", alpha=alpha, rho=4.0) for alpha in _ALPHA_CYCLE]
+        ratios = _evaluate_all(inst, specs, "exact", "exact", node_budget)
+        for alpha, ratio in zip(_ALPHA_CYCLE, ratios):
             rec.record(
                 "tradeoff-family-ipr-bound",
                 _le(ratio, 2.0 + 2.0 / alpha),

@@ -197,7 +197,12 @@ def lpt_rebalance(assignment: Assignment, jobs: Sequence[float]) -> Assignment:
     return Assignment(tuple(tuple(coll) for coll in new))
 
 
-def ipr(jobs: Sequence[float], predicted_speeds: Sequence[float], config: IprConfig) -> IprResult:
+def ipr(
+    jobs: Sequence[float],
+    predicted_speeds: Sequence[float],
+    config: IprConfig,
+    initial: ConsistentPartition | None = None,
+) -> IprResult:
     """Iterative partial rebalancing.
 
     Starts from the prediction-trusting partition (one bag per machine,
@@ -209,11 +214,18 @@ def ipr(jobs: Sequence[float], predicted_speeds: Sequence[float], config: IprCon
     discarded and the loop stops, so the consistency guarantee holds by
     construction no matter how unbalanced the bags remain.
 
+    ``initial`` is that starting partition when the caller already has it:
+    it must be ``consistent_partition(jobs, predicted_speeds,
+    config.initial_solver, config.node_budget)``, which is then not solved
+    again.  A caller running several algorithms on one instance solves it once
+    and passes it to each.
+
     Returns the final partition plus an :class:`~speedsched.model.IprState`
     trace (iteration count, minimum-bag-load history, last rebalance stats).
     """
     speeds = _check_positive_speeds(predicted_speeds)
-    initial = consistent_partition(jobs, speeds, config.initial_solver, config.node_budget)
+    if initial is None:
+        initial = consistent_partition(jobs, speeds, config.initial_solver, config.node_budget)
     speeds_desc = sorted(speeds, reverse=True)
     collections: list[list[Bag]] = [[bag] for bag in initial.partition.bags]
     guard = (1.0 + config.alpha) * initial.opt_c_bar

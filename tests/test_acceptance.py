@@ -6,6 +6,7 @@ shared work — the 1000-trial property-verification run and the full default
 experiment sweep — happens once per module in fixtures.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -21,6 +22,8 @@ from speedsched.harness import (
 )
 
 VERIFY_TRIALS = 1000
+# sha256 of the default sweep's CSV (`speedsched experiment` with no config).
+DEFAULT_CSV_SHA256 = "286e946f6b7658b003d2c0fd27506ff611628d24103917d6527dc858ffea32b8"
 
 
 @pytest.fixture(scope="module")
@@ -188,10 +191,16 @@ def test_criterion_09_exact_solver_oracle_equivalence(verify_report):
 
 def test_criterion_10_deterministic_csv(default_experiment):
     """Re-running the default sweep with the same seed reproduces the results
-    CSV byte for byte."""
+    CSV byte for byte, and those bytes are the recorded ones."""
     rows, _ = default_experiment
     again = run_experiment(ExperimentConfig())
     csv_a = rows_to_csv(rows)
     csv_b = rows_to_csv(again)
-    ok = csv_a == csv_b
-    _report(10, ok, f"{len(csv_a)} CSV bytes identical across two runs: {ok}")
+    digest = hashlib.sha256(csv_a.encode()).hexdigest()
+    ok = csv_a == csv_b and digest == DEFAULT_CSV_SHA256
+    _report(
+        10,
+        ok,
+        f"{len(csv_a)} CSV bytes identical across two runs: {csv_a == csv_b}; "
+        f"sha256 {digest[:12]}... (want {DEFAULT_CSV_SHA256[:12]}...)",
+    )

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from speedsched import cli, harness
 from speedsched.cli import main
 from speedsched.gen import Dist, SyntheticConfig, gen_prop1_instance, gen_synthetic
 from speedsched.harness import ExperimentConfig, rows_to_csv, run_experiment
@@ -359,6 +360,30 @@ def test_missing_required_flag_is_usage_error():
 def test_missing_input_file_is_usage_error(tmp_path, capsys):
     assert main(["evaluate", "--in", str(tmp_path / "nope.json"), "--algo", "lpt"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setitem(cli._HANDLERS, "curves", broken)
+    assert main(["curves"]) == 4
+    assert capsys.readouterr().err == "error: invariant broken\n"
+
+
+def test_experiment_evaluation_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def broken(jobs, k):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(harness, "lpt_partition", broken)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"n": 4, "m": 2, "sweep_values": [0.0], "instances_per_point": 1, "algorithms": ["lpt"]}
+    ))
+    assert main(["experiment", "--config", str(path)]) == 4
+    assert capsys.readouterr().err == (
+        "error: evaluation failed at err_sigma=0.0, algorithm=lpt, seed=0: boom\n"
+    )
 
 
 def test_budget_exhaustion_exit_code(tmp_path, capsys):

@@ -233,6 +233,14 @@ def test_gen_synthetic_clamps_nonpositive_draws():
     assert inst.jobs == (CLAMP_FLOOR,) * 6
 
 
+def test_gen_synthetic_floors_small_positive_draws():
+    tiny = Dist.uniform(0.0, CLAMP_FLOOR)
+    cfg = SyntheticConfig(n=6, m=2, job_dist=tiny, speed_dist=tiny, seed=0)
+    inst = gen_synthetic(cfg)
+    assert inst.jobs == (CLAMP_FLOOR,) * 6
+    assert inst.true_speeds == inst.predicted_speeds == (CLAMP_FLOOR,) * 2
+
+
 def test_gen_synthetic_error_stream_is_independent():
     """Changing err_sigma must not disturb the jobs or the true speeds."""
     base = gen_synthetic(SyntheticConfig(n=9, m=3, seed=21))

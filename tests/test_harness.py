@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from speedsched import harness, partition
 from speedsched.gen import (
     CLAMP_FLOOR,
     Dist,
@@ -260,6 +261,13 @@ def test_evaluate_budget_error_names_instance():
     assert "tiny-budget" in str(excinfo.value)
 
 
+def test_evaluate_rejects_bad_scheduler():
+    inst = gen_prop1_instance(10, 2)
+    for algo in ("one-consistent", "ipr", "lpt"):
+        with pytest.raises(ValueError, match="scheduler must be one of"):
+            evaluate(inst, algo, scheduler="greedy")
+
+
 def test_evaluate_scheduler_override_beats_argument():
     """A scheduler pinned on the algorithm wins over the call-site scheduler."""
     inst = gen_synthetic(SyntheticConfig(n=12, m=4, seed=0))
@@ -431,6 +439,49 @@ def test_run_experiment_honours_per_algorithm_scheduler():
     )
     assert run_experiment(pinned)[0].mean_ratio == run_experiment(via_config)[0].mean_ratio
     assert run_experiment(pinned)[0].mean_ratio >= run_experiment(base)[0].mean_ratio
+
+
+@pytest.mark.parametrize(
+    "algorithms, solves_per_instance",
+    [
+        ((), 1),  # the defaults: one-consistent, ipr, lpt
+        (("one-consistent", {"name": "ipr", "alpha": 0.25, "scheduler": "lpt"}, "ipr"), 2),
+    ],
+)
+def test_run_experiment_solves_consistent_partition_once_per_scheduler(
+    monkeypatch, algorithms, solves_per_instance
+):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return consistent_partition(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "consistent_partition", counting)
+    monkeypatch.setattr(partition, "consistent_partition", counting)
+    config = ExperimentConfig(
+        n=6, m=2, instances_per_point=4, sweep_values=(0.0, 10.0), algorithms=algorithms
+    )
+    run_experiment(config)
+    assert len(calls) == solves_per_instance * 2 * 4
+
+
+def test_evaluate_matches_run_experiment():
+    algorithms = (
+        AlgorithmSpec("one-consistent"),
+        AlgorithmSpec("ipr", alpha=0.25, rho=2.0),
+        AlgorithmSpec("ipr", scheduler="lpt"),
+        AlgorithmSpec("lpt"),
+    )
+    for seed in range(3):
+        config = ExperimentConfig(
+            n=8, m=3, instances_per_point=1, sweep_values=(0.0, 12.0), algorithms=algorithms,
+            seed=seed,
+        )
+        for row in run_experiment(config):
+            inst = gen_synthetic(config.synthetic_config_at(row.sweep_value, seed))
+            spec = next(a for a in algorithms if a.label == row.algorithm)
+            assert evaluate(inst, spec) == row.mean_ratio
 
 
 def test_rows_to_csv_format():

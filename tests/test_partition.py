@@ -238,6 +238,20 @@ def test_ipr_deterministic():
     assert a.state.b_min_history == b.state.b_min_history
 
 
+@pytest.mark.parametrize("solver", ["exact", "lpt"])
+def test_ipr_given_initial_partition_matches_own_solve(solver):
+    rng = SplitMix64(404)
+    for _ in range(40):
+        n = 2 + rng.next_u64() % 10
+        m = 1 + rng.next_u64() % 4
+        jobs = [0.5 + 9.5 * rng.next_float() for _ in range(n)]
+        speeds = [0.5 + 4.0 * rng.next_float() for _ in range(m)]
+        initial = consistent_partition(jobs, speeds, solver)
+        for alpha in (0.25, 0.5, 0.75):
+            config = IprConfig(alpha=alpha, initial_solver=solver)
+            assert ipr(jobs, speeds, config, initial) == ipr(jobs, speeds, config)
+
+
 # ---------------------------------------------------------------------------
 # fluid_ipr
 # ---------------------------------------------------------------------------
