@@ -32,6 +32,8 @@ from .gen import (
     synthetic_batch,
 )
 from .harness import (
+    ALGORITHMS,
+    ORACLES,
     AlgorithmSpec,
     ExperimentConfig,
     curves_to_csv,
@@ -51,12 +53,7 @@ from .model import (
     save_instance,
     validate_partition,
 )
-from .solvers import (
-    DEFAULT_NODE_BUDGET,
-    BudgetExceededError,
-    exact_schedule,
-    lpt_schedule,
-)
+from .solvers import DEFAULT_NODE_BUDGET, SCHEDULERS, BudgetExceededError, schedule
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -124,27 +121,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="partition an instance's jobs into bags")
     p.add_argument("--in", dest="infile", required=True, help="instance JSON file")
-    p.add_argument("--algo", choices=("one-consistent", "ipr", "lpt"), default="ipr")
+    p.add_argument("--algo", choices=ALGORITHMS, default="ipr")
     p.add_argument("--alpha", type=float, default=0.5, help="consistency-loss tolerance (ipr)")
     p.add_argument("--rho", type=float, default=4.0, help="bag-balance target (ipr)")
-    p.add_argument("--scheduler", choices=("exact", "lpt"), default="exact")
+    p.add_argument("--scheduler", choices=SCHEDULERS, default="exact")
     _add_budget_flag(p)
     p.add_argument("--out", default=None, help="partition JSON file (default stdout)")
 
     p = sub.add_parser("schedule", help="place a partition's bags on the true speeds")
     p.add_argument("--in", dest="infile", required=True, help="instance JSON file")
     p.add_argument("--partition", required=True, help="partition JSON file")
-    p.add_argument("--scheduler", choices=("exact", "lpt"), default="exact")
+    p.add_argument("--scheduler", choices=SCHEDULERS, default="exact")
     _add_budget_flag(p)
     p.add_argument("--out", default=None, help="schedule JSON file (default stdout)")
 
     p = sub.add_parser("evaluate", help="approximation ratio of one algorithm on one instance")
     p.add_argument("--in", dest="infile", required=True, help="instance JSON file")
-    p.add_argument("--algo", choices=("one-consistent", "ipr", "lpt"), required=True)
+    p.add_argument("--algo", choices=ALGORITHMS, required=True)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--rho", type=float, default=4.0)
-    p.add_argument("--scheduler", choices=("exact", "lpt"), default="exact")
-    p.add_argument("--oracle", choices=("exact", "lower_bound"), default="exact")
+    p.add_argument("--scheduler", choices=SCHEDULERS, default="exact")
+    p.add_argument("--oracle", choices=ORACLES, default="exact")
     _add_budget_flag(p)
     p.add_argument("--format", choices=("csv", "json"), default=None, help="default: bare ratio")
     p.add_argument("--out", default=None)
@@ -226,10 +223,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     part = load_partition(args.partition)
     validate_partition(part, instance.n, instance.m)
     loads = [bag_load(bag, instance.jobs) for bag in part.bags]
-    if args.scheduler == "exact":
-        result = exact_schedule(loads, instance.true_speeds, args.node_budget)
-    else:
-        result = lpt_schedule(loads, instance.true_speeds)
+    result = schedule(loads, instance.true_speeds, args.scheduler, args.node_budget)
     doc = {
         "makespan": result.makespan,
         "bag_to_machine": list(result.schedule.bag_to_machine),

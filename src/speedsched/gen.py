@@ -29,7 +29,7 @@ speeds (after the additive error).  Predicted speeds are ``true + err`` with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .model import Instance
@@ -303,37 +303,8 @@ def gen_binary_lb_instance(k: int) -> Instance:
     )
 
 
-def erf_inv_cdf_reference(p: float, tol: float = 1e-13) -> float:
-    """Slow, independent inverse-normal oracle: bisection on the CDF computed
-    from ``math.erf``.  Used by tests to validate :func:`normal_inv_cdf`; not
-    used by any generator."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
-    lo, hi = -10.0, 10.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if 0.5 * (1.0 + math.erf(mid / math.sqrt(2.0))) < p:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
-
-
-def synthetic_batch(
-    config: SyntheticConfig, count: int, seed_stride: int = 1
-) -> list[Instance]:
-    """Instances for seeds ``seed, seed + stride, ...`` (used by `gen --count`)."""
+def synthetic_batch(config: SyntheticConfig, count: int) -> list[Instance]:
+    """Instances for seeds ``seed, seed + 1, ...`` (used by `gen --count`)."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    out = []
-    for i in range(count):
-        cfg = SyntheticConfig(
-            n=config.n,
-            m=config.m,
-            job_dist=config.job_dist,
-            speed_dist=config.speed_dist,
-            err_sigma=config.err_sigma,
-            seed=config.seed + i * seed_stride,
-        )
-        out.append(gen_synthetic(cfg))
-    return out
+    return [gen_synthetic(replace(config, seed=config.seed + i)) for i in range(count)]

@@ -15,11 +15,12 @@ guarantee envelopes as functions of the consistency knob alpha.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .gen import (
     Dist,
@@ -51,6 +52,7 @@ from .partition import (
 )
 from .solvers import (
     DEFAULT_NODE_BUDGET,
+    SCHEDULERS,
     BudgetExceededError,
     brute_force_makespan,
     capacity_robust_schedule,
@@ -58,21 +60,12 @@ from .solvers import (
     lpt_schedule,
     merge_to_fit,
     opt_lower_bound,
+    schedule,
 )
 
-SCHEDULERS = ("exact", "lpt")
+ALGORITHMS = ("one-consistent", "ipr", "lpt")
 ORACLES = ("exact", "lower_bound")
 SWEEP_PARAMS = ("err_sigma", "n", "m", "sigma_p", "sigma_s")
-
-_ALGO_ALIASES = {
-    "one-consistent": "one-consistent",
-    "consistent": "one-consistent",
-    "consistent_partition": "one-consistent",
-    "lpt": "lpt",
-    "lpt_partition": "lpt",
-    "lpt-partition": "lpt",
-    "ipr": "ipr",
-}
 
 # Availability cutoff for all-or-nothing speed instances: the generator encodes
 # "unusable" as 1e-3 and "usable" as 1.0, so any threshold strictly between
@@ -97,13 +90,10 @@ class AlgorithmSpec:
     scheduler: str | None = None
 
     def __post_init__(self) -> None:
-        canonical = _ALGO_ALIASES.get(self.name)
-        if canonical is None:
+        if self.name not in ALGORITHMS:
             raise ValueError(
-                f"unknown algorithm {self.name!r}; expected one of "
-                f"{sorted(set(_ALGO_ALIASES.values()))}"
+                f"unknown algorithm {self.name!r}; expected one of {sorted(ALGORITHMS)}"
             )
-        object.__setattr__(self, "name", canonical)
         if self.name == "ipr":
             IprConfig(alpha=self.alpha, rho=self.rho)  # validates ranges
         if self.scheduler is not None and self.scheduler not in SCHEDULERS:
@@ -240,9 +230,7 @@ def _stage2_makespan(
         _, m_zero = binary_counts(instance)
         merged = merge_to_fit(loads, m_zero)
         return max(merged) if merged else 0.0
-    if scheduler == "exact":
-        return exact_schedule(loads, instance.true_speeds, node_budget).makespan
-    return lpt_schedule(loads, instance.true_speeds).makespan
+    return schedule(loads, instance.true_speeds, scheduler, node_budget).makespan
 
 
 def _instance_ratios(
@@ -291,6 +279,16 @@ def _instance_ratios(
     return [alg / ref for alg in makespans]
 
 
+@contextlib.contextmanager
+def _budget_failure_names(where: str) -> Iterator[None]:
+    """Re-raise an exhausted node budget with ``[where]`` appended, so the
+    message says which instance ran out."""
+    try:
+        yield
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"{exc} [{where}]", nodes_explored=exc.nodes_explored) from exc
+
+
 def _evaluate_all(
     instance: Instance,
     algorithms: Sequence[AlgorithmSpec],
@@ -300,7 +298,7 @@ def _evaluate_all(
 ) -> list[float]:
     """:func:`_instance_ratios` against :func:`oracle_value`; an exhausted node
     budget names the instance."""
-    try:
+    with _budget_failure_names(f"instance name={instance.name!r} seed={instance.seed!r}"):
         return _instance_ratios(
             instance,
             algorithms,
@@ -308,11 +306,6 @@ def _evaluate_all(
             scheduler,
             node_budget,
         )
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            f"{exc} [instance name={instance.name!r} seed={instance.seed!r}]",
-            nodes_explored=exc.nodes_explored,
-        ) from exc
 
 
 def evaluate(
@@ -520,7 +513,8 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     partition is solved once for all algorithms.  The oracle value is computed
     once per distinct (jobs, true speeds) and shared across algorithms and
     sweep points.  With the exact oracle, any ratio below ``1 - 1e-9`` aborts
-    loudly — it would mean the oracle is not an oracle.
+    loudly — it would mean the oracle is not an oracle.  An exhausted node
+    budget names the sweep point and seed of the instance that ran out.
     """
     rows: list[ExperimentRow] = []
     oracle_cache: dict[tuple, float] = {}
@@ -531,20 +525,21 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
             syn = config.synthetic_config_at(value, inst_seed)
             instance = gen_synthetic(syn)
             cache_key = (instance.jobs, instance.true_speeds)
-            ref = oracle_cache.get(cache_key)
-            if ref is None:
-                ref = oracle_value(instance, config.oracle, config.node_budget)
-                oracle_cache[cache_key] = ref
-            measured = _instance_ratios(
-                instance,
-                config.algorithms,
-                lambda: ref,
-                config.scheduler,
-                config.node_budget,
-                lambda spec: (
-                    f"{config.sweep_param}={value}, algorithm={spec.label}, seed={inst_seed}"
-                ),
-            )
+            with _budget_failure_names(f"{config.sweep_param}={value} seed={inst_seed}"):
+                ref = oracle_cache.get(cache_key)
+                if ref is None:
+                    ref = oracle_value(instance, config.oracle, config.node_budget)
+                    oracle_cache[cache_key] = ref
+                measured = _instance_ratios(
+                    instance,
+                    config.algorithms,
+                    lambda: ref,
+                    config.scheduler,
+                    config.node_budget,
+                    lambda spec: (
+                        f"{config.sweep_param}={value}, algorithm={spec.label}, seed={inst_seed}"
+                    ),
+                )
             for spec, ratio in zip(config.algorithms, measured):
                 if config.oracle == "exact" and ratio < 1.0 - 1e-9:
                     raise RuntimeError(

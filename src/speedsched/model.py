@@ -24,11 +24,27 @@ from typing import Sequence
 Bag = tuple[int, ...]
 
 
-def _as_float_tuple(values: Sequence[float], what: str) -> tuple[float, ...]:
+def finite_floats(
+    values: Sequence[float], what: str, allow_zero: bool = False, allow_empty: bool = False
+) -> list[float]:
+    """``values`` as a list of floats, each finite and positive (or, with
+    ``allow_zero``, non-negative); at least one unless ``allow_empty``.
+
+    Every layer validates jobs, loads and speeds through this one check.  Raises
+    ``ValueError`` naming ``what`` for the first value that is not a number, is
+    NaN or infinite, or is out of range.
+    """
     try:
-        return tuple(float(v) for v in values)
+        out = [float(v) for v in values]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} must be a sequence of numbers") from exc
+    if not out and not allow_empty:
+        raise ValueError(f"{what} must not be empty")
+    for v in out:
+        if not 0.0 <= v < math.inf or (v == 0.0 and not allow_zero):
+            sign = "non-negative" if allow_zero else "positive"
+            raise ValueError(f"{what} must be {sign} finite, got {v!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -54,29 +70,17 @@ class Instance:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "jobs", _as_float_tuple(self.jobs, "jobs"))
-        object.__setattr__(self, "true_speeds", _as_float_tuple(self.true_speeds, "true_speeds"))
-        object.__setattr__(
-            self, "predicted_speeds", _as_float_tuple(self.predicted_speeds, "predicted_speeds")
-        )
-        if not self.jobs:
-            raise ValueError("instance needs at least one job")
-        if not self.true_speeds:
-            raise ValueError("instance needs at least one machine")
-        if len(self.predicted_speeds) != len(self.true_speeds):
+        jobs = finite_floats(self.jobs, "job processing times")
+        true_speeds = finite_floats(self.true_speeds, "true speeds")
+        predicted_speeds = finite_floats(self.predicted_speeds, "predicted speeds", allow_zero=True)
+        if len(predicted_speeds) != len(true_speeds):
             raise ValueError(
-                f"predicted_speeds has {len(self.predicted_speeds)} entries, "
-                f"true_speeds has {len(self.true_speeds)}"
+                f"predicted_speeds has {len(predicted_speeds)} entries, "
+                f"true_speeds has {len(true_speeds)}"
             )
-        for p in self.jobs:
-            if not (p > 0.0) or math.isinf(p) or math.isnan(p):
-                raise ValueError(f"job processing times must be positive finite, got {p!r}")
-        for s in self.true_speeds:
-            if not (s > 0.0) or math.isinf(s) or math.isnan(s):
-                raise ValueError(f"true speeds must be positive finite, got {s!r}")
-        for s in self.predicted_speeds:
-            if s < 0.0 or math.isinf(s) or math.isnan(s):
-                raise ValueError(f"predicted speeds must be non-negative finite, got {s!r}")
+        object.__setattr__(self, "jobs", tuple(jobs))
+        object.__setattr__(self, "true_speeds", tuple(true_speeds))
+        object.__setattr__(self, "predicted_speeds", tuple(predicted_speeds))
 
     @property
     def n(self) -> int:
@@ -310,13 +314,10 @@ def prediction_error(predicted: Sequence[float], true: Sequence[float]) -> float
     result is the largest factor ``max(pred_i, true_i) / min(pred_i, true_i)``
     over machines, always >= 1.  Exact predictions give exactly 1.0.
     """
+    predicted = finite_floats(predicted, "predicted speeds")
+    true = finite_floats(true, "true speeds")
     if len(predicted) != len(true):
         raise ValueError("predicted and true speed vectors must have equal length")
-    if not predicted:
-        raise ValueError("speed vectors must be non-empty")
-    for v in list(predicted) + list(true):
-        if not (v > 0.0):
-            raise ValueError("prediction error requires strictly positive speeds")
     scale = max(true) / max(predicted)
     eta = 1.0
     for p_hat, s in zip(predicted, true):

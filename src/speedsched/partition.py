@@ -20,10 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .model import Assignment, Bag, IprState, Partition, bag_load
-from .solvers import DEFAULT_NODE_BUDGET, exact_schedule, lpt_schedule
-
-_SOLVERS = ("exact", "lpt")
+from .model import Assignment, Bag, IprState, Partition, bag_load, finite_floats
+from .solvers import DEFAULT_NODE_BUDGET, SCHEDULERS, schedule
 
 
 @dataclass(frozen=True)
@@ -49,8 +47,8 @@ class IprConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
         if not self.rho >= 1.0:
             raise ValueError(f"rho must be >= 1, got {self.rho!r}")
-        if self.initial_solver not in _SOLVERS:
-            raise ValueError(f"initial_solver must be one of {_SOLVERS}")
+        if self.initial_solver not in SCHEDULERS:
+            raise ValueError(f"initial_solver must be one of {SCHEDULERS}")
         if self.node_budget < 1:
             raise ValueError("node_budget must be positive")
 
@@ -63,16 +61,6 @@ class ConsistentPartition(NamedTuple):
 class IprResult(NamedTuple):
     partition: Partition
     state: IprState
-
-
-def _check_positive_speeds(speeds: Sequence[float]) -> list[float]:
-    out = [float(s) for s in speeds]
-    if not out:
-        raise ValueError("need at least one machine")
-    for s in out:
-        if not (s > 0.0) or math.isinf(s) or math.isnan(s):
-            raise ValueError(f"speeds must be positive finite for partitioning, got {s!r}")
-    return out
 
 
 def _lpt_split(items: Sequence[tuple[float, int]], k: int) -> list[Bag]:
@@ -100,11 +88,8 @@ def lpt_partition(jobs: Sequence[float], k: int) -> Partition:
     bag over smallest bag), which is what makes the baseline robust no matter
     how wrong the speed predictions were.
     """
-    indexed = [(float(p), j) for j, p in enumerate(jobs)]
-    for load, _ in indexed:
-        if load < 0.0 or math.isinf(load) or math.isnan(load):
-            raise ValueError("job processing times must be non-negative finite")
-    return Partition(tuple(_lpt_split(indexed, k)))
+    loads = finite_floats(jobs, "job processing times", allow_zero=True, allow_empty=True)
+    return Partition(tuple(_lpt_split([(p, j) for j, p in enumerate(loads)], k)))
 
 
 def consistent_partition(
@@ -122,15 +107,9 @@ def consistent_partition(
     equals the solver's value — exactly optimal for ``solver="exact"``.  This
     doubles as the prediction-trusting benchmark in experiments.
     """
-    speeds = _check_positive_speeds(predicted_speeds)
-    if solver not in _SOLVERS:
-        raise ValueError(f"solver must be one of {_SOLVERS}")
+    speeds = finite_floats(predicted_speeds, "predicted speeds")
     m = len(speeds)
-    solve = exact_schedule if solver == "exact" else lpt_schedule
-    if solver == "exact":
-        result = solve(jobs, speeds, node_budget)
-    else:
-        result = solve(jobs, speeds)
+    result = schedule(jobs, speeds, solver, node_budget)
     groups: list[list[int]] = [[] for _ in range(m)]
     for j, i in enumerate(result.schedule.bag_to_machine):
         groups[i].append(j)
@@ -190,13 +169,6 @@ def _rebalance_once(
     return new, total, ell
 
 
-def lpt_rebalance(assignment: Assignment, jobs: Sequence[float]) -> Assignment:
-    """One rebalance step on an assignment (see :func:`_rebalance_once`)."""
-    collections = [list(coll) for coll in assignment.collections]
-    new, _, _ = _rebalance_once(collections, jobs)
-    return Assignment(tuple(tuple(coll) for coll in new))
-
-
 def ipr(
     jobs: Sequence[float],
     predicted_speeds: Sequence[float],
@@ -223,7 +195,7 @@ def ipr(
     Returns the final partition plus an :class:`~speedsched.model.IprState`
     trace (iteration count, minimum-bag-load history, last rebalance stats).
     """
-    speeds = _check_positive_speeds(predicted_speeds)
+    speeds = finite_floats(predicted_speeds, "predicted speeds")
     if initial is None:
         initial = consistent_partition(jobs, speeds, config.initial_solver, config.node_budget)
     speeds_desc = sorted(speeds, reverse=True)
@@ -286,7 +258,7 @@ def fluid_ipr(
     same move/re-split/guard structure, with the balance condition taken over
     all bags.  Returns the final bag loads in collection order.
     """
-    speeds = _check_positive_speeds(predicted_speeds)
+    speeds = finite_floats(predicted_speeds, "predicted speeds")
     if not (float(total_load) > 0.0) or math.isinf(total_load):
         raise ValueError("total_load must be positive finite")
     if not 0.0 < alpha < 1.0:

@@ -4,7 +4,8 @@ The two workhorses are :func:`lpt_schedule` (longest-processing-time greedy,
 fast, ratio at most 2 on related machines) and :func:`exact_schedule` (a
 depth-first branch-and-bound that returns a provably optimal placement for
 small inputs, or raises :class:`BudgetExceededError` rather than silently
-degrading).  Items may be raw jobs or whole bags; the solvers only see loads.
+degrading); :func:`schedule` runs the one named in :data:`SCHEDULERS`.
+Items may be raw jobs or whole bags; the solvers only see loads.
 
 Also here: the trivial makespan lower bound, a full-enumeration oracle used by
 tests and the verification harness, a capacity-guarded greedy that turns any
@@ -20,9 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Partition, Schedule, bag_load, beta_ratio
+from .model import Partition, Schedule, bag_load, beta_ratio, finite_floats
 
 DEFAULT_NODE_BUDGET = 20_000_000
+SCHEDULERS = ("exact", "lpt")
 
 
 class BudgetExceededError(RuntimeError):
@@ -57,29 +59,11 @@ class SolveResult:
     nodes_explored: int = 0
 
 
-def _check_speeds(speeds: Sequence[float]) -> list[float]:
-    out = [float(s) for s in speeds]
-    if not out:
-        raise ValueError("need at least one machine")
-    for s in out:
-        if not (s > 0.0) or math.isinf(s) or math.isnan(s):
-            raise ValueError(f"machine speeds must be positive finite, got {s!r}")
-    return out
-
-
-def _check_loads(loads: Sequence[float]) -> list[float]:
-    out = [float(x) for x in loads]
-    for x in out:
-        if x < 0.0 or math.isinf(x) or math.isnan(x):
-            raise ValueError(f"item loads must be non-negative finite, got {x!r}")
-    return out
-
-
 def opt_lower_bound(loads: Sequence[float], speeds: Sequence[float]) -> float:
     """Cheap makespan lower bound: total work over total speed, and the largest
     item on the fastest machine.  Exact solutions can never beat this."""
-    loads = _check_loads(loads)
-    speeds = _check_speeds(speeds)
+    loads = finite_floats(loads, "item loads", allow_zero=True, allow_empty=True)
+    speeds = finite_floats(speeds, "machine speeds")
     if not loads:
         return 0.0
     return max(sum(loads) / sum(speeds), max(loads) / max(speeds))
@@ -89,8 +73,8 @@ def lpt_schedule(loads: Sequence[float], speeds: Sequence[float]) -> SolveResult
     """Greedy: items in non-increasing load order, each to the machine where it
     finishes earliest given current loads; ties break to the lowest machine
     index.  Deterministic, never optimal-flagged."""
-    loads = _check_loads(loads)
-    speeds = _check_speeds(speeds)
+    loads = finite_floats(loads, "item loads", allow_zero=True, allow_empty=True)
+    speeds = finite_floats(speeds, "machine speeds")
     m = len(speeds)
     assign = [0] * len(loads)
     machine = [0.0] * m
@@ -128,8 +112,8 @@ def exact_schedule(
     non-increasing load order, lowest machine index first).
     """
 
-    loads = _check_loads(loads)
-    speeds = _check_speeds(speeds)
+    loads = finite_floats(loads, "item loads", allow_zero=True, allow_empty=True)
+    speeds = finite_floats(speeds, "machine speeds")
     m = len(speeds)
     n = len(loads)
     if n == 0:
@@ -211,11 +195,24 @@ def exact_schedule(
     return SolveResult(Schedule(tuple(assign), m), best_val, optimal=True, nodes_explored=nodes)
 
 
+def schedule(
+    loads: Sequence[float], speeds: Sequence[float], scheduler: str, node_budget: int
+) -> SolveResult:
+    """Place the items with the named scheduler: ``"exact"`` is
+    :func:`exact_schedule` within ``node_budget`` nodes, ``"lpt"`` is
+    :func:`lpt_schedule`.  Any other name raises ``ValueError``."""
+    if scheduler == "exact":
+        return exact_schedule(loads, speeds, node_budget)
+    if scheduler == "lpt":
+        return lpt_schedule(loads, speeds)
+    raise ValueError(f"scheduler must be one of {SCHEDULERS}")
+
+
 def brute_force_makespan(loads: Sequence[float], speeds: Sequence[float]) -> float:
     """Minimum makespan by full ``m**k`` enumeration.  Test oracle only: shares
     no search code with :func:`exact_schedule`."""
-    loads = _check_loads(loads)
-    speeds = _check_speeds(speeds)
+    loads = finite_floats(loads, "item loads", allow_zero=True, allow_empty=True)
+    speeds = finite_floats(speeds, "machine speeds")
     m = len(speeds)
     k = len(loads)
     if k == 0:
@@ -244,7 +241,7 @@ def merge_to_fit(loads: Sequence[float], m0: int) -> list[float]:
     """
     if m0 < 1:
         raise ValueError("m0 must be at least 1")
-    merged = _check_loads(loads)
+    merged = finite_floats(loads, "item loads", allow_zero=True, allow_empty=True)
     while sum(1 for x in merged if x > 0.0) > m0:
         first, second = sorted(
             (i for i, x in enumerate(merged) if x > 0.0),
@@ -260,7 +257,6 @@ def capacity_robust_schedule(
     partition: Partition,
     jobs: Sequence[float],
     speeds: Sequence[float],
-    large_singleton_placement: Schedule | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SolveResult:
     """Schedule a partition's bags under per-machine capacities that certify a
@@ -269,18 +265,16 @@ def capacity_robust_schedule(
 
     Construction: speeds are rescaled so total speed equals total work; the
     oversized singleton bags (single jobs larger than every multi-job bag) are
-    placed first — by ``large_singleton_placement`` when given (one machine per
-    oversized singleton, in ascending bag-index order), otherwise by the exact
-    solver on those bags alone; every machine gets capacity
-    ``max(2, beta) * scaled_speed``, raised by its oversized-singleton load when
-    that alone exceeds the capacity; remaining bags go largest-first to the
-    least-loaded machine with room.  Failure to fit is an internal-invariant
+    placed first, by the exact solver on those bags alone; every machine gets
+    capacity ``max(2, beta) * scaled_speed``, raised by its oversized-singleton
+    load when that alone exceeds the capacity; remaining bags go largest-first
+    to the least-loaded machine with room.  Failure to fit is an internal-invariant
     violation and raises :class:`CapacityInfeasibleError` loudly.
 
     The returned makespan is measured under the original (unscaled) speeds.
     """
-    jobs = _check_loads(jobs)
-    speeds = _check_speeds(speeds)
+    jobs = finite_floats(jobs, "job processing times", allow_zero=True, allow_empty=True)
+    speeds = finite_floats(speeds, "machine speeds")
     m = len(speeds)
     n_bags = partition.m
     loads = [bag_load(bag, jobs) for bag in partition.bags]
@@ -305,18 +299,9 @@ def capacity_robust_schedule(
     place: list[int | None] = [None] * n_bags
     nodes = 0
     if big_singletons:
-        if large_singleton_placement is not None:
-            placed = large_singleton_placement.bag_to_machine
-            if len(placed) != len(big_singletons) or large_singleton_placement.m != m:
-                raise ValueError(
-                    f"large_singleton_placement must place exactly the "
-                    f"{len(big_singletons)} oversized singleton bags on {m} machines"
-                )
-        else:
-            sub = exact_schedule([loads[k] for k in big_singletons], speeds, node_budget)
-            nodes = sub.nodes_explored
-            placed = sub.schedule.bag_to_machine
-        for k, i in zip(big_singletons, placed):
+        sub = exact_schedule([loads[k] for k in big_singletons], speeds, node_budget)
+        nodes = sub.nodes_explored
+        for k, i in zip(big_singletons, sub.schedule.bag_to_machine):
             place[k] = i
             machine[i] += loads[k]
 

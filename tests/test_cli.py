@@ -391,3 +391,16 @@ def test_budget_exhaustion_exit_code(tmp_path, capsys):
     assert main(["evaluate", "--in", str(inst), "--algo", "one-consistent",
                  "--node-budget", "1"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("oracle", ["exact", "lower_bound"])
+def test_experiment_budget_exhaustion_names_the_cell(tmp_path, capsys, oracle):
+    # The exact oracle runs out first; with the lower-bound oracle the
+    # algorithms' own exact solves do.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"node_budget": 50, "oracle": oracle, "seed": 3,
+                                "sweep_values": [4.0], "instances_per_point": 2}))
+    assert main(["experiment", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: exact solver exceeded node budget 50")
+    assert err.endswith(" [err_sigma=4.0 seed=3]\n")

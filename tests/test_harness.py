@@ -81,13 +81,14 @@ def small_instance(jobs, true_speeds, predicted_speeds, **kwargs):
 
 
 def test_algorithm_name_aliases():
-    assert parse_algorithm("consistent_partition").name == "one-consistent"
-    assert parse_algorithm("consistent").name == "one-consistent"
-    assert parse_algorithm("one-consistent").name == "one-consistent"
-    assert parse_algorithm("lpt_partition").name == "lpt"
-    assert parse_algorithm("lpt-partition").name == "lpt"
-    assert parse_algorithm("lpt").name == "lpt"
-    assert parse_algorithm("ipr").name == "ipr"
+    # Each algorithm has exactly one name; the old alias spellings are rejected.
+    for name in ("one-consistent", "ipr", "lpt"):
+        assert parse_algorithm(name).name == name
+    for alias in ("consistent_partition", "consistent", "lpt_partition", "lpt-partition"):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            parse_algorithm(alias)
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            ExperimentConfig.from_json_dict({"algorithms": [alias]})
 
 
 def test_algorithm_labels():

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import speedsched
 from speedsched.gen import SplitMix64
 from speedsched.model import (
     Assignment,
@@ -27,6 +28,41 @@ from speedsched.model import (
     save_partition,
     validate_partition,
 )
+from speedsched.partition import consistent_partition, lpt_partition
+from speedsched.solvers import exact_schedule, lpt_schedule
+
+
+def test_every_exported_name_resolves():
+    assert len(set(speedsched.__all__)) == len(speedsched.__all__)
+    for name in speedsched.__all__:
+        assert hasattr(speedsched, name), name
+
+
+# Each entry point that takes jobs or speeds, with one value replaced by ``x``.
+_VALIDATING_CALLS = {
+    "Instance-job": lambda x: Instance(jobs=(2.0, x), true_speeds=(1.0, 2.0),
+                                       predicted_speeds=(1.0, 2.0)),
+    "Instance-true-speed": lambda x: Instance(jobs=(2.0, 3.0), true_speeds=(1.0, x),
+                                              predicted_speeds=(1.0, 2.0)),
+    "Instance-predicted-speed": lambda x: Instance(jobs=(2.0, 3.0), true_speeds=(1.0, 2.0),
+                                                   predicted_speeds=(1.0, x)),
+    "exact_schedule-load": lambda x: exact_schedule([2.0, x], [1.0, 2.0]),
+    "exact_schedule-speed": lambda x: exact_schedule([2.0, 3.0], [1.0, x]),
+    "lpt_schedule-load": lambda x: lpt_schedule([2.0, x], [1.0, 2.0]),
+    "lpt_schedule-speed": lambda x: lpt_schedule([2.0, 3.0], [1.0, x]),
+    "lpt_partition-job": lambda x: lpt_partition([2.0, x], 2),
+    "consistent_partition-job": lambda x: consistent_partition([2.0, x], [1.0, 2.0]),
+    "consistent_partition-speed": lambda x: consistent_partition([2.0, 3.0], [1.0, x]),
+    "prediction_error-predicted": lambda x: prediction_error([1.0, x], [1.0, 2.0]),
+    "prediction_error-true": lambda x: prediction_error([1.0, 2.0], [1.0, x]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, None], ids=repr)
+@pytest.mark.parametrize("call", sorted(_VALIDATING_CALLS))
+def test_entry_points_reject_non_finite_negative_and_missing_numbers(call, bad):
+    with pytest.raises(ValueError):
+        _VALIDATING_CALLS[call](bad)
 
 
 def make_instance(jobs, true_speeds, predicted_speeds, **kwargs):

@@ -8,12 +8,12 @@ from speedsched.gen import SplitMix64
 from speedsched.model import Assignment, Partition, bag_load, beta_ratio, validate_partition
 from speedsched.partition import (
     IprConfig,
+    _rebalance_once,
     binary_speed_partition,
     consistent_partition,
     fluid_ipr,
     ipr,
     lpt_partition,
-    lpt_rebalance,
 )
 
 UNIT = 1.0
@@ -150,8 +150,13 @@ def test_consistent_partition_rejects_bad_speeds():
 
 
 # ---------------------------------------------------------------------------
-# lpt_rebalance
+# lpt_rebalance: one rebalance step on an assignment
 # ---------------------------------------------------------------------------
+
+
+def lpt_rebalance(assignment, jobs):
+    new, _, _ = _rebalance_once([list(coll) for coll in assignment.collections], jobs)
+    return Assignment(tuple(tuple(coll) for coll in new))
 
 
 def test_lpt_rebalance_moves_min_bag_into_heaviest_collection():

@@ -239,26 +239,6 @@ def test_capacity_robust_within_factor_of_optimal():
         assert sum(loads) == pytest.approx(sum(jobs), rel=1e-12)
 
 
-def test_capacity_robust_respects_given_singleton_placement():
-    # Job 0 is an oversized singleton (larger than the only multi-job bag).
-    part = Partition(bags=((0,), (1, 2)))
-    jobs = [10.0, 1.0, 1.0]
-    placement = Schedule(bag_to_machine=(1,), m=2)
-    res = capacity_robust_schedule(part, jobs, (1.0, 1.0), placement)
-    assert res.schedule.bag_to_machine[0] == 1
-
-
-def test_capacity_robust_rejects_bad_singleton_placement():
-    part = Partition(bags=((0,), (1, 2)))
-    jobs = [10.0, 1.0, 1.0]
-    with pytest.raises(ValueError):
-        capacity_robust_schedule(
-            part, jobs, (1.0, 1.0), Schedule(bag_to_machine=(0, 1), m=2)
-        )
-    with pytest.raises(ValueError):
-        capacity_robust_schedule(
-            part, jobs, (1.0, 1.0), Schedule(bag_to_machine=(0,), m=1)
-        )
 
 
 def test_capacity_robust_handles_oversized_singletons():
