@@ -36,6 +36,7 @@ from .harness import (
     ORACLES,
     AlgorithmSpec,
     ExperimentConfig,
+    csv_text,
     curves_to_csv,
     evaluate,
     make_partition,
@@ -223,10 +224,12 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     part = load_partition(args.partition)
     validate_partition(part, instance.n, instance.m)
     loads = [bag_load(bag, instance.jobs) for bag in part.bags]
-    result = schedule(loads, instance.true_speeds, args.scheduler, args.node_budget)
+    usable = [i for i, s in enumerate(instance.true_speeds) if s != 0.0]
+    speeds = [instance.true_speeds[i] for i in usable]
+    result = schedule(loads, speeds, args.scheduler, args.node_budget)
     doc = {
         "makespan": result.makespan,
-        "bag_to_machine": list(result.schedule.bag_to_machine),
+        "bag_to_machine": [usable[i] for i in result.schedule.bag_to_machine],
         "optimal": result.optimal,
     }
     _write(json.dumps(doc, indent=2) + "\n", args.out)
@@ -253,14 +256,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         }
         text = json.dumps(doc, indent=2) + "\n"
     elif args.format == "csv":
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(["instance", "algorithm", "scheduler", "oracle_kind", "ratio"])
-        writer.writerow([instance.name or "", spec.label, args.scheduler, args.oracle, repr(ratio)])
-        text = buf.getvalue()
+        text = csv_text(
+            ["instance", "algorithm", "scheduler", "oracle_kind", "ratio"],
+            [[instance.name or "", spec.label, args.scheduler, args.oracle, repr(ratio)]],
+        )
     else:
         text = f"{ratio!r}\n"
     _write(text, args.out)

@@ -290,14 +290,13 @@ def gen_tradeoff_instance(m: int) -> Instance:
 
 def gen_binary_lb_instance(k: int) -> Instance:
     """All-or-nothing-speed family: ``6k`` unit jobs on 3 machines, all three
-    predicted usable but only the first two actually usable.  "Unusable" is
-    encoded as speed ``CLAMP_FLOOR`` (the model rejects true zeros); the
-    harness treats speeds above 0.5 as usable."""
+    predicted usable (speed 1.0) but only the first two actually usable (true
+    speeds 1.0, 1.0, 0.0)."""
     if k < 1:
         raise ValueError("need k >= 1")
     return Instance(
         jobs=(1.0,) * (6 * k),
-        true_speeds=(1.0, 1.0, CLAMP_FLOOR),
+        true_speeds=(1.0, 1.0, 0.0),
         predicted_speeds=(1.0, 1.0, 1.0),
         name=f"binary-lb-k{k}",
     )

@@ -20,7 +20,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .gen import (
     Dist,
@@ -66,11 +66,6 @@ from .solvers import (
 ALGORITHMS = ("one-consistent", "ipr", "lpt")
 ORACLES = ("exact", "lower_bound")
 SWEEP_PARAMS = ("err_sigma", "n", "m", "sigma_p", "sigma_s")
-
-# Availability cutoff for all-or-nothing speed instances: the generator encodes
-# "unusable" as 1e-3 and "usable" as 1.0, so any threshold strictly between
-# them works; 0.5 is documented as the contract.
-BINARY_AVAILABLE_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -131,31 +126,13 @@ def parse_algorithm(spec: "AlgorithmSpec | str | dict") -> AlgorithmSpec:
 # ---------------------------------------------------------------------------
 
 
-def binary_counts(instance: Instance) -> tuple[int, int]:
-    """(predicted usable, actually usable) machine counts for all-or-nothing speeds."""
-    m_hat = sum(1 for v in instance.predicted_speeds if v > BINARY_AVAILABLE_THRESHOLD)
-    m_zero = sum(1 for v in instance.true_speeds if v > BINARY_AVAILABLE_THRESHOLD)
-    return m_hat, m_zero
-
-
-def is_binary_speed(instance: Instance) -> bool:
-    """True for all-or-nothing speed instances: every speed is exactly 1.0
-    (usable) or at most the availability threshold (unusable), with at least
-    one usable machine on each side."""
-    values = instance.predicted_speeds + instance.true_speeds
-    if not all(v == 1.0 or v <= BINARY_AVAILABLE_THRESHOLD for v in values):
-        return False
-    m_hat, m_zero = binary_counts(instance)
-    return m_hat >= 1 and m_zero >= 1
-
-
 def _uses_consistent_partition(instance: Instance, spec: AlgorithmSpec) -> bool:
     """Whether ``spec`` builds on the prediction-trusting partition: ``ipr``
     always starts from it; ``one-consistent`` is it, except on all-or-nothing
     speed instances."""
     if spec.name == "ipr":
         return True
-    return spec.name == "one-consistent" and not is_binary_speed(instance)
+    return spec.name == "one-consistent" and not instance.all_or_nothing
 
 
 def make_partition(
@@ -167,11 +144,13 @@ def make_partition(
 ) -> Partition:
     """Run the named partitioner on (jobs, predicted speeds).
 
-    On all-or-nothing speed instances the prediction-trusting algorithm routes
-    to :func:`~speedsched.partition.binary_speed_partition` with the predicted
-    usable count.  ``initial``, when given, is the prediction-trusting
-    partition of the instance under the effective scheduler; ``one-consistent``
-    and ``ipr`` then use it instead of solving it again.
+    On :attr:`~speedsched.model.Instance.all_or_nothing` instances the
+    prediction-trusting algorithm routes to
+    :func:`~speedsched.partition.binary_speed_partition` with the predicted
+    usable count (the predicted speeds equal to 1.0).  ``initial``, when
+    given, is the prediction-trusting partition of the instance under the
+    effective scheduler; ``one-consistent`` and ``ipr`` then use it instead of
+    solving it again.
     """
     spec = parse_algorithm(algorithm)
     if scheduler not in SCHEDULERS:
@@ -181,7 +160,7 @@ def make_partition(
     if spec.name == "lpt":
         return lpt_partition(instance.jobs, instance.m)
     if not _uses_consistent_partition(instance, spec):  # one-consistent, all-or-nothing speeds
-        m_hat, _ = binary_counts(instance)
+        m_hat = instance.predicted_speeds.count(1.0)
         return binary_speed_partition(
             instance.jobs, instance.m, m_hat, solver=scheduler, node_budget=node_budget
         )
@@ -200,20 +179,15 @@ def make_partition(
 def oracle_value(
     instance: Instance, oracle: str = "exact", node_budget: int = DEFAULT_NODE_BUDGET
 ) -> float:
-    """Reference makespan for ratio computation.
-
-    On all-or-nothing speed instances the reference schedules jobs on the
-    *actually usable* machines only (all unit speed); otherwise on the true
-    speeds.  ``oracle="lower_bound"`` substitutes the cheap bound, making
-    reported ratios upper bounds on the true approximation ratio.
+    """Reference makespan for ratio computation: the jobs scheduled on the
+    true speeds of the usable machines (a zero true speed marks an unusable
+    machine of an all-or-nothing instance).  ``oracle="lower_bound"``
+    substitutes the cheap bound, making reported ratios upper bounds on the
+    true approximation ratio.
     """
     if oracle not in ORACLES:
         raise ValueError(f"oracle must be one of {ORACLES}")
-    if is_binary_speed(instance):
-        _, m_zero = binary_counts(instance)
-        speeds: Sequence[float] = [1.0] * m_zero
-    else:
-        speeds = instance.true_speeds
+    speeds = [s for s in instance.true_speeds if s != 0.0]
     if oracle == "exact":
         return exact_schedule(instance.jobs, speeds, node_budget).makespan
     return opt_lower_bound(instance.jobs, speeds)
@@ -226,9 +200,8 @@ def _stage2_makespan(
     node_budget: int,
 ) -> float:
     loads = [bag_load(bag, instance.jobs) for bag in part.bags]
-    if is_binary_speed(instance):
-        _, m_zero = binary_counts(instance)
-        merged = merge_to_fit(loads, m_zero)
+    if instance.all_or_nothing:
+        merged = merge_to_fit(loads, instance.true_speeds.count(1.0))
         return max(merged) if merged else 0.0
     return schedule(loads, instance.true_speeds, scheduler, node_budget).makespan
 
@@ -569,16 +542,25 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     return rows
 
 
-def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """CSV text: ``header``, then one line per row of ``rows``, each line ending
+    in a bare newline."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(EXPERIMENT_CSV_HEADER)
-    for r in rows:
-        writer.writerow(
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
+    return csv_text(
+        EXPERIMENT_CSV_HEADER,
+        (
             [r.sweep_param, repr(r.sweep_value), r.algorithm, repr(r.mean_ratio),
              repr(r.std_ratio), r.n_instances, r.oracle_kind]
-        )
-    return buf.getvalue()
+            for r in rows
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +593,7 @@ def theory_curves(alphas: Sequence[float]) -> list[CurveRow]:
     rows = []
     for a in alphas:
         a = float(a)
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"alpha values must be in (0, 1), got {a!r}")
+        IprConfig(alpha=a)  # validates the range
         rows.append(
             CurveRow(
                 alpha=a,
@@ -626,15 +607,14 @@ def theory_curves(alphas: Sequence[float]) -> list[CurveRow]:
 
 
 def curves_to_csv(rows: Sequence[CurveRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CURVES_CSV_HEADER)
-    for r in rows:
-        writer.writerow(
+    return csv_text(
+        CURVES_CSV_HEADER,
+        (
             [repr(r.alpha), repr(r.consistency), repr(r.robustness_general),
              repr(r.robustness_equal_jobs), repr(r.robustness_fluid)]
-        )
-    return buf.getvalue()
+            for r in rows
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +636,8 @@ class PropertyCheck:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Aggregated results: experiment rows and/or property verdicts."""
+    """The property verdicts of one :func:`verify_properties` run."""
 
-    rows: tuple[ExperimentRow, ...] = ()
     properties: tuple[PropertyCheck, ...] = ()
 
     @property

@@ -56,9 +56,12 @@ class Instance:
     jobs:
         Processing times, one per job; all must be strictly positive.
     true_speeds:
-        True machine speeds, strictly positive; defines the machine count ``m``.
+        True machine speeds; defines the machine count ``m``.  Strictly
+        positive, except that 0.0 (an unusable machine) is allowed in an
+        :attr:`all_or_nothing` instance.
     predicted_speeds:
-        Predicted machine speeds, non-negative, same length as ``true_speeds``.
+        Predicted machine speeds, non-negative (0.0 means predicted unusable),
+        same length as ``true_speeds``.
     name, seed:
         Optional provenance labels carried through JSON round-trips.
     """
@@ -71,7 +74,7 @@ class Instance:
 
     def __post_init__(self) -> None:
         jobs = finite_floats(self.jobs, "job processing times")
-        true_speeds = finite_floats(self.true_speeds, "true speeds")
+        true_speeds = finite_floats(self.true_speeds, "true speeds", allow_zero=True)
         predicted_speeds = finite_floats(self.predicted_speeds, "predicted speeds", allow_zero=True)
         if len(predicted_speeds) != len(true_speeds):
             raise ValueError(
@@ -81,6 +84,22 @@ class Instance:
         object.__setattr__(self, "jobs", tuple(jobs))
         object.__setattr__(self, "true_speeds", tuple(true_speeds))
         object.__setattr__(self, "predicted_speeds", tuple(predicted_speeds))
+        if 0.0 in self.true_speeds and not self.all_or_nothing:
+            raise ValueError(
+                "true speeds must be positive finite, got 0.0 "
+                "(a zero true speed needs every speed to be 0.0 or 1.0)"
+            )
+
+    @property
+    def all_or_nothing(self) -> bool:
+        """Whether this is an all-or-nothing speed instance: every predicted
+        and true speed is 0.0 (unusable machine) or 1.0 (usable machine), with
+        at least one usable machine in each vector."""
+        return (
+            {*self.predicted_speeds, *self.true_speeds} <= {0.0, 1.0}
+            and 1.0 in self.predicted_speeds
+            and 1.0 in self.true_speeds
+        )
 
     @property
     def n(self) -> int:
@@ -275,16 +294,17 @@ def makespan(
 ) -> float:
     """Maximum machine completion time ``load_i / speed_i`` under the schedule.
 
-    Uses the true speeds unless ``use_predicted`` is set.  A zero speed on a
-    loaded-or-not machine is rejected (only predicted speeds can be zero in a
-    valid instance, and they cannot be divided by).
+    Uses the true speeds unless ``use_predicted`` is set.  Any zero speed is
+    rejected, loaded machine or not: predicted speeds can be zero, and so can
+    the true speeds of an :attr:`~Instance.all_or_nothing` instance, and a
+    load cannot be divided by zero.
     """
     if schedule.m != instance.m:
         raise ValueError(f"schedule has m={schedule.m}, instance has m={instance.m}")
-    speeds = instance.predicted_speeds if use_predicted else instance.true_speeds
-    for s in speeds:
-        if s <= 0.0:
-            raise ValueError("makespan needs strictly positive speeds")
+    if use_predicted:
+        speeds = finite_floats(instance.predicted_speeds, "predicted speeds")
+    else:
+        speeds = finite_floats(instance.true_speeds, "true speeds")
     loads = machine_loads(schedule, partition, instance.jobs)
     return max(load / s for load, s in zip(loads, speeds))
 

@@ -259,13 +259,8 @@ def fluid_ipr(
     all bags.  Returns the final bag loads in collection order.
     """
     speeds = finite_floats(predicted_speeds, "predicted speeds")
-    if not (float(total_load) > 0.0) or math.isinf(total_load):
-        raise ValueError("total_load must be positive finite")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    if not rho >= 1.0:
-        raise ValueError(f"rho must be >= 1, got {rho!r}")
-    total_load = float(total_load)
+    (total_load,) = finite_floats([total_load], "total_load")
+    IprConfig(alpha=alpha, rho=rho)  # validates ranges
     speeds_desc = sorted(speeds, reverse=True)
     total_speed = sum(speeds_desc)
     collections: list[list[float]] = [[total_load * s / total_speed] for s in speeds_desc]

@@ -196,9 +196,36 @@ def test_schedule_rejects_mismatched_partition(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def write_all_or_nothing_instance(tmp_path, true_speeds):
+    # Written by hand, as a user would: 0.0 marks an unusable machine.
+    doc = {"jobs": [4.0, 3.0, 2.0, 1.0], "true_speeds": list(true_speeds),
+           "predicted_speeds": [1.0, 1.0, 1.0, 1.0]}
+    path = tmp_path / "dead.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_schedule_skips_unusable_machines(tmp_path, capsys):
+    part_path = tmp_path / "part.json"
+    save_partition(Partition(bags=((0,), (1,), (2,), (3,))), str(part_path))
+    for true_speeds, usable in (((1.0, 1.0, 0.0, 0.0), {0, 1}),
+                                ((0.0, 1.0, 0.0, 1.0), {1, 3})):
+        inst = write_all_or_nothing_instance(tmp_path, true_speeds)
+        assert main(["schedule", "--in", str(inst), "--partition", str(part_path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["makespan"] == 5.0
+        assert set(doc["bag_to_machine"]) == usable
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
+
+
+def test_evaluate_all_or_nothing_instance(tmp_path, capsys):
+    inst = write_all_or_nothing_instance(tmp_path, (1.0, 1.0, 0.0, 0.0))
+    assert main(["evaluate", "--in", str(inst), "--algo", "one-consistent"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(1.2)
 
 
 def test_evaluate_bare_ratio(tmp_path, capsys):

@@ -319,7 +319,7 @@ def test_gen_tradeoff_instance_validation():
 def test_gen_binary_lb_instance_contents():
     inst = gen_binary_lb_instance(2)
     assert inst.jobs == (1.0,) * 12
-    assert inst.true_speeds == (1.0, 1.0, CLAMP_FLOOR)
+    assert inst.true_speeds == (1.0, 1.0, 0.0)
     assert inst.predicted_speeds == (1.0, 1.0, 1.0)
     assert inst.name == "binary-lb-k2"
     # All work ends up on the two usable machines: optimal makespan 3k.

@@ -6,7 +6,6 @@ import pytest
 
 from speedsched import harness, partition
 from speedsched.gen import (
-    CLAMP_FLOOR,
     Dist,
     SplitMix64,
     SyntheticConfig,
@@ -15,6 +14,7 @@ from speedsched.gen import (
     gen_synthetic,
 )
 from speedsched.harness import (
+    ALGORITHMS,
     EXPERIMENT_CSV_HEADER,
     AlgorithmSpec,
     CurveRow,
@@ -22,10 +22,8 @@ from speedsched.harness import (
     ExperimentRow,
     MetricsReport,
     PropertyCheck,
-    binary_counts,
     curves_to_csv,
     evaluate,
-    is_binary_speed,
     make_partition,
     oracle_value,
     parse_algorithm,
@@ -132,36 +130,52 @@ def test_parse_algorithm_passes_spec_through():
 
 
 # ---------------------------------------------------------------------------
-# Binary-speed detection
+# All-or-nothing speeds: 0.0 is an unusable machine, 1.0 a usable one
 # ---------------------------------------------------------------------------
 
 
 def test_binary_detection_on_lb_family():
     inst = gen_binary_lb_instance(1)
-    assert is_binary_speed(inst)
-    assert binary_counts(inst) == (3, 2)
+    assert inst.all_or_nothing
+    assert inst.predicted_speeds.count(1.0) == 3
+    assert inst.true_speeds.count(1.0) == 2
 
 
 def test_binary_detection_mixed_values():
-    inst = small_instance([1.0, 1.0], (1.0, 0.4), (1.0, 1.0))
-    assert is_binary_speed(inst)
-    assert binary_counts(inst) == (2, 1)
+    inst = small_instance([1.0, 1.0], (1.0, 0.0), (0.0, 1.0))
+    assert inst.all_or_nothing
+    assert inst.predicted_speeds.count(1.0) == 1
+    assert inst.true_speeds.count(1.0) == 1
 
 
 def test_binary_detection_rejects_intermediate_speed():
-    inst = small_instance([1.0, 1.0], (1.0, 0.7), (1.0, 1.0))
-    assert not is_binary_speed(inst)
+    # Any speed other than 0.0 or 1.0 makes a related-speed instance, however
+    # small it is.
+    for slow in (1e-3, 0.4, 0.5, 0.7):
+        assert not small_instance([1.0, 1.0], (1.0, slow), (1.0, 1.0)).all_or_nothing
+        assert not small_instance([1.0, 1.0], (1.0, 1.0), (1.0, slow)).all_or_nothing
 
 
 def test_binary_detection_needs_usable_machine_on_both_sides():
     # All machines predicted dead is not the all-or-nothing regime.
-    inst = small_instance([1.0], (1.0,), (0.4,))
-    assert not is_binary_speed(inst)
+    assert not small_instance([1.0], (1.0,), (0.0,)).all_or_nothing
+    # All machines truly dead is not an instance at all.
+    with pytest.raises(ValueError):
+        small_instance([1.0], (0.0, 0.0), (1.0, 1.0))
 
 
 def test_plain_synthetic_is_not_binary():
     inst = gen_synthetic(SyntheticConfig(n=6, m=3, seed=1))
-    assert not is_binary_speed(inst)
+    assert not inst.all_or_nothing
+
+
+def test_near_one_half_speed_is_a_related_speed():
+    # A slow machine is not a dead one: the reference optimum uses it.
+    inst = small_instance([3.0, 3.0, 2.0, 2.0], (1.0, 0.5), (1.0, 1.0))
+    assert not inst.all_or_nothing
+    assert oracle_value(inst, "exact") == 7.0
+    for algo in ALGORITHMS:
+        assert evaluate(inst, algo) == pytest.approx(10.0 / 7.0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +255,7 @@ def test_evaluate_binary_lb_family():
 def test_evaluate_binary_merges_to_usable_machines():
     inst = small_instance(
         [4.0, 3.0, 2.0, 1.0],
-        (1.0, 1.0, CLAMP_FLOOR, CLAMP_FLOOR),
+        (1.0, 1.0, 0.0, 0.0),
         (1.0, 1.0, 1.0, 1.0),
     )
     assert evaluate(inst, "one-consistent") == pytest.approx(1.2)

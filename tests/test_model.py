@@ -111,8 +111,20 @@ def test_instance_rejects_nonpositive_true_speeds():
         make_instance([1.0], [-2.0], [1.0])
 
 
+def test_instance_allows_zero_true_speed_only_when_all_or_nothing():
+    # 0.0 marks an unusable machine when every speed is 0.0 or 1.0.
+    inst = make_instance([1.0, 1.0], [1.0, 0.0], [1.0, 1.0])
+    assert inst.true_speeds == (1.0, 0.0)
+    assert inst.all_or_nothing
+    for true, predicted in (((2.0, 0.0), (1.0, 1.0)),
+                            ((1.0, 0.0), (1.0, 0.5)),
+                            ((0.0, 0.0), (1.0, 1.0))):
+        with pytest.raises(ValueError):
+            make_instance([1.0], true, predicted)
+
+
 def test_instance_allows_zero_predicted_speed():
-    # Predictions may declare a machine unusable; true speeds may not.
+    # Predictions may declare a machine unusable in any instance.
     inst = make_instance([1.0, 1.0], [1.0, 1.0], [1.0, 0.0])
     assert inst.predicted_speeds == (1.0, 0.0)
     with pytest.raises(ValueError):
@@ -236,6 +248,14 @@ def test_makespan_rejects_zero_predicted_speed():
     sched = Schedule(bag_to_machine=(0,), m=1)
     with pytest.raises(ValueError):
         makespan(sched, part, inst, use_predicted=True)
+
+
+def test_makespan_rejects_zero_true_speed():
+    inst = make_instance([1.0], [1.0, 0.0], [1.0, 1.0])
+    part = Partition(bags=((0,), ()))
+    sched = Schedule(bag_to_machine=(0, 1), m=2)
+    with pytest.raises(ValueError):
+        makespan(sched, part, inst)
 
 
 def test_makespan_rejects_machine_count_mismatch():

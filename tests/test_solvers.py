@@ -2,7 +2,7 @@
 
 import pytest
 
-from speedsched.gen import SplitMix64
+from speedsched.gen import SplitMix64, SyntheticConfig, gen_synthetic
 from speedsched.model import Partition, Schedule, bag_load, beta_ratio, machine_loads
 from speedsched.solvers import (
     BudgetExceededError,
@@ -113,6 +113,51 @@ def test_exact_schedule_matches_brute_force():
         opt = exact_schedule(loads, speeds).makespan
         ref = brute_force_makespan(loads, speeds)
         assert opt == pytest.approx(ref, rel=1e-12)
+
+
+def milp_makespan(jobs, speeds):
+    """Makespan of an optimal assignment found by an independent MILP (HiGHS):
+    binary ``x[j, i]`` puts job ``j`` on machine ``i``; ``C`` bounds every
+    machine's finishing time and is minimised.  The makespan is recomputed
+    from the assignment, so solver tolerances cannot leak into it."""
+    optimize = pytest.importorskip("scipy.optimize")
+    import numpy as np
+
+    n, m = len(jobs), len(speeds)
+    assign = np.zeros((n, n * m + 1))
+    capacity = np.zeros((m, n * m + 1))
+    for j in range(n):
+        assign[j, j * m:(j + 1) * m] = 1.0
+        for i in range(m):
+            capacity[i, j * m + i] = jobs[j]
+    capacity[:, -1] = [-s for s in speeds]
+    cost = np.zeros(n * m + 1)
+    cost[-1] = 1.0
+    res = optimize.milp(
+        cost,
+        constraints=[
+            optimize.LinearConstraint(assign, 1.0, 1.0),
+            optimize.LinearConstraint(capacity, -np.inf, 0.0),
+        ],
+        integrality=[1] * (n * m) + [0],
+        bounds=optimize.Bounds(0.0, [1.0] * (n * m) + [np.inf]),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.success, res.message
+    loads = [0.0] * m
+    for j in range(n):
+        loads[int(np.argmax(res.x[j * m:(j + 1) * m]))] += jobs[j]
+    return max(load / s for load, s in zip(loads, speeds))
+
+
+@pytest.mark.parametrize("n, m, seeds", [(12, 4, range(20)), (15, 5, range(3))])
+def test_exact_schedule_matches_independent_milp(n, m, seeds):
+    # The experiments' shapes, far beyond what brute force can enumerate.
+    for seed in seeds:
+        inst = gen_synthetic(SyntheticConfig(n=n, m=m, seed=seed))
+        opt = exact_schedule(inst.jobs, inst.true_speeds).makespan
+        ref = milp_makespan(inst.jobs, inst.true_speeds)
+        assert opt == pytest.approx(ref, rel=1e-9), seed
 
 
 def test_exact_schedule_never_beaten_by_greedy():
