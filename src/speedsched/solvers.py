@@ -2,8 +2,9 @@
 
 The two workhorses are :func:`lpt_schedule` (longest-processing-time greedy,
 fast, ratio at most 2 on related machines) and :func:`exact_schedule` (a
-depth-first branch-and-bound that returns a provably optimal placement for
-small inputs, or raises :class:`BudgetExceededError` rather than silently
+depth-first branch and bound after Horowitz & Sahni, JACM 1976, with incumbent
+pruning, an early stop at the trivial lower bound and symmetry skips; optimal
+on small inputs, it raises :class:`BudgetExceededError` rather than silently
 degrading); :func:`schedule` runs the one named in :data:`SCHEDULERS`.
 Items may be raw jobs or whole bags; the solvers only see loads.
 
@@ -99,13 +100,16 @@ def exact_schedule(
 ) -> SolveResult:
     """Minimum-makespan placement by depth-first branch and bound.
 
-    Intended for small inputs (roughly <= 15 items, <= 5 machines).  The search
-    seeds its incumbent with the greedy solution, prunes any branch that cannot
-    strictly improve it, and stops early once the incumbent meets the trivial
-    lower bound.  Two symmetry reductions keep highly regular inputs (equal
-    items, equal machines) tractable without affecting the optimal value:
-    machines whose (current load, speed) pair repeats at a node are tried once,
-    and runs of equal-size items use non-decreasing machine indices.
+    Intended for small inputs (roughly <= 15 items, <= 5 machines).  The
+    incumbent starts as the greedy solution; a child is searched only if its
+    partial makespan stays strictly below the incumbent's, and the search stops
+    once the incumbent meets :func:`opt_lower_bound`.  There is no capacity
+    bound: a child that passes the incumbent test leaves room for all unplaced
+    work whenever the incumbent exceeds total work over total speed.  Two
+    symmetry reductions keep regular inputs (equal items, equal machines)
+    tractable without affecting the optimal value: a machine is skipped when a
+    lower-index machine of equal speed had the same load when this node tried
+    it, and runs of equal-size items use non-decreasing machine indices.
 
     Raises :class:`BudgetExceededError` after ``node_budget`` node expansions.
     Ties in the returned placement are resolved deterministically (items in
@@ -120,19 +124,19 @@ def exact_schedule(
         return SolveResult(Schedule((), m), 0.0, optimal=True, nodes_explored=0)
 
     incumbent = lpt_schedule(loads, speeds)
-    static_lb = max(sum(loads) / sum(speeds), max(loads) / max(speeds))
+    static_lb = opt_lower_bound(loads, speeds)
 
     order = [j for j in sorted(range(n), key=lambda j: (-loads[j], j)) if loads[j] > 0.0]
     sorted_loads = [loads[j] for j in order]
     k = len(order)
-    suffix_rem = [0.0] * (k + 1)
-    for idx in range(k - 1, -1, -1):
-        suffix_rem[idx] = suffix_rem[idx + 1] + sorted_loads[idx]
+    # Symmetric machines: the lower-index machines of equal speed.
+    twins = [tuple(j for j in range(i) if speeds[j] == speeds[i]) for i in range(m)]
 
     best_val = incumbent.makespan
     best_assign: list[int] | None = None
     machine = [0.0] * m
     path = [0] * k
+    tried_loads = [[0.0] * m for _ in range(k)]
     nodes = 0
 
     def dfs(idx: int, cur_max: float) -> bool:
@@ -142,30 +146,17 @@ def exact_schedule(
             best_assign = path.copy()
             return best_val <= static_lb
         p = sorted_loads[idx]
-        rem_after = suffix_rem[idx + 1]
         start = path[idx - 1] if idx > 0 and p == sorted_loads[idx - 1] else 0
-        seen: set[tuple[float, float]] = set()
+        # The load each machine had when this node reached it: rounding in the
+        # restoring subtraction below can move it before a later twin is reached.
+        tried = tried_loads[idx]
         for i in range(start, m):
-            key = (machine[i], speeds[i])
-            if key in seen:
+            load = tried[i] = machine[i]
+            if twins[i] and any(tried[j] == load for j in twins[i] if j >= start):
                 continue
-            seen.add(key)
-            ratio = (machine[i] + p) / speeds[i]
+            ratio = (load + p) / speeds[i]
             new_max = ratio if ratio > cur_max else cur_max
             if new_max >= best_val:
-                continue
-            # Capacity bound: beating the incumbent needs the yet-unplaced work
-            # to fit in the machines' remaining room below best_val.  Room is
-            # monotone in the target makespan, so falling short at best_val
-            # rules out every strictly better completion of this branch.
-            cap = 0.0
-            for j in range(m):
-                slack = best_val * speeds[j] - machine[j]
-                if j == i:
-                    slack -= p
-                if slack > 0.0:
-                    cap += slack
-            if cap <= rem_after:
                 continue
             nodes += 1
             if nodes > node_budget:
@@ -177,6 +168,8 @@ def exact_schedule(
             machine[i] += p
             path[idx] = i
             finished = dfs(idx + 1, new_max)
+            # Not ``machine[i] = load``: results, and so the pinned experiment
+            # digests, depend on this subtraction's rounding.
             machine[i] -= p
             if finished:
                 return True

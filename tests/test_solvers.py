@@ -1,5 +1,7 @@
 """Tests for the scheduling solvers: greedy, exact, merge, capacity-robust."""
 
+import hashlib
+
 import pytest
 
 from speedsched.gen import SplitMix64, SyntheticConfig, gen_synthetic
@@ -174,6 +176,49 @@ def test_exact_schedule_handles_many_equal_items():
     # the obvious one.
     res = exact_schedule([1.0] * 12, (1.0, 1.0, 1.0, 1.0))
     assert res.makespan == 3.0
+
+
+def pinned_exact_inputs():
+    for err_sigma in (0.0, 8.0, 20.0):
+        for seed in range(30):
+            inst = gen_synthetic(SyntheticConfig(n=12, m=4, err_sigma=err_sigma, seed=seed))
+            yield inst.jobs, inst.true_speeds
+            yield inst.jobs, inst.predicted_speeds
+    for seed in range(6):
+        inst = gen_synthetic(SyntheticConfig(n=15, m=5, err_sigma=8.0, seed=seed))
+        yield inst.jobs, inst.true_speeds
+        yield inst.jobs, inst.predicted_speeds
+    # Integer jobs on speeds 1 and 2: equal-speed machines with equal loads,
+    # so the symmetry rules decide which branches are searched.
+    rng = SplitMix64(77)
+    for _ in range(300):
+        n = 1 + rng.next_u64() % 10
+        m = 1 + rng.next_u64() % 4
+        jobs = [float(1 + rng.next_u64() % 9) for _ in range(n)]
+        speeds = [(1.0, 2.0)[rng.next_u64() % 2] for _ in range(m)]
+        yield jobs, speeds
+    # Float jobs on identical machines: a restoring subtraction can leave a
+    # machine's load a few ulps off, so which twins compare equal depends on it.
+    rng = SplitMix64(78)
+    for _ in range(100):
+        n = 1 + rng.next_u64() % 9
+        m = 2 + rng.next_u64() % 2
+        yield [100.0 * rng.next_float() for _ in range(n)], [1.0] * m
+
+
+def test_exact_schedule_results_pinned():
+    # Placements, makespans to the last bit and node counts on a fixed corpus:
+    # a change to the search order, its pruning or its float rounding shows
+    # here even where the experiment CSVs round it away.  Change the digest
+    # only together with a deliberate change to the solver's results.
+    digest = hashlib.sha256()
+    for loads, speeds in pinned_exact_inputs():
+        res = exact_schedule(loads, speeds)
+        key = (res.schedule.bag_to_machine, res.makespan.hex(), res.nodes_explored)
+        digest.update(repr(key).encode())
+    assert digest.hexdigest() == (
+        "961f5260449b19613f5a34b2ce9f2fdd1f5df5aed5dc1642b2f48ff9abf05c71"
+    )
 
 
 def test_exact_schedule_budget_error():
