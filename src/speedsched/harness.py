@@ -200,10 +200,8 @@ def _stage2_makespan(
     node_budget: int,
 ) -> float:
     loads = [bag_load(bag, instance.jobs) for bag in part.bags]
-    if instance.all_or_nothing:
-        merged = merge_to_fit(loads, instance.true_speeds.count(1.0))
-        return max(merged) if merged else 0.0
-    return schedule(loads, instance.true_speeds, scheduler, node_budget).makespan
+    speeds = [s for s in instance.true_speeds if s != 0.0]
+    return schedule(loads, speeds, scheduler, node_budget).makespan
 
 
 def _instance_ratios(
@@ -220,8 +218,8 @@ def _instance_ratios(
     ``scheduler``.  The prediction-trusting partition is solved at most once
     per effective scheduler, by the first algorithm that needs it, and shared:
     ``one-consistent`` reports it and ``ipr`` starts from it.  Every
-    algorithm's bags are then scheduled on the true speeds (for all-or-nothing
-    speed instances: merged down to the usable machine count, one bag per
+    algorithm's bags are then placed by the effective scheduler on the true
+    speeds of the usable machines (a zero true speed marks an unusable
     machine), and ``reference()`` — the oracle value, called once after the
     last algorithm — divides each makespan.
 
@@ -290,9 +288,8 @@ def evaluate(
 ) -> float:
     """Approximation ratio of one algorithm on one instance.
 
-    Partitions on predicted speeds, schedules the bags on true speeds with the
-    chosen scheduler (for all-or-nothing speed instances: merge bags down to
-    the usable machine count, one bag per machine), and divides by
+    Partitions on predicted speeds, places the bags with the chosen scheduler
+    on the true speeds of the usable machines, and divides by
     :func:`oracle_value` (see :func:`_instance_ratios`).
     """
     spec = parse_algorithm(algorithm)

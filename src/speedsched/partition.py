@@ -16,9 +16,10 @@ All tie-breaks are by lowest index so every routine is deterministic.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .model import Assignment, Bag, IprState, Partition, bag_load, finite_floats
 from .solvers import DEFAULT_NODE_BUDGET, SCHEDULERS, schedule
@@ -66,18 +67,19 @@ class IprResult(NamedTuple):
 def _lpt_split(items: Sequence[tuple[float, int]], k: int) -> list[Bag]:
     """Split (load, job-index) items into ``k`` bags: items in non-increasing
     load order, each to the currently least-loaded bag, ties to the lowest
-    bag index.  Bags may come out empty when there are fewer items than bags."""
+    bag index.  Bags may come out empty when there are fewer items than bags.
+
+    The bags sit in a heap of ``(load, bag index)``, so the pick costs
+    O(log k) and equal loads still go to the lowest index; each new load is
+    the old one plus the item, as in a plain scan."""
     if k < 1:
         raise ValueError("bag count must be at least 1")
     bags: list[list[int]] = [[] for _ in range(k)]
-    loads = [0.0] * k
+    heap = [(0.0, i) for i in range(k)]
     for load, j in sorted(items, key=lambda t: (-t[0], t[1])):
-        target = 0
-        for i in range(1, k):
-            if loads[i] < loads[target]:
-                target = i
+        least, target = heap[0]
         bags[target].append(j)
-        loads[target] += load
+        heapq.heapreplace(heap, (least + load, target))
     return [tuple(sorted(b)) for b in bags]
 
 
@@ -125,12 +127,14 @@ def consistent_partition(
     return ConsistentPartition(Partition(bags_desc), opt_c_bar)
 
 
-def _global_min_bag(collections: Sequence[Sequence[Bag]], jobs: Sequence[float]) -> tuple[int, int, float]:
+def _global_min_bag(
+    collections: Sequence[Sequence[Bag]], load_of: Callable[[Bag], float]
+) -> tuple[int, int, float]:
     min_ci = min_bi = -1
     min_load = math.inf
     for ci, coll in enumerate(collections):
         for bi, bag in enumerate(coll):
-            load = bag_load(bag, jobs)
+            load = load_of(bag)
             if load < min_load:
                 min_load, min_ci, min_bi = load, ci, bi
     if min_ci < 0:
@@ -139,22 +143,23 @@ def _global_min_bag(collections: Sequence[Sequence[Bag]], jobs: Sequence[float])
 
 
 def _rebalance_once(
-    collections: list[list[Bag]], jobs: Sequence[float]
+    collections: list[list[Bag]], jobs: Sequence[float], load_of: Callable[[Bag], float]
 ) -> tuple[list[list[Bag]], float, int]:
     """One rebalance step; returns (new collections, receiving-collection load, bag count).
 
     Moves the globally smallest bag into the collection holding the largest
     multi-job bag, then re-splits that collection's jobs into as many bags as
     it now holds via LPT.  Only those two collections change; the total bag
-    count is conserved.
+    count is conserved.  ``load_of(bag)`` is the bag's load,
+    ``bag_load(bag, jobs)``.
     """
-    min_ci, min_bi, _ = _global_min_bag(collections, jobs)
+    min_ci, min_bi, _ = _global_min_bag(collections, load_of)
     max_ci = -1
     max_load = -1.0
     for ci, coll in enumerate(collections):
         for bag in coll:
             if len(bag) >= 2:
-                load = bag_load(bag, jobs)
+                load = load_of(bag)
                 if load > max_load:
                     max_load, max_ci = load, ci
     if max_ci < 0:
@@ -192,6 +197,9 @@ def ipr(
     again.  A caller running several algorithms on one instance solves it once
     and passes it to each.
 
+    Each bag's load is computed once per call: bags are immutable and every
+    job sits in exactly one bag, so a bag's load is looked up by the bag.
+
     Returns the final partition plus an :class:`~speedsched.model.IprState`
     trace (iteration count, minimum-bag-load history, last rebalance stats).
     """
@@ -207,12 +215,17 @@ def ipr(
     last_load: float | None = None
     last_count: int | None = None
     safety = 16 * len(speeds) * len(speeds) + 64
+    known: dict[Bag, float] = {}
+
+    def load_of(bag: Bag) -> float:
+        load = known.get(bag)
+        if load is None:
+            load = known[bag] = bag_load(bag, jobs)
+        return load
 
     while True:
-        all_loads = [bag_load(bag, jobs) for coll in collections for bag in coll]
-        multi_loads = [
-            bag_load(bag, jobs) for coll in collections for bag in coll if len(bag) >= 2
-        ]
+        all_loads = [load_of(bag) for coll in collections for bag in coll]
+        multi_loads = [load_of(bag) for coll in collections for bag in coll if len(bag) >= 2]
         b_min = min(all_loads)
         history.append(b_min)
         if not multi_loads or max(multi_loads) <= config.rho * b_min:
@@ -222,10 +235,10 @@ def ipr(
             raise RuntimeError(
                 f"rebalance loop exceeded safety bound {safety}; this indicates a bug"
             )
-        tentative, moved_load, moved_count = _rebalance_once(collections, jobs)
+        tentative, moved_load, moved_count = _rebalance_once(collections, jobs, load_of)
         last_load, last_count = moved_load, moved_count
         tentative_makespan = max(
-            sum(bag_load(bag, jobs) for bag in coll) / s
+            sum(load_of(bag) for bag in coll) / s
             for coll, s in zip(tentative, speeds_desc)
         )
         if tentative_makespan > guard:
@@ -312,8 +325,8 @@ def binary_speed_partition(
     subsets are taken in non-increasing load order.  Each subset is then
     LPT-split into either ``ceil(m / m_hat)`` or ``floor(m / m_hat)`` bags —
     the first ``m mod m_hat`` (heaviest) subsets get the extra bag — for ``m``
-    bags total.  If fewer machines than predicted turn out usable, merge the
-    bags down with :func:`~speedsched.solvers.merge_to_fit`.
+    bags total.  Stage two places the bags with the chosen scheduler on the
+    machines that turn out usable, however many there are.
     """
     if m < 1:
         raise ValueError("m must be at least 1")

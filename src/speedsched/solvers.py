@@ -11,8 +11,8 @@ Items may be raw jobs or whole bags; the solvers only see loads.
 Also here: the trivial makespan lower bound, a full-enumeration oracle used by
 tests and the verification harness, a capacity-guarded greedy that turns any
 sufficiently balanced partition into a schedule with a certified makespan
-ratio, and the smallest-pair bag merge used for instances where only a subset
-of machines turns out to be usable.
+ratio, and the smallest-pair bag merge of the paper's all-or-nothing lemma
+(checked by the verification harness).
 """
 
 from __future__ import annotations
@@ -73,21 +73,24 @@ def opt_lower_bound(loads: Sequence[float], speeds: Sequence[float]) -> float:
 def lpt_schedule(loads: Sequence[float], speeds: Sequence[float]) -> SolveResult:
     """Greedy: items in non-increasing load order, each to the machine where it
     finishes earliest given current loads; ties break to the lowest machine
-    index.  Deterministic, never optimal-flagged."""
+    index.  Deterministic, never optimal-flagged.  The scan over machines is
+    a plain loop with a strict ``<``: it is faster than a list or ``map``
+    argmin at the 50-machine experiment shape."""
     loads = finite_floats(loads, "item loads", allow_zero=True, allow_empty=True)
     speeds = finite_floats(speeds, "machine speeds")
     m = len(speeds)
     assign = [0] * len(loads)
     machine = [0.0] * m
     for j in sorted(range(len(loads)), key=lambda j: (-loads[j], j)):
+        p = loads[j]
         best_i = 0
-        best_v = (machine[0] + loads[j]) / speeds[0]
+        best_v = (machine[0] + p) / speeds[0]
         for i in range(1, m):
-            v = (machine[i] + loads[j]) / speeds[i]
+            v = (machine[i] + p) / speeds[i]
             if v < best_v:
                 best_v = v
                 best_i = i
-        machine[best_i] += loads[j]
+        machine[best_i] += p
         assign[j] = best_i
     mk = max(machine[i] / speeds[i] for i in range(m))
     return SolveResult(Schedule(tuple(assign), m), mk, optimal=False, nodes_explored=0)

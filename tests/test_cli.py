@@ -225,7 +225,7 @@ def test_schedule_skips_unusable_machines(tmp_path, capsys):
 def test_evaluate_all_or_nothing_instance(tmp_path, capsys):
     inst = write_all_or_nothing_instance(tmp_path, (1.0, 1.0, 0.0, 0.0))
     assert main(["evaluate", "--in", str(inst), "--algo", "one-consistent"]) == 0
-    assert float(capsys.readouterr().out) == pytest.approx(1.2)
+    assert float(capsys.readouterr().out) == pytest.approx(1.0)
 
 
 def test_evaluate_bare_ratio(tmp_path, capsys):

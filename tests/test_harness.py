@@ -252,13 +252,22 @@ def test_evaluate_binary_lb_family():
     assert evaluate(gen_binary_lb_instance(2), "one-consistent") == pytest.approx(4.0 / 3.0)
 
 
-def test_evaluate_binary_merges_to_usable_machines():
+def test_evaluate_binary_schedules_bags_on_usable_machines():
+    # Stage two places the bags with the scheduler on the usable machines, as
+    # `speedsched schedule` does: bags {4} {3} {2} {1} on two machines give
+    # 5 and 5, and bags {3} {3} {2} {2} {2} give 6 and 6, each the optimum.
     inst = small_instance(
         [4.0, 3.0, 2.0, 1.0],
         (1.0, 1.0, 0.0, 0.0),
         (1.0, 1.0, 1.0, 1.0),
     )
-    assert evaluate(inst, "one-consistent") == pytest.approx(1.2)
+    assert evaluate(inst, "one-consistent") == 1.0
+    inst = small_instance(
+        [3.0, 3.0, 2.0, 2.0, 2.0],
+        (1.0, 1.0, 0.0, 0.0, 0.0),
+        (1.0, 1.0, 1.0, 1.0, 1.0),
+    )
+    assert evaluate(inst, "one-consistent") == 1.0
 
 
 def test_evaluate_never_below_one_with_exact_oracle():
