@@ -169,11 +169,6 @@ class Dist:
             return self.a + (self.b - self.a) * rng.next_float()
         return self.a + self.b * normal_inv_cdf(rng.next_open_float())
 
-    def to_json_dict(self) -> dict:
-        if self.kind == "uniform":
-            return {"kind": "uniform", "lo": self.a, "hi": self.b}
-        return {"kind": "normal", "mu": self.a, "sigma": self.b}
-
     @classmethod
     def from_json_dict(cls, doc: object) -> "Dist":
         if not isinstance(doc, dict) or "kind" not in doc:

@@ -3,13 +3,15 @@
 ``evaluate`` measures one (instance, algorithm) pair end to end: partition on
 predicted speeds, schedule the bags on true speeds, divide by an oracle value.
 ``run_experiment`` sweeps a parameter and aggregates mean/std ratios into
-deterministic CSV rows.  Both evaluate an instance through one function, which
-solves the prediction-trusting partition once and shares it between
-``one-consistent`` and ``ipr``.  ``verify_properties`` re-checks every structural
-guarantee the algorithms are supposed to satisfy (balance bounds, monotone
-rebalancing, iteration caps, consistency/robustness envelopes, certificate
-feasibility, oracle agreement) over seeded random instances and reports the
-first counterexample when one exists.  ``theory_curves`` tabulates the
+deterministic CSV rows.  Both evaluate an instance through one function whose
+stage one is ``make_partition``, the one place that decides which partition
+each algorithm builds on; it solves the prediction-trusting partition once per
+scheduler and shares it between ``one-consistent`` and ``ipr``.
+``verify_properties`` re-checks every structural guarantee the algorithms are
+supposed to satisfy (balance bounds, monotone rebalancing, iteration caps,
+consistency/robustness envelopes, certificate feasibility, oracle agreement)
+over seeded random instances and reports the first counterexample when one
+exists.  ``theory_curves`` tabulates the
 guarantee envelopes as functions of the consistency knob alpha.
 """
 
@@ -19,7 +21,7 @@ import contextlib
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .gen import (
@@ -38,6 +40,7 @@ from .model import (
     bag_load,
     beta_ratio,
     instance_to_json,
+    left_sum,
     prediction_error,
     validate_partition,
 )
@@ -96,9 +99,12 @@ class AlgorithmSpec:
 
     @property
     def label(self) -> str:
-        if self.name == "ipr":
-            return f"ipr(alpha={self.alpha:g},rho={self.rho:g})"
-        return self.name
+        """The name, with ``alpha`` and ``rho`` for ``ipr`` and the pinned
+        scheduler if any: ``ipr(alpha=0.5,rho=4,scheduler=lpt)``."""
+        params = [f"alpha={self.alpha:g}", f"rho={self.rho:g}"] if self.name == "ipr" else []
+        if self.scheduler is not None:
+            params.append(f"scheduler={self.scheduler}")
+        return f"{self.name}({','.join(params)})" if params else self.name
 
 
 def parse_algorithm(spec: "AlgorithmSpec | str | dict") -> AlgorithmSpec:
@@ -126,54 +132,50 @@ def parse_algorithm(spec: "AlgorithmSpec | str | dict") -> AlgorithmSpec:
 # ---------------------------------------------------------------------------
 
 
-def _uses_consistent_partition(instance: Instance, spec: AlgorithmSpec) -> bool:
-    """Whether ``spec`` builds on the prediction-trusting partition: ``ipr``
-    always starts from it; ``one-consistent`` is it, except on all-or-nothing
-    speed instances."""
-    if spec.name == "ipr":
-        return True
-    return spec.name == "one-consistent" and not instance.all_or_nothing
-
-
 def make_partition(
     instance: Instance,
     algorithm: "AlgorithmSpec | str | dict",
     scheduler: str = "exact",
     node_budget: int = DEFAULT_NODE_BUDGET,
-    initial: ConsistentPartition | None = None,
+    trusting: dict[str, ConsistentPartition] | None = None,
 ) -> Partition:
     """Run the named partitioner on (jobs, predicted speeds).
 
-    On :attr:`~speedsched.model.Instance.all_or_nothing` instances the
-    prediction-trusting algorithm routes to
+    This is the one place that decides which partition an algorithm builds
+    on.  The algorithm's pinned scheduler, if any, replaces ``scheduler``, and
+    the result is validated.  ``lpt`` ignores the speeds.  On
+    :attr:`~speedsched.model.Instance.all_or_nothing` instances
+    ``one-consistent`` routes to
     :func:`~speedsched.partition.binary_speed_partition` with the predicted
-    usable count (the predicted speeds equal to 1.0).  ``initial``, when
-    given, is the prediction-trusting partition of the instance under the
-    effective scheduler; ``one-consistent`` and ``ipr`` then use it instead of
-    solving it again.
+    usable count (the predicted speeds equal to 1.0).  Otherwise
+    ``one-consistent`` is the prediction-trusting partition and ``ipr`` starts
+    from it.  ``trusting``, when given, memoises that partition per scheduler:
+    it is read before solving and filled after, so callers running several
+    algorithms on one instance solve it once per scheduler.
     """
     spec = parse_algorithm(algorithm)
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"scheduler must be one of {SCHEDULERS}")
     if spec.scheduler is not None:
         scheduler = spec.scheduler
+    if scheduler not in SCHEDULERS:
+        raise ValueError(f"scheduler must be one of {SCHEDULERS}")
     if spec.name == "lpt":
         return lpt_partition(instance.jobs, instance.m)
-    if not _uses_consistent_partition(instance, spec):  # one-consistent, all-or-nothing speeds
+    if spec.name == "one-consistent" and instance.all_or_nothing:
         m_hat = instance.predicted_speeds.count(1.0)
         return binary_speed_partition(
             instance.jobs, instance.m, m_hat, solver=scheduler, node_budget=node_budget
         )
-    if initial is None:
-        initial = consistent_partition(
+    if trusting is None:
+        trusting = {}
+    if scheduler not in trusting:
+        trusting[scheduler] = consistent_partition(
             instance.jobs, instance.predicted_speeds, solver=scheduler, node_budget=node_budget
         )
+    start = trusting[scheduler]
     if spec.name == "one-consistent":
-        return initial.partition
-    config = IprConfig(
-        alpha=spec.alpha, rho=spec.rho, initial_solver=scheduler, node_budget=node_budget
-    )
-    return ipr(instance.jobs, instance.predicted_speeds, config, initial).partition
+        return start.partition
+    config = IprConfig(alpha=spec.alpha, rho=spec.rho)
+    return ipr(instance.jobs, instance.predicted_speeds, config, start).partition
 
 
 def oracle_value(
@@ -193,61 +195,41 @@ def oracle_value(
     return opt_lower_bound(instance.jobs, speeds)
 
 
-def _stage2_makespan(
-    instance: Instance,
-    part: Partition,
-    scheduler: str,
-    node_budget: int,
-) -> float:
-    loads = [bag_load(bag, instance.jobs) for bag in part.bags]
-    speeds = [s for s in instance.true_speeds if s != 0.0]
-    return schedule(loads, speeds, scheduler, node_budget).makespan
-
-
-def _instance_ratios(
+def _instance_makespans(
     instance: Instance,
     algorithms: Sequence[AlgorithmSpec],
-    reference: Callable[[], float],
     scheduler: str = "exact",
     node_budget: int = DEFAULT_NODE_BUDGET,
     failure_context: Callable[[AlgorithmSpec], str] | None = None,
 ) -> list[float]:
-    """Approximation ratio of each algorithm on one instance, in order.
+    """Stage-two makespan of each algorithm on one instance, in order.
 
-    Each algorithm runs with its own scheduler if it pins one, else with
-    ``scheduler``.  The prediction-trusting partition is solved at most once
-    per effective scheduler, by the first algorithm that needs it, and shared:
-    ``one-consistent`` reports it and ``ipr`` starts from it.  Every
-    algorithm's bags are then placed by the effective scheduler on the true
-    speeds of the usable machines (a zero true speed marks an unusable
-    machine), and ``reference()`` — the oracle value, called once after the
-    last algorithm — divides each makespan.
+    Stage one is :func:`make_partition`, sharing one memo of the
+    prediction-trusting partition across the algorithms.  Stage two places the
+    bags with the scheduler stage one ran with (the algorithm's pinned one, else
+    ``scheduler``) on the true speeds of the usable machines (a zero true
+    speed marks an unusable machine).
 
     With ``failure_context``, an algorithm's error other than an exhausted node
     budget is re-raised as a :class:`RuntimeError` that names
     ``failure_context(spec)``.
     """
-    initial: dict[str, ConsistentPartition] = {}
+    trusting: dict[str, ConsistentPartition] = {}
+    speeds = [s for s in instance.true_speeds if s != 0.0]
     makespans = []
     for spec in algorithms:
-        sched = spec.scheduler if spec.scheduler is not None else scheduler
         try:
-            if sched not in SCHEDULERS:
-                raise ValueError(f"scheduler must be one of {SCHEDULERS}")
-            if _uses_consistent_partition(instance, spec) and sched not in initial:
-                initial[sched] = consistent_partition(
-                    instance.jobs, instance.predicted_speeds, sched, node_budget
-                )
-            part = make_partition(instance, spec, sched, node_budget, initial.get(sched))
-            makespans.append(_stage2_makespan(instance, part, sched, node_budget))
+            part = make_partition(instance, spec, scheduler, node_budget, trusting)
+            loads = [bag_load(bag, instance.jobs) for bag in part.bags]
+            stage2 = spec.scheduler or scheduler
+            makespans.append(schedule(loads, speeds, stage2, node_budget).makespan)
         except BudgetExceededError:
             raise
         except Exception as exc:
             if failure_context is None:
                 raise
             raise RuntimeError(f"evaluation failed at {failure_context(spec)}: {exc}") from exc
-    ref = reference()
-    return [alg / ref for alg in makespans]
+    return makespans
 
 
 @contextlib.contextmanager
@@ -267,16 +249,12 @@ def _evaluate_all(
     oracle: str,
     node_budget: int,
 ) -> list[float]:
-    """:func:`_instance_ratios` against :func:`oracle_value`; an exhausted node
-    budget names the instance."""
+    """:func:`_instance_makespans` over :func:`oracle_value`, which is computed
+    after the algorithms; an exhausted node budget names the instance."""
     with _budget_failure_names(f"instance name={instance.name!r} seed={instance.seed!r}"):
-        return _instance_ratios(
-            instance,
-            algorithms,
-            lambda: oracle_value(instance, oracle, node_budget),
-            scheduler,
-            node_budget,
-        )
+        makespans = _instance_makespans(instance, algorithms, scheduler, node_budget)
+        ref = oracle_value(instance, oracle, node_budget)
+    return [alg / ref for alg in makespans]
 
 
 def evaluate(
@@ -290,7 +268,7 @@ def evaluate(
 
     Partitions on predicted speeds, places the bags with the chosen scheduler
     on the true speeds of the usable machines, and divides by
-    :func:`oracle_value` (see :func:`_instance_ratios`).
+    :func:`oracle_value` (see :func:`_instance_makespans`).
     """
     spec = parse_algorithm(algorithm)
     return _evaluate_all(instance, [spec], scheduler, oracle, node_budget)[0]
@@ -397,34 +375,6 @@ class ExperimentConfig:
             n=n, m=m, job_dist=job_dist, speed_dist=speed_dist, err_sigma=err_sigma, seed=seed
         )
 
-    def to_json_dict(self) -> dict:
-        def _algorithm_json(a: AlgorithmSpec) -> "dict | str":
-            if a.name != "ipr" and a.scheduler is None:
-                return a.name
-            doc: dict = {"name": a.name}
-            if a.name == "ipr":
-                doc["alpha"] = a.alpha
-                doc["rho"] = a.rho
-            if a.scheduler is not None:
-                doc["scheduler"] = a.scheduler
-            return doc
-
-        return {
-            "n": self.n,
-            "m": self.m,
-            "job_dist": self.job_dist.to_json_dict(),
-            "speed_dist": self.speed_dist.to_json_dict(),
-            "err_sigma": self.err_sigma,
-            "sweep_param": self.sweep_param,
-            "sweep_values": None if self.sweep_values is None else list(self.sweep_values),
-            "algorithms": [_algorithm_json(a) for a in self.algorithms],
-            "instances_per_point": self.instances_per_point,
-            "scheduler": self.scheduler,
-            "oracle": self.oracle,
-            "seed": self.seed,
-            "node_budget": self.node_budget,
-        }
-
     @classmethod
     def from_json_dict(cls, doc: object) -> "ExperimentConfig":
         if not isinstance(doc, dict):
@@ -464,22 +414,14 @@ class ExperimentRow:
     oracle_kind: str
 
 
-EXPERIMENT_CSV_HEADER = (
-    "sweep_param",
-    "sweep_value",
-    "algorithm",
-    "mean_ratio",
-    "std_ratio",
-    "n_instances",
-    "oracle_kind",
-)
+EXPERIMENT_CSV_HEADER = tuple(f.name for f in fields(ExperimentRow))
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Evaluate every (sweep point, algorithm) cell; deterministic given config.
 
     Means and sample standard deviations are accumulated in seed order.  Each
-    instance goes through :func:`_instance_ratios`, so its prediction-trusting
+    instance goes through :func:`_instance_makespans`, so its prediction-trusting
     partition is solved once for all algorithms.  The oracle value is computed
     once per distinct (jobs, true speeds) and shared across algorithms and
     sweep points.  With the exact oracle, any ratio below ``1 - 1e-9`` aborts
@@ -500,17 +442,17 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
                 if ref is None:
                     ref = oracle_value(instance, config.oracle, config.node_budget)
                     oracle_cache[cache_key] = ref
-                measured = _instance_ratios(
+                makespans = _instance_makespans(
                     instance,
                     config.algorithms,
-                    lambda: ref,
                     config.scheduler,
                     config.node_budget,
                     lambda spec: (
                         f"{config.sweep_param}={value}, algorithm={spec.label}, seed={inst_seed}"
                     ),
                 )
-            for spec, ratio in zip(config.algorithms, measured):
+            for spec, alg in zip(config.algorithms, makespans):
+                ratio = alg / ref
                 if config.oracle == "exact" and ratio < 1.0 - 1e-9:
                     raise RuntimeError(
                         f"ratio {ratio} below 1 with exact oracle "
@@ -519,9 +461,9 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
                 ratios[spec.label].append(ratio)
         for spec in config.algorithms:
             values_list = ratios[spec.label]
-            mean = sum(values_list) / len(values_list)
+            mean = left_sum(values_list) / len(values_list)
             if len(values_list) > 1:
-                var = sum((x - mean) ** 2 for x in values_list) / (len(values_list) - 1)
+                var = left_sum((x - mean) ** 2 for x in values_list) / (len(values_list) - 1)
                 std = math.sqrt(var)
             else:
                 std = 0.0
@@ -541,7 +483,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     """CSV text: ``header``, then one line per row of ``rows``, each line ending
-    in a bare newline."""
+    in a bare newline.  Floats are written as their ``repr``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -550,14 +492,7 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
 
 
 def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
-    return csv_text(
-        EXPERIMENT_CSV_HEADER,
-        (
-            [r.sweep_param, repr(r.sweep_value), r.algorithm, repr(r.mean_ratio),
-             repr(r.std_ratio), r.n_instances, r.oracle_kind]
-            for r in rows
-        ),
-    )
+    return csv_text(EXPERIMENT_CSV_HEADER, map(astuple, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -574,13 +509,7 @@ class CurveRow:
     robustness_fluid: float
 
 
-CURVES_CSV_HEADER = (
-    "alpha",
-    "consistency",
-    "robustness_general",
-    "robustness_equal_jobs",
-    "robustness_fluid",
-)
+CURVES_CSV_HEADER = tuple(f.name for f in fields(CurveRow))
 
 
 def theory_curves(alphas: Sequence[float]) -> list[CurveRow]:
@@ -604,14 +533,7 @@ def theory_curves(alphas: Sequence[float]) -> list[CurveRow]:
 
 
 def curves_to_csv(rows: Sequence[CurveRow]) -> str:
-    return csv_text(
-        CURVES_CSV_HEADER,
-        (
-            [repr(r.alpha), repr(r.consistency), repr(r.robustness_general),
-             repr(r.robustness_equal_jobs), repr(r.robustness_fluid)]
-            for r in rows
-        ),
-    )
+    return csv_text(CURVES_CSV_HEADER, map(astuple, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -790,8 +712,8 @@ def verify_properties(
     for t in range(trials):
         inst = random_small_instance(rng)
         alpha = _ALPHA_CYCLE[t % len(_ALPHA_CYCLE)]
-        config = IprConfig(alpha=alpha, rho=4.0, node_budget=node_budget)
-        result = ipr(inst.jobs, inst.predicted_speeds, config)
+        initial = consistent_partition(inst.jobs, inst.predicted_speeds, "exact", node_budget)
+        result = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=alpha, rho=4.0), initial)
         state = result.state
         hist = state.b_min_history
         start = next((i for i, v in enumerate(hist) if v > 0.0), len(hist))
@@ -827,8 +749,7 @@ def verify_properties(
         )
         initial = consistent_partition(inst.jobs, inst.predicted_speeds, "exact", node_budget)
         for alpha in _ALPHA_CYCLE:
-            config = IprConfig(alpha=alpha, rho=4.0, node_budget=node_budget)
-            result = ipr(inst.jobs, inst.predicted_speeds, config, initial)
+            result = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=alpha, rho=4.0), initial)
             speeds_desc = sorted(inst.predicted_speeds, reverse=True)
             final = max(
                 sum(bag_load(b, inst.jobs) for b in coll) / s
@@ -869,8 +790,8 @@ def verify_properties(
     for t in range(trials):
         inst = random_small_instance(rng, unit_jobs=True)
         alpha = _ALPHA_CYCLE[t % len(_ALPHA_CYCLE)]
-        config = IprConfig(alpha=alpha, rho=2.0, node_budget=node_budget)
-        result = ipr(inst.jobs, inst.predicted_speeds, config)
+        initial = consistent_partition(inst.jobs, inst.predicted_speeds, "exact", node_budget)
+        result = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=alpha, rho=2.0), initial)
         beta = beta_ratio(result.partition, inst.jobs)
         rec.record(
             "unit-ipr-rho2-beta-bound",

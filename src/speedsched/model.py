@@ -17,11 +17,23 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import reduce
+from typing import Iterable, Sequence
 
 # A bag is a tuple of job indices, kept sorted ascending for determinism.
 Bag = tuple[int, ...]
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Float sum added strictly left to right from 0.0.
+
+    CPython 3.12 made ``sum()`` of floats compensated, which changes the last
+    bits; this fold gives the bits of ``sum()`` on 3.10-3.11 on every version,
+    so the sums behind pinned outputs use it.
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 def finite_floats(

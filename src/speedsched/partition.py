@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .model import Assignment, Bag, IprState, Partition, bag_load, finite_floats
-from .solvers import DEFAULT_NODE_BUDGET, SCHEDULERS, schedule
+from .model import Assignment, Bag, IprState, Partition, bag_load, finite_floats, left_sum
+from .solvers import DEFAULT_NODE_BUDGET, schedule
 
 
 @dataclass(frozen=True)
@@ -33,25 +33,17 @@ class IprConfig:
     assignment's predicted-speed makespan never exceeds ``(1 + alpha)`` times
     the initial prediction-trusting one.  ``rho`` is the bag-balance target the
     rebalance loop drives toward (4 in general; 2 suffices when all jobs are
-    equal).  ``initial_solver`` picks how the initial partition is computed:
-    "exact" (branch and bound, exactly prediction-optimal) or "lpt" (greedy,
-    approximately so).
+    equal).
     """
 
     alpha: float
     rho: float = 4.0
-    initial_solver: str = "exact"
-    node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
         if not self.rho >= 1.0:
             raise ValueError(f"rho must be >= 1, got {self.rho!r}")
-        if self.initial_solver not in SCHEDULERS:
-            raise ValueError(f"initial_solver must be one of {SCHEDULERS}")
-        if self.node_budget < 1:
-            raise ValueError("node_budget must be positive")
 
 
 class ConsistentPartition(NamedTuple):
@@ -169,7 +161,7 @@ def _rebalance_once(
     new[max_ci].append(moved)
     ell = len(new[max_ci])
     items = [(float(jobs[j]), j) for bag in new[max_ci] for j in bag]
-    total = sum(load for load, _ in items)
+    total = left_sum(load for load, _ in items)
     new[max_ci] = _lpt_split(items, ell)
     return new, total, ell
 
@@ -178,24 +170,20 @@ def ipr(
     jobs: Sequence[float],
     predicted_speeds: Sequence[float],
     config: IprConfig,
-    initial: ConsistentPartition | None = None,
+    initial: ConsistentPartition,
 ) -> IprResult:
     """Iterative partial rebalancing.
 
-    Starts from the prediction-trusting partition (one bag per machine,
-    machines taken in non-increasing predicted-speed order) and repeatedly
+    Starts from ``initial``, the prediction-trusting partition
+    ``consistent_partition(jobs, predicted_speeds, solver)`` under whichever
+    solver the caller chose (one bag per machine, machines taken in
+    non-increasing predicted-speed order), and repeatedly
     applies the rebalance step while some multi-job bag is more than
     ``config.rho`` times heavier than the smallest bag.  Each tentative step is
     vetted under the predicted speeds: if it would push the assignment's
     makespan beyond ``(1 + alpha)`` times the initial value, the step is
     discarded and the loop stops, so the consistency guarantee holds by
     construction no matter how unbalanced the bags remain.
-
-    ``initial`` is that starting partition when the caller already has it:
-    it must be ``consistent_partition(jobs, predicted_speeds,
-    config.initial_solver, config.node_budget)``, which is then not solved
-    again.  A caller running several algorithms on one instance solves it once
-    and passes it to each.
 
     Each bag's load is computed once per call: bags are immutable and every
     job sits in exactly one bag, so a bag's load is looked up by the bag.
@@ -204,8 +192,6 @@ def ipr(
     trace (iteration count, minimum-bag-load history, last rebalance stats).
     """
     speeds = finite_floats(predicted_speeds, "predicted speeds")
-    if initial is None:
-        initial = consistent_partition(jobs, speeds, config.initial_solver, config.node_budget)
     speeds_desc = sorted(speeds, reverse=True)
     collections: list[list[Bag]] = [[bag] for bag in initial.partition.bags]
     guard = (1.0 + config.alpha) * initial.opt_c_bar
@@ -238,7 +224,7 @@ def ipr(
         tentative, moved_load, moved_count = _rebalance_once(collections, jobs, load_of)
         last_load, last_count = moved_load, moved_count
         tentative_makespan = max(
-            sum(load_of(bag) for bag in coll) / s
+            left_sum(load_of(bag) for bag in coll) / s
             for coll, s in zip(tentative, speeds_desc)
         )
         if tentative_makespan > guard:
@@ -275,7 +261,7 @@ def fluid_ipr(
     (total_load,) = finite_floats([total_load], "total_load")
     IprConfig(alpha=alpha, rho=rho)  # validates ranges
     speeds_desc = sorted(speeds, reverse=True)
-    total_speed = sum(speeds_desc)
+    total_speed = left_sum(speeds_desc)
     collections: list[list[float]] = [[total_load * s / total_speed] for s in speeds_desc]
     guard = (1.0 + alpha) * (total_load / total_speed)
     safety = 16 * len(speeds) * len(speeds) + 64
@@ -298,10 +284,10 @@ def fluid_ipr(
         moved = tentative[min_ci].pop(min_bi)
         tentative[max_ci].append(moved)
         ell = len(tentative[max_ci])
-        within = sum(tentative[max_ci])
+        within = left_sum(tentative[max_ci])
         tentative[max_ci] = [within / ell] * ell
         tentative_makespan = max(
-            sum(coll) / s for coll, s in zip(tentative, speeds_desc)
+            left_sum(coll) / s for coll, s in zip(tentative, speeds_desc)
         )
         if tentative_makespan > guard:
             break

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Partition, Schedule, bag_load, beta_ratio, finite_floats
+from .model import Partition, Schedule, bag_load, beta_ratio, finite_floats, left_sum
 
 DEFAULT_NODE_BUDGET = 20_000_000
 SCHEDULERS = ("exact", "lpt")
@@ -67,7 +67,7 @@ def opt_lower_bound(loads: Sequence[float], speeds: Sequence[float]) -> float:
     speeds = finite_floats(speeds, "machine speeds")
     if not loads:
         return 0.0
-    return max(sum(loads) / sum(speeds), max(loads) / max(speeds))
+    return max(left_sum(loads) / left_sum(speeds), max(loads) / max(speeds))
 
 
 def lpt_schedule(loads: Sequence[float], speeds: Sequence[float]) -> SolveResult:
@@ -275,8 +275,8 @@ def capacity_robust_schedule(
     n_bags = partition.m
     loads = [bag_load(bag, jobs) for bag in partition.bags]
 
-    total_p = sum(jobs)
-    total_s = sum(speeds)
+    total_p = left_sum(jobs)
+    total_s = left_sum(speeds)
     scale = total_p / total_s
     scaled = [s * scale for s in speeds]
 

@@ -173,9 +173,13 @@ def test_dist_parse_rejects_garbage():
             Dist.parse(text)
 
 
-def test_dist_json_round_trip():
-    for dist in (Dist.uniform(-3.0, 7.5), Dist.normal(50.0, 5.0), Dist.normal(0.0, 0.0)):
-        assert Dist.from_json_dict(dist.to_json_dict()) == dist
+def test_dist_from_json():
+    for doc, dist in (
+        ({"kind": "uniform", "lo": -3.0, "hi": 7.5}, Dist.uniform(-3.0, 7.5)),
+        ({"kind": "normal", "mu": 50, "sigma": 5.0}, Dist.normal(50.0, 5.0)),
+        ({"kind": "normal", "mu": 0.0, "sigma": 0.0}, Dist.normal(0.0, 0.0)),
+    ):
+        assert Dist.from_json_dict(doc) == dist
 
 
 def test_dist_from_json_rejects_bad_docs():

@@ -96,6 +96,12 @@ def test_algorithm_labels():
     assert AlgorithmSpec("ipr", alpha=0.25, rho=2.0).label == "ipr(alpha=0.25,rho=2)"
 
 
+def test_pinned_scheduler_shows_in_label():
+    assert AlgorithmSpec("ipr", scheduler="lpt").label == "ipr(alpha=0.5,rho=4,scheduler=lpt)"
+    assert AlgorithmSpec("one-consistent", scheduler="lpt").label == "one-consistent(scheduler=lpt)"
+    assert AlgorithmSpec("lpt", scheduler="exact").label == "lpt(scheduler=exact)"
+
+
 def test_algorithm_spec_validation():
     with pytest.raises(ValueError):
         AlgorithmSpec("round-robin")
@@ -202,8 +208,35 @@ def test_make_partition_routes_binary_instances():
 
 def test_make_partition_ipr_matches_direct_call():
     inst = gen_synthetic(SyntheticConfig(n=10, m=3, err_sigma=8.0, seed=4))
-    expected = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=0.5, rho=4.0)).partition
-    assert make_partition(inst, "ipr") == expected
+    initial = consistent_partition(inst.jobs, inst.predicted_speeds)
+    expected = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=0.5, rho=4.0), initial)
+    assert make_partition(inst, "ipr") == expected.partition
+
+
+def test_make_partition_shares_trusting_partition_per_scheduler(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["solver"])
+        return consistent_partition(*args, **kwargs)
+
+    inst = gen_synthetic(SyntheticConfig(n=10, m=3, err_sigma=8.0, seed=4))
+    unshared = make_partition(inst, "ipr")
+    monkeypatch.setattr(harness, "consistent_partition", counting)
+    trusting = {}
+    trusted = make_partition(inst, "one-consistent", trusting=trusting)
+    assert make_partition(inst, "ipr", trusting=trusting) == unshared
+    make_partition(inst, AlgorithmSpec("ipr", scheduler="lpt"), trusting=trusting)
+    make_partition(inst, "one-consistent", scheduler="lpt", trusting=trusting)
+    assert calls == ["exact", "lpt"]
+    assert trusting["exact"].partition == trusted
+    assert set(trusting) == {"exact", "lpt"}
+
+
+def test_make_partition_validates_the_pinned_scheduler():
+    inst = small_instance([3.0, 2.0, 2.0], (1.0, 1.0), (2.0, 1.0))
+    pinned = AlgorithmSpec("one-consistent", scheduler="lpt")
+    assert make_partition(inst, pinned, scheduler="greedy") == make_partition(inst, pinned)
 
 
 def test_make_partition_rejects_bad_scheduler():
@@ -371,22 +404,41 @@ def test_synthetic_config_at_sigma_sweeps_need_normal_dists():
     assert ok.synthetic_config_at(1.0, seed=0).speed_dist == Dist.normal(20.0, 1.0)
 
 
-def test_experiment_config_json_round_trip():
-    cfg = ExperimentConfig(
+def test_experiment_config_from_json():
+    doc = {
+        "n": 6,
+        "m": 2,
+        "job_dist": {"kind": "normal", "mu": 50.0, "sigma": 5.0},
+        "speed_dist": {"kind": "uniform", "lo": 0.0, "hi": 40.0},
+        "err_sigma": 0.0,
+        "sweep_param": "err_sigma",
+        "sweep_values": [0.0, 10],
+        "algorithms": [
+            "one-consistent",
+            {"name": "ipr", "alpha": 0.5, "rho": 4.0, "scheduler": "lpt"},
+            "lpt",
+        ],
+        "instances_per_point": 5,
+        "scheduler": "exact",
+        "oracle": "lower_bound",
+        "seed": 3,
+        "node_budget": 1000,
+    }
+    assert ExperimentConfig.from_json_dict(doc) == ExperimentConfig(
         n=6,
         m=2,
-        algorithms=("one-consistent", {"name": "ipr", "scheduler": "lpt"}, "lpt"),
+        job_dist=Dist.normal(50.0, 5.0),
+        algorithms=(
+            AlgorithmSpec("one-consistent"),
+            AlgorithmSpec("ipr", scheduler="lpt"),
+            AlgorithmSpec("lpt"),
+        ),
         instances_per_point=5,
         sweep_values=(0.0, 10.0),
+        oracle="lower_bound",
         seed=3,
+        node_budget=1000,
     )
-    doc = cfg.to_json_dict()
-    assert doc["algorithms"] == [
-        "one-consistent",
-        {"name": "ipr", "alpha": 0.5, "rho": 4.0, "scheduler": "lpt"},
-        "lpt",
-    ]
-    assert ExperimentConfig.from_json_dict(doc) == cfg
 
 
 def test_experiment_config_from_json_rejects_unknown_keys():
@@ -436,6 +488,25 @@ def test_run_experiment_trends():
 
 def test_run_experiment_is_deterministic():
     assert run_experiment(small_sweep_config()) == run_experiment(small_sweep_config())
+
+
+def test_run_experiment_reports_pinned_and_unpinned_ipr_apart():
+    config = ExperimentConfig(
+        n=6,
+        m=2,
+        instances_per_point=5,
+        sweep_values=(5.0,),
+        algorithms=(AlgorithmSpec("ipr"), AlgorithmSpec("ipr", scheduler="lpt")),
+    )
+    rows = run_experiment(config)
+    assert [r.algorithm for r in rows] == [
+        "ipr(alpha=0.5,rho=4)",
+        "ipr(alpha=0.5,rho=4,scheduler=lpt)",
+    ]
+    via_config = ExperimentConfig(
+        n=6, m=2, instances_per_point=5, sweep_values=(5.0,), algorithms=("ipr",), scheduler="lpt"
+    )
+    assert rows[1].mean_ratio == run_experiment(via_config)[0].mean_ratio
 
 
 def test_run_experiment_honours_per_algorithm_scheduler():
@@ -515,7 +586,9 @@ def test_rows_to_csv_format():
     ]
     text = rows_to_csv(rows)
     lines = text.split("\n")
-    assert lines[0] == ",".join(EXPERIMENT_CSV_HEADER)
+    assert lines[0] == ",".join(EXPERIMENT_CSV_HEADER) == (
+        "sweep_param,sweep_value,algorithm,mean_ratio,std_ratio,n_instances,oracle_kind"
+    )
     assert lines[1] == "err_sigma,0.0,lpt,1.25,0.5,10,exact"
     # The parameterised label contains a comma, so the CSV writer quotes it.
     assert lines[2] == 'err_sigma,2.5,"ipr(alpha=0.5,rho=4)",1.0,0.0,10,exact'
