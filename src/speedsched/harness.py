@@ -2,27 +2,31 @@
 
 ``evaluate`` measures one (instance, algorithm) pair end to end: partition on
 predicted speeds, schedule the bags on true speeds, divide by an oracle value.
-``run_experiment`` sweeps a parameter and aggregates mean/std ratios into
-deterministic CSV rows.  Both evaluate an instance through one function whose
-stage one is ``make_partition``, the one place that decides which partition
-each algorithm builds on; it solves the prediction-trusting partition once per
-scheduler and shares it between ``one-consistent`` and ``ipr``.
-``verify_properties`` re-checks every structural guarantee the algorithms are
-supposed to satisfy (balance bounds, monotone rebalancing, iteration caps,
-consistency/robustness envelopes, certificate feasibility, oracle agreement)
-over seeded random instances and reports the first counterexample when one
-exists.  ``theory_curves`` tabulates the
-guarantee envelopes as functions of the consistency knob alpha.
+``run_experiment`` sweeps a parameter, one instance seed per worker process,
+and aggregates mean/std ratios into deterministic CSV rows.  Both evaluate an
+instance through one function whose stage one is ``make_partition``, the one
+place that decides which partition each algorithm builds on; it solves the
+prediction-trusting partition once per scheduler and shares it between
+``one-consistent`` and ``ipr``.  ``verify_properties`` re-checks every
+structural guarantee the algorithms are supposed to satisfy (balance bounds,
+monotone rebalancing, iteration caps, consistency/robustness envelopes,
+certificate feasibility, oracle agreement) over seeded random instances and
+reports the first counterexample when one exists.  ``theory_curves``
+tabulates the guarantee envelopes as functions of the consistency knob alpha.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import math
+import os
+import threading
 from dataclasses import astuple, dataclass, fields
-from typing import Callable, Iterable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .gen import (
     Dist,
@@ -149,7 +153,8 @@ def make_partition(
     :func:`~speedsched.partition.binary_speed_partition` with the predicted
     usable count (the predicted speeds equal to 1.0).  Otherwise
     ``one-consistent`` is the prediction-trusting partition and ``ipr`` starts
-    from it.  ``trusting``, when given, memoises that partition per scheduler:
+    from it; ``ipr`` rejects a prediction with a zero speed before any solve.
+    ``trusting``, when given, memoises that partition per scheduler:
     it is read before solving and filled after, so callers running several
     algorithms on one instance solve it once per scheduler.
     """
@@ -160,6 +165,12 @@ def make_partition(
         raise ValueError(f"scheduler must be one of {SCHEDULERS}")
     if spec.name == "lpt":
         return lpt_partition(instance.jobs, instance.m)
+    if spec.name == "ipr" and 0.0 in instance.predicted_speeds:
+        unusable = [i for i, s in enumerate(instance.predicted_speeds) if s == 0.0]
+        raise ValueError(
+            f"ipr rebalances on positive predicted speeds, but the prediction marks "
+            f"machines {unusable} unusable (speed 0.0)"
+        )
     if spec.name == "one-consistent" and instance.all_or_nothing:
         m_hat = instance.predicted_speeds.count(1.0)
         return binary_speed_partition(
@@ -417,50 +428,159 @@ class ExperimentRow:
 EXPERIMENT_CSV_HEADER = tuple(f.name for f in fields(ExperimentRow))
 
 
+def _seed_ratios(config: ExperimentConfig, inst_seed: int) -> Iterator[list[float]]:
+    """The ratios of every algorithm on the instances of seed ``inst_seed``, one
+    list per sweep point, in sweep order.
+
+    The oracle value is computed once per distinct (jobs, true speeds) of the
+    seed and shared across algorithms and sweep points.  With the exact
+    oracle, any ratio below ``1 - 1e-9`` aborts loudly — it would mean the
+    oracle is not an oracle.  An exhausted node budget names the sweep point
+    and the seed.
+    """
+    oracle_cache: dict[tuple, float] = {}
+    for value in config.resolved_sweep_values():
+        instance = gen_synthetic(config.synthetic_config_at(value, inst_seed))
+        cache_key = (instance.jobs, instance.true_speeds)
+        with _budget_failure_names(f"{config.sweep_param}={value} seed={inst_seed}"):
+            ref = oracle_cache.get(cache_key)
+            if ref is None:
+                ref = oracle_value(instance, config.oracle, config.node_budget)
+                oracle_cache[cache_key] = ref
+            makespans = _instance_makespans(
+                instance,
+                config.algorithms,
+                config.scheduler,
+                config.node_budget,
+                lambda spec: (
+                    f"{config.sweep_param}={value}, algorithm={spec.label}, seed={inst_seed}"
+                ),
+            )
+        ratios = [alg / ref for alg in makespans]
+        for ratio in ratios:
+            if config.oracle == "exact" and ratio < 1.0 - 1e-9:
+                raise RuntimeError(
+                    f"ratio {ratio} below 1 with exact oracle "
+                    f"({config.sweep_param}={value}, seed={inst_seed}); solver bug"
+                )
+        yield ratios
+
+
+def _completed_points(
+    config: ExperimentConfig, first_failure: Any, inst_seed: int
+) -> list[list[float]]:
+    """:func:`_seed_ratios` over the sweep points a serial run reaches.
+
+    A serial run goes sweep point by sweep point, and seed by seed within a
+    point, so instance ``(point, rep)`` has the serial index
+    ``point * instances_per_point + rep``.  ``first_failure.value``, shared
+    by all seeds, is the lowest index known to fail; this seed stops before
+    any point past it, and a failure here lowers it.  The error itself is
+    dropped: it would not survive the trip back from a worker process
+    (pickling loses ``BudgetExceededError.nodes_explored`` and
+    ``__cause__``).
+    """
+    rep = inst_seed - config.seed
+    points = _seed_ratios(config, inst_seed)
+    done: list[list[float]] = []
+    for point in range(len(config.resolved_sweep_values())):
+        index = point * config.instances_per_point + rep
+        if index > first_failure.value:
+            break
+        try:
+            done.append(next(points))
+        except Exception:
+            with first_failure.get_lock():
+                first_failure.value = min(first_failure.value, index)
+            break
+    return done
+
+
+_worker_task: Callable[[int], list[list[float]]] | None = None  # set in each worker process
+
+
+def _start_worker(task: Callable[[int], list[list[float]]]) -> None:
+    global _worker_task
+    _worker_task = task
+
+
+def _run_worker_task(seed: int) -> list[list[float]]:
+    return _worker_task(seed)
+
+
+def _map_seeds(
+    task: Callable[[Any, int], list[list[float]]], seeds: list[int], no_failure: int
+) -> tuple[list[list[list[float]]], int]:
+    """``task(first_failure, seed)`` for every seed, in seed order, and the
+    final ``first_failure.value``, which starts at ``no_failure``.
+
+    The seeds run on a pool of workers forked from this process, one per CPU
+    it may use and at most one per seed, which share ``first_failure``.
+    With one such CPU, where ``fork`` is unavailable, or when this process
+    runs other threads (a forked child would inherit the locks they hold,
+    held forever), they run here and no process is started.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(seeds))
+    if workers > 1 and threading.active_count() == 1:
+        # Imported here, not at module level: they slow every import.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            ctx = multiprocessing.get_context("fork")
+            first_failure = ctx.Value("q", no_failure)
+            # The workers inherit the task and the shared value when forked;
+            # neither could be pickled with each seed.  A worker that dies
+            # raises BrokenProcessPool here instead of leaving the run hung.
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=ctx,
+                initializer=_start_worker,
+                initargs=(functools.partial(task, first_failure),),
+            ) as pool:
+                results = list(pool.map(_run_worker_task, seeds))
+            return results, first_failure.value
+    first_failure = SimpleNamespace(value=no_failure, get_lock=contextlib.nullcontext)
+    results = [task(first_failure, seed) for seed in seeds]
+    return results, first_failure.value
+
+
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Evaluate every (sweep point, algorithm) cell; deterministic given config.
 
-    Means and sample standard deviations are accumulated in seed order.  Each
-    instance goes through :func:`_instance_makespans`, so its prediction-trusting
-    partition is solved once for all algorithms.  The oracle value is computed
-    once per distinct (jobs, true speeds) and shared across algorithms and
-    sweep points.  With the exact oracle, any ratio below ``1 - 1e-9`` aborts
-    loudly — it would mean the oracle is not an oracle.  An exhausted node
-    budget names the sweep point and seed of the instance that ran out.
+    Each instance seed goes through every sweep point in :func:`_seed_ratios`,
+    and each instance through :func:`_instance_makespans`, so its
+    prediction-trusting partition is solved once for all algorithms.  The
+    seeds run in parallel on the CPUs this process may use (see
+    :func:`_map_seeds`); ``taskset -c 0`` gives a serial run in this process.
+    Either way the rows are the same: means and sample standard deviations
+    are added in seed order, so the CSV bytes do not depend on the number of
+    CPUs.  A failure raises the error that a serial run over sweep points,
+    and seeds within a point, meets first: the seeds stop short of the sweep
+    points such a run would not reach, and the failing seed runs again here
+    to raise it.
     """
+    values = config.resolved_sweep_values()
+    seeds = [config.seed + rep for rep in range(config.instances_per_point)]
+    no_failure = len(values) * len(seeds)
+    results, first_failure = _map_seeds(
+        functools.partial(_completed_points, config), seeds, no_failure
+    )
+    if first_failure < no_failure:
+        point, rep = divmod(first_failure, len(seeds))
+        for _ in _seed_ratios(config, seeds[rep]):
+            pass
+        raise RuntimeError(
+            f"seed {seeds[rep]} failed at sweep point {values[point]} but not when run again"
+        )
     rows: list[ExperimentRow] = []
-    oracle_cache: dict[tuple, float] = {}
-    for value in config.resolved_sweep_values():
-        ratios: dict[str, list[float]] = {spec.label: [] for spec in config.algorithms}
-        for rep in range(config.instances_per_point):
-            inst_seed = config.seed + rep
-            syn = config.synthetic_config_at(value, inst_seed)
-            instance = gen_synthetic(syn)
-            cache_key = (instance.jobs, instance.true_speeds)
-            with _budget_failure_names(f"{config.sweep_param}={value} seed={inst_seed}"):
-                ref = oracle_cache.get(cache_key)
-                if ref is None:
-                    ref = oracle_value(instance, config.oracle, config.node_budget)
-                    oracle_cache[cache_key] = ref
-                makespans = _instance_makespans(
-                    instance,
-                    config.algorithms,
-                    config.scheduler,
-                    config.node_budget,
-                    lambda spec: (
-                        f"{config.sweep_param}={value}, algorithm={spec.label}, seed={inst_seed}"
-                    ),
-                )
-            for spec, alg in zip(config.algorithms, makespans):
-                ratio = alg / ref
-                if config.oracle == "exact" and ratio < 1.0 - 1e-9:
-                    raise RuntimeError(
-                        f"ratio {ratio} below 1 with exact oracle "
-                        f"({config.sweep_param}={value}, seed={inst_seed}); solver bug"
-                    )
-                ratios[spec.label].append(ratio)
-        for spec in config.algorithms:
-            values_list = ratios[spec.label]
+    for point, value in enumerate(values):
+        for j, spec in enumerate(config.algorithms):
+            values_list = [done[point][j] for done in results]
             mean = left_sum(values_list) / len(values_list)
             if len(values_list) > 1:
                 var = left_sum((x - mean) ** 2 for x in values_list) / (len(values_list) - 1)

@@ -1,6 +1,11 @@
 """End-to-end tests for the command-line interface (in-process main)."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +233,13 @@ def test_evaluate_all_or_nothing_instance(tmp_path, capsys):
     assert float(capsys.readouterr().out) == pytest.approx(1.0)
 
 
+def test_evaluate_ipr_rejects_predicted_unusable_machines(tmp_path, capsys):
+    inst = write_instance(tmp_path, "dead", [3.0, 3.0, 2.0, 2.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0])
+    assert main(["evaluate", "--in", str(inst), "--algo", "ipr"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ipr ") and "machines [1] unusable" in err
+
+
 def test_evaluate_bare_ratio(tmp_path, capsys):
     inst = write_instance(tmp_path, "trap", [1.0] * 10, [1.0, 1.0], [9.0, 1.0])
     assert main(["evaluate", "--in", str(inst), "--algo", "one-consistent"]) == 0
@@ -329,6 +341,50 @@ def test_experiment_rejects_bad_config(tmp_path, capsys):
     path.write_text(json.dumps({"bogus": 1}))
     assert main(["experiment", "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_import_and_one_cpu_experiment_leave_multiprocessing_unloaded(tmp_path):
+    # Importing multiprocessing would add about a quarter to the package's
+    # import time and 1.5 MB of memory, so only a pooled experiment loads it.
+    code = (
+        "import os, sys\n"
+        "import speedsched.cli\n"
+        "print('multiprocessing' in sys.modules)\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "speedsched.cli.main(['experiment', '--config', sys.argv[1], '--out', os.devnull])\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(experiment_config_file(tmp_path))],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_experiment_fails_when_a_worker_process_dies(tmp_path):
+    # A worker killed from outside (say by the out-of-memory killer) must end
+    # the run with an internal error, not leave it waiting forever.
+    code = (
+        "import os, sys\n"
+        "from speedsched import cli, harness\n"
+        "parent, generate = os.getpid(), harness.gen_synthetic\n"
+        "def dying(config):\n"
+        "    if os.getpid() != parent and config.seed == 1:\n"
+        "        os._exit(9)\n"
+        "    return generate(config)\n"
+        "harness.gen_synthetic = dying\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "sys.exit(cli.main(['experiment', '--config', sys.argv[1]]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(experiment_config_file(tmp_path))],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: ") and "terminated abruptly" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

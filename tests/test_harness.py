@@ -1,10 +1,14 @@
 """Tests for the evaluation harness: specs, ratios, experiments, verification."""
 
+import json
 import math
+import multiprocessing
+import os
+import threading
 
 import pytest
 
-from speedsched import harness, partition
+from speedsched import cli, harness, partition
 from speedsched.gen import (
     Dist,
     SplitMix64,
@@ -211,6 +215,20 @@ def test_make_partition_ipr_matches_direct_call():
     initial = consistent_partition(inst.jobs, inst.predicted_speeds)
     expected = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=0.5, rho=4.0), initial)
     assert make_partition(inst, "ipr") == expected.partition
+
+
+def test_make_partition_rejects_ipr_on_predicted_unusable_machines(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("solved before rejecting")
+
+    monkeypatch.setattr(harness, "consistent_partition", unexpected)
+    inst = small_instance([3.0, 3.0, 2.0, 2.0], (1.0, 1.0, 0.0), (1.0, 0.0, 1.0))
+    assert inst.all_or_nothing
+    with pytest.raises(ValueError, match=r"^ipr .* machines \[1\] unusable"):
+        make_partition(inst, "ipr")
+    monkeypatch.undo()
+    assert evaluate(inst, "one-consistent") == 1.0
+    assert evaluate(inst, "lpt") == pytest.approx(1.2)
 
 
 def test_make_partition_shares_trusting_partition_per_scheduler(monkeypatch):
@@ -546,6 +564,7 @@ def test_run_experiment_honours_per_algorithm_scheduler():
 def test_run_experiment_solves_consistent_partition_once_per_scheduler(
     monkeypatch, algorithms, solves_per_instance
 ):
+    use_cpus(monkeypatch, 1)  # the seeds run in this process, where the calls are counted
     calls = []
 
     def counting(*args, **kwargs):
@@ -559,6 +578,107 @@ def test_run_experiment_solves_consistent_partition_once_per_scheduler(
     )
     run_experiment(config)
     assert len(calls) == solves_per_instance * 2 * 4
+
+
+def use_cpus(monkeypatch, count):
+    """Make ``run_experiment`` see ``count`` usable CPUs: with one it runs every
+    seed in this process, with more it forks a pool of that many workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def record_pids(monkeypatch, path):
+    """Append the id of the process behind every ``gen_synthetic`` call to ``path``."""
+
+    def recording(config):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return gen_synthetic(config)
+
+    monkeypatch.setattr(harness, "gen_synthetic", recording)
+    return lambda: set(path.read_text(encoding="utf-8").split()) if path.exists() else set()
+
+
+POOL_CONFIGS = [
+    ExperimentConfig(
+        n=7, m=3, instances_per_point=4, sweep_values=(0.0, 10.0, 20.0), seed=5,
+        algorithms=("one-consistent", "ipr", {"name": "ipr", "scheduler": "lpt"}, "lpt"),
+    ),
+    ExperimentConfig(
+        sweep_param="n", sweep_values=(5, 8), m=3, instances_per_point=3, oracle="lower_bound",
+        algorithms=({"name": "one-consistent", "scheduler": "lpt"}, "ipr", "lpt"),
+    ),
+    ExperimentConfig(
+        sweep_param="m", sweep_values=(2, 3, 4), n=9, instances_per_point=5, err_sigma=8.0,
+        algorithms=("one-consistent", {"name": "ipr", "alpha": 0.25, "scheduler": "lpt"}),
+    ),
+]
+
+
+@pytest.mark.parametrize("config", POOL_CONFIGS, ids=["err_sigma", "n", "m"])
+def test_run_experiment_pool_gives_the_in_process_rows(monkeypatch, tmp_path, config):
+    pids = record_pids(monkeypatch, tmp_path / "in-process")
+    use_cpus(monkeypatch, 1)
+    in_process = run_experiment(config)
+    assert pids() == {str(os.getpid())}
+    pids = record_pids(monkeypatch, tmp_path / "pooled")
+    use_cpus(monkeypatch, 3)
+    assert run_experiment(config) == in_process
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert pids() and str(os.getpid()) not in pids()
+
+
+def test_run_experiment_forks_no_worker_from_a_threaded_process(monkeypatch, tmp_path):
+    pids = record_pids(monkeypatch, tmp_path / "pids")
+    use_cpus(monkeypatch, 3)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        run_experiment(POOL_CONFIGS[0])
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert pids() == {str(os.getpid())}
+
+
+def test_run_experiment_raises_the_first_failure_in_serial_order(monkeypatch, capsys, tmp_path):
+    # Seed 4 runs out of nodes at m=4, seed 6 already at m=3; a serial run
+    # meets seed 6's failure first, and so must a pooled one.
+    doc = {"sweep_param": "m", "sweep_values": [2, 3, 4], "n": 10, "instances_per_point": 3,
+           "seed": 4, "node_budget": 200}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    outcomes = []
+    for cpus in (1, 3):
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(BudgetExceededError) as excinfo:
+            run_experiment(ExperimentConfig.from_json_dict(doc))
+        code = cli.main(["experiment", "--config", str(path)])
+        outcomes.append((str(excinfo.value), excinfo.value.nodes_explored, code,
+                         capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    message, nodes, code, err = outcomes[0]
+    assert message.endswith(" [m=3.0 seed=6]") and nodes > 200
+    assert (code, err) == (3, f"error: {message}\n")
+
+
+def test_run_experiment_runs_no_instance_after_the_first_failure(monkeypatch):
+    # Seed 0 runs out of nodes at the first sweep point, where a serial run
+    # stops; it runs once more to raise its error, and no other seed runs.
+    seeds = []
+
+    def recording(config):
+        seeds.append(config.seed)
+        return gen_synthetic(config)
+
+    monkeypatch.setattr(harness, "gen_synthetic", recording)
+    use_cpus(monkeypatch, 1)
+    config = ExperimentConfig(n=6, m=2, instances_per_point=4, sweep_values=(0.0, 10.0),
+                              node_budget=1)
+    with pytest.raises(BudgetExceededError, match=r"\[err_sigma=0.0 seed=0\]$"):
+        run_experiment(config)
+    assert seeds == [0, 0]
 
 
 def test_evaluate_matches_run_experiment():
