@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .model import Assignment, Bag, IprState, Partition, bag_load, finite_floats, left_sum
-from .solvers import DEFAULT_NODE_BUDGET, schedule
+from .solvers import DEFAULT_NODE_BUDGET, SolveResult, schedule
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,11 @@ def consistent_partition(
     predicted_speeds: Sequence[float],
     solver: str = "exact",
     node_budget: int = DEFAULT_NODE_BUDGET,
+    solves: dict[tuple, SolveResult] | None = None,
 ) -> ConsistentPartition:
     """Partition that trusts the predictions: one bag per machine, computed by
-    scheduling the jobs on the *predicted* speeds.
+    scheduling the jobs on the *predicted* speeds (memoised in ``solves``, see
+    :func:`~speedsched.solvers.schedule`).
 
     Bags are reordered so loads are non-increasing, paired with the predicted
     speeds sorted non-increasing; this pairing never increases the makespan, so
@@ -103,7 +105,7 @@ def consistent_partition(
     """
     speeds = finite_floats(predicted_speeds, "predicted speeds")
     m = len(speeds)
-    result = schedule(jobs, speeds, solver, node_budget)
+    result = schedule(jobs, speeds, solver, node_budget, solves)
     groups: list[list[int]] = [[] for _ in range(m)]
     for j, i in enumerate(result.schedule.bag_to_machine):
         groups[i].append(j)

@@ -240,6 +240,15 @@ def test_evaluate_ipr_rejects_predicted_unusable_machines(tmp_path, capsys):
     assert err.startswith("error: ipr ") and "machines [1] unusable" in err
 
 
+def test_evaluate_one_consistent_rejects_predicted_unusable_machines(tmp_path, capsys):
+    # A related-speed instance (true speed 2.0), so 0.0 cannot mean an
+    # all-or-nothing prediction; the error names the algorithm and machine.
+    inst = write_instance(tmp_path, "dead", [3.0, 3.0, 2.0, 2.0], [1.0, 1.0, 2.0], [1.0, 0.0, 2.0])
+    assert main(["evaluate", "--in", str(inst), "--algo", "one-consistent"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: one-consistent ") and "machines [1] unusable" in err
+
+
 def test_evaluate_bare_ratio(tmp_path, capsys):
     inst = write_instance(tmp_path, "trap", [1.0] * 10, [1.0, 1.0], [9.0, 1.0])
     assert main(["evaluate", "--in", str(inst), "--algo", "one-consistent"]) == 0
@@ -362,6 +371,21 @@ def test_import_and_one_cpu_experiment_leave_multiprocessing_unloaded(tmp_path):
     assert proc.stdout.split() == ["False", "False"]
 
 
+def test_one_cpu_verify_leaves_multiprocessing_unloaded():
+    code = (
+        "import os, sys\n"
+        "import speedsched.cli\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "speedsched.cli.main(['verify', '--trials', '1'])\n"
+        "print('multiprocessing' in sys.modules, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stderr.split() == ["False"]
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
 def test_experiment_fails_when_a_worker_process_dies(tmp_path):
     # A worker killed from outside (say by the out-of-memory killer) must end
@@ -382,6 +406,28 @@ def test_experiment_fails_when_a_worker_process_dies(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", code, str(experiment_config_file(tmp_path))],
         env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: ") and "terminated abruptly" in proc.stderr
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_verify_fails_when_a_worker_process_dies():
+    code = (
+        "import os, sys\n"
+        "from speedsched import cli, harness\n"
+        "parent, fluid = os.getpid(), harness.fluid_ipr\n"
+        "def dying(*args, **kwargs):\n"
+        "    if os.getpid() != parent:\n"
+        "        os._exit(9)\n"
+        "    return fluid(*args, **kwargs)\n"
+        "harness.fluid_ipr = dying\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "sys.exit(cli.main(['verify', '--trials', '2']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 4
     assert proc.stderr.startswith("error: ") and "terminated abruptly" in proc.stderr

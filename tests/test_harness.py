@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from speedsched import cli, harness, partition
+from speedsched import cli, harness, partition, solvers
 from speedsched.gen import (
     Dist,
     SplitMix64,
@@ -39,7 +39,7 @@ from speedsched.harness import (
 )
 from speedsched.model import Instance, validate_partition
 from speedsched.partition import IprConfig, binary_speed_partition, consistent_partition, ipr, lpt_partition
-from speedsched.solvers import BudgetExceededError, opt_lower_bound
+from speedsched.solvers import BudgetExceededError, exact_schedule, opt_lower_bound
 
 EXPECTED_PROPERTY_NAMES = [
     "gen-valid-instances",
@@ -229,6 +229,20 @@ def test_make_partition_rejects_ipr_on_predicted_unusable_machines(monkeypatch):
     monkeypatch.undo()
     assert evaluate(inst, "one-consistent") == 1.0
     assert evaluate(inst, "lpt") == pytest.approx(1.2)
+
+
+def test_make_partition_rejects_one_consistent_on_predicted_unusable_machines(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("solved before rejecting")
+
+    monkeypatch.setattr(harness, "consistent_partition", unexpected)
+    inst = small_instance([3.0, 3.0, 2.0, 2.0], (1.0, 1.0, 2.0), (1.0, 0.0, 2.0))
+    assert not inst.all_or_nothing
+    for algorithm in ("one-consistent", "ipr"):
+        with pytest.raises(ValueError, match=rf"^{algorithm} .* machines \[1\] unusable"):
+            make_partition(inst, algorithm)
+    monkeypatch.undo()
+    assert evaluate(inst, "lpt") == 1.0
 
 
 def test_make_partition_shares_trusting_partition_per_scheduler(monkeypatch):
@@ -681,6 +695,37 @@ def test_run_experiment_runs_no_instance_after_the_first_failure(monkeypatch):
     assert seeds == [0, 0]
 
 
+def test_run_experiment_solves_each_subproblem_once_per_seed(monkeypatch):
+    # The seeds run in this process, where the calls are counted.  Every
+    # instance of a seed has the same jobs and true speeds, so the oracle,
+    # lpt's partition and lpt's stage two are solved once per seed, and the
+    # err_sigma=0 trusting solve is the oracle's subproblem.
+    use_cpus(monkeypatch, 1)
+    exact_calls, lpt_partitions = [], []
+
+    def exact(loads, speeds, node_budget):
+        exact_calls.append((tuple(loads), tuple(speeds)))
+        return exact_schedule(loads, speeds, node_budget)
+
+    def lpt_split(jobs, k):
+        lpt_partitions.append(tuple(jobs))
+        return lpt_partition(jobs, k)
+
+    monkeypatch.setattr(solvers, "exact_schedule", exact)
+    monkeypatch.setattr(harness, "lpt_partition", lpt_split)
+    config = ExperimentConfig(n=7, m=3, instances_per_point=3, sweep_values=(0.0, 0.0, 10.0))
+    rows = run_experiment(config)
+    assert len(exact_calls) == len(set(exact_calls))
+    assert len(lpt_partitions) == len(set(lpt_partitions)) == 3
+    # Per seed: the oracle and lpt's stage two once; the trusting solve once
+    # for err_sigma=10 (at err_sigma=0 it is the oracle's); the stage two of
+    # one-consistent and of ipr once for each of the two predictions.
+    assert len(exact_calls) <= 3 * (2 + 1 + 2 * 2)
+    monkeypatch.undo()
+    use_cpus(monkeypatch, 1)
+    assert rows == run_experiment(config)
+
+
 def test_evaluate_matches_run_experiment():
     algorithms = (
         AlgorithmSpec("one-consistent"),
@@ -798,3 +843,86 @@ def test_verify_properties_covers_every_check():
 def test_verify_properties_rejects_bad_trials():
     with pytest.raises(ValueError):
         verify_properties(trials=0)
+
+
+VERIFY_RUNS = [(0, 3), (4, 7), (11, 12)]
+
+
+def verify_cli(capsys, tmp_path, seed, trials, *extra):
+    """The exit code, stdout, stderr and ``--out`` bytes of ``speedsched verify``."""
+    out = tmp_path / f"verify-{seed}-{trials}.json"
+    out.unlink(missing_ok=True)
+    code = cli.main(["verify", "--seed", str(seed), "--trials", str(trials), "--out", str(out),
+                     *extra])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize("seed, trials", VERIFY_RUNS)
+def test_verify_pool_gives_the_in_process_report(monkeypatch, capsys, tmp_path, seed, trials):
+    pids = record_pids(monkeypatch, tmp_path / "in-process")
+    use_cpus(monkeypatch, 1)
+    in_process = verify_properties(seed=seed, trials=trials)
+    in_process_cli = verify_cli(capsys, tmp_path, seed, trials)
+    assert pids() == {str(os.getpid())}
+    pids = record_pids(monkeypatch, tmp_path / "pooled")
+    use_cpus(monkeypatch, 3)
+    assert verify_properties(seed=seed, trials=trials) == in_process
+    assert verify_cli(capsys, tmp_path, seed, trials) == in_process_cli
+    assert [p.name for p in in_process.properties] == EXPECTED_PROPERTY_NAMES
+    assert in_process_cli[0] == 0
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert pids() and str(os.getpid()) not in pids()
+
+
+def test_verify_forks_no_worker_from_a_threaded_process(monkeypatch, tmp_path):
+    pids = record_pids(monkeypatch, tmp_path / "pids")
+    use_cpus(monkeypatch, 3)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        report = verify_properties(seed=2, trials=3)
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert report.all_passed
+    assert pids() == {str(os.getpid())}
+
+
+def test_verify_budget_failure_is_the_serial_one(monkeypatch, capsys, tmp_path):
+    # The ipr-trace section comes before perfect predictions in the report,
+    # but a pool starts the latter first; both run out of nodes, and the
+    # ipr-trace error is the one raised either way.
+    outcomes = []
+    for cpus in (1, 3):
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(BudgetExceededError) as excinfo:
+            verify_properties(seed=1, trials=5, node_budget=3)
+        outcomes.append((str(excinfo.value), excinfo.value.nodes_explored,
+                         verify_cli(capsys, tmp_path, 1, 5, "--node-budget", "3")))
+    assert outcomes[0] == outcomes[1]
+    message, nodes, (code, out, err, report) = outcomes[0]
+    assert message.startswith("exact solver exceeded node budget 3") and nodes > 3
+    assert (code, out, err, report) == (3, "", f"error: {message}\n", None)
+
+
+def test_verify_raises_the_first_failing_section_in_report_order(monkeypatch, capsys, tmp_path):
+    # The fluid section is handed to the workers last, the oracle-agreement
+    # section third; a serial run meets the fluid error first.
+    def failing(what):
+        def fail(*args, **kwargs):
+            raise ValueError(f"{what} failed")
+
+        return fail
+
+    monkeypatch.setattr(harness, "fluid_ipr", failing("fluid"))
+    monkeypatch.setattr(harness, "brute_force_makespan", failing("enumeration"))
+    outcomes = []
+    for cpus in (1, 3):
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError, match="^fluid failed$"):
+            verify_properties(seed=0, trials=2)
+        outcomes.append(verify_cli(capsys, tmp_path, 0, 2))
+    assert outcomes[0] == outcomes[1] == (2, "", "error: fluid failed\n", None)

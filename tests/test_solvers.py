@@ -16,6 +16,7 @@ from speedsched.solvers import (
     lpt_schedule,
     merge_to_fit,
     opt_lower_bound,
+    schedule,
 )
 
 
@@ -346,3 +347,25 @@ def test_capacity_robust_handles_oversized_singletons():
         beta = beta_ratio(part, jobs)
         bound = max(2.0, beta) * opt
         assert res.makespan <= bound + 1e-9 * max(1.0, bound)
+
+
+# ---------------------------------------------------------------------------
+# schedule
+# ---------------------------------------------------------------------------
+
+
+def test_schedule_memo_keys_on_scheduler_and_item_order():
+    solves = {}
+    first = schedule([3.0, 2.0, 2.0], [2.0, 1.0], "exact", 1000, solves)
+    assert first == exact_schedule([3.0, 2.0, 2.0], [2.0, 1.0], 1000)
+    assert schedule((3.0, 2.0, 2.0), (2.0, 1.0), "exact", 1000, solves) is first
+    # The schedule maps item positions, so another order is another key.
+    reordered = schedule([2.0, 3.0, 2.0], [2.0, 1.0], "exact", 1000, solves)
+    assert reordered is not first and reordered.makespan == first.makespan
+    greedy = schedule([3.0, 2.0, 2.0], [2.0, 1.0], "lpt", 1000, solves)
+    assert greedy == lpt_schedule([3.0, 2.0, 2.0], [2.0, 1.0])
+    assert len(solves) == 3
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            schedule([3.0, 2.0, 2.0, 1.0], [1.5, 1.0], "exact", 1, solves)
+    assert len(solves) == 3
