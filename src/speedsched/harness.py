@@ -180,7 +180,7 @@ def make_partition(
     if spec.name == "one-consistent" and instance.all_or_nothing:
         m_hat = instance.predicted_speeds.count(1.0)
         return binary_speed_partition(
-            instance.jobs, instance.m, m_hat, solver=scheduler, node_budget=node_budget
+            instance.jobs, instance.m, m_hat, scheduler, node_budget, solves
         )
     if 0.0 in instance.predicted_speeds:
         unusable = [i for i, s in enumerate(instance.predicted_speeds) if s == 0.0]
@@ -983,9 +983,12 @@ def _check_all_or_nothing(rec: _Recorder, seed: int, trials: int, node_budget: i
         dist = Dist.uniform(0.0, 100.0)
         jrng = SplitMix64(rng.next_u64())
         jobs = [max(dist.sample(jrng), 1e-3) for _ in range(n)]
-        part = binary_speed_partition(jobs, m, m_hat, solver="exact", node_budget=node_budget)
+        # Up to three solves on identical machines (m_hat, m and m_zero of
+        # them), one per distinct machine count.
+        solves: dict[tuple, Any] = {}
+        part = binary_speed_partition(jobs, m, m_hat, "exact", node_budget, solves)
         loads = [bag_load(b, jobs) for b in part.bags]
-        opt_m = exact_schedule(jobs, [1.0] * m, node_budget).makespan
+        opt_m = schedule(jobs, [1.0] * m, "exact", node_budget, solves).makespan
         rec.record(
             "binary-stage1-max-bag-le-2opt",
             _le(max(loads), 2.0 * opt_m),
@@ -993,7 +996,7 @@ def _check_all_or_nothing(rec: _Recorder, seed: int, trials: int, node_budget: i
         )
         merged = merge_to_fit(loads, m_zero)
         alg = max(merged) if merged else 0.0
-        opt0 = exact_schedule(jobs, [1.0] * m_zero, node_budget).makespan
+        opt0 = schedule(jobs, [1.0] * m_zero, "exact", node_budget, solves).makespan
         rec.record(
             "binary-merge-ratio-le-2",
             _le(alg, 2.0 * opt0),
@@ -1172,7 +1175,7 @@ def verify_properties(
     number of CPUs.  An error a section raises (an exhausted node budget, an
     invalid partition) is the one a serial run in report order meets first:
     later sections are skipped, and the earliest failing section runs again
-    here to raise it.
+    here to raise it, an exhausted node budget naming the section and seed.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -1182,7 +1185,9 @@ def verify_properties(
     )
     if first_failure < no_failure:
         section = _VERIFY_SECTIONS[first_failure]
-        section(_Recorder(), seed, trials, node_budget)
-        raise RuntimeError(f"verify section {section.__name__} failed but not when run again")
+        where = f"verify section {section.__name__.removeprefix('_check_')} seed={seed}"
+        with _budget_failure_names(where):
+            section(_Recorder(), seed, trials, node_budget)
+        raise RuntimeError(f"{where} failed but not when run again")
     checks = dict(zip(_HEAVIEST_FIRST, results))
     return MetricsReport(properties=tuple(c for s in _VERIFY_SECTIONS for c in checks[s]))

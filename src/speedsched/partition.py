@@ -304,6 +304,7 @@ def binary_speed_partition(
     m_hat: int,
     solver: str = "exact",
     node_budget: int = DEFAULT_NODE_BUDGET,
+    solves: dict[tuple, SolveResult] | None = None,
 ) -> Partition:
     """Partition for all-or-nothing speeds: ``m_hat`` of the ``m`` machines are
     predicted usable, the rest predicted dead.
@@ -314,13 +315,14 @@ def binary_speed_partition(
     LPT-split into either ``ceil(m / m_hat)`` or ``floor(m / m_hat)`` bags —
     the first ``m mod m_hat`` (heaviest) subsets get the extra bag — for ``m``
     bags total.  Stage two places the bags with the chosen scheduler on the
-    machines that turn out usable, however many there are.
+    machines that turn out usable, however many there are.  ``solves``
+    memoises the stage-one solve, as in :func:`consistent_partition`.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     if not 1 <= m_hat <= m:
         raise ValueError(f"m_hat must be in 1..{m}, got {m_hat}")
-    initial = consistent_partition(jobs, [1.0] * m_hat, solver, node_budget)
+    initial = consistent_partition(jobs, [1.0] * m_hat, solver, node_budget, solves)
     quotient, remainder = divmod(m, m_hat)
     bags: list[Bag] = []
     for idx, subset in enumerate(initial.partition.bags):

