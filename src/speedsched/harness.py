@@ -28,7 +28,6 @@ import math
 import os
 import threading
 from dataclasses import astuple, dataclass, fields
-from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .gen import (
@@ -280,12 +279,13 @@ def _evaluate_all(
     scheduler: str,
     oracle: str,
     node_budget: int,
+    solves: dict[tuple, Any] | None = None,
 ) -> list[float]:
-    """:func:`_instance_makespans` over :func:`oracle_value`, which is computed
-    after the algorithms; an exhausted node budget names the instance."""
+    """:func:`_instance_makespans` over :func:`oracle_value`, computed after
+    the algorithms with the same ``solves``; an exhausted budget names the instance."""
     with _budget_failure_names(f"instance name={instance.name!r} seed={instance.seed!r}"):
-        makespans = _instance_makespans(instance, algorithms, scheduler, node_budget)
-        ref = oracle_value(instance, oracle, node_budget)
+        makespans = _instance_makespans(instance, algorithms, scheduler, node_budget, None, solves)
+        ref = oracle_value(instance, oracle, node_budget, solves)
     return [alg / ref for alg in makespans]
 
 
@@ -449,155 +449,177 @@ class ExperimentRow:
 EXPERIMENT_CSV_HEADER = tuple(f.name for f in fields(ExperimentRow))
 
 
-def _seed_ratios(config: ExperimentConfig, inst_seed: int) -> Iterator[list[float]]:
-    """The ratios of every algorithm on the instances of seed ``inst_seed``, one
-    list per sweep point, in sweep order.
-
-    The seed's instances share the same jobs and true speeds at every sweep
-    point that does not change them, so one memo of ``solves``, kept for the
-    whole seed, solves each scheduling subproblem (oracle, prediction-trusting
-    partition, stage two) and each LPT partition once.  With the exact
-    oracle, any ratio below ``1 - 1e-9`` aborts loudly — it would mean the
-    oracle is not an oracle.  An exhausted node budget names the sweep point
-    and the seed.
-    """
-    solves: dict[tuple, Any] = {}
-    for value in config.resolved_sweep_values():
-        instance = gen_synthetic(config.synthetic_config_at(value, inst_seed))
-        with _budget_failure_names(f"{config.sweep_param}={value} seed={inst_seed}"):
-            ref = oracle_value(instance, config.oracle, config.node_budget, solves)
-            makespans = _instance_makespans(
-                instance,
-                config.algorithms,
-                config.scheduler,
-                config.node_budget,
-                lambda spec: (
-                    f"{config.sweep_param}={value}, algorithm={spec.label}, seed={inst_seed}"
-                ),
-                solves,
-            )
-        ratios = [alg / ref for alg in makespans]
-        for ratio in ratios:
-            if config.oracle == "exact" and ratio < 1.0 - 1e-9:
-                raise RuntimeError(
-                    f"ratio {ratio} below 1 with exact oracle "
-                    f"({config.sweep_param}={value}, seed={inst_seed}); solver bug"
-                )
-        yield ratios
-
-
-def _completed_points(
-    config: ExperimentConfig, first_failure: Any, inst_seed: int
-) -> list[list[float]]:
-    """:func:`_seed_ratios` over the sweep points a serial run reaches.
-
-    A serial run goes sweep point by sweep point, and seed by seed within a
-    point, so instance ``(point, rep)`` has the serial index
-    ``point * instances_per_point + rep``.  ``first_failure.value``, shared
-    by all seeds, is the lowest index known to fail; this seed stops before
-    any point past it, and a failure here lowers it.  The error itself is
-    dropped: it would not survive the trip back from a worker process
-    (pickling loses ``BudgetExceededError.nodes_explored`` and
-    ``__cause__``).
+def _seed_ratios(
+    config: ExperimentConfig, first_failure: _SharedInt, inst_seed: int
+) -> tuple[list[list[float]], tuple[int, Exception] | None]:
+    """A :func:`_map_tasks` task: the ratios of every algorithm on the
+    instances of seed ``inst_seed``, one list per sweep point a serial run
+    reaches (its serial index is ``point * instances_per_point + rep``), and
+    the failure that ended them, if any.  One memo of ``solves`` for the seed
+    solves each subproblem its instances share once.  With the exact oracle,
+    a ratio below ``1 - 1e-9`` fails loudly: the oracle would not be one.  An
+    exhausted node budget names the sweep point and the seed.
     """
     rep = inst_seed - config.seed
-    points = _seed_ratios(config, inst_seed)
+    solves: dict[tuple, Any] = {}
     done: list[list[float]] = []
-    for point in range(len(config.resolved_sweep_values())):
+    for point, value in enumerate(config.resolved_sweep_values()):
         index = point * config.instances_per_point + rep
         if index > first_failure.value:
             break
         try:
-            done.append(next(points))
-        except Exception:
-            with first_failure.get_lock():
-                first_failure.value = min(first_failure.value, index)
-            break
-    return done
+            instance = gen_synthetic(config.synthetic_config_at(value, inst_seed))
+            with _budget_failure_names(f"{config.sweep_param}={value} seed={inst_seed}"):
+                ref = oracle_value(instance, config.oracle, config.node_budget, solves)
+                makespans = _instance_makespans(
+                    instance,
+                    config.algorithms,
+                    config.scheduler,
+                    config.node_budget,
+                    lambda spec: (
+                        f"{config.sweep_param}={value}, algorithm={spec.label}, seed={inst_seed}"
+                    ),
+                    solves,
+                )
+            ratios = [alg / ref for alg in makespans]
+            for ratio in ratios:
+                if config.oracle == "exact" and ratio < 1.0 - 1e-9:
+                    raise RuntimeError(
+                        f"ratio {ratio} below 1 with exact oracle "
+                        f"({config.sweep_param}={value}, seed={inst_seed}); solver bug"
+                    )
+        except Exception as exc:
+            first_failure.update(lambda known: min(known, index))
+            return done, (index, exc)
+        done.append(ratios)
+    return done, None
 
 
-_worker_task: Callable[[Any], Any] | None = None  # set in each worker process
+class WorkerDiedError(RuntimeError):
+    """A worker process of :func:`_map_tasks` exited without its results."""
 
 
-def _start_worker(task: Callable[[Any], Any]) -> None:
-    global _worker_task
-    _worker_task = task
+class _SharedInt:
+    """An integer this process and those it forks change atomically: a pipe
+    holds it as 8 bytes, and whoever reads them out holds it till writing back."""
 
+    def __init__(self, value: int) -> None:
+        self.fds = os.pipe()
+        os.write(self.fds[1], value.to_bytes(8, "little"))
 
-def _run_worker_task(item: Any) -> Any:
-    return _worker_task(item)
+    def update(self, change: Callable[[int], int]) -> int:
+        """Replace the value with ``change(value)``; return the old value."""
+        value = int.from_bytes(os.read(self.fds[0], 8), "little")
+        os.write(self.fds[1], change(value).to_bytes(8, "little"))
+        return value
+
+    @property
+    def value(self) -> int:
+        return self.update(lambda value: value)
 
 
 def _map_tasks(
-    task: Callable[[Any, Any], Any], items: Sequence[Any], no_failure: int
-) -> tuple[list[Any], int]:
-    """``task(first_failure, item)`` for every item, results in item order,
-    and the final ``first_failure.value``, which starts at ``no_failure``.
+    task: Callable[[_SharedInt, Any], tuple[Any, tuple[int, Exception] | None]],
+    items: Sequence[Any],
+    no_failure: int,
+) -> list[Any]:
+    """The results of ``task(first_failure, item)`` for every item, in item
+    order; or the error a serial run meets first.  A task returns ``(result,
+    failure)``, ``failure`` being ``None`` or ``(index, error)`` with the
+    error's place in a serial run; it lowers ``first_failure`` (from
+    ``no_failure``) to that index and skips work past it.
 
-    The items run on a pool of workers forked from this process, one per CPU
-    it may use and at most one per item, which share ``first_failure`` and
-    take the items in order.  With one such CPU, where ``fork`` is
-    unavailable, or when this process runs other threads (a forked child
-    would inherit the locks they hold, held forever), they run here, in
-    order, and no process is started.
+    The items run in processes forked from this one, one per CPU it may use
+    and at most one per item, which take them in order, send their
+    ``(index, result, failure)`` records back pickled (an error keeps its
+    message and attributes, not its ``__cause__``), each over its own pipe,
+    and leave through ``os._exit``.  This process only reads the pipes and
+    reaps each worker when its pipe closes; a worker that exits otherwise
+    raises :class:`WorkerDiedError`, and on any error the workers are killed
+    and reaped.  With one such CPU, without ``fork``, or when this process
+    runs other threads (whose locks a child would inherit, held forever), the
+    items run here, in order.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     workers = min(cpus, len(items))
-    if workers > 1 and threading.active_count() == 1:
-        # Imported here, not at module level: they slow every import.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    first_failure, next_item = _SharedInt(no_failure), _SharedInt(0)
+    pids: dict[int, int] = {}  # the read end of each live worker's pipe: its pid
+    try:
+        if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+            outcomes = [task(first_failure, item) for item in items]
+        else:
+            # Imported here, not at module level: they slow every import.
+            import pickle
+            import select
+            import signal
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            ctx = multiprocessing.get_context("fork")
-            first_failure = ctx.Value("q", no_failure)
-            # The workers inherit the task and the shared value when forked;
-            # neither could be pickled with each item.  A worker that dies
-            # raises BrokenProcessPool here instead of leaving the run hung.
-            with ProcessPoolExecutor(
-                workers,
-                mp_context=ctx,
-                initializer=_start_worker,
-                initargs=(functools.partial(task, first_failure),),
-            ) as pool:
-                results = list(pool.map(_run_worker_task, items))
-            return results, first_failure.value
-    first_failure = SimpleNamespace(value=no_failure, get_lock=contextlib.nullcontext)
-    results = [task(first_failure, item) for item in items]
-    return results, first_failure.value
+            poller, received = select.poll(), {}
+            for _ in range(workers):
+                read, write = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        records = []
+                        while (i := next_item.update(lambda value: value + 1)) < len(items):
+                            records.append((i, *task(first_failure, items[i])))
+                        with open(write, "wb") as out:
+                            pickle.dump(records, out, pickle.HIGHEST_PROTOCOL)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(write)
+                pids[read], received[read] = pid, bytearray()
+                poller.register(read, select.POLLIN)
+            outcomes = [None] * len(items)
+            while pids:
+                for read, _ in poller.poll():
+                    chunk = os.read(read, 1 << 16)
+                    received[read] += chunk
+                    if chunk:
+                        continue
+                    _, status = os.waitpid(pids[read], 0)
+                    del pids[read]
+                    poller.unregister(read)
+                    os.close(read)
+                    if status != 0:
+                        raise WorkerDiedError(
+                            "a worker process terminated abruptly "
+                            f"(exit status {os.waitstatus_to_exitcode(status)})"
+                        )
+                    for i, result, failure in pickle.loads(received[read]):
+                        outcomes[i] = (result, failure)
+    finally:
+        for read, pid in pids.items():
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in first_failure.fds + next_item.fds:
+            os.close(fd)
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [result for result, _ in outcomes]
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Evaluate every (sweep point, algorithm) cell; deterministic given config.
 
-    Each instance seed goes through every sweep point in :func:`_seed_ratios`,
-    and each instance through :func:`_instance_makespans`, so its
-    prediction-trusting partition is solved once for all algorithms.  The
-    seeds run in parallel on the CPUs this process may use (see
-    :func:`_map_tasks`); ``taskset -c 0`` gives a serial run in this process.
-    Either way the rows are the same: means and sample standard deviations
-    are added in seed order, so the CSV bytes do not depend on the number of
-    CPUs.  A failure raises the error that a serial run over sweep points,
-    and seeds within a point, meets first: the seeds stop short of the sweep
-    points such a run would not reach, and the failing seed runs again here
-    to raise it.
+    Each instance seed is a :func:`_seed_ratios` task of :func:`_map_tasks`,
+    in parallel on the CPUs this process may use (``taskset -c 0`` runs them
+    here, in order).  Means and sample standard deviations are added in seed
+    order, so the CSV bytes do not depend on the number of CPUs.  A failure
+    raises the error that a serial run over sweep points, and seeds within a
+    point, meets first; no instance is solved twice.
     """
     values = config.resolved_sweep_values()
     seeds = [config.seed + rep for rep in range(config.instances_per_point)]
-    no_failure = len(values) * len(seeds)
-    results, first_failure = _map_tasks(
-        functools.partial(_completed_points, config), seeds, no_failure
+    results = _map_tasks(
+        functools.partial(_seed_ratios, config), seeds, len(values) * len(seeds)
     )
-    if first_failure < no_failure:
-        point, rep = divmod(first_failure, len(seeds))
-        for _ in _seed_ratios(config, seeds[rep]):
-            pass
-        raise RuntimeError(
-            f"seed {seeds[rep]} failed at sweep point {values[point]} but not when run again"
-        )
     rows: list[ExperimentRow] = []
     for point, value in enumerate(values):
         for j, spec in enumerate(config.algorithms):
@@ -1068,12 +1090,14 @@ def _check_oracle_agreement(rec: _Recorder, seed: int, trials: int, node_budget:
 
 def _check_families(rec: _Recorder, seed: int, trials: int, node_budget: int) -> None:
     """The fixed trap, tradeoff and binary lower-bound families (no seed, no
-    trials)."""
+    trials), with one memo of scheduling results for the whole section."""
+    solves: dict[tuple, Any] = {}
+    consistent = [AlgorithmSpec("one-consistent")]
     for m in (2, 3):
         for n in range(m + 1, 13):
             inst = gen_prop1_instance(n, m)
             expected = (n - m + 1) / math.ceil(n / m)
-            ratio = evaluate(inst, "one-consistent", "exact", "exact", node_budget)
+            ratio = _evaluate_all(inst, consistent, "exact", "exact", node_budget, solves)[0]
             rec.record(
                 "trap-family-exact-ratio",
                 math.isclose(ratio, expected, rel_tol=1e-9),
@@ -1082,7 +1106,7 @@ def _check_families(rec: _Recorder, seed: int, trials: int, node_budget: int) ->
     for m in (2, 3, 4):
         inst = gen_tradeoff_instance(m)
         specs = [AlgorithmSpec("ipr", alpha=alpha, rho=4.0) for alpha in _ALPHA_CYCLE]
-        ratios = _evaluate_all(inst, specs, "exact", "exact", node_budget)
+        ratios = _evaluate_all(inst, specs, "exact", "exact", node_budget, solves)
         for alpha, ratio in zip(_ALPHA_CYCLE, ratios):
             rec.record(
                 "tradeoff-family-ipr-bound",
@@ -1091,7 +1115,7 @@ def _check_families(rec: _Recorder, seed: int, trials: int, node_budget: int) ->
             )
     for k in (1, 2, 3):
         inst = gen_binary_lb_instance(k)
-        ratio = evaluate(inst, "one-consistent", "exact", "exact", node_budget)
+        ratio = _evaluate_all(inst, consistent, "exact", "exact", node_budget, solves)[0]
         rec.record(
             "binary-family-benchmark-floor",
             ratio >= 4.0 / 3.0 - 1e-9,
@@ -1117,18 +1141,18 @@ _VERIFY_SECTIONS: tuple[_VerifySection, ...] = (
 )
 
 # The order the sections are handed to the workers: by their share of the
-# time of ``verify --trials 20`` over seeds 0-11, largest first (26%, 19%,
-# 17%, 14%, 12%, 7%, then 2% or less each), so that no long section starts
-# last.
+# time of ``verify --trials 20`` over seeds 0-11 on one CPU, largest first
+# (33%, 24%, 13%, 8%, 8%, 6%, then 3% or less each), so that no long section
+# starts last.
 _HEAVIEST_FIRST: tuple[_VerifySection, ...] = (
     _check_perfect_predictions,
     _check_adversarial_speeds,
-    _check_oracle_agreement,
-    _check_all_or_nothing,
     _check_capacity,
+    _check_all_or_nothing,
     _check_ipr_trace,
-    _check_families,
+    _check_oracle_agreement,
     _check_unit_jobs,
+    _check_families,
     _check_lpt_partition,
     _check_generator,
     _check_fluid,
@@ -1136,26 +1160,25 @@ _HEAVIEST_FIRST: tuple[_VerifySection, ...] = (
 
 
 def _section_checks(
-    seed: int, trials: int, node_budget: int, first_failure: Any, section: _VerifySection
-) -> list[PropertyCheck]:
-    """The checks of one verify section, or none when it does not complete.
-
-    ``first_failure.value``, shared by all sections, is the report position
-    of the earliest section known to raise; a section past it is skipped, and
-    a section that raises lowers it.  As in :func:`_completed_points`, the
-    error itself is dropped.
+    seed: int, trials: int, node_budget: int, first_failure: _SharedInt, section: _VerifySection
+) -> tuple[list[PropertyCheck], tuple[int, Exception] | None]:
+    """A :func:`_map_tasks` task: the checks of one verify section, or none
+    and the error that stopped it, at its report position.  A section past
+    ``first_failure`` is skipped; an exhausted budget names section and seed.
     """
     position = _VERIFY_SECTIONS.index(section)
     if position > first_failure.value:
-        return []
+        return [], None
     rec = _Recorder()
     try:
-        section(rec, seed, trials, node_budget)
-    except Exception:
-        with first_failure.get_lock():
-            first_failure.value = min(first_failure.value, position)
-        return []
-    return rec.checks()
+        with _budget_failure_names(
+            f"verify section {section.__name__.removeprefix('_check_')} seed={seed}"
+        ):
+            section(rec, seed, trials, node_budget)
+    except Exception as exc:
+        first_failure.update(lambda value: min(value, position))
+        return [], (position, exc)
+    return rec.checks(), None
 
 
 def verify_properties(
@@ -1167,27 +1190,19 @@ def verify_properties(
     each, plus the fixed adversarial families.  Failures are reported as data
     (pass counts + first counterexample), never raised.
 
-    The properties come in sections, each with its own random substream of
-    ``seed`` (see ``_VERIFY_SECTIONS``), which run in parallel on the CPUs
-    this process may use, heaviest first (see :func:`_map_tasks`);
-    ``taskset -c 0`` gives a serial run in this process.  The report lists
-    the sections' checks in report order, so it does not depend on the
-    number of CPUs.  An error a section raises (an exhausted node budget, an
-    invalid partition) is the one a serial run in report order meets first:
-    later sections are skipped, and the earliest failing section runs again
-    here to raise it, an exhausted node budget naming the section and seed.
+    The properties come in sections, each with its own substream of ``seed``,
+    run as :func:`_section_checks` tasks of :func:`_map_tasks`, heaviest
+    first, on the CPUs this process may use (``taskset -c 0`` runs them here,
+    in order).  The report lists their checks in report order, so it does not
+    depend on the number of CPUs, and an error a section raises (an exhausted
+    node budget, an invalid partition) is the one a serial run meets first.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    no_failure = len(_VERIFY_SECTIONS)
-    results, first_failure = _map_tasks(
-        functools.partial(_section_checks, seed, trials, node_budget), _HEAVIEST_FIRST, no_failure
+    results = _map_tasks(
+        functools.partial(_section_checks, seed, trials, node_budget),
+        _HEAVIEST_FIRST,
+        len(_VERIFY_SECTIONS),
     )
-    if first_failure < no_failure:
-        section = _VERIFY_SECTIONS[first_failure]
-        where = f"verify section {section.__name__.removeprefix('_check_')} seed={seed}"
-        with _budget_failure_names(where):
-            section(_Recorder(), seed, trials, node_budget)
-        raise RuntimeError(f"{where} failed but not when run again")
     checks = dict(zip(_HEAVIEST_FIRST, results))
     return MetricsReport(properties=tuple(c for s in _VERIFY_SECTIONS for c in checks[s]))

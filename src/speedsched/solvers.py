@@ -17,7 +17,6 @@ ratio, and the smallest-pair bag merge of the paper's all-or-nothing lemma
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -251,7 +250,9 @@ def schedule(
 
 def brute_force_makespan(loads: Sequence[float], speeds: Sequence[float]) -> float:
     """Minimum makespan by full ``m**k`` enumeration.  Test oracle only: shares
-    no search code with :func:`exact_schedule`."""
+    no search code with :func:`exact_schedule`.  Each item goes on each
+    machine in turn, carrying the largest ratio so far; a load is restored by
+    assignment, so it is always its items' left-to-right sum from 0.0."""
     loads = finite_floats(loads, "item loads", allow_zero=True, allow_empty=True)
     speeds = finite_floats(speeds, "machine speeds")
     m = len(speeds)
@@ -260,15 +261,27 @@ def brute_force_makespan(loads: Sequence[float], speeds: Sequence[float]) -> flo
         return 0.0
     if m**k > 50_000_000:
         raise ValueError(f"enumeration of {m}**{k} assignments is too large")
-    best = math.inf
-    for assign in itertools.product(range(m), repeat=k):
-        machine = [0.0] * m
-        for j, i in enumerate(assign):
-            machine[i] += loads[j]
-        val = max(machine[i] / speeds[i] for i in range(m))
-        if val < best:
-            best = val
-    return best
+    if m == 1:  # the one assignment, without recursing once per item
+        return left_sum(loads) / speeds[0]
+    machine = [0.0] * m
+    last = k - 1
+
+    def best(j: int, worst: float) -> float:
+        value = math.inf
+        for i in range(m):
+            before = machine[i]
+            ratio = (before + loads[j]) / speeds[i]
+            if ratio < worst:
+                ratio = worst
+            if j < last:
+                machine[i] = before + loads[j]
+                ratio = best(j + 1, ratio)
+                machine[i] = before
+            if ratio < value:
+                value = ratio
+        return value
+
+    return best(0, 0.0)
 
 
 def merge_to_fit(loads: Sequence[float], m0: int) -> list[float]:

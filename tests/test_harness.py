@@ -4,7 +4,9 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -26,6 +28,7 @@ from speedsched.harness import (
     ExperimentRow,
     MetricsReport,
     PropertyCheck,
+    WorkerDiedError,
     curves_to_csv,
     evaluate,
     make_partition,
@@ -594,6 +597,13 @@ def test_run_experiment_solves_consistent_partition_once_per_scheduler(
     assert len(calls) == solves_per_instance * 2 * 4
 
 
+def assert_no_child_processes():
+    """This process has no child left, running or unreaped; the check does
+    not wait."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def use_cpus(monkeypatch, count):
     """Make ``run_experiment`` see ``count`` usable CPUs: with one it runs every
     seed in this process, with more it forks a pool of that many workers."""
@@ -637,6 +647,7 @@ def test_run_experiment_pool_gives_the_in_process_rows(monkeypatch, tmp_path, co
     pids = record_pids(monkeypatch, tmp_path / "pooled")
     use_cpus(monkeypatch, 3)
     assert run_experiment(config) == in_process
+    assert_no_child_processes()
     if "fork" in multiprocessing.get_all_start_methods():
         assert pids() and str(os.getpid()) not in pids()
 
@@ -679,7 +690,7 @@ def test_run_experiment_raises_the_first_failure_in_serial_order(monkeypatch, ca
 
 def test_run_experiment_runs_no_instance_after_the_first_failure(monkeypatch):
     # Seed 0 runs out of nodes at the first sweep point, where a serial run
-    # stops; it runs once more to raise its error, and no other seed runs.
+    # stops; its error is raised as it was met, and no other seed runs.
     seeds = []
 
     def recording(config):
@@ -692,7 +703,35 @@ def test_run_experiment_runs_no_instance_after_the_first_failure(monkeypatch):
                               node_budget=1)
     with pytest.raises(BudgetExceededError, match=r"\[err_sigma=0.0 seed=0\]$"):
         run_experiment(config)
-    assert seeds == [0, 0]
+    assert seeds == [0]
+
+
+def record_instances(monkeypatch, path):
+    """Append ``seed err_sigma`` of every generated instance to ``path``, from
+    whichever process generates it."""
+
+    def recording(config):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{config.seed} {config.err_sigma}\n")
+        return gen_synthetic(config)
+
+    monkeypatch.setattr(harness, "gen_synthetic", recording)
+    return lambda: path.read_text(encoding="utf-8").splitlines()
+
+
+def test_pooled_run_experiment_solves_its_failing_instance_once(monkeypatch, tmp_path):
+    # Every instance runs out of nodes at the first sweep point; the workers
+    # return their errors, and none is solved again to raise it.
+    instances = record_instances(monkeypatch, tmp_path / "instances")
+    use_cpus(monkeypatch, 3)
+    config = ExperimentConfig(n=6, m=2, instances_per_point=4, sweep_values=(0.0, 10.0),
+                              node_budget=1)
+    with pytest.raises(BudgetExceededError, match=r"\[err_sigma=0.0 seed=0\]$") as excinfo:
+        run_experiment(config)
+    assert excinfo.value.nodes_explored > 1
+    assert instances().count("0 0.0") == 1
+    assert len(instances()) == len(set(instances()))
+    assert_no_child_processes()
 
 
 def test_run_experiment_solves_each_subproblem_once_per_seed(monkeypatch):
@@ -726,9 +765,11 @@ def test_run_experiment_solves_each_subproblem_once_per_seed(monkeypatch):
     assert rows == run_experiment(config)
 
 
-def test_verify_all_or_nothing_solves_each_problem_once(monkeypatch):
-    # Each trial solves its jobs on m_hat, m and m_zero identical machines;
-    # equal machine counts share one solve, and the report is unchanged.
+@pytest.mark.parametrize("section", [harness._check_all_or_nothing, harness._check_families])
+def test_verify_section_solves_each_problem_once(monkeypatch, section):
+    # An all-or-nothing trial solves its jobs on m_hat, m and m_zero identical
+    # machines, and the fixed families share subproblems between instances;
+    # each problem is solved once per section run, and the report is unchanged.
     exact_calls = []
 
     def exact(loads, speeds, node_budget):
@@ -736,11 +777,11 @@ def test_verify_all_or_nothing_solves_each_problem_once(monkeypatch):
         return exact_schedule(loads, speeds, node_budget)
 
     expected = harness._Recorder()
-    harness._check_all_or_nothing(expected, 0, 20, solvers.DEFAULT_NODE_BUDGET)
+    section(expected, 0, 20, solvers.DEFAULT_NODE_BUDGET)
     monkeypatch.setattr(solvers, "exact_schedule", exact)
     monkeypatch.setattr(harness, "exact_schedule", exact)
     rec = harness._Recorder()
-    harness._check_all_or_nothing(rec, 0, 20, solvers.DEFAULT_NODE_BUDGET)
+    section(rec, 0, 20, solvers.DEFAULT_NODE_BUDGET)
     assert 20 < len(exact_calls) == len(set(exact_calls))
     assert rec.checks() == expected.checks()
 
@@ -888,6 +929,7 @@ def test_verify_pool_gives_the_in_process_report(monkeypatch, capsys, tmp_path, 
     use_cpus(monkeypatch, 3)
     assert verify_properties(seed=seed, trials=trials) == in_process
     assert verify_cli(capsys, tmp_path, seed, trials) == in_process_cli
+    assert_no_child_processes()
     assert [p.name for p in in_process.properties] == EXPECTED_PROPERTY_NAMES
     assert in_process_cli[0] == 0
     if "fork" in multiprocessing.get_all_start_methods():
@@ -930,7 +972,7 @@ def test_verify_budget_failure_is_the_serial_one(monkeypatch, capsys, tmp_path):
 
 def test_verify_raises_the_first_failing_section_in_report_order(monkeypatch, capsys, tmp_path):
     # The fluid section is handed to the workers last, the oracle-agreement
-    # section third; a serial run meets the fluid error first.
+    # section sixth; a serial run meets the fluid error first.
     def failing(what):
         def fail(*args, **kwargs):
             raise ValueError(f"{what} failed")
@@ -946,3 +988,65 @@ def test_verify_raises_the_first_failing_section_in_report_order(monkeypatch, ca
             verify_properties(seed=0, trials=2)
         outcomes.append(verify_cli(capsys, tmp_path, 0, 2))
     assert outcomes[0] == outcomes[1] == (2, "", "error: fluid failed\n", None)
+
+
+def test_pooled_verify_runs_its_failing_section_once(monkeypatch, tmp_path):
+    calls = tmp_path / "calls"
+
+    def failing(*args, **kwargs):
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        raise ValueError("fluid failed")
+
+    monkeypatch.setattr(harness, "fluid_ipr", failing)
+    use_cpus(monkeypatch, 3)
+    with pytest.raises(ValueError, match="^fluid failed$"):
+        verify_properties(seed=0, trials=2)
+    assert len(calls.read_text(encoding="utf-8").split()) == 1
+    assert_no_child_processes()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_a_dying_worker_ends_the_run_and_leaves_no_process(monkeypatch):
+    parent = os.getpid()
+
+    def dying(config):
+        if os.getpid() != parent and config.seed == POOL_CONFIGS[0].seed + 1:
+            os._exit(9)
+        return gen_synthetic(config)
+
+    monkeypatch.setattr(harness, "gen_synthetic", dying)
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(WorkerDiedError, match="terminated abruptly"):
+        run_experiment(POOL_CONFIGS[0])
+    assert_no_child_processes()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_an_interrupted_pool_leaves_no_process(monkeypatch):
+    # The workers hang; an interrupt arrives while this process waits for
+    # them, and every worker is killed and reaped before it propagates.  The
+    # interrupt repeats every 5 s, so that a run left waiting ends too.
+    parent = os.getpid()
+
+    def hanging(config):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return gen_synthetic(config)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "gen_synthetic", hanging)
+    use_cpus(monkeypatch, 2)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5, 5.0)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(POOL_CONFIGS[0])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    assert_no_child_processes()

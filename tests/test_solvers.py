@@ -1,6 +1,9 @@
 """Tests for the scheduling solvers: greedy, exact, merge, capacity-robust."""
 
 import hashlib
+import itertools
+import math
+import pickle
 
 import pytest
 
@@ -294,6 +297,20 @@ def test_merge_to_fit_properties():
             assert max(merged, default=0.0) >= max(loads)
 
 
+def test_budget_error_pickles_with_its_message_and_node_count():
+    try:
+        try:
+            exact_schedule([5.0, 4.0, 3.0, 3.0, 2.0], (1.0, 1.0), node_budget=2)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(f"{exc} [where]", nodes_explored=exc.nodes_explored) from exc
+    except BudgetExceededError as exc:
+        error = exc
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is BudgetExceededError
+    assert (str(copy), copy.nodes_explored) == (str(error), error.nodes_explored)
+    assert str(copy).endswith(" [where]") and copy.nodes_explored > 2
+
+
 # ---------------------------------------------------------------------------
 # brute_force_makespan
 # ---------------------------------------------------------------------------
@@ -302,6 +319,36 @@ def test_merge_to_fit_properties():
 def test_brute_force_examples():
     assert brute_force_makespan([3.0, 2.0, 2.0], (2.0, 1.0)) == pytest.approx(2.5)
     assert brute_force_makespan([], (1.0,)) == 0.0
+
+
+def product_brute_force(loads, speeds):
+    """The plain ``m**k`` enumeration: every assignment from
+    ``itertools.product``, each machine's load summed from 0.0 in item order."""
+    m = len(speeds)
+    if not loads:
+        return 0.0
+    best = math.inf
+    for assign in itertools.product(range(m), repeat=len(loads)):
+        machine = [0.0] * m
+        for j, i in enumerate(assign):
+            machine[i] += loads[j]
+        best = min(best, max(machine[i] / speeds[i] for i in range(m)))
+    return best
+
+
+def test_brute_force_has_the_bits_of_the_product_enumeration():
+    rng = SplitMix64(309)
+    for _ in range(300):
+        k = 1 + rng.next_u64() % 8
+        m = 1 + rng.next_u64() % 3
+        loads = [0.0 if rng.next_u64() % 5 == 0 else 100.0 * rng.next_float() for _ in range(k)]
+        speeds = [0.5 + 4.0 * rng.next_float() for _ in range(m)]
+        if rng.next_u64() % 3 == 0:
+            speeds = [speeds[0]] * m
+        got = brute_force_makespan(loads, speeds)
+        assert got.hex() == product_brute_force(loads, speeds).hex(), (loads, speeds)
+    loads = [0.1 * (j % 7) for j in range(3000)]
+    assert brute_force_makespan(loads, (3.0,)).hex() == product_brute_force(loads, (3.0,)).hex()
 
 
 def test_brute_force_rejects_huge_enumeration():
