@@ -4,16 +4,18 @@
 predicted speeds, schedule the bags on true speeds, divide by an oracle value.
 ``run_experiment`` sweeps a parameter, one instance seed per worker process,
 and aggregates mean/std ratios into deterministic CSV rows; each seed solves
-every scheduling subproblem once.  Both evaluate an instance through one
-function whose stage one is ``make_partition``, the one place that decides
-which partition each algorithm builds on; it solves the prediction-trusting
-partition once per scheduler and shares it between ``one-consistent`` and
-``ipr``.  ``verify_properties`` re-checks every structural guarantee the
-algorithms are supposed to satisfy (balance bounds, monotone rebalancing,
-iteration caps, consistency/robustness envelopes, certificate feasibility,
-oracle agreement) over seeded random instances, one section per worker
-process, and reports the first counterexample when one exists.  Both pooled
-runs go through ``_map_tasks`` and give the bytes of a serial run.
+every scheduling subproblem once.  Both, and ``verify``'s fixed families,
+compute their ratios through one function, ``_instance_ratios``: stage one and
+stage two for every algorithm, then the oracle, with one ``solves`` memo that
+also holds the prediction-trusting partition ``one-consistent`` and ``ipr``
+share.  Its stage one is ``make_partition``, the one place that decides which
+partition each algorithm builds on.  ``verify_properties`` re-checks every
+structural guarantee the algorithms are supposed to satisfy (balance bounds,
+monotone rebalancing, iteration caps, consistency/robustness envelopes,
+certificate feasibility, oracle agreement) over seeded random instances, one
+section per worker process, and reports the first counterexample when one
+exists.  Both pooled runs go through ``_map_tasks``, which alone keeps the
+failure protocol, and give the bytes of a serial run.
 ``theory_curves`` tabulates the guarantee envelopes as functions of the
 consistency knob alpha.
 """
@@ -51,7 +53,6 @@ from .model import (
     validate_partition,
 )
 from .partition import (
-    ConsistentPartition,
     IprConfig,
     binary_speed_partition,
     consistent_partition,
@@ -138,12 +139,20 @@ def parse_algorithm(spec: "AlgorithmSpec | str | dict") -> AlgorithmSpec:
 # ---------------------------------------------------------------------------
 
 
+def _memoised(solves: dict[tuple, Any] | None, key: tuple, compute: Callable[[], Any]) -> Any:
+    """``compute()``, kept in ``solves`` under ``key`` when a memo is given."""
+    if solves is None:
+        return compute()
+    if key not in solves:
+        solves[key] = compute()
+    return solves[key]
+
+
 def make_partition(
     instance: Instance,
     algorithm: "AlgorithmSpec | str | dict",
     scheduler: str = "exact",
     node_budget: int = DEFAULT_NODE_BUDGET,
-    trusting: dict[str, ConsistentPartition] | None = None,
     solves: dict[tuple, Any] | None = None,
 ) -> Partition:
     """Run the named partitioner on (jobs, predicted speeds).
@@ -157,51 +166,42 @@ def make_partition(
     usable count (the predicted speeds equal to 1.0).  Otherwise
     ``one-consistent`` is the prediction-trusting partition and ``ipr`` starts
     from it; both reject a prediction with a zero speed before any solve.
-    ``trusting``, when given, memoises that partition per scheduler:
-    it is read before solving and filled after, so callers running several
-    algorithms on one instance solve it once per scheduler.  ``solves``, when
-    given, memoises across instances: the schedules (see
-    :func:`~speedsched.solvers.schedule`) and the LPT partitions, keyed by
-    ``("lpt_partition", jobs, m)``.
+    ``solves``, when given, memoises across algorithms and instances: the
+    schedules (see :func:`~speedsched.solvers.schedule`), the LPT partitions,
+    keyed by ``("lpt_partition", jobs, m)``, and the prediction-trusting
+    partitions, keyed by ``("consistent_partition", scheduler, jobs,
+    predicted_speeds)``, so that ``one-consistent`` and ``ipr`` share one.
     """
     spec = parse_algorithm(algorithm)
     if spec.scheduler is not None:
         scheduler = spec.scheduler
     if scheduler not in SCHEDULERS:
         raise ValueError(f"scheduler must be one of {SCHEDULERS}")
+    jobs, predicted = instance.jobs, instance.predicted_speeds
     if spec.name == "lpt":
-        if solves is None:
-            return lpt_partition(instance.jobs, instance.m)
-        key = ("lpt_partition", instance.jobs, instance.m)
-        if key not in solves:
-            solves[key] = lpt_partition(instance.jobs, instance.m)
-        return solves[key]
-    if spec.name == "one-consistent" and instance.all_or_nothing:
-        m_hat = instance.predicted_speeds.count(1.0)
-        return binary_speed_partition(
-            instance.jobs, instance.m, m_hat, scheduler, node_budget, solves
+        return _memoised(
+            solves, ("lpt_partition", jobs, instance.m), lambda: lpt_partition(jobs, instance.m)
         )
-    if 0.0 in instance.predicted_speeds:
-        unusable = [i for i, s in enumerate(instance.predicted_speeds) if s == 0.0]
+    if spec.name == "one-consistent" and instance.all_or_nothing:
+        m_hat = predicted.count(1.0)
+        return binary_speed_partition(jobs, instance.m, m_hat, scheduler, node_budget, solves)
+    if 0.0 in predicted:
+        unusable = [i for i, s in enumerate(predicted) if s == 0.0]
         raise ValueError(
             f"{spec.name} partitions on positive predicted speeds, but the prediction marks "
             f"machines {unusable} unusable (speed 0.0)"
         )
-    if trusting is None:
-        trusting = {}
-    if scheduler not in trusting:
-        trusting[scheduler] = consistent_partition(
-            instance.jobs,
-            instance.predicted_speeds,
-            solver=scheduler,
-            node_budget=node_budget,
-            solves=solves,
-        )
-    start = trusting[scheduler]
+    start = _memoised(
+        solves,
+        ("consistent_partition", scheduler, jobs, predicted),
+        lambda: consistent_partition(
+            jobs, predicted, solver=scheduler, node_budget=node_budget, solves=solves
+        ),
+    )
     if spec.name == "one-consistent":
         return start.partition
     config = IprConfig(alpha=spec.alpha, rho=spec.rho)
-    return ipr(instance.jobs, instance.predicted_speeds, config, start).partition
+    return ipr(jobs, predicted, config, start).partition
 
 
 def oracle_value(
@@ -225,44 +225,6 @@ def oracle_value(
     return opt_lower_bound(instance.jobs, speeds)
 
 
-def _instance_makespans(
-    instance: Instance,
-    algorithms: Sequence[AlgorithmSpec],
-    scheduler: str = "exact",
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    failure_context: Callable[[AlgorithmSpec], str] | None = None,
-    solves: dict[tuple, Any] | None = None,
-) -> list[float]:
-    """Stage-two makespan of each algorithm on one instance, in order.
-
-    Stage one is :func:`make_partition`, sharing one memo of the
-    prediction-trusting partition across the algorithms.  Stage two places the
-    bags with the scheduler stage one ran with (the algorithm's pinned one, else
-    ``scheduler``) on the true speeds of the usable machines (a zero true
-    speed marks an unusable machine).  ``solves`` is handed to both stages.
-
-    With ``failure_context``, an algorithm's error other than an exhausted node
-    budget is re-raised as a :class:`RuntimeError` that names
-    ``failure_context(spec)``.
-    """
-    trusting: dict[str, ConsistentPartition] = {}
-    speeds = [s for s in instance.true_speeds if s != 0.0]
-    makespans = []
-    for spec in algorithms:
-        try:
-            part = make_partition(instance, spec, scheduler, node_budget, trusting, solves)
-            loads = [bag_load(bag, instance.jobs) for bag in part.bags]
-            stage2 = spec.scheduler or scheduler
-            makespans.append(schedule(loads, speeds, stage2, node_budget, solves).makespan)
-        except BudgetExceededError:
-            raise
-        except Exception as exc:
-            if failure_context is None:
-                raise
-            raise RuntimeError(f"evaluation failed at {failure_context(spec)}: {exc}") from exc
-    return makespans
-
-
 @contextlib.contextmanager
 def _budget_failure_names(where: str) -> Iterator[None]:
     """Re-raise an exhausted node budget with ``[where]`` appended, so the
@@ -273,20 +235,50 @@ def _budget_failure_names(where: str) -> Iterator[None]:
         raise BudgetExceededError(f"{exc} [{where}]", nodes_explored=exc.nodes_explored) from exc
 
 
-def _evaluate_all(
+def _instance_ratios(
     instance: Instance,
     algorithms: Sequence[AlgorithmSpec],
     scheduler: str,
     oracle: str,
     node_budget: int,
-    solves: dict[tuple, Any] | None = None,
+    solves: dict[tuple, Any],
+    where: str,
+    failure_context: Callable[[AlgorithmSpec], str] | None = None,
 ) -> list[float]:
-    """:func:`_instance_makespans` over :func:`oracle_value`, computed after
-    the algorithms with the same ``solves``; an exhausted budget names the instance."""
-    with _budget_failure_names(f"instance name={instance.name!r} seed={instance.seed!r}"):
-        makespans = _instance_makespans(instance, algorithms, scheduler, node_budget, None, solves)
+    """The ratio of each algorithm on one instance, in order: its stage-two
+    makespan over :func:`oracle_value`.
+
+    Stage one is :func:`make_partition`.  Stage two places the bags with the
+    scheduler stage one ran with (the algorithm's pinned one, else
+    ``scheduler``) on the true speeds of the usable machines (a zero true
+    speed marks an unusable machine).  Both stages run for every algorithm
+    before the oracle, and all three share ``solves``.  An exhausted node
+    budget names ``where``.  With the exact oracle, a ratio below ``1 - 1e-9``
+    fails loudly: the oracle would not be one.  With ``failure_context``, an
+    algorithm's error other than an exhausted node budget is re-raised as a
+    :class:`RuntimeError` that names ``failure_context(spec)``.
+    """
+    speeds = [s for s in instance.true_speeds if s != 0.0]
+    makespans = []
+    with _budget_failure_names(where):
+        for spec in algorithms:
+            try:
+                part = make_partition(instance, spec, scheduler, node_budget, solves)
+                loads = [bag_load(bag, instance.jobs) for bag in part.bags]
+                stage2 = spec.scheduler or scheduler
+                makespans.append(schedule(loads, speeds, stage2, node_budget, solves).makespan)
+            except BudgetExceededError:
+                raise
+            except Exception as exc:
+                if failure_context is None:
+                    raise
+                raise RuntimeError(f"evaluation failed at {failure_context(spec)}: {exc}") from exc
         ref = oracle_value(instance, oracle, node_budget, solves)
-    return [alg / ref for alg in makespans]
+    ratios = [alg / ref for alg in makespans]
+    for ratio in ratios:
+        if oracle == "exact" and ratio < 1.0 - 1e-9:
+            raise RuntimeError(f"ratio {ratio} below 1 with exact oracle ({where}); solver bug")
+    return ratios
 
 
 def evaluate(
@@ -300,10 +292,13 @@ def evaluate(
 
     Partitions on predicted speeds, places the bags with the chosen scheduler
     on the true speeds of the usable machines, and divides by
-    :func:`oracle_value` (see :func:`_instance_makespans`).
+    :func:`oracle_value` (see :func:`_instance_ratios`), with one fresh memo
+    of ``solves``: under perfect predictions the oracle reuses the
+    prediction-trusting solve.
     """
     spec = parse_algorithm(algorithm)
-    return _evaluate_all(instance, [spec], scheduler, oracle, node_budget)[0]
+    where = f"instance name={instance.name!r} seed={instance.seed!r}"
+    return _instance_ratios(instance, [spec], scheduler, oracle, node_budget, {}, where)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -411,27 +406,14 @@ class ExperimentConfig:
     def from_json_dict(cls, doc: object) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ValueError("experiment config must be a JSON object")
-        known = {
-            "n", "m", "job_dist", "speed_dist", "err_sigma", "sweep_param",
-            "sweep_values", "algorithms", "instances_per_point", "scheduler",
-            "oracle", "seed", "node_budget",
-        }
-        extra = doc.keys() - known
+        extra = doc.keys() - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown experiment config keys: {sorted(extra)}")
-        kwargs: dict = {}
-        for key in ("n", "m", "err_sigma", "sweep_param", "instances_per_point",
-                    "scheduler", "oracle", "seed", "node_budget"):
+        # ``__post_init__`` parses the algorithms and the sweep values.
+        kwargs = dict(doc)
+        for key in ("job_dist", "speed_dist"):
             if key in doc:
-                kwargs[key] = doc[key]
-        if "job_dist" in doc:
-            kwargs["job_dist"] = Dist.from_json_dict(doc["job_dist"])
-        if "speed_dist" in doc:
-            kwargs["speed_dist"] = Dist.from_json_dict(doc["speed_dist"])
-        if doc.get("sweep_values") is not None:
-            kwargs["sweep_values"] = tuple(doc["sweep_values"])
-        if "algorithms" in doc:
-            kwargs["algorithms"] = tuple(parse_algorithm(a) for a in doc["algorithms"])
+                kwargs[key] = Dist.from_json_dict(doc[key])
         return cls(**kwargs)
 
 
@@ -450,49 +432,31 @@ EXPERIMENT_CSV_HEADER = tuple(f.name for f in fields(ExperimentRow))
 
 
 def _seed_ratios(
-    config: ExperimentConfig, first_failure: _SharedInt, inst_seed: int
-) -> tuple[list[list[float]], tuple[int, Exception] | None]:
-    """A :func:`_map_tasks` task: the ratios of every algorithm on the
-    instances of seed ``inst_seed``, one list per sweep point a serial run
-    reaches (its serial index is ``point * instances_per_point + rep``), and
-    the failure that ended them, if any.  One memo of ``solves`` for the seed
-    solves each subproblem its instances share once.  With the exact oracle,
-    a ratio below ``1 - 1e-9`` fails loudly: the oracle would not be one.  An
-    exhausted node budget names the sweep point and the seed.
+    config: ExperimentConfig, inst_seed: int
+) -> Iterator[tuple[int, Callable[[], list[float]]]]:
+    """A :func:`_map_tasks` task: one step per sweep point, which computes the
+    ratios of every algorithm on the instance of seed ``inst_seed`` there (its
+    serial index is ``point * instances_per_point + rep``).  One memo of
+    ``solves`` for the seed solves each subproblem its instances share once.
+    An exhausted node budget names the sweep point and the seed.
     """
     rep = inst_seed - config.seed
     solves: dict[tuple, Any] = {}
-    done: list[list[float]] = []
+
+    def ratios(value: float) -> list[float]:
+        return _instance_ratios(
+            gen_synthetic(config.synthetic_config_at(value, inst_seed)),
+            config.algorithms,
+            config.scheduler,
+            config.oracle,
+            config.node_budget,
+            solves,
+            f"{config.sweep_param}={value} seed={inst_seed}",
+            lambda spec: f"{config.sweep_param}={value}, algorithm={spec.label}, seed={inst_seed}",
+        )
+
     for point, value in enumerate(config.resolved_sweep_values()):
-        index = point * config.instances_per_point + rep
-        if index > first_failure.value:
-            break
-        try:
-            instance = gen_synthetic(config.synthetic_config_at(value, inst_seed))
-            with _budget_failure_names(f"{config.sweep_param}={value} seed={inst_seed}"):
-                ref = oracle_value(instance, config.oracle, config.node_budget, solves)
-                makespans = _instance_makespans(
-                    instance,
-                    config.algorithms,
-                    config.scheduler,
-                    config.node_budget,
-                    lambda spec: (
-                        f"{config.sweep_param}={value}, algorithm={spec.label}, seed={inst_seed}"
-                    ),
-                    solves,
-                )
-            ratios = [alg / ref for alg in makespans]
-            for ratio in ratios:
-                if config.oracle == "exact" and ratio < 1.0 - 1e-9:
-                    raise RuntimeError(
-                        f"ratio {ratio} below 1 with exact oracle "
-                        f"({config.sweep_param}={value}, seed={inst_seed}); solver bug"
-                    )
-        except Exception as exc:
-            first_failure.update(lambda known: min(known, index))
-            return done, (index, exc)
-        done.append(ratios)
-    return done, None
+        yield point * config.instances_per_point + rep, functools.partial(ratios, value)
 
 
 class WorkerDiedError(RuntimeError):
@@ -519,25 +483,27 @@ class _SharedInt:
 
 
 def _map_tasks(
-    task: Callable[[_SharedInt, Any], tuple[Any, tuple[int, Exception] | None]],
-    items: Sequence[Any],
-    no_failure: int,
-) -> list[Any]:
-    """The results of ``task(first_failure, item)`` for every item, in item
-    order; or the error a serial run meets first.  A task returns ``(result,
-    failure)``, ``failure`` being ``None`` or ``(index, error)`` with the
-    error's place in a serial run; it lowers ``first_failure`` (from
-    ``no_failure``) to that index and skips work past it.
+    task: Callable[[Any], Iterable[tuple[int, Callable[[], Any]]]], items: Sequence[Any]
+) -> dict[int, Any]:
+    """The result of every step of ``task(item)`` for every item, keyed by
+    the step's serial index; or the error a serial run meets first.
+
+    A task yields ``(index, step)`` pairs in increasing index order, ``index``
+    being the step's place in a serial run and ``step`` a function of no
+    arguments.  This function alone keeps the failure protocol: it runs a
+    task's steps until one fails or one lies past the lowest failing index
+    any task has met so far, catches a step's error, and lowers that shared
+    index to the step's.  The error with the lowest index is raised.
 
     The items run in processes forked from this one, one per CPU it may use
-    and at most one per item, which take them in order, send their
-    ``(index, result, failure)`` records back pickled (an error keeps its
-    message and attributes, not its ``__cause__``), each over its own pipe,
-    and leave through ``os._exit``.  This process only reads the pipes and
-    reaps each worker when its pipe closes; a worker that exits otherwise
-    raises :class:`WorkerDiedError`, and on any error the workers are killed
-    and reaped.  With one such CPU, without ``fork``, or when this process
-    runs other threads (whose locks a child would inherit, held forever), the
+    and at most one per item, which take them in order, send their results
+    and errors back pickled (an error keeps its message and attributes, not
+    its ``__cause__``), each over its own pipe, and leave through
+    ``os._exit``.  This process only reads the pipes and reaps each worker
+    when its pipe closes; a worker that exits otherwise raises
+    :class:`WorkerDiedError`, and on any error the workers are killed and
+    reaped.  With one such CPU, without ``fork``, or when this process runs
+    other threads (whose locks a child would inherit, held forever), the
     items run here, in order.
     """
     try:
@@ -545,11 +511,24 @@ def _map_tasks(
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     workers = min(cpus, len(items))
-    first_failure, next_item = _SharedInt(no_failure), _SharedInt(0)
+    first_failure, next_item = _SharedInt((1 << 64) - 1), _SharedInt(0)
+
+    def run(item: Any) -> tuple[list[tuple[int, Any]], list[tuple[int, Exception]]]:
+        done = []
+        for index, step in task(item):
+            if index > first_failure.value:
+                break
+            try:
+                done.append((index, step()))
+            except Exception as exc:
+                first_failure.update(lambda known: min(known, index))
+                return done, [(index, exc)]
+        return done, []
+
     pids: dict[int, int] = {}  # the read end of each live worker's pipe: its pid
     try:
         if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-            outcomes = [task(first_failure, item) for item in items]
+            outcomes = [run(item) for item in items]
         else:
             # Imported here, not at module level: they slow every import.
             import pickle
@@ -565,7 +544,7 @@ def _map_tasks(
                     try:
                         records = []
                         while (i := next_item.update(lambda value: value + 1)) < len(items):
-                            records.append((i, *task(first_failure, items[i])))
+                            records.append(run(items[i]))
                         with open(write, "wb") as out:
                             pickle.dump(records, out, pickle.HIGHEST_PROTOCOL)
                         status = 0
@@ -574,7 +553,7 @@ def _map_tasks(
                 os.close(write)
                 pids[read], received[read] = pid, bytearray()
                 poller.register(read, select.POLLIN)
-            outcomes = [None] * len(items)
+            outcomes = []
             while pids:
                 for read, _ in poller.poll():
                     chunk = os.read(read, 1 << 16)
@@ -590,8 +569,7 @@ def _map_tasks(
                             "a worker process terminated abruptly "
                             f"(exit status {os.waitstatus_to_exitcode(status)})"
                         )
-                    for i, result, failure in pickle.loads(received[read]):
-                        outcomes[i] = (result, failure)
+                    outcomes += pickle.loads(received[read])
     finally:
         for read, pid in pids.items():
             os.close(read)
@@ -599,10 +577,14 @@ def _map_tasks(
             os.waitpid(pid, 0)
         for fd in first_failure.fds + next_item.fds:
             os.close(fd)
-    failures = [failure for _, failure in outcomes if failure is not None]
+    results: dict[int, Any] = {}
+    failures: list[tuple[int, Exception]] = []
+    for done, failed in outcomes:
+        results.update(done)
+        failures += failed
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    return [result for result, _ in outcomes]
+    return results
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
@@ -610,20 +592,21 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
 
     Each instance seed is a :func:`_seed_ratios` task of :func:`_map_tasks`,
     in parallel on the CPUs this process may use (``taskset -c 0`` runs them
-    here, in order).  Means and sample standard deviations are added in seed
-    order, so the CSV bytes do not depend on the number of CPUs.  A failure
-    raises the error that a serial run over sweep points, and seeds within a
-    point, meets first; no instance is solved twice.
+    here, in order), and each instance goes through
+    :func:`_instance_ratios`, as in :func:`evaluate`.  Means and sample
+    standard deviations are added in seed order, so the CSV bytes do not
+    depend on the number of CPUs.  A failure raises the error that a serial
+    run over sweep points, and seeds within a point, meets first; no instance
+    is solved twice.
     """
     values = config.resolved_sweep_values()
-    seeds = [config.seed + rep for rep in range(config.instances_per_point)]
-    results = _map_tasks(
-        functools.partial(_seed_ratios, config), seeds, len(values) * len(seeds)
-    )
+    count = config.instances_per_point
+    seeds = [config.seed + rep for rep in range(count)]
+    results = _map_tasks(functools.partial(_seed_ratios, config), seeds)
     rows: list[ExperimentRow] = []
     for point, value in enumerate(values):
         for j, spec in enumerate(config.algorithms):
-            values_list = [done[point][j] for done in results]
+            values_list = [results[point * count + rep][j] for rep in range(count)]
             mean = left_sum(values_list) / len(values_list)
             if len(values_list) > 1:
                 var = left_sum((x - mean) ** 2 for x in values_list) / (len(values_list) - 1)
@@ -1090,14 +1073,19 @@ def _check_oracle_agreement(rec: _Recorder, seed: int, trials: int, node_budget:
 
 def _check_families(rec: _Recorder, seed: int, trials: int, node_budget: int) -> None:
     """The fixed trap, tradeoff and binary lower-bound families (no seed, no
-    trials), with one memo of scheduling results for the whole section."""
+    trials), with one memo of solves and partitions for the whole section."""
     solves: dict[tuple, Any] = {}
+
+    def ratios_on(inst: Instance, specs: Sequence[AlgorithmSpec]) -> list[float]:
+        where = f"instance name={inst.name!r} seed={inst.seed!r}"
+        return _instance_ratios(inst, specs, "exact", "exact", node_budget, solves, where)
+
     consistent = [AlgorithmSpec("one-consistent")]
     for m in (2, 3):
         for n in range(m + 1, 13):
             inst = gen_prop1_instance(n, m)
             expected = (n - m + 1) / math.ceil(n / m)
-            ratio = _evaluate_all(inst, consistent, "exact", "exact", node_budget, solves)[0]
+            ratio = ratios_on(inst, consistent)[0]
             rec.record(
                 "trap-family-exact-ratio",
                 math.isclose(ratio, expected, rel_tol=1e-9),
@@ -1106,7 +1094,7 @@ def _check_families(rec: _Recorder, seed: int, trials: int, node_budget: int) ->
     for m in (2, 3, 4):
         inst = gen_tradeoff_instance(m)
         specs = [AlgorithmSpec("ipr", alpha=alpha, rho=4.0) for alpha in _ALPHA_CYCLE]
-        ratios = _evaluate_all(inst, specs, "exact", "exact", node_budget, solves)
+        ratios = ratios_on(inst, specs)
         for alpha, ratio in zip(_ALPHA_CYCLE, ratios):
             rec.record(
                 "tradeoff-family-ipr-bound",
@@ -1115,7 +1103,7 @@ def _check_families(rec: _Recorder, seed: int, trials: int, node_budget: int) ->
             )
     for k in (1, 2, 3):
         inst = gen_binary_lb_instance(k)
-        ratio = _evaluate_all(inst, consistent, "exact", "exact", node_budget, solves)[0]
+        ratio = ratios_on(inst, consistent)[0]
         rec.record(
             "binary-family-benchmark-floor",
             ratio >= 4.0 / 3.0 - 1e-9,
@@ -1160,25 +1148,22 @@ _HEAVIEST_FIRST: tuple[_VerifySection, ...] = (
 
 
 def _section_checks(
-    seed: int, trials: int, node_budget: int, first_failure: _SharedInt, section: _VerifySection
-) -> tuple[list[PropertyCheck], tuple[int, Exception] | None]:
-    """A :func:`_map_tasks` task: the checks of one verify section, or none
-    and the error that stopped it, at its report position.  A section past
-    ``first_failure`` is skipped; an exhausted budget names section and seed.
+    seed: int, trials: int, node_budget: int, section: _VerifySection
+) -> Iterator[tuple[int, Callable[[], list[PropertyCheck]]]]:
+    """A :func:`_map_tasks` task: one step at the section's report position,
+    which computes the checks of one verify section.  An exhausted budget
+    names section and seed.
     """
-    position = _VERIFY_SECTIONS.index(section)
-    if position > first_failure.value:
-        return [], None
-    rec = _Recorder()
-    try:
+
+    def checks() -> list[PropertyCheck]:
+        rec = _Recorder()
         with _budget_failure_names(
             f"verify section {section.__name__.removeprefix('_check_')} seed={seed}"
         ):
             section(rec, seed, trials, node_budget)
-    except Exception as exc:
-        first_failure.update(lambda value: min(value, position))
-        return [], (position, exc)
-    return rec.checks(), None
+        return rec.checks()
+
+    yield _VERIFY_SECTIONS.index(section), checks
 
 
 def verify_properties(
@@ -1196,13 +1181,14 @@ def verify_properties(
     in order).  The report lists their checks in report order, so it does not
     depend on the number of CPUs, and an error a section raises (an exhausted
     node budget, an invalid partition) is the one a serial run meets first.
+    The families section computes its ratios through
+    :func:`_instance_ratios`, as :func:`evaluate` does.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     results = _map_tasks(
-        functools.partial(_section_checks, seed, trials, node_budget),
-        _HEAVIEST_FIRST,
-        len(_VERIFY_SECTIONS),
+        functools.partial(_section_checks, seed, trials, node_budget), _HEAVIEST_FIRST
     )
-    checks = dict(zip(_HEAVIEST_FIRST, results))
-    return MetricsReport(properties=tuple(c for s in _VERIFY_SECTIONS for c in checks[s]))
+    return MetricsReport(
+        properties=tuple(c for position in sorted(results) for c in results[position])
+    )

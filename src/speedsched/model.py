@@ -6,7 +6,7 @@ grouped, and the *true* speeds revealed afterwards.  Jobs are first partitioned
 into bags (one future machine-load unit each); bags are later placed on machines
 without being split.  This module defines the containers (:class:`Partition`,
 :class:`Assignment`, :class:`Schedule`, :class:`IprState`), the measurements on
-them (loads, makespan, the bag-balance ratio, the prediction-error factor), and
+them (bag loads, the bag-balance ratio, the prediction-error factor), and
 deterministic JSON round-trips for instances and partitions.
 
 All validation is eager: malformed data raises ``ValueError`` (or ``IndexError``
@@ -193,8 +193,7 @@ class Partition:
 class Assignment:
     """Bags grouped into per-machine collections (machine ``i`` runs ``collections[i]``).
 
-    Flattening the collections in order yields a :class:`Partition` plus the
-    bag-to-machine map, so an assignment fully determines a schedule of its bags.
+    Flattening the collections in order yields a :class:`Partition`.
     """
 
     collections: tuple[tuple[Bag, ...], ...]
@@ -214,12 +213,6 @@ class Assignment:
 
     def to_partition(self) -> Partition:
         return Partition(bags=self.bags())
-
-    def bag_to_machine(self) -> tuple[int, ...]:
-        return tuple(i for i, coll in enumerate(self.collections) for _ in coll)
-
-    def to_schedule(self) -> "Schedule":
-        return Schedule(bag_to_machine=self.bag_to_machine(), m=self.m)
 
 
 @dataclass(frozen=True)
@@ -284,41 +277,6 @@ def bag_load(bag: Sequence[int], jobs: Sequence[float]) -> float:
             raise IndexError(f"job index {j} out of range for {n} jobs")
         total += jobs[j]
     return total
-
-
-def machine_loads(schedule: Schedule, partition: Partition, jobs: Sequence[float]) -> list[float]:
-    """Per-machine total load induced by placing ``partition``'s bags via ``schedule``."""
-    if len(schedule.bag_to_machine) != partition.m:
-        raise ValueError(
-            f"schedule places {len(schedule.bag_to_machine)} bags, partition has {partition.m}"
-        )
-    loads = [0.0] * schedule.m
-    for bag, machine in zip(partition.bags, schedule.bag_to_machine):
-        loads[machine] += bag_load(bag, jobs)
-    return loads
-
-
-def makespan(
-    schedule: Schedule,
-    partition: Partition,
-    instance: Instance,
-    use_predicted: bool = False,
-) -> float:
-    """Maximum machine completion time ``load_i / speed_i`` under the schedule.
-
-    Uses the true speeds unless ``use_predicted`` is set.  Any zero speed is
-    rejected, loaded machine or not: predicted speeds can be zero, and so can
-    the true speeds of an :attr:`~Instance.all_or_nothing` instance, and a
-    load cannot be divided by zero.
-    """
-    if schedule.m != instance.m:
-        raise ValueError(f"schedule has m={schedule.m}, instance has m={instance.m}")
-    if use_predicted:
-        speeds = finite_floats(instance.predicted_speeds, "predicted speeds")
-    else:
-        speeds = finite_floats(instance.true_speeds, "true speeds")
-    loads = machine_loads(schedule, partition, instance.jobs)
-    return max(load / s for load, s in zip(loads, speeds))
 
 
 def beta_ratio(partition: Partition, jobs: Sequence[float]) -> float:
@@ -407,11 +365,6 @@ def partition_to_json(partition: Partition) -> str:
 
 def partition_from_json(text: str) -> Partition:
     return Partition.from_json_dict(json.loads(text))
-
-
-def save_partition(partition: Partition, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(partition_to_json(partition))
 
 
 def load_partition(path: str) -> Partition:

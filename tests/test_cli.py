@@ -18,8 +18,8 @@ from speedsched.model import (
     instance_from_json,
     load_instance,
     load_partition,
+    partition_to_json,
     save_instance,
-    save_partition,
     Partition,
 )
 
@@ -174,7 +174,7 @@ def test_partition_one_consistent_trusts_prediction(tmp_path, capsys):
 def test_schedule_round_trip(tmp_path, capsys):
     inst = write_instance(tmp_path, "abc", [4.0, 3.0, 2.0], [2.0, 1.0], [2.0, 1.0])
     part_path = tmp_path / "part.json"
-    save_partition(Partition(bags=((0,), (1, 2))), str(part_path))
+    part_path.write_text(partition_to_json(Partition(bags=((0,), (1, 2)))), encoding="utf-8")
     assert main(["schedule", "--in", str(inst), "--partition", str(part_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["makespan"] == 4.0
@@ -185,7 +185,7 @@ def test_schedule_round_trip(tmp_path, capsys):
 def test_schedule_lpt_variant(tmp_path, capsys):
     inst = write_instance(tmp_path, "abc", [4.0, 3.0, 2.0], [2.0, 1.0], [2.0, 1.0])
     part_path = tmp_path / "part.json"
-    save_partition(Partition(bags=((0,), (1, 2))), str(part_path))
+    part_path.write_text(partition_to_json(Partition(bags=((0,), (1, 2)))), encoding="utf-8")
     assert main(["schedule", "--in", str(inst), "--partition", str(part_path),
                  "--scheduler", "lpt"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -196,7 +196,7 @@ def test_schedule_lpt_variant(tmp_path, capsys):
 def test_schedule_rejects_mismatched_partition(tmp_path, capsys):
     inst = write_instance(tmp_path, "abc", [4.0, 3.0, 2.0], [2.0, 1.0], [2.0, 1.0])
     part_path = tmp_path / "part.json"
-    save_partition(Partition(bags=((0, 1, 2),)), str(part_path))
+    part_path.write_text(partition_to_json(Partition(bags=((0, 1, 2),))), encoding="utf-8")
     assert main(["schedule", "--in", str(inst), "--partition", str(part_path)]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -212,7 +212,8 @@ def write_all_or_nothing_instance(tmp_path, true_speeds):
 
 def test_schedule_skips_unusable_machines(tmp_path, capsys):
     part_path = tmp_path / "part.json"
-    save_partition(Partition(bags=((0,), (1,), (2,), (3,))), str(part_path))
+    part = Partition(bags=((0,), (1,), (2,), (3,)))
+    part_path.write_text(partition_to_json(part), encoding="utf-8")
     for true_speeds, usable in (((1.0, 1.0, 0.0, 0.0), {0, 1}),
                                 ((0.0, 1.0, 0.0, 1.0), {1, 3})):
         inst = write_all_or_nothing_instance(tmp_path, true_speeds)
@@ -524,8 +525,8 @@ def test_budget_exhaustion_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("oracle", ["exact", "lower_bound"])
 def test_experiment_budget_exhaustion_names_the_cell(tmp_path, capsys, oracle):
-    # The exact oracle runs out first; with the lower-bound oracle the
-    # algorithms' own exact solves do.
+    # The algorithms run before the oracle, so with either oracle their own
+    # exact solve runs out first.
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"node_budget": 50, "oracle": oracle, "seed": 3,
                                 "sweep_values": [4.0], "instances_per_point": 2}))

@@ -258,14 +258,31 @@ def test_make_partition_shares_trusting_partition_per_scheduler(monkeypatch):
     inst = gen_synthetic(SyntheticConfig(n=10, m=3, err_sigma=8.0, seed=4))
     unshared = make_partition(inst, "ipr")
     monkeypatch.setattr(harness, "consistent_partition", counting)
-    trusting = {}
-    trusted = make_partition(inst, "one-consistent", trusting=trusting)
-    assert make_partition(inst, "ipr", trusting=trusting) == unshared
-    make_partition(inst, AlgorithmSpec("ipr", scheduler="lpt"), trusting=trusting)
-    make_partition(inst, "one-consistent", scheduler="lpt", trusting=trusting)
+    solves = {}
+    trusted = make_partition(inst, "one-consistent", solves=solves)
+    assert make_partition(inst, "ipr", solves=solves) == unshared
+    make_partition(inst, AlgorithmSpec("ipr", scheduler="lpt"), solves=solves)
+    make_partition(inst, "one-consistent", scheduler="lpt", solves=solves)
     assert calls == ["exact", "lpt"]
-    assert trusting["exact"].partition == trusted
-    assert set(trusting) == {"exact", "lpt"}
+    kept = {key[1]: value for key, value in solves.items() if key[0] == "consistent_partition"}
+    assert kept["exact"].partition == trusted
+    assert set(kept) == {"exact", "lpt"}
+
+
+def test_evaluate_under_perfect_predictions_solves_each_problem_once(monkeypatch):
+    # With exact predictions the prediction-trusting solve is the oracle's
+    # problem, and evaluate's one memo solves it once.
+    exact_calls = []
+
+    def exact(loads, speeds, node_budget):
+        exact_calls.append((tuple(loads), tuple(speeds)))
+        return exact_schedule(loads, speeds, node_budget)
+
+    inst = gen_synthetic(SyntheticConfig(n=8, m=3, err_sigma=0.0, seed=2))
+    expected = evaluate(inst, "one-consistent")
+    monkeypatch.setattr(solvers, "exact_schedule", exact)
+    assert evaluate(inst, "one-consistent") == expected
+    assert len(exact_calls) == len(set(exact_calls)) == 2
 
 
 def test_make_partition_validates_the_pinned_scheduler():

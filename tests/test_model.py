@@ -19,17 +19,22 @@ from speedsched.model import (
     instance_to_json,
     load_instance,
     load_partition,
-    machine_loads,
-    makespan,
     partition_from_json,
     partition_to_json,
     prediction_error,
     save_instance,
-    save_partition,
     validate_partition,
 )
+from speedsched.harness import oracle_value
 from speedsched.partition import consistent_partition, lpt_partition
-from speedsched.solvers import exact_schedule, lpt_schedule
+from speedsched.solvers import (
+    DEFAULT_NODE_BUDGET,
+    SCHEDULERS,
+    exact_schedule,
+    lpt_schedule,
+    opt_lower_bound,
+    schedule,
+)
 
 
 def test_every_exported_name_resolves():
@@ -166,11 +171,7 @@ def test_assignment_flattens_in_collection_order():
     asg = Assignment(collections=(((0, 1), (2,)), ((3,),)))
     assert asg.m == 2
     assert asg.bags() == ((0, 1), (2,), (3,))
-    assert asg.bag_to_machine() == (0, 0, 1)
     assert asg.to_partition().bags == ((0, 1), (2,), (3,))
-    sched = asg.to_schedule()
-    assert sched.bag_to_machine == (0, 0, 1)
-    assert sched.m == 2
 
 
 def test_schedule_rejects_out_of_range_machine():
@@ -195,7 +196,7 @@ def test_ipr_state_holds_trace_fields():
 
 
 # ---------------------------------------------------------------------------
-# bag_load / machine_loads / makespan
+# bag_load
 # ---------------------------------------------------------------------------
 
 
@@ -211,88 +212,103 @@ def test_bag_load_rejects_bad_index():
         bag_load((3,), [2.0, 3.0, 5.0])
 
 
+# ---------------------------------------------------------------------------
+# Makespan of a placement: a solver's schedule, its machine loads, the oracle
+# ---------------------------------------------------------------------------
+
+
+def _placed_loads(result, loads):
+    """Per-machine load of a solver result, summed from its schedule."""
+    per_machine = [0.0] * result.schedule.m
+    for k, i in enumerate(result.schedule.bag_to_machine):
+        per_machine[i] += loads[k]
+    return per_machine
+
+
 def test_machine_loads_and_makespan_example():
     # Bags of load 5 and 2 on machines of speed 2 and 1.
     inst = make_instance([5.0, 2.0], [2.0, 1.0], [2.0, 1.0])
     part = Partition(bags=((0,), (1,)))
-    sched = Schedule(bag_to_machine=(0, 1), m=2)
-    assert machine_loads(sched, part, inst.jobs) == [5.0, 2.0]
-    assert makespan(sched, part, inst) == 2.5
+    loads = [bag_load(bag, inst.jobs) for bag in part.bags]
+    for scheduler in SCHEDULERS:
+        result = schedule(loads, inst.true_speeds, scheduler, DEFAULT_NODE_BUDGET)
+        assert result.schedule == Schedule(bag_to_machine=(0, 1), m=2)
+        assert _placed_loads(result, loads) == [5.0, 2.0]
+        assert result.makespan == 2.5
 
 
 def test_makespan_single_machine_is_total_load():
     inst = make_instance([3.0, 4.0, 5.0], [2.0], [2.0])
-    part = Partition(bags=((0, 1, 2),))
-    sched = Schedule(bag_to_machine=(0,), m=1)
-    assert makespan(sched, part, inst) == 12.0 / 2.0
+    for scheduler in SCHEDULERS:
+        result = schedule(inst.jobs, inst.true_speeds, scheduler, DEFAULT_NODE_BUDGET)
+        assert result.makespan == 12.0 / 2.0
+    assert oracle_value(inst) == 6.0
+    assert oracle_value(inst, oracle="lower_bound") == 6.0
 
 
 def test_makespan_empty_machine_contributes_zero():
-    inst = make_instance([4.0], [1.0, 100.0], [1.0, 100.0])
-    part = Partition(bags=((0,),))
-    sched = Schedule(bag_to_machine=(0,), m=2)
-    assert makespan(sched, part, inst) == 4.0
+    # The second machine is four times slower and stays empty.
+    for solve in (exact_schedule, lpt_schedule):
+        result = solve([4.0], [1.0, 0.25])
+        assert _placed_loads(result, [4.0]) == [4.0, 0.0]
+        assert result.makespan == 4.0
+    # An unusable machine of an all-or-nothing instance hosts nothing either.
+    assert oracle_value(make_instance([4.0], [1.0, 0.0], [1.0, 1.0])) == 4.0
 
 
 def test_makespan_use_predicted_switches_speeds():
+    # The oracle places the jobs on the true speeds, never on the predicted ones.
     inst = make_instance([6.0], [2.0], [3.0])
-    part = Partition(bags=((0,),))
-    sched = Schedule(bag_to_machine=(0,), m=1)
-    assert makespan(sched, part, inst) == 3.0
-    assert makespan(sched, part, inst, use_predicted=True) == 2.0
+    assert exact_schedule(inst.jobs, inst.true_speeds).makespan == 3.0
+    assert exact_schedule(inst.jobs, inst.predicted_speeds).makespan == 2.0
+    assert oracle_value(inst) == 3.0
+    assert oracle_value(inst, oracle="lower_bound") == 3.0
 
 
 def test_makespan_rejects_zero_predicted_speed():
     inst = make_instance([1.0], [1.0], [0.0])
-    part = Partition(bags=((0,),))
-    sched = Schedule(bag_to_machine=(0,), m=1)
-    with pytest.raises(ValueError):
-        makespan(sched, part, inst, use_predicted=True)
+    for scheduler in SCHEDULERS:
+        with pytest.raises(ValueError, match="machine speeds must be positive"):
+            schedule(inst.jobs, inst.predicted_speeds, scheduler, DEFAULT_NODE_BUDGET)
 
 
 def test_makespan_rejects_zero_true_speed():
-    inst = make_instance([1.0], [1.0, 0.0], [1.0, 1.0])
-    part = Partition(bags=((0,), ()))
-    sched = Schedule(bag_to_machine=(0, 1), m=2)
-    with pytest.raises(ValueError):
-        makespan(sched, part, inst)
+    for scheduler in SCHEDULERS:
+        with pytest.raises(ValueError, match="machine speeds must be positive"):
+            schedule([1.0], [1.0, 0.0], scheduler, DEFAULT_NODE_BUDGET)
+    with pytest.raises(ValueError, match="machine speeds must be positive"):
+        opt_lower_bound([1.0], [1.0, 0.0])
 
 
 def test_makespan_rejects_machine_count_mismatch():
-    inst = make_instance([1.0], [1.0], [1.0])
-    part = Partition(bags=((0,),))
-    sched = Schedule(bag_to_machine=(0,), m=2)
-    with pytest.raises(ValueError):
-        makespan(sched, part, inst)
+    # Predicted and true speeds must describe the same machines.
+    with pytest.raises(ValueError, match="predicted_speeds has 2 entries, true_speeds has 1"):
+        make_instance([1.0], [1.0], [1.0, 1.0])
+    # A placement names only machines that exist.
+    with pytest.raises(ValueError, match="out of range for m=1"):
+        Schedule(bag_to_machine=(0, 1), m=1)
 
 
 def test_makespan_invariances_random_trials():
-    """Scaling all speeds by c divides the makespan by c; relabeling machines
-    together with the schedule leaves it unchanged."""
+    """The reported makespan is the largest placed load over its machine's
+    speed; scaling all speeds by c divides it by c; relabeling the machines
+    leaves it unchanged."""
     rng = SplitMix64(2024)
     for _ in range(50):
         n = 2 + rng.next_u64() % 5
         m = 1 + rng.next_u64() % 3
-        jobs = tuple(1.0 + 9.0 * rng.next_float() for _ in range(n))
-        speeds = tuple(0.5 + 4.0 * rng.next_float() for _ in range(m))
-        assignment = tuple(rng.next_u64() % m for _ in range(n))
-        part = Partition(bags=tuple((j,) for j in range(n)))
-        sched = Schedule(bag_to_machine=assignment, m=m)
-        inst = make_instance(jobs, speeds, speeds)
-        base = makespan(sched, part, inst)
-
+        jobs = [1.0 + 9.0 * rng.next_float() for _ in range(n)]
+        speeds = [0.5 + 4.0 * rng.next_float() for _ in range(m)]
         c = 0.5 + 3.0 * rng.next_float()
-        scaled = make_instance(jobs, tuple(s * c for s in speeds), speeds)
-        assert makespan(sched, part, scaled) == pytest.approx(base / c, rel=1e-12)
-
+        scaled = [s * c for s in speeds]
         perm = sorted(range(m), key=lambda i: rng.next_u64())
-        permuted_speeds = tuple(speeds[perm[i]] for i in range(m))
-        inverse = [0] * m
-        for new_idx, old_idx in enumerate(perm):
-            inverse[old_idx] = new_idx
-        relabeled = Schedule(bag_to_machine=tuple(inverse[i] for i in assignment), m=m)
-        permuted = make_instance(jobs, permuted_speeds, permuted_speeds)
-        assert makespan(relabeled, part, permuted) == pytest.approx(base, rel=1e-12)
+        permuted = [speeds[perm[i]] for i in range(m)]
+        for solve in (exact_schedule, lpt_schedule):
+            base = solve(jobs, speeds)
+            placed = max(load / s for load, s in zip(_placed_loads(base, jobs), speeds))
+            assert placed == pytest.approx(base.makespan, rel=1e-12)
+            assert solve(jobs, scaled).makespan == pytest.approx(base.makespan / c, rel=1e-12)
+            assert solve(jobs, permuted).makespan == pytest.approx(base.makespan, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -429,5 +445,5 @@ def test_partition_json_round_trip(tmp_path):
     part = Partition(bags=((0, 2), (1,), ()))
     assert partition_from_json(partition_to_json(part)) == part
     path = tmp_path / "part.json"
-    save_partition(part, str(path))
+    path.write_text(partition_to_json(part), encoding="utf-8")
     assert load_partition(str(path)) == part

@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from speedsched.gen import SplitMix64, SyntheticConfig, gen_synthetic
-from speedsched.model import Partition, Schedule, bag_load, beta_ratio, machine_loads
+from speedsched.model import Partition, Schedule, bag_load, beta_ratio
 from speedsched.solvers import (
     BudgetExceededError,
     CapacityInfeasibleError,
@@ -402,7 +402,9 @@ def test_capacity_robust_within_factor_of_optimal():
         opt = exact_schedule(jobs, speeds).makespan
         bound = max(2.0, beta) * opt
         assert res.makespan <= bound + 1e-9 * max(1.0, bound)
-        loads = machine_loads(res.schedule, part, jobs)
+        loads = [0.0] * m
+        for bag, i in zip(part.bags, res.schedule.bag_to_machine):
+            loads[i] += bag_load(bag, jobs)
         assert sum(loads) == pytest.approx(sum(jobs), rel=1e-12)
 
 
