@@ -314,6 +314,20 @@ def _default_algorithms() -> tuple[AlgorithmSpec, ...]:
     )
 
 
+def _config_type_error(key: str, value: object) -> str | None:
+    """What experiment config ``key`` must hold, when its JSON ``value`` is of
+    another type that ``ExperimentConfig`` would coerce (``true`` as 1) or
+    trip over later with a TypeError; None when the type is right."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if key in ("n", "m", "instances_per_point", "seed", "node_budget"):
+        return None if number and isinstance(value, int) else "an integer"
+    if key == "err_sigma":
+        return None if number else "a number"
+    if key in ("sweep_values", "algorithms"):
+        return None if value is None or isinstance(value, list) else "a list or null"
+    return None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A parameter sweep over synthetic instances.
@@ -409,6 +423,10 @@ class ExperimentConfig:
         extra = doc.keys() - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown experiment config keys: {sorted(extra)}")
+        for key, value in doc.items():
+            want = _config_type_error(key, value)
+            if want:
+                raise ValueError(f"experiment config {key!r} must be {want}, got {value!r}")
         # ``__post_init__`` parses the algorithms and the sweep values.
         kwargs = dict(doc)
         for key in ("job_dist", "speed_dist"):
@@ -771,14 +789,11 @@ class _Recorder:
     """Per-property pass counting with first-counterexample capture."""
 
     def __init__(self) -> None:
+        # name -> [passed, trials, counterexample], in first-recorded order.
         self._acc: dict[str, list] = {}
-        self._order: list[str] = []
 
     def record(self, name: str, ok: bool, detail: Callable[[], str]) -> None:
-        if name not in self._acc:
-            self._acc[name] = [0, 0, None]
-            self._order.append(name)
-        entry = self._acc[name]
+        entry = self._acc.setdefault(name, [0, 0, None])
         entry[1] += 1
         if ok:
             entry[0] += 1
@@ -786,10 +801,7 @@ class _Recorder:
             entry[2] = detail()
 
     def checks(self) -> list[PropertyCheck]:
-        return [
-            PropertyCheck(name=n, passed=e[0], trials=e[1], counterexample=e[2])
-            for n, e in ((n, self._acc[n]) for n in self._order)
-        ]
+        return [PropertyCheck(name, *entry) for name, entry in self._acc.items()]
 
 
 def _dump(instance: Instance, extra: str = "") -> str:
@@ -845,6 +857,13 @@ def _check_lpt_partition(rec: _Recorder, seed: int, trials: int, node_budget: in
         )
 
 
+def _bmin_monotone(hist: Sequence[float]) -> bool:
+    """An ``ipr`` trace's smallest bag load never falls from its first
+    positive entry on."""
+    start = next((i for i, v in enumerate(hist) if v > 0.0), len(hist))
+    return all(_le(hist[i], hist[i + 1]) for i in range(start, len(hist) - 1))
+
+
 def _check_ipr_trace(rec: _Recorder, seed: int, trials: int, node_budget: int) -> None:
     """The ``ipr`` trace with rho = 4: monotone b_min, at most m^2
     iterations, beta within the robust bound."""
@@ -856,11 +875,9 @@ def _check_ipr_trace(rec: _Recorder, seed: int, trials: int, node_budget: int) -
         result = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=alpha, rho=4.0), initial)
         state = result.state
         hist = state.b_min_history
-        start = next((i for i, v in enumerate(hist) if v > 0.0), len(hist))
-        monotone = all(_le(hist[i], hist[i + 1]) for i in range(start, len(hist) - 1))
         rec.record(
             "ipr-bmin-monotone-rho4",
-            monotone,
+            _bmin_monotone(hist),
             lambda i=inst, h=hist, a=alpha: _dump(i, f"alpha={a} history={h}"),
         )
         rec.record(
@@ -947,10 +964,9 @@ def _check_unit_jobs(rec: _Recorder, seed: int, trials: int, node_budget: int) -
             lambda i=inst, b=beta, a=alpha: _dump(i, f"alpha={a} beta={b}"),
         )
         hist = result.state.b_min_history
-        start = next((i for i, v in enumerate(hist) if v > 0.0), len(hist))
         rec.record(
             "unit-ipr-rho2-bmin-monotone",
-            all(_le(hist[i], hist[i + 1]) for i in range(start, len(hist) - 1)),
+            _bmin_monotone(hist),
             lambda i=inst, h=hist: _dump(i, f"history={h}"),
         )
 

@@ -5,11 +5,13 @@ speeds and must commit to a partition of the jobs into ``m`` bags.  Stage two
 (:mod:`speedsched.solvers`) places those bags, unsplit, on the machines once
 true speeds are revealed.  A partition that blindly trusts the predictions is
 unbeatable when they are right and unboundedly bad when they are wrong; a
-speed-oblivious LPT split is safely mediocre either way.  The iterative
-partial rebalancing algorithm (:func:`ipr`) interpolates: it starts from the
-prediction-trusting partition and evens out bag loads until either the bags
-are balanced to within a factor ``rho`` or further evening would cost more
-than a ``(1 + alpha)`` factor under the predicted speeds.
+speed-oblivious LPT split is safely mediocre either way.  Iterative partial
+rebalancing interpolates: from the prediction-trusting bags, one per machine,
+one loop repeatedly moves the smallest bag into the collection holding the
+heaviest splittable bag and re-splits that collection, until the bags are
+balanced to within a factor ``rho`` or a step would cost more than a
+``(1 + alpha)`` factor under the predicted speeds.  :func:`ipr` runs it on
+bags of jobs, :func:`fluid_ipr` on divisible loads (infinitesimal jobs).
 
 All tie-breaks are by lowest index so every routine is deterministic.
 """
@@ -19,10 +21,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .model import Assignment, Bag, IprState, Partition, bag_load, finite_floats, left_sum
 from .solvers import DEFAULT_NODE_BUDGET, SolveResult, schedule
+
+_BagT = TypeVar("_BagT")
 
 
 @dataclass(frozen=True)
@@ -121,51 +125,70 @@ def consistent_partition(
     return ConsistentPartition(Partition(bags_desc), opt_c_bar)
 
 
-def _global_min_bag(
-    collections: Sequence[Sequence[Bag]], load_of: Callable[[Bag], float]
-) -> tuple[int, int, float]:
-    min_ci = min_bi = -1
-    min_load = math.inf
-    for ci, coll in enumerate(collections):
-        for bi, bag in enumerate(coll):
-            load = load_of(bag)
-            if load < min_load:
-                min_load, min_ci, min_bi = load, ci, bi
-    if min_ci < 0:
-        raise ValueError("no bags to rebalance")
-    return min_ci, min_bi, min_load
+def _rebalance(
+    collections: list[list[_BagT]],
+    speeds_desc: Sequence[float],
+    rho: float,
+    guard: float,
+    load_of: Callable[[_BagT], float],
+    splittable: Callable[[_BagT], bool],
+    resplit: Callable[[list[_BagT]], tuple[list[_BagT], float]],
+) -> tuple[list[list[_BagT]], int, list[float], float | None, int | None]:
+    """The rebalance loop of :func:`ipr` and :func:`fluid_ipr`.
 
+    ``collections[i]`` holds the bags of the machine with predicted speed
+    ``speeds_desc[i]``.  Each pass scans every bag once for the first smallest
+    bag and the collection holding the first heaviest ``splittable`` bag, and
+    stops when there is no splittable bag or it is at most ``rho`` times the
+    smallest.  Otherwise it moves the smallest bag into that collection and
+    ``resplit``s the collection into as many bags as it now holds (the new
+    bags and the collection's total load).  Only those two collections
+    change; the step is kept if the makespan under ``speeds_desc`` stays
+    within ``guard``, and otherwise discarded, which ends the loop.
 
-def _rebalance_once(
-    collections: list[list[Bag]], jobs: Sequence[float], load_of: Callable[[Bag], float]
-) -> tuple[list[list[Bag]], float, int]:
-    """One rebalance step; returns (new collections, receiving-collection load, bag count).
-
-    Moves the globally smallest bag into the collection holding the largest
-    multi-job bag, then re-splits that collection's jobs into as many bags as
-    it now holds via LPT.  Only those two collections change; the total bag
-    count is conserved.  ``load_of(bag)`` is the bag's load,
-    ``bag_load(bag, jobs)``.
+    Returns the final collections, the steps tried (a discarded one
+    included), the smallest bag load at the start of each pass, and the total
+    load and bag count of the last re-split collection (``None`` before any).
     """
-    min_ci, min_bi, _ = _global_min_bag(collections, load_of)
-    max_ci = -1
-    max_load = -1.0
-    for ci, coll in enumerate(collections):
-        for bag in coll:
-            if len(bag) >= 2:
-                load = load_of(bag)
-                if load > max_load:
+    loads = [[load_of(bag) for bag in coll] for coll in collections]
+    history: list[float] = []
+    iterations = 0
+    last_load: float | None = None
+    last_count: int | None = None
+    safety = 16 * len(speeds_desc) * len(speeds_desc) + 64
+    while True:
+        min_load, min_ci, min_bi = math.inf, -1, -1
+        max_load, max_ci = -math.inf, -1
+        for ci, coll_loads in enumerate(loads):
+            for bi, load in enumerate(coll_loads):
+                if load < min_load:
+                    min_load, min_ci, min_bi = load, ci, bi
+                if load > max_load and splittable(collections[ci][bi]):
                     max_load, max_ci = load, ci
-    if max_ci < 0:
-        raise ValueError("rebalance requires a bag with at least two jobs")
-    new = [list(coll) for coll in collections]
-    moved = new[min_ci].pop(min_bi)
-    new[max_ci].append(moved)
-    ell = len(new[max_ci])
-    items = [(float(jobs[j]), j) for bag in new[max_ci] for j in bag]
-    total = left_sum(load for load, _ in items)
-    new[max_ci] = _lpt_split(items, ell)
-    return new, total, ell
+        history.append(min_load)
+        if max_ci < 0 or max_load <= rho * min_load:
+            break
+        iterations += 1
+        if iterations > safety:
+            raise RuntimeError(
+                f"rebalance loop exceeded safety bound {safety}; this indicates a bug"
+            )
+        # Shallow copies: the tentative step rebuilds only the two collections.
+        tentative, tentative_loads = collections[:], loads[:]
+        source = collections[min_ci]
+        tentative[min_ci] = source[:min_bi] + source[min_bi + 1 :]
+        tentative_loads[min_ci] = loads[min_ci][:min_bi] + loads[min_ci][min_bi + 1 :]
+        receiving = tentative[max_ci] + [source[min_bi]]
+        tentative[max_ci], last_load = resplit(receiving)
+        last_count = len(receiving)
+        tentative_loads[max_ci] = [load_of(bag) for bag in tentative[max_ci]]
+        tentative_makespan = max(
+            left_sum(coll_loads) / s for coll_loads, s in zip(tentative_loads, speeds_desc)
+        )
+        if tentative_makespan > guard:
+            break
+        collections, loads = tentative, tentative_loads
+    return collections, iterations, history, last_load, last_count
 
 
 def ipr(
@@ -179,60 +202,35 @@ def ipr(
     Starts from ``initial``, the prediction-trusting partition
     ``consistent_partition(jobs, predicted_speeds, solver)`` under whichever
     solver the caller chose (one bag per machine, machines taken in
-    non-increasing predicted-speed order), and repeatedly
-    applies the rebalance step while some multi-job bag is more than
-    ``config.rho`` times heavier than the smallest bag.  Each tentative step is
-    vetted under the predicted speeds: if it would push the assignment's
-    makespan beyond ``(1 + alpha)`` times the initial value, the step is
-    discarded and the loop stops, so the consistency guarantee holds by
+    non-increasing predicted-speed order), and runs the rebalance loop with
+    ``rho = config.rho`` and the guard ``(1 + alpha)`` times its makespan
+    ``initial.opt_c_bar``.  A bag is splittable when it holds at least two
+    jobs, and a receiving collection's jobs are LPT-split into its bags.  A
+    step the guard discards is undone, so the consistency guarantee holds by
     construction no matter how unbalanced the bags remain.
-
-    Each bag's load is computed once per call: bags are immutable and every
-    job sits in exactly one bag, so a bag's load is looked up by the bag.
 
     Returns the final partition plus an :class:`~speedsched.model.IprState`
     trace (iteration count, minimum-bag-load history, last rebalance stats).
     """
+    jobs = finite_floats(jobs, "job processing times", allow_zero=True, allow_empty=True)
     speeds = finite_floats(predicted_speeds, "predicted speeds")
-    speeds_desc = sorted(speeds, reverse=True)
-    collections: list[list[Bag]] = [[bag] for bag in initial.partition.bags]
-    guard = (1.0 + config.alpha) * initial.opt_c_bar
+    collections = [[bag] for bag in initial.partition.bags]
+    if len(collections) != len(speeds):
+        raise ValueError(f"initial partition has {len(collections)} bags for {len(speeds)} speeds")
 
-    history: list[float] = []
-    iterations = 0
-    last_load: float | None = None
-    last_count: int | None = None
-    safety = 16 * len(speeds) * len(speeds) + 64
-    known: dict[Bag, float] = {}
+    def lpt_resplit(bags: list[Bag]) -> tuple[list[Bag], float]:
+        items = [(jobs[j], j) for bag in bags for j in bag]
+        return _lpt_split(items, len(bags)), left_sum(load for load, _ in items)
 
-    def load_of(bag: Bag) -> float:
-        load = known.get(bag)
-        if load is None:
-            load = known[bag] = bag_load(bag, jobs)
-        return load
-
-    while True:
-        all_loads = [load_of(bag) for coll in collections for bag in coll]
-        multi_loads = [load_of(bag) for coll in collections for bag in coll if len(bag) >= 2]
-        b_min = min(all_loads)
-        history.append(b_min)
-        if not multi_loads or max(multi_loads) <= config.rho * b_min:
-            break
-        iterations += 1
-        if iterations > safety:
-            raise RuntimeError(
-                f"rebalance loop exceeded safety bound {safety}; this indicates a bug"
-            )
-        tentative, moved_load, moved_count = _rebalance_once(collections, jobs, load_of)
-        last_load, last_count = moved_load, moved_count
-        tentative_makespan = max(
-            left_sum(load_of(bag) for bag in coll) / s
-            for coll, s in zip(tentative, speeds_desc)
-        )
-        if tentative_makespan > guard:
-            break
-        collections = tentative
-
+    collections, iterations, history, last_load, last_count = _rebalance(
+        collections,
+        sorted(speeds, reverse=True),
+        config.rho,
+        (1.0 + config.alpha) * initial.opt_c_bar,
+        lambda bag: bag_load(bag, jobs),
+        lambda bag: len(bag) >= 2,
+        lpt_resplit,
+    )
     assignment = Assignment(tuple(tuple(coll) for coll in collections))
     state = IprState(
         assignment=assignment,
@@ -254,47 +252,31 @@ def fluid_ipr(
     """Continuous-load analogue of :func:`ipr` for infinitesimal jobs.
 
     The workload is a single divisible quantity, so bags are just positive
-    loads and every bag is splittable.  Starts from loads proportional to the
-    predicted speeds (which is prediction-optimal), then rebalances with the
-    same move/re-split/guard structure, with the balance condition taken over
-    all bags.  Returns the final bag loads in collection order.
+    loads.  Starts from loads proportional to the predicted speeds (which is
+    prediction-optimal) and runs :func:`ipr`'s rebalance loop on them with the
+    guard ``(1 + alpha)`` times that optimum: every bag is splittable, and a
+    receiving collection's load is split into equal shares.  Returns the final
+    bag loads in collection order.
     """
     speeds = finite_floats(predicted_speeds, "predicted speeds")
     (total_load,) = finite_floats([total_load], "total_load")
     IprConfig(alpha=alpha, rho=rho)  # validates ranges
     speeds_desc = sorted(speeds, reverse=True)
     total_speed = left_sum(speeds_desc)
-    collections: list[list[float]] = [[total_load * s / total_speed] for s in speeds_desc]
-    guard = (1.0 + alpha) * (total_load / total_speed)
-    safety = 16 * len(speeds) * len(speeds) + 64
-    iterations = 0
 
-    while True:
-        flat = [(load, ci, bi) for ci, coll in enumerate(collections) for bi, load in enumerate(coll)]
-        b_min = min(load for load, _, _ in flat)
-        b_max = max(load for load, _, _ in flat)
-        if b_max <= rho * b_min:
-            break
-        iterations += 1
-        if iterations > safety:
-            raise RuntimeError(
-                f"fluid rebalance loop exceeded safety bound {safety}; this indicates a bug"
-            )
-        min_ci, min_bi = next((ci, bi) for load, ci, bi in flat if load == b_min)
-        max_ci = next(ci for load, ci, _ in flat if load == b_max)
-        tentative = [list(coll) for coll in collections]
-        moved = tentative[min_ci].pop(min_bi)
-        tentative[max_ci].append(moved)
-        ell = len(tentative[max_ci])
-        within = left_sum(tentative[max_ci])
-        tentative[max_ci] = [within / ell] * ell
-        tentative_makespan = max(
-            left_sum(coll) / s for coll, s in zip(tentative, speeds_desc)
-        )
-        if tentative_makespan > guard:
-            break
-        collections = tentative
+    def equal_shares(bags: list[float]) -> tuple[list[float], float]:
+        within = left_sum(bags)
+        return [within / len(bags)] * len(bags), within
 
+    collections, *_ = _rebalance(
+        [[total_load * s / total_speed] for s in speeds_desc],
+        speeds_desc,
+        rho,
+        (1.0 + alpha) * (total_load / total_speed),
+        lambda load: load,
+        lambda load: True,
+        equal_shares,
+    )
     return [load for coll in collections for load in coll]
 
 

@@ -353,6 +353,29 @@ def test_experiment_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": "5"},
+        {"n": True},
+        {"sweep_values": 3},
+        {"algorithms": 5},
+        {"seed": "x"},
+        {"instances_per_point": 2.5},
+        {"err_sigma": "1"},
+        {"node_budget": "9"},
+    ],
+)
+def test_experiment_rejects_config_value_of_wrong_type(tmp_path, capsys, doc):
+    # A usage error naming the key: not a TypeError traceback, a failed
+    # evaluation (exit 4), or true read as n = 1.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(path)]) == 2
+    (key,) = doc
+    assert f"error: experiment config {key!r} must be" in capsys.readouterr().err
+
+
 def test_import_and_one_cpu_experiment_leave_multiprocessing_unloaded(tmp_path):
     # Importing multiprocessing would add about a quarter to the package's
     # import time and 1.5 MB of memory, so only a pooled experiment loads it.

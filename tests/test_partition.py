@@ -8,11 +8,18 @@ import pytest
 
 from speedsched import partition
 from speedsched.gen import SplitMix64, SyntheticConfig, gen_synthetic
-from speedsched.model import Assignment, Partition, bag_load, beta_ratio, validate_partition
+from speedsched.model import (
+    Assignment,
+    Partition,
+    bag_load,
+    beta_ratio,
+    left_sum,
+    validate_partition,
+)
 from speedsched.partition import (
     IprConfig,
     _lpt_split,
-    _rebalance_once,
+    _rebalance,
     binary_speed_partition,
     consistent_partition,
     fluid_ipr,
@@ -154,38 +161,58 @@ def test_consistent_partition_rejects_bad_speeds():
 
 
 # ---------------------------------------------------------------------------
-# lpt_rebalance: one rebalance step on an assignment
+# _rebalance: the loop ipr and fluid_ipr share, here on bags of jobs
 # ---------------------------------------------------------------------------
 
 
-def lpt_rebalance(assignment, jobs):
-    collections = [list(coll) for coll in assignment.collections]
-    new, _, _ = _rebalance_once(collections, jobs, lambda b: bag_load(b, jobs))
-    return Assignment(tuple(tuple(coll) for coll in new))
+def lpt_rebalance(assignment, jobs, rho):
+    """Run the rebalance loop on ``assignment`` as :func:`ipr` does (multi-job
+    bags are splittable, a receiving collection is LPT-split), with equal
+    speeds and an infinite guard; returns (assignment, iterations)."""
+
+    def lpt_resplit(bags):
+        items = [(jobs[j], j) for bag in bags for j in bag]
+        return _lpt_split(items, len(bags)), sum(load for load, _ in items)
+
+    collections, iterations, _, _, _ = _rebalance(
+        [list(coll) for coll in assignment.collections],
+        [1.0] * assignment.m,
+        rho,
+        math.inf,
+        lambda bag: bag_load(bag, jobs),
+        lambda bag: len(bag) >= 2,
+        lpt_resplit,
+    )
+    return Assignment(tuple(tuple(coll) for coll in collections)), iterations
 
 
 def test_lpt_rebalance_moves_min_bag_into_heaviest_collection():
     asg = Assignment(collections=((tuple(range(8)),), ((8,),)))
-    out = lpt_rebalance(asg, [UNIT] * 9)
+    out, iterations = lpt_rebalance(asg, [UNIT] * 9, rho=4.0)
     assert out.collections == (((0, 2, 4, 6, 8), (1, 3, 5, 7)), ())
+    assert iterations == 1
 
 
 def test_lpt_rebalance_within_one_collection():
     asg = Assignment(collections=(((0, 1), (2,)), ()))
-    out = lpt_rebalance(asg, [2.0, 2.0, 1.0])
+    out, iterations = lpt_rebalance(asg, [2.0, 2.0, 1.0], rho=2.0)
     assert out.collections == (((0, 2), (1,)), ())
+    assert iterations == 1
 
 
 def test_lpt_rebalance_three_collections():
     asg = Assignment(collections=(((0,),), ((1, 2),), ((3,),)))
-    out = lpt_rebalance(asg, [6.0, 3.0, 3.0, 1.0])
+    out, iterations = lpt_rebalance(asg, [6.0, 3.0, 3.0, 1.0], rho=2.0)
     assert out.collections == (((0,),), ((1, 3), (2,)), ())
+    assert iterations == 1
 
 
 def test_lpt_rebalance_requires_a_multi_job_bag():
+    # Single-job bags cannot be split, however unbalanced: nothing moves.
     asg = Assignment(collections=(((0,),), ((1,),)))
-    with pytest.raises(ValueError):
-        lpt_rebalance(asg, [2.0, 1.0])
+    out, iterations = lpt_rebalance(asg, [2.0, 1.0], rho=1.0)
+    assert out == asg
+    assert iterations == 0
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +273,22 @@ def test_ipr_deterministic():
     b = ipr(jobs, speeds, IprConfig(alpha=0.3))
     assert a.partition == b.partition
     assert a.state.b_min_history == b.state.b_min_history
+
+
+def test_ipr_rejects_initial_with_wrong_bag_count():
+    # Not a one-bag partition for two machines.
+    initial = partition.ConsistentPartition(Partition(((0, 1, 2),)), 3.0)
+    with pytest.raises(ValueError, match="1 bags for 2 speeds"):
+        partition.ipr([UNIT] * 3, (1.0, 1.0), IprConfig(alpha=0.5), initial)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_ipr_rejects_bad_jobs(bad):
+    # Rejected before the loop: no negative load in b_min_history, no NaN
+    # comparisons inside it.
+    initial = partition.ConsistentPartition(Partition(((0, 1), (2,))), 10.0)
+    with pytest.raises(ValueError, match="job processing times"):
+        partition.ipr([5.0, 5.0, bad], (1.0, 1.0), IprConfig(alpha=0.5), initial)
 
 
 def pinned_greedy_inputs():
@@ -327,6 +370,54 @@ def test_greedy_results_pinned_under_compensated_sum(monkeypatch):
 # ---------------------------------------------------------------------------
 # fluid_ipr
 # ---------------------------------------------------------------------------
+
+
+def reference_fluid_ipr(total_load, predicted_speeds, alpha, rho=2.0):
+    """A reference for :func:`fluid_ipr` that shares no code with ``ipr``:
+    every pass flattens the bags, takes the first smallest and the first
+    largest, and splits the receiving collection's load into equal shares."""
+    speeds_desc = sorted(predicted_speeds, reverse=True)
+    total_speed = left_sum(speeds_desc)
+    collections = [[total_load * s / total_speed] for s in speeds_desc]
+    guard = (1.0 + alpha) * (total_load / total_speed)
+    while True:
+        flat = [(load, ci, bi) for ci, coll in enumerate(collections) for bi, load in enumerate(coll)]
+        b_min = min(load for load, _, _ in flat)
+        b_max = max(load for load, _, _ in flat)
+        if b_max <= rho * b_min:
+            break
+        min_ci, min_bi = next((ci, bi) for load, ci, bi in flat if load == b_min)
+        max_ci = next(ci for load, ci, _ in flat if load == b_max)
+        tentative = [list(coll) for coll in collections]
+        moved = tentative[min_ci].pop(min_bi)
+        tentative[max_ci].append(moved)
+        ell = len(tentative[max_ci])
+        within = left_sum(tentative[max_ci])
+        tentative[max_ci] = [within / ell] * ell
+        if max(left_sum(coll) / s for coll, s in zip(tentative, speeds_desc)) > guard:
+            break
+        collections = tentative
+    return [load for coll in collections for load in coll]
+
+
+def test_fluid_ipr_matches_reference_loop_bit_for_bit():
+    rng = SplitMix64(406)
+    cases = [(7.0, (1.0,), 0.5, 2.0), (12.0, (3.0, 3.0, 3.0), 0.5, 1.0), (9.0, (8.0, 1.0), 0.5, 1.0)]
+    for t in range(3000):
+        m = 1 + rng.next_u64() % 6
+        if t % 3 == 0:
+            speeds = [0.5 + 4.0 * rng.next_float()] * m
+        else:
+            speeds = [max(40.0 * rng.next_float(), 1e-3) for _ in range(m)]
+        total = 1.0 + 999.0 * rng.next_float()
+        alpha = 0.01 + 0.98 * rng.next_float()
+        rho = (1.0, 2.0, 4.0, 1.0 + 4.0 * rng.next_float())[t % 4]
+        cases.append((total, speeds, alpha, rho))
+    assert any(len(c[1]) == 1 for c in cases)
+    for total, speeds, alpha, rho in cases:
+        got = [x.hex() for x in fluid_ipr(total, speeds, alpha, rho)]
+        want = [x.hex() for x in reference_fluid_ipr(total, speeds, alpha, rho)]
+        assert got == want, (total, speeds, alpha, rho)
 
 
 def test_fluid_ipr_rebalances_to_equal_loads():
