@@ -114,6 +114,11 @@ class AlgorithmSpec:
         return f"{self.name}({','.join(params)})" if params else self.name
 
 
+def _is_number(value: object) -> bool:
+    """Whether a JSON value is a number: ``true`` and ``"1"`` are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_algorithm(spec: "AlgorithmSpec | str | dict") -> AlgorithmSpec:
     if isinstance(spec, AlgorithmSpec):
         return spec
@@ -125,6 +130,9 @@ def parse_algorithm(spec: "AlgorithmSpec | str | dict") -> AlgorithmSpec:
             raise ValueError(f"unknown algorithm keys: {sorted(extra)}")
         if "name" not in spec:
             raise ValueError('algorithm object needs a "name"')
+        for key in ("alpha", "rho"):
+            if key in spec and not _is_number(spec[key]):
+                raise ValueError(f"algorithm {key!r} must be a number, got {spec[key]!r}")
         return AlgorithmSpec(
             name=spec["name"],
             alpha=float(spec.get("alpha", 0.5)),
@@ -215,14 +223,15 @@ def oracle_value(
     machine of an all-or-nothing instance).  ``oracle="lower_bound"``
     substitutes the cheap bound, making reported ratios upper bounds on the
     true approximation ratio.  ``solves`` memoises the exact solve (see
-    :func:`~speedsched.solvers.schedule`).
+    :func:`~speedsched.solvers.schedule`) and the bound, keyed by
+    ``("lower_bound", jobs, speeds)``.
     """
     if oracle not in ORACLES:
         raise ValueError(f"oracle must be one of {ORACLES}")
-    speeds = [s for s in instance.true_speeds if s != 0.0]
+    jobs, speeds = instance.jobs, tuple(s for s in instance.true_speeds if s != 0.0)
     if oracle == "exact":
-        return schedule(instance.jobs, speeds, "exact", node_budget, solves).makespan
-    return opt_lower_bound(instance.jobs, speeds)
+        return schedule(jobs, speeds, "exact", node_budget, solves).makespan
+    return _memoised(solves, ("lower_bound", jobs, speeds), lambda: opt_lower_bound(jobs, speeds))
 
 
 @contextlib.contextmanager
@@ -318,12 +327,15 @@ def _config_type_error(key: str, value: object) -> str | None:
     """What experiment config ``key`` must hold, when its JSON ``value`` is of
     another type that ``ExperimentConfig`` would coerce (``true`` as 1) or
     trip over later with a TypeError; None when the type is right."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if key in ("n", "m", "instances_per_point", "seed", "node_budget"):
-        return None if number and isinstance(value, int) else "an integer"
+        return None if _is_number(value) and isinstance(value, int) else "an integer"
     if key == "err_sigma":
-        return None if number else "a number"
-    if key in ("sweep_values", "algorithms"):
+        return None if _is_number(value) else "a number"
+    if key == "sweep_values":
+        if value is None or isinstance(value, list) and all(map(_is_number, value)):
+            return None
+        return "a list of numbers or null"
+    if key == "algorithms":
         return None if value is None or isinstance(value, list) else "a list or null"
     return None
 
@@ -455,7 +467,10 @@ def _seed_ratios(
     """A :func:`_map_tasks` task: one step per sweep point, which computes the
     ratios of every algorithm on the instance of seed ``inst_seed`` there (its
     serial index is ``point * instances_per_point + rep``).  One memo of
-    ``solves`` for the seed solves each subproblem its instances share once.
+    ``solves`` for the seed draws its jobs, true speeds and unit-normal
+    errors once per distinct instance shape (see
+    :func:`~speedsched.gen.gen_synthetic`) and solves each subproblem its
+    instances share once, the oracle included.
     An exhausted node budget names the sweep point and the seed.
     """
     rep = inst_seed - config.seed
@@ -463,7 +478,7 @@ def _seed_ratios(
 
     def ratios(value: float) -> list[float]:
         return _instance_ratios(
-            gen_synthetic(config.synthetic_config_at(value, inst_seed)),
+            gen_synthetic(config.synthetic_config_at(value, inst_seed), solves),
             config.algorithms,
             config.scheduler,
             config.oracle,

@@ -364,6 +364,9 @@ def test_experiment_rejects_bad_config(tmp_path, capsys):
         {"instances_per_point": 2.5},
         {"err_sigma": "1"},
         {"node_budget": "9"},
+        {"sweep_values": [{}]},
+        {"sweep_values": [0, "1"]},
+        {"sweep_values": [True]},
     ],
 )
 def test_experiment_rejects_config_value_of_wrong_type(tmp_path, capsys, doc):
@@ -374,6 +377,13 @@ def test_experiment_rejects_config_value_of_wrong_type(tmp_path, capsys, doc):
     assert main(["experiment", "--config", str(path)]) == 2
     (key,) = doc
     assert f"error: experiment config {key!r} must be" in capsys.readouterr().err
+
+
+def test_experiment_rejects_algorithm_parameter_of_wrong_type(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"algorithms": [{"name": "ipr", "alpha": []}]}))
+    assert main(["experiment", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: algorithm 'alpha' must be a number, got []\n"
 
 
 def test_import_and_one_cpu_experiment_leave_multiprocessing_unloaded(tmp_path):
@@ -418,10 +428,10 @@ def test_experiment_fails_when_a_worker_process_dies(tmp_path):
         "import os, sys\n"
         "from speedsched import cli, harness\n"
         "parent, generate = os.getpid(), harness.gen_synthetic\n"
-        "def dying(config):\n"
+        "def dying(config, solves=None):\n"
         "    if os.getpid() != parent and config.seed == 1:\n"
         "        os._exit(9)\n"
-        "    return generate(config)\n"
+        "    return generate(config, solves)\n"
         "harness.gen_synthetic = dying\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "sys.exit(cli.main(['experiment', '--config', sys.argv[1]]))\n"

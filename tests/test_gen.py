@@ -19,6 +19,7 @@ from speedsched.gen import (
     substream,
     synthetic_batch,
 )
+from speedsched.harness import SWEEP_PARAMS, ExperimentConfig
 from speedsched.solvers import exact_schedule
 
 
@@ -343,3 +344,35 @@ def test_synthetic_batch_strides_seeds():
     assert batch[2] == gen_synthetic(dataclasses.replace(cfg, seed=12))
     with pytest.raises(ValueError):
         synthetic_batch(cfg, count=0)
+
+
+def _hexes(inst):
+    vectors = (inst.jobs, inst.true_speeds, inst.predicted_speeds)
+    return [[x.hex() for x in values] for values in vectors]
+
+
+SWEEPS = {
+    "err_sigma": (0.0, 3.5, 0.0, 12.0, 3.5),
+    "n": (5, 9, 5, 1),
+    "m": (2, 4, 1, 2),
+    "sigma_p": (0.0, 8.0, 0.0, 40.0),
+    "sigma_s": (0.0, 5.0, 0.0, 25.0),
+}
+
+
+@pytest.mark.parametrize("param", SWEEP_PARAMS)
+@pytest.mark.parametrize("err_sigma", [0.0, 7.0])
+def test_gen_synthetic_with_a_memo_draws_what_fresh_calls_draw(param, err_sigma):
+    # One memo across every point and seed of a sweep, repeats included:
+    # each instance equals a fresh draw to the last bit.
+    config = ExperimentConfig(
+        n=6, m=3, job_dist=Dist.normal(40.0, 15.0), speed_dist=Dist.normal(10.0, 6.0),
+        err_sigma=err_sigma, sweep_param=param, sweep_values=SWEEPS[param],
+    )
+    solves = {}
+    for seed in (0, 1, 17, 2**40 + 3):
+        for value in SWEEPS[param]:
+            synthetic = config.synthetic_config_at(value, seed)
+            got, want = gen_synthetic(synthetic, solves), gen_synthetic(synthetic)
+            assert _hexes(got) == _hexes(want)
+            assert (got.name, got.seed) == (want.name, want.seed)

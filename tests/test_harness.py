@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from speedsched import cli, harness, partition, solvers
+from speedsched import cli, gen, harness, partition, solvers
 from speedsched.gen import (
     Dist,
     SplitMix64,
@@ -135,6 +135,8 @@ def test_parse_algorithm_rejects_bad_dicts():
         parse_algorithm({"alpha": 0.5})
     with pytest.raises(ValueError):
         parse_algorithm(42)
+    with pytest.raises(ValueError, match="algorithm 'rho' must be a number, got '2'"):
+        parse_algorithm({"name": "ipr", "rho": "2"})
 
 
 def test_parse_algorithm_passes_spec_through():
@@ -630,10 +632,10 @@ def use_cpus(monkeypatch, count):
 def record_pids(monkeypatch, path):
     """Append the id of the process behind every ``gen_synthetic`` call to ``path``."""
 
-    def recording(config):
+    def recording(config, solves=None):
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        return gen_synthetic(config)
+        return gen_synthetic(config, solves)
 
     monkeypatch.setattr(harness, "gen_synthetic", recording)
     return lambda: set(path.read_text(encoding="utf-8").split()) if path.exists() else set()
@@ -652,10 +654,19 @@ POOL_CONFIGS = [
         sweep_param="m", sweep_values=(2, 3, 4), n=9, instances_per_point=5, err_sigma=8.0,
         algorithms=("one-consistent", {"name": "ipr", "alpha": 0.25, "scheduler": "lpt"}),
     ),
+    ExperimentConfig(
+        sweep_param="sigma_p", sweep_values=(0.0, 6.0, 0.0, 20.0), n=8, m=3,
+        job_dist=Dist.normal(30.0, 1.0), err_sigma=5.0, instances_per_point=3, seed=2,
+    ),
+    ExperimentConfig(
+        sweep_param="sigma_s", sweep_values=(0.0, 4.0, 12.0, 4.0), n=7, m=3,
+        speed_dist=Dist.normal(20.0, 1.0), err_sigma=6.0, instances_per_point=4,
+        oracle="lower_bound", algorithms=("one-consistent", "ipr", "lpt"),
+    ),
 ]
 
 
-@pytest.mark.parametrize("config", POOL_CONFIGS, ids=["err_sigma", "n", "m"])
+@pytest.mark.parametrize("config", POOL_CONFIGS, ids=list(harness.SWEEP_PARAMS))
 def test_run_experiment_pool_gives_the_in_process_rows(monkeypatch, tmp_path, config):
     pids = record_pids(monkeypatch, tmp_path / "in-process")
     use_cpus(monkeypatch, 1)
@@ -710,9 +721,9 @@ def test_run_experiment_runs_no_instance_after_the_first_failure(monkeypatch):
     # stops; its error is raised as it was met, and no other seed runs.
     seeds = []
 
-    def recording(config):
+    def recording(config, solves=None):
         seeds.append(config.seed)
-        return gen_synthetic(config)
+        return gen_synthetic(config, solves)
 
     monkeypatch.setattr(harness, "gen_synthetic", recording)
     use_cpus(monkeypatch, 1)
@@ -727,10 +738,10 @@ def record_instances(monkeypatch, path):
     """Append ``seed err_sigma`` of every generated instance to ``path``, from
     whichever process generates it."""
 
-    def recording(config):
+    def recording(config, solves=None):
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(f"{config.seed} {config.err_sigma}\n")
-        return gen_synthetic(config)
+        return gen_synthetic(config, solves)
 
     monkeypatch.setattr(harness, "gen_synthetic", recording)
     return lambda: path.read_text(encoding="utf-8").splitlines()
@@ -780,6 +791,44 @@ def test_run_experiment_solves_each_subproblem_once_per_seed(monkeypatch):
     monkeypatch.undo()
     use_cpus(monkeypatch, 1)
     assert rows == run_experiment(config)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_run_experiment_draws_each_seed_once(monkeypatch, tmp_path, cpus):
+    # Every point of the default sweep draws the same jobs, true speeds and
+    # unit-normal errors for a seed; the seed's memo draws them once, in
+    # whichever process runs the seed.
+    path = tmp_path / "draws"
+    draws = gen._draws
+
+    def recording(config):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{config.seed}\n")
+        return draws(config)
+
+    monkeypatch.setattr(gen, "_draws", recording)
+    use_cpus(monkeypatch, cpus)
+    run_experiment(ExperimentConfig())
+    assert sorted(map(int, path.read_text(encoding="utf-8").split())) == list(range(100))
+    assert_no_child_processes()
+
+
+def test_run_experiment_bounds_each_seed_once(monkeypatch):
+    # The lower-bound oracle reads a seed's jobs and true speeds, the same at
+    # every err_sigma point; the seed's memo computes it once.
+    use_cpus(monkeypatch, 1)
+    bounds = []
+
+    def bound(loads, speeds):
+        bounds.append((tuple(loads), tuple(speeds)))
+        return opt_lower_bound(loads, speeds)
+
+    config = ExperimentConfig(n=9, m=3, instances_per_point=4, sweep_values=(0.0, 5.0, 10.0),
+                              oracle="lower_bound", scheduler="lpt")
+    expected = run_experiment(config)
+    monkeypatch.setattr(harness, "opt_lower_bound", bound)
+    assert run_experiment(config) == expected
+    assert len(bounds) == len(set(bounds)) == 4
 
 
 @pytest.mark.parametrize("section", [harness._check_all_or_nothing, harness._check_families])
@@ -1027,10 +1076,10 @@ def test_pooled_verify_runs_its_failing_section_once(monkeypatch, tmp_path):
 def test_a_dying_worker_ends_the_run_and_leaves_no_process(monkeypatch):
     parent = os.getpid()
 
-    def dying(config):
+    def dying(config, solves=None):
         if os.getpid() != parent and config.seed == POOL_CONFIGS[0].seed + 1:
             os._exit(9)
-        return gen_synthetic(config)
+        return gen_synthetic(config, solves)
 
     monkeypatch.setattr(harness, "gen_synthetic", dying)
     use_cpus(monkeypatch, 2)
@@ -1046,10 +1095,10 @@ def test_an_interrupted_pool_leaves_no_process(monkeypatch):
     # interrupt repeats every 5 s, so that a run left waiting ends too.
     parent = os.getpid()
 
-    def hanging(config):
+    def hanging(config, solves=None):
         if os.getpid() != parent:
             time.sleep(60)
-        return gen_synthetic(config)
+        return gen_synthetic(config, solves)
 
     def interrupt(signum, frame):
         raise KeyboardInterrupt
