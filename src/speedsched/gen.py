@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any
 
-from .model import Instance
+from .model import Instance, is_json_number
 
 CLAMP_FLOOR = 1e-3
 
@@ -174,15 +174,18 @@ class Dist:
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ValueError('distribution must be an object with a "kind"')
         kind = doc["kind"]
-        if kind == "uniform":
-            if not {"lo", "hi"} <= doc.keys():
-                raise ValueError('uniform distribution needs "lo" and "hi"')
-            return cls.uniform(doc["lo"], doc["hi"])
-        if kind == "normal":
-            if not {"mu", "sigma"} <= doc.keys():
-                raise ValueError('normal distribution needs "mu" and "sigma"')
-            return cls.normal(doc["mu"], doc["sigma"])
-        raise ValueError(f"unknown distribution kind {kind!r}")
+        if kind not in ("uniform", "normal"):
+            raise ValueError(f"unknown distribution kind {kind!r}")
+        params = ("lo", "hi") if kind == "uniform" else ("mu", "sigma")
+        if not set(params) <= doc.keys():
+            raise ValueError(f'{kind} distribution needs "{params[0]}" and "{params[1]}"')
+        extra = doc.keys() - {"kind", *params}
+        if extra:
+            raise ValueError(f"unknown {kind} distribution keys: {sorted(extra)}")
+        for key in params:
+            if not is_json_number(doc[key]):
+                raise ValueError(f"distribution {key!r} must be a number, got {doc[key]!r}")
+        return cls(kind, *(doc[key] for key in params))
 
     @classmethod
     def parse(cls, text: str) -> "Dist":

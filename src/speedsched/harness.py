@@ -29,7 +29,7 @@ import io
 import math
 import os
 import threading
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .gen import (
@@ -48,6 +48,7 @@ from .model import (
     bag_load,
     beta_ratio,
     instance_to_json,
+    is_json_number,
     left_sum,
     prediction_error,
     validate_partition,
@@ -114,11 +115,6 @@ class AlgorithmSpec:
         return f"{self.name}({','.join(params)})" if params else self.name
 
 
-def _is_number(value: object) -> bool:
-    """Whether a JSON value is a number: ``true`` and ``"1"`` are not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def parse_algorithm(spec: "AlgorithmSpec | str | dict") -> AlgorithmSpec:
     if isinstance(spec, AlgorithmSpec):
         return spec
@@ -131,7 +127,7 @@ def parse_algorithm(spec: "AlgorithmSpec | str | dict") -> AlgorithmSpec:
         if "name" not in spec:
             raise ValueError('algorithm object needs a "name"')
         for key in ("alpha", "rho"):
-            if key in spec and not _is_number(spec[key]):
+            if key in spec and not is_json_number(spec[key]):
                 raise ValueError(f"algorithm {key!r} must be a number, got {spec[key]!r}")
         return AlgorithmSpec(
             name=spec["name"],
@@ -166,8 +162,10 @@ def make_partition(
     """Run the named partitioner on (jobs, predicted speeds).
 
     This is the one place that decides which partition an algorithm builds
-    on.  The algorithm's pinned scheduler, if any, replaces ``scheduler``, and
-    the result is validated.  ``lpt`` ignores the speeds.  On
+    on.  The algorithm's pinned scheduler, if any, replaces ``scheduler``,
+    whose name is checked; the partition is returned as the partitioner built
+    it, not passed through :func:`~speedsched.model.validate_partition`.
+    ``lpt`` ignores the speeds.  On
     :attr:`~speedsched.model.Instance.all_or_nothing` instances
     ``one-consistent`` routes to
     :func:`~speedsched.partition.binary_speed_partition` with the predicted
@@ -328,11 +326,11 @@ def _config_type_error(key: str, value: object) -> str | None:
     another type that ``ExperimentConfig`` would coerce (``true`` as 1) or
     trip over later with a TypeError; None when the type is right."""
     if key in ("n", "m", "instances_per_point", "seed", "node_budget"):
-        return None if _is_number(value) and isinstance(value, int) else "an integer"
+        return None if is_json_number(value) and isinstance(value, int) else "an integer"
     if key == "err_sigma":
-        return None if _is_number(value) else "a number"
+        return None if is_json_number(value) else "a number"
     if key == "sweep_values":
-        if value is None or isinstance(value, list) and all(map(_is_number, value)):
+        if value is None or isinstance(value, list) and all(map(is_json_number, value)):
             return None
         return "a list of numbers or null"
     if key == "algorithms":
@@ -443,7 +441,10 @@ class ExperimentConfig:
         kwargs = dict(doc)
         for key in ("job_dist", "speed_dist"):
             if key in doc:
-                kwargs[key] = Dist.from_json_dict(doc[key])
+                try:
+                    kwargs[key] = Dist.from_json_dict(doc[key])
+                except ValueError as exc:
+                    raise ValueError(f"experiment config {key!r}: {exc}") from None
         return cls(**kwargs)
 
 
@@ -743,18 +744,7 @@ class MetricsReport:
         return all(p.ok for p in self.properties)
 
     def to_json_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "properties": [
-                {
-                    "name": p.name,
-                    "passed": p.passed,
-                    "trials": p.trials,
-                    "counterexample": p.counterexample,
-                }
-                for p in self.properties
-            ],
-        }
+        return {"all_passed": self.all_passed, "properties": list(map(asdict, self.properties))}
 
 
 def _le(a: float, b: float) -> bool:
@@ -790,33 +780,8 @@ def random_small_instance(
     )
     instance = gen_synthetic(config)
     if unit_jobs:
-        instance = Instance(
-            jobs=(1.0,) * n,
-            true_speeds=instance.true_speeds,
-            predicted_speeds=instance.predicted_speeds,
-            name=f"unit-{instance.name}",
-            seed=instance.seed,
-        )
+        instance = replace(instance, jobs=(1.0,) * n, name=f"unit-{instance.name}")
     return instance
-
-
-class _Recorder:
-    """Per-property pass counting with first-counterexample capture."""
-
-    def __init__(self) -> None:
-        # name -> [passed, trials, counterexample], in first-recorded order.
-        self._acc: dict[str, list] = {}
-
-    def record(self, name: str, ok: bool, detail: Callable[[], str]) -> None:
-        entry = self._acc.setdefault(name, [0, 0, None])
-        entry[1] += 1
-        if ok:
-            entry[0] += 1
-        elif entry[2] is None:
-            entry[2] = detail()
-
-    def checks(self) -> list[PropertyCheck]:
-        return [PropertyCheck(name, *entry) for name, entry in self._acc.items()]
 
 
 def _dump(instance: Instance, extra: str = "") -> str:
@@ -824,51 +789,47 @@ def _dump(instance: Instance, extra: str = "") -> str:
     return f"{extra + '; ' if extra else ''}instance: {text}"
 
 
-def _check_generator(rec: _Recorder, seed: int, trials: int, node_budget: int) -> None:
+# A verify section's verdict on one trial: the property's name, whether it
+# held, and a function of no arguments that describes the trial.
+_Verdict = tuple[str, bool, Callable[[], str]]
+
+
+def _check_generator(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """Generated instances are valid: eta >= 1 and every job at the floor."""
     rng = substream(seed, 101)
     for _ in range(trials):
         inst = random_small_instance(rng)
-        ok = True
-        detail = ""
         try:
             eta = prediction_error(inst.predicted_speeds, inst.true_speeds)
             ok = eta >= 1.0 and all(p >= 1e-3 for p in inst.jobs)
             detail = f"eta={eta}"
         except ValueError as exc:
             ok, detail = False, str(exc)
-        rec.record("gen-valid-instances", ok, lambda i=inst, d=detail: _dump(i, d))
+        yield "gen-valid-instances", ok, lambda: _dump(inst, detail)
 
 
-def _check_lpt_partition(rec: _Recorder, seed: int, trials: int, node_budget: int) -> None:
+def _check_lpt_partition(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """LPT partition balance, the min-bag bound and eta symmetry."""
     rng = substream(seed, 102)
     for _ in range(trials):
         inst = random_small_instance(rng)
         part = lpt_partition(inst.jobs, inst.m)
         beta = beta_ratio(part, inst.jobs)
-        rec.record(
-            "lpt-partition-beta-le-2",
-            _le(beta, 2.0),
-            lambda i=inst, b=beta: _dump(i, f"beta={b}"),
-        )
+        yield "lpt-partition-beta-le-2", _le(beta, 2.0), lambda: _dump(inst, f"beta={beta}")
         loads = [bag_load(b, inst.jobs) for b in part.bags]
-        all_ratio_ok = min(loads) > 0.0 and max(loads) <= 2.0 * min(loads)
-        if all_ratio_ok:
-            bound = sum(inst.jobs) / (2 * inst.m - 1)
-            rec.record(
-                "balanced-min-bag-load",
-                _le(bound, min(loads)),
-                lambda i=inst, lo=min(loads), bd=bound: _dump(i, f"min={lo} bound={bd}"),
-            )
-        else:
-            rec.record("balanced-min-bag-load", True, lambda: "")
+        balanced = min(loads) > 0.0 and max(loads) <= 2.0 * min(loads)
+        bound = sum(inst.jobs) / (2 * inst.m - 1)
+        yield (
+            "balanced-min-bag-load",
+            not balanced or _le(bound, min(loads)),
+            lambda: _dump(inst, f"min={min(loads)} bound={bound}"),
+        )
         eta_ab = prediction_error(inst.predicted_speeds, inst.true_speeds)
         eta_ba = prediction_error(inst.true_speeds, inst.predicted_speeds)
-        rec.record(
+        yield (
             "prediction-error-symmetric",
             math.isclose(eta_ab, eta_ba, rel_tol=1e-9),
-            lambda i=inst, x=eta_ab, y=eta_ba: _dump(i, f"eta={x} vs {y}"),
+            lambda: _dump(inst, f"eta={eta_ab} vs {eta_ba}"),
         )
 
 
@@ -879,7 +840,7 @@ def _bmin_monotone(hist: Sequence[float]) -> bool:
     return all(_le(hist[i], hist[i + 1]) for i in range(start, len(hist) - 1))
 
 
-def _check_ipr_trace(rec: _Recorder, seed: int, trials: int, node_budget: int) -> None:
+def _check_ipr_trace(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """The ``ipr`` trace with rho = 4: monotone b_min, at most m^2
     iterations, beta within the robust bound."""
     rng = substream(seed, 103)
@@ -890,38 +851,32 @@ def _check_ipr_trace(rec: _Recorder, seed: int, trials: int, node_budget: int) -
         result = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=alpha, rho=4.0), initial)
         state = result.state
         hist = state.b_min_history
-        rec.record(
+        yield (
             "ipr-bmin-monotone-rho4",
             _bmin_monotone(hist),
-            lambda i=inst, h=hist, a=alpha: _dump(i, f"alpha={a} history={h}"),
+            lambda: _dump(inst, f"alpha={alpha} history={hist}"),
         )
-        rec.record(
+        yield (
             "ipr-iterations-le-m-squared",
             state.iterations <= inst.m * inst.m,
-            lambda i=inst, it=state.iterations: _dump(i, f"iterations={it}"),
+            lambda: _dump(inst, f"iterations={state.iterations}"),
         )
         beta = beta_ratio(result.partition, inst.jobs)
-        rec.record(
+        yield (
             "ipr-beta-le-robust-bound",
             _le(beta, 2.0 + 2.0 / alpha),
-            lambda i=inst, b=beta, a=alpha: _dump(i, f"alpha={a} beta={b}"),
+            lambda: _dump(inst, f"alpha={alpha} beta={beta}"),
         )
         validate_partition(result.partition, inst.n, inst.m)
 
 
-def _check_perfect_predictions(rec: _Recorder, seed: int, trials: int, node_budget: int) -> None:
+def _check_perfect_predictions(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """Consistency: under perfect predictions ``ipr`` stays within
     ``(1 + alpha)`` of the prediction-trusting makespan."""
     rng = substream(seed, 104)
     for t in range(trials):
         base = random_small_instance(rng)
-        inst = Instance(
-            jobs=base.jobs,
-            true_speeds=base.true_speeds,
-            predicted_speeds=base.true_speeds,
-            name=base.name,
-            seed=base.seed,
-        )
+        inst = replace(base, predicted_speeds=base.true_speeds)
         initial = consistent_partition(inst.jobs, inst.predicted_speeds, "exact", node_budget)
         for alpha in _ALPHA_CYCLE:
             result = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=alpha, rho=4.0), initial)
@@ -931,16 +886,14 @@ def _check_perfect_predictions(rec: _Recorder, seed: int, trials: int, node_budg
                 for coll, s in zip(result.state.assignment.collections, speeds_desc)
             )
             bound = (1.0 + alpha) * result.state.opt_c_bar
-            rec.record(
+            yield (
                 "ipr-consistency-guard",
                 _le(final, bound),
-                lambda i=inst, f=final, bd=bound, a=alpha: _dump(
-                    i, f"alpha={a} makespan={f} bound={bd}"
-                ),
+                lambda: _dump(inst, f"alpha={alpha} makespan={final} bound={bound}"),
             )
 
 
-def _check_adversarial_speeds(rec: _Recorder, seed: int, trials: int, node_budget: int) -> None:
+def _check_adversarial_speeds(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """Robustness: ``ipr`` at alpha = 0.5 within ratio 6 on adversarial true
     speeds."""
     rng = substream(seed, 105)
@@ -949,22 +902,12 @@ def _check_adversarial_speeds(rec: _Recorder, seed: int, trials: int, node_budge
         adversarial = tuple(
             max(40.0 * rng.next_float(), 1e-3) for _ in range(base.m)
         )
-        inst = Instance(
-            jobs=base.jobs,
-            true_speeds=adversarial,
-            predicted_speeds=base.predicted_speeds,
-            name=f"adversarial-{base.name}",
-            seed=base.seed,
-        )
+        inst = replace(base, true_speeds=adversarial, name=f"adversarial-{base.name}")
         ratio = evaluate(inst, AlgorithmSpec("ipr", alpha=0.5, rho=4.0), "exact", "exact", node_budget)
-        rec.record(
-            "ipr-robust-ratio-le-6",
-            _le(ratio, 6.0),
-            lambda i=inst, r=ratio: _dump(i, f"ratio={r}"),
-        )
+        yield "ipr-robust-ratio-le-6", _le(ratio, 6.0), lambda: _dump(inst, f"ratio={ratio}")
 
 
-def _check_unit_jobs(rec: _Recorder, seed: int, trials: int, node_budget: int) -> None:
+def _check_unit_jobs(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """Unit jobs with rho = 2: the equal-size beta bound and monotone b_min."""
     rng = substream(seed, 106)
     for t in range(trials):
@@ -973,20 +916,20 @@ def _check_unit_jobs(rec: _Recorder, seed: int, trials: int, node_budget: int) -
         initial = consistent_partition(inst.jobs, inst.predicted_speeds, "exact", node_budget)
         result = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=alpha, rho=2.0), initial)
         beta = beta_ratio(result.partition, inst.jobs)
-        rec.record(
+        yield (
             "unit-ipr-rho2-beta-bound",
             _le(beta, 2.0 + 1.0 / alpha),
-            lambda i=inst, b=beta, a=alpha: _dump(i, f"alpha={a} beta={b}"),
+            lambda: _dump(inst, f"alpha={alpha} beta={beta}"),
         )
         hist = result.state.b_min_history
-        rec.record(
+        yield (
             "unit-ipr-rho2-bmin-monotone",
             _bmin_monotone(hist),
-            lambda i=inst, h=hist: _dump(i, f"history={h}"),
+            lambda: _dump(inst, f"history={hist}"),
         )
 
 
-def _check_fluid(rec: _Recorder, seed: int, trials: int, node_budget: int) -> None:
+def _check_fluid(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """The fluid variant: balance bound with rho = 2, and load conserved."""
     rng = substream(seed, 107)
     for t in range(trials):
@@ -995,20 +938,19 @@ def _check_fluid(rec: _Recorder, seed: int, trials: int, node_budget: int) -> No
         total = 1.0 + 999.0 * rng.next_float()
         alpha = _ALPHA_CYCLE[t % len(_ALPHA_CYCLE)]
         loads = fluid_ipr(total, speeds, alpha, rho=2.0)
-        ok_ratio = _le(max(loads), (1.0 + 1.0 / alpha) * min(loads))
-        rec.record(
+        yield (
             "fluid-rho2-balance-bound",
-            ok_ratio,
-            lambda s=speeds, ld=loads, a=alpha: f"alpha={a} speeds={s} loads={ld}",
+            _le(max(loads), (1.0 + 1.0 / alpha) * min(loads)),
+            lambda: f"alpha={alpha} speeds={speeds} loads={loads}",
         )
-        rec.record(
+        yield (
             "fluid-conserves-load",
             math.isclose(sum(loads), total, rel_tol=1e-9),
-            lambda s=speeds, ld=loads, w=total: f"speeds={s} loads={ld} total={w}",
+            lambda: f"speeds={speeds} loads={loads} total={total}",
         )
 
 
-def _check_all_or_nothing(rec: _Recorder, seed: int, trials: int, node_budget: int) -> None:
+def _check_all_or_nothing(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """All-or-nothing speeds: the stage-one bag bound and the merge lemma."""
     rng = substream(seed, 108)
     for _ in range(trials):
@@ -1025,30 +967,28 @@ def _check_all_or_nothing(rec: _Recorder, seed: int, trials: int, node_budget: i
         part = binary_speed_partition(jobs, m, m_hat, "exact", node_budget, solves)
         loads = [bag_load(b, jobs) for b in part.bags]
         opt_m = schedule(jobs, [1.0] * m, "exact", node_budget, solves).makespan
-        rec.record(
+        yield (
             "binary-stage1-max-bag-le-2opt",
             _le(max(loads), 2.0 * opt_m),
-            lambda j=jobs, ld=loads, o=opt_m: f"jobs={j} loads={ld} opt_m={o}",
+            lambda: f"jobs={jobs} loads={loads} opt_m={opt_m}",
         )
         merged = merge_to_fit(loads, m_zero)
         alg = max(merged) if merged else 0.0
         opt0 = schedule(jobs, [1.0] * m_zero, "exact", node_budget, solves).makespan
-        rec.record(
+        yield (
             "binary-merge-ratio-le-2",
             _le(alg, 2.0 * opt0),
-            lambda j=jobs, a=alg, o=opt0, mm=(m, m_hat, m_zero): (
-                f"(m,m_hat,m_zero)={mm} jobs={j} alg={a} opt={o}"
-            ),
+            lambda: f"(m,m_hat,m_zero)={(m, m_hat, m_zero)} jobs={jobs} alg={alg} opt={opt0}",
         )
-        rec.record(
+        yield (
             "merge-preserves-total",
             math.isclose(sum(merged), sum(loads), rel_tol=1e-9)
             and (not merged or max(merged) >= max(loads) - 1e-9 * max(1.0, max(loads))),
-            lambda ld=loads, mg=merged: f"loads={ld} merged={mg}",
+            lambda: f"loads={loads} merged={merged}",
         )
 
 
-def _check_capacity(rec: _Recorder, seed: int, trials: int, node_budget: int) -> None:
+def _check_capacity(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """The capacity certificate on LPT and random partitions."""
     rng = substream(seed, 109)
     for _ in range(trials):
@@ -1070,39 +1010,35 @@ def _check_capacity(rec: _Recorder, seed: int, trials: int, node_budget: int) ->
                 detail = f"beta={beta} makespan={result.makespan} opt={opt}"
             except Exception as exc:  # infeasibility would be an invariant bug
                 ok, detail = False, f"error: {exc}"
-            rec.record(
-                "capacity-certificate",
-                ok,
-                lambda i=inst, d=detail, p=part: _dump(i, f"{d} bags={p.bags}"),
-            )
+            yield "capacity-certificate", ok, lambda: _dump(inst, f"{detail} bags={part.bags}")
 
 
-def _check_oracle_agreement(rec: _Recorder, seed: int, trials: int, node_budget: int) -> None:
+def _check_oracle_agreement(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """The exact solver against enumeration, LPT and the lower bound."""
     rng = substream(seed, 110)
     for _ in range(trials):
         inst = random_small_instance(rng, n_max=8, m_max=3)
-        exact = exact_schedule(inst.jobs, inst.true_speeds, node_budget)
-        greedy = lpt_schedule(inst.jobs, inst.true_speeds)
+        exact = exact_schedule(inst.jobs, inst.true_speeds, node_budget).makespan
+        greedy = lpt_schedule(inst.jobs, inst.true_speeds).makespan
         brute = brute_force_makespan(inst.jobs, inst.true_speeds)
-        rec.record(
+        yield (
             "exact-matches-enumeration",
-            math.isclose(exact.makespan, brute, rel_tol=1e-12, abs_tol=1e-12),
-            lambda i=inst, e=exact.makespan, b=brute: _dump(i, f"exact={e} brute={b}"),
+            math.isclose(exact, brute, rel_tol=1e-12, abs_tol=1e-12),
+            lambda: _dump(inst, f"exact={exact} brute={brute}"),
         )
-        rec.record(
+        yield (
             "exact-le-lpt",
-            exact.makespan <= greedy.makespan * (1.0 + 1e-12),
-            lambda i=inst, e=exact.makespan, g=greedy.makespan: _dump(i, f"exact={e} lpt={g}"),
+            exact <= greedy * (1.0 + 1e-12),
+            lambda: _dump(inst, f"exact={exact} lpt={greedy}"),
         )
-        rec.record(
+        yield (
             "lower-bound-le-exact",
-            opt_lower_bound(inst.jobs, inst.true_speeds) <= exact.makespan * (1.0 + 1e-12),
-            lambda i=inst: _dump(i),
+            opt_lower_bound(inst.jobs, inst.true_speeds) <= exact * (1.0 + 1e-12),
+            lambda: _dump(inst),
         )
 
 
-def _check_families(rec: _Recorder, seed: int, trials: int, node_budget: int) -> None:
+def _check_families(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """The fixed trap, tradeoff and binary lower-bound families (no seed, no
     trials), with one memo of solves and partitions for the whole section."""
     solves: dict[tuple, Any] = {}
@@ -1117,32 +1053,32 @@ def _check_families(rec: _Recorder, seed: int, trials: int, node_budget: int) ->
             inst = gen_prop1_instance(n, m)
             expected = (n - m + 1) / math.ceil(n / m)
             ratio = ratios_on(inst, consistent)[0]
-            rec.record(
+            yield (
                 "trap-family-exact-ratio",
                 math.isclose(ratio, expected, rel_tol=1e-9),
-                lambda i=inst, r=ratio, e=expected: _dump(i, f"ratio={r} expected={e}"),
+                lambda: _dump(inst, f"ratio={ratio} expected={expected}"),
             )
     for m in (2, 3, 4):
         inst = gen_tradeoff_instance(m)
         specs = [AlgorithmSpec("ipr", alpha=alpha, rho=4.0) for alpha in _ALPHA_CYCLE]
         ratios = ratios_on(inst, specs)
         for alpha, ratio in zip(_ALPHA_CYCLE, ratios):
-            rec.record(
+            yield (
                 "tradeoff-family-ipr-bound",
                 _le(ratio, 2.0 + 2.0 / alpha),
-                lambda i=inst, r=ratio, a=alpha: _dump(i, f"alpha={a} ratio={r}"),
+                lambda: _dump(inst, f"alpha={alpha} ratio={ratio}"),
             )
     for k in (1, 2, 3):
         inst = gen_binary_lb_instance(k)
         ratio = ratios_on(inst, consistent)[0]
-        rec.record(
+        yield (
             "binary-family-benchmark-floor",
             ratio >= 4.0 / 3.0 - 1e-9,
-            lambda i=inst, r=ratio: _dump(i, f"ratio={r}"),
+            lambda: _dump(inst, f"ratio={ratio}"),
         )
 
 
-_VerifySection = Callable[[_Recorder, int, int, int], None]
+_VerifySection = Callable[[int, int, int], Iterator[_Verdict]]
 
 # The sections in report order; each draws from its own substream of the seed.
 _VERIFY_SECTIONS: tuple[_VerifySection, ...] = (
@@ -1184,15 +1120,28 @@ def _section_checks(
     """A :func:`_map_tasks` task: one step at the section's report position,
     which computes the checks of one verify section.  An exhausted budget
     names section and seed.
+
+    A section is a generator ``section(seed, trials, node_budget)`` that
+    yields one :data:`_Verdict` ``(name, ok, detail)`` per property per trial.
+    The checks count them per name, in the order each name first appears;
+    ``detail()`` is called once, for each name's first failing verdict, while
+    the section is suspended at that ``yield``, so a plain closure over the
+    trial's variables describes that trial.
     """
 
     def checks() -> list[PropertyCheck]:
-        rec = _Recorder()
+        counts: dict[str, list] = {}  # name -> [passed, trials, counterexample]
         with _budget_failure_names(
             f"verify section {section.__name__.removeprefix('_check_')} seed={seed}"
         ):
-            section(rec, seed, trials, node_budget)
-        return rec.checks()
+            for name, ok, detail in section(seed, trials, node_budget):
+                entry = counts.setdefault(name, [0, 0, None])
+                entry[1] += 1
+                if ok:
+                    entry[0] += 1
+                elif entry[2] is None:
+                    entry[2] = detail()
+        return [PropertyCheck(name, *entry) for name, entry in counts.items()]
 
     yield _VERIFY_SECTIONS.index(section), checks
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Sequence
@@ -34,6 +35,21 @@ def left_sum(values: Iterable[float]) -> float:
     so the sums behind pinned outputs use it.
     """
     return reduce(operator.add, values, 0.0)
+
+
+def is_json_number(value: object) -> bool:
+    """Whether a parsed JSON value is a number that a float holds: ``true``
+    and ``"1"`` are not, nor the ``NaN`` and ``Infinity`` that :mod:`json`
+    also parses, nor an integer too large for a float.
+
+    Every JSON reader checks its numeric fields with this one test, so that
+    no reader coerces a string or a boolean into a number.
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 def finite_floats(
@@ -140,12 +156,15 @@ class Instance:
         missing = {"jobs", "true_speeds", "predicted_speeds"} - doc.keys()
         if missing:
             raise ValueError(f"instance JSON missing keys: {sorted(missing)}")
+        for key in ("jobs", "true_speeds", "predicted_speeds"):
+            if not isinstance(doc[key], list) or not all(map(is_json_number, doc[key])):
+                raise ValueError(f"instance {key!r} must be a list of numbers, got {doc[key]!r}")
         name = doc.get("name")
         if name is not None and not isinstance(name, str):
             raise ValueError("instance name must be a string")
         seed = doc.get("seed")
-        if seed is not None and not isinstance(seed, int):
-            raise ValueError("instance seed must be an integer")
+        if seed is not None and not (is_json_number(seed) and isinstance(seed, int)):
+            raise ValueError(f"instance seed must be an integer, got {seed!r}")
         return cls(
             jobs=doc["jobs"],
             true_speeds=doc["true_speeds"],

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface (in-process main)."""
 
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -250,6 +251,31 @@ def test_evaluate_one_consistent_rejects_predicted_unusable_machines(tmp_path, c
     assert err.startswith("error: one-consistent ") and "machines [1] unusable" in err
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"jobs": [True, "2", 3], "true_speeds": [1, 2], "predicted_speeds": ["1", 2]}, "'jobs'"),
+        ({"jobs": [1, 2, 3], "true_speeds": [1, True], "predicted_speeds": [1, 2]},
+         "'true_speeds'"),
+        ({"jobs": [1, 2, 3], "true_speeds": [1, 2], "predicted_speeds": ["1", 2]},
+         "'predicted_speeds'"),
+        ({"jobs": [1, math.nan], "true_speeds": [1, 2], "predicted_speeds": [1, 2]}, "'jobs'"),
+        ({"jobs": [1, 2], "true_speeds": [1, 10**400], "predicted_speeds": [1, 2]},
+         "'true_speeds'"),
+        ({"jobs": [1, 2, 3], "true_speeds": [1, 2], "predicted_speeds": [1, 2], "seed": True},
+         "seed"),
+    ],
+)
+def test_evaluate_rejects_instance_value_that_is_not_a_json_number(tmp_path, capsys, doc, key):
+    # A usage error naming the key, not "2" read as 2.0, true read as 1, or
+    # an OverflowError traceback (exit 1) for an integer too large for a float.
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--in", str(path), "--algo", "ipr"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: instance {key} must be")
+
+
 def test_evaluate_bare_ratio(tmp_path, capsys):
     inst = write_instance(tmp_path, "trap", [1.0] * 10, [1.0, 1.0], [9.0, 1.0])
     assert main(["evaluate", "--in", str(inst), "--algo", "one-consistent"]) == 0
@@ -367,6 +393,8 @@ def test_experiment_rejects_bad_config(tmp_path, capsys):
         {"sweep_values": [{}]},
         {"sweep_values": [0, "1"]},
         {"sweep_values": [True]},
+        {"sweep_values": [math.nan]},
+        {"err_sigma": math.inf},
     ],
 )
 def test_experiment_rejects_config_value_of_wrong_type(tmp_path, capsys, doc):
@@ -377,6 +405,28 @@ def test_experiment_rejects_config_value_of_wrong_type(tmp_path, capsys, doc):
     assert main(["experiment", "--config", str(path)]) == 2
     (key,) = doc
     assert f"error: experiment config {key!r} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "dist, error",
+    [
+        ({"kind": "normal", "mu": 20, "sigma": [1]}, "distribution 'sigma' must be a number"),
+        ({"kind": "normal", "mu": "50", "sigma": 1}, "distribution 'mu' must be a number"),
+        ({"kind": "uniform", "lo": True, "hi": 40}, "distribution 'lo' must be a number"),
+        ({"kind": "uniform", "lo": 0, "hi": math.inf}, "distribution 'hi' must be a number"),
+        ({"kind": "uniform", "lo": 0, "hi": 10**400}, "distribution 'hi' must be a number"),
+        ({"kind": "uniform", "lo": 0, "hi": 40, "extra": 1},
+         "unknown uniform distribution keys: ['extra']"),
+    ],
+)
+def test_experiment_rejects_distribution_value_that_is_not_a_json_number(
+    tmp_path, capsys, dist, error
+):
+    # A usage error naming the key: not a TypeError or OverflowError traceback
+    # (exit 1), "50" read as 50.0, true read as 1.0, or an unknown key ignored.
+    path = experiment_config_file(tmp_path, speed_dist=dist)
+    assert main(["experiment", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: experiment config 'speed_dist': {error}")
 
 
 def test_experiment_rejects_algorithm_parameter_of_wrong_type(tmp_path, capsys):

@@ -18,6 +18,7 @@ from speedsched.gen import (
     gen_binary_lb_instance,
     gen_prop1_instance,
     gen_synthetic,
+    substream,
 )
 from speedsched.harness import (
     ALGORITHMS,
@@ -40,7 +41,7 @@ from speedsched.harness import (
     theory_curves,
     verify_properties,
 )
-from speedsched.model import Instance, validate_partition
+from speedsched.model import Instance, beta_ratio, validate_partition
 from speedsched.partition import IprConfig, binary_speed_partition, consistent_partition, ipr, lpt_partition
 from speedsched.solvers import BudgetExceededError, exact_schedule, opt_lower_bound
 
@@ -842,14 +843,40 @@ def test_verify_section_solves_each_problem_once(monkeypatch, section):
         exact_calls.append((tuple(loads), tuple(speeds)))
         return exact_schedule(loads, speeds, node_budget)
 
-    expected = harness._Recorder()
-    section(expected, 0, 20, solvers.DEFAULT_NODE_BUDGET)
+    def checks():
+        [(_, step)] = harness._section_checks(0, 20, solvers.DEFAULT_NODE_BUDGET, section)
+        return step()
+
+    expected = checks()
     monkeypatch.setattr(solvers, "exact_schedule", exact)
     monkeypatch.setattr(harness, "exact_schedule", exact)
-    rec = harness._Recorder()
-    section(rec, 0, 20, solvers.DEFAULT_NODE_BUDGET)
+    got = checks()
     assert 20 < len(exact_calls) == len(set(exact_calls))
-    assert rec.checks() == expected.checks()
+    assert got == expected
+
+
+def test_verify_section_reports_first_counterexample(monkeypatch):
+    # The LPT section's beta check fails at trials 2 and 4 only: both count,
+    # and the counterexample describes trial 2, the first, as redrawn from
+    # the section's substream.
+    betas = []
+
+    def beta(part, jobs):
+        betas.append(3.0 if len(betas) in (2, 4) else beta_ratio(part, jobs))
+        return betas[-1]
+
+    monkeypatch.setattr(harness, "beta_ratio", beta)
+    [(_, step)] = harness._section_checks(
+        5, 7, solvers.DEFAULT_NODE_BUDGET, harness._check_lpt_partition
+    )
+    checks = {check.name: check for check in step()}
+    rng = substream(5, 102)
+    trial_2 = [random_small_instance(rng) for _ in range(3)][2]
+    assert len(betas) == 7
+    assert checks["lpt-partition-beta-le-2"] == PropertyCheck(
+        "lpt-partition-beta-le-2", 5, 7, harness._dump(trial_2, "beta=3.0")
+    )
+    assert all(check.ok for name, check in checks.items() if name != "lpt-partition-beta-le-2")
 
 
 def test_evaluate_matches_run_experiment():
