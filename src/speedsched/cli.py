@@ -86,12 +86,20 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def positive_int(text: str) -> int:
+    """An integer flag value of at least 1 (argparse names the type on error)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_budget_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--node-budget",
-        type=int,
+        type=positive_int,
         default=DEFAULT_NODE_BUDGET,
-        help="branch-and-bound node limit for exact solves",
+        help="branch-and-bound node limit for exact solves (at least 1)",
     )
 
 
@@ -117,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speed-dist", default="uniform(0,40)", help="uniform(lo,hi) or normal(mu,sigma)")
     p.add_argument("--err-sigma", type=float, default=0.0, help="additive speed-prediction noise scale")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--count", type=int, default=1, help="write this many instances at seeds seed, seed+1, ...")
+    p.add_argument("--count", type=positive_int, default=1, help="write this many instances at seeds seed, seed+1, ...")
     p.add_argument("--out", default=None, help="output path; with --count > 1, a template containing {seed}")
 
     p = sub.add_parser("partition", help="partition an instance's jobs into bags")
@@ -154,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="results file (default stdout)")
 
     p = sub.add_parser("verify", help="run the property-verification suite")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=positive_int, default=200)
     p.add_argument("--seed", type=int, default=None)
     _add_budget_flag(p)
     p.add_argument("--out", default=None, help="also write the report as JSON")
@@ -171,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise ValueError("--count must be at least 1")
     if args.kind != "synthetic" and args.count != 1:
         raise ValueError("--count applies only to --kind synthetic")
     if args.kind == "synthetic":
@@ -224,9 +230,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     part = load_partition(args.partition)
     validate_partition(part, instance.n, instance.m)
     loads = [bag_load(bag, instance.jobs) for bag in part.bags]
-    usable = [i for i, s in enumerate(instance.true_speeds) if s != 0.0]
-    speeds = [instance.true_speeds[i] for i in usable]
-    result = schedule(loads, speeds, args.scheduler, args.node_budget)
+    result = schedule(loads, instance.usable_speeds, args.scheduler, args.node_budget)
+    usable = instance.usable_machines
     doc = {
         "makespan": result.makespan,
         "bag_to_machine": [usable[i] for i in result.schedule.bag_to_machine],

@@ -134,6 +134,15 @@ def normal_inv_cdf(p: float) -> float:
     )
 
 
+def _dist_params(kind: object) -> tuple[str, str]:
+    """The names of a distribution kind's two parameters in JSON."""
+    if kind == "uniform":
+        return ("lo", "hi")
+    if kind == "normal":
+        return ("mu", "sigma")
+    raise ValueError(f"unknown distribution kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class Dist:
     """A sampling distribution: ``uniform(lo, hi)`` or ``normal(mu, sigma)``."""
@@ -143,10 +152,11 @@ class Dist:
     b: float
 
     def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "normal"):
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
+        for key, field in zip(_dist_params(self.kind), "ab"):
+            value = getattr(self, field)
+            if not is_json_number(value):
+                raise ValueError(f"distribution {key!r} must be a number, got {value!r}")
+            object.__setattr__(self, field, float(value))
         if self.kind == "uniform" and not self.b > self.a:
             raise ValueError(f"uniform needs hi > lo, got ({self.a}, {self.b})")
         if self.kind == "normal" and self.b < 0.0:
@@ -174,17 +184,12 @@ class Dist:
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ValueError('distribution must be an object with a "kind"')
         kind = doc["kind"]
-        if kind not in ("uniform", "normal"):
-            raise ValueError(f"unknown distribution kind {kind!r}")
-        params = ("lo", "hi") if kind == "uniform" else ("mu", "sigma")
+        params = _dist_params(kind)
         if not set(params) <= doc.keys():
             raise ValueError(f'{kind} distribution needs "{params[0]}" and "{params[1]}"')
         extra = doc.keys() - {"kind", *params}
         if extra:
             raise ValueError(f"unknown {kind} distribution keys: {sorted(extra)}")
-        for key in params:
-            if not is_json_number(doc[key]):
-                raise ValueError(f"distribution {key!r} must be a number, got {doc[key]!r}")
         return cls(kind, *(doc[key] for key in params))
 
     @classmethod
@@ -209,7 +214,8 @@ class Dist:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Parameters for one synthetic instance (see :func:`gen_synthetic`)."""
+    """Parameters for one synthetic instance (see :func:`gen_synthetic`).
+    An out-of-range value raises ``ValueError`` naming its field."""
 
     n: int
     m: int
@@ -219,12 +225,11 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("need at least one job")
-        if self.m < 1:
-            raise ValueError("need at least one machine")
-        if self.err_sigma < 0.0:
-            raise ValueError("err_sigma must be non-negative")
+        for key in ("n", "m"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key!r} must be at least 1, got {getattr(self, key)!r}")
+        if not 0.0 <= self.err_sigma < math.inf:
+            raise ValueError(f"'err_sigma' must be non-negative finite, got {self.err_sigma!r}")
 
 
 def _clamp(x: float) -> float:

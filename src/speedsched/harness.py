@@ -29,7 +29,7 @@ import io
 import math
 import os
 import threading
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .gen import (
@@ -100,6 +100,10 @@ class AlgorithmSpec:
             raise ValueError(
                 f"unknown algorithm {self.name!r}; expected one of {sorted(ALGORITHMS)}"
             )
+        for key in ("alpha", "rho"):
+            if not is_json_number(getattr(self, key)):
+                raise ValueError(f"algorithm {key!r} must be a number, got {getattr(self, key)!r}")
+            object.__setattr__(self, key, float(getattr(self, key)))
         if self.name == "ipr":
             IprConfig(alpha=self.alpha, rho=self.rho)  # validates ranges
         if self.scheduler is not None and self.scheduler not in SCHEDULERS:
@@ -126,15 +130,7 @@ def parse_algorithm(spec: "AlgorithmSpec | str | dict") -> AlgorithmSpec:
             raise ValueError(f"unknown algorithm keys: {sorted(extra)}")
         if "name" not in spec:
             raise ValueError('algorithm object needs a "name"')
-        for key in ("alpha", "rho"):
-            if key in spec and not is_json_number(spec[key]):
-                raise ValueError(f"algorithm {key!r} must be a number, got {spec[key]!r}")
-        return AlgorithmSpec(
-            name=spec["name"],
-            alpha=float(spec.get("alpha", 0.5)),
-            rho=float(spec.get("rho", 4.0)),
-            scheduler=spec.get("scheduler"),
-        )
+        return AlgorithmSpec(**spec)
     raise ValueError(f"cannot parse algorithm spec {spec!r}")
 
 
@@ -217,8 +213,7 @@ def oracle_value(
     solves: dict[tuple, Any] | None = None,
 ) -> float:
     """Reference makespan for ratio computation: the jobs scheduled on the
-    true speeds of the usable machines (a zero true speed marks an unusable
-    machine of an all-or-nothing instance).  ``oracle="lower_bound"``
+    :attr:`~speedsched.model.Instance.usable_speeds`.  ``oracle="lower_bound"``
     substitutes the cheap bound, making reported ratios upper bounds on the
     true approximation ratio.  ``solves`` memoises the exact solve (see
     :func:`~speedsched.solvers.schedule`) and the bound, keyed by
@@ -226,7 +221,7 @@ def oracle_value(
     """
     if oracle not in ORACLES:
         raise ValueError(f"oracle must be one of {ORACLES}")
-    jobs, speeds = instance.jobs, tuple(s for s in instance.true_speeds if s != 0.0)
+    jobs, speeds = instance.jobs, instance.usable_speeds
     if oracle == "exact":
         return schedule(jobs, speeds, "exact", node_budget, solves).makespan
     return _memoised(solves, ("lower_bound", jobs, speeds), lambda: opt_lower_bound(jobs, speeds))
@@ -257,15 +252,14 @@ def _instance_ratios(
 
     Stage one is :func:`make_partition`.  Stage two places the bags with the
     scheduler stage one ran with (the algorithm's pinned one, else
-    ``scheduler``) on the true speeds of the usable machines (a zero true
-    speed marks an unusable machine).  Both stages run for every algorithm
-    before the oracle, and all three share ``solves``.  An exhausted node
-    budget names ``where``.  With the exact oracle, a ratio below ``1 - 1e-9``
+    ``scheduler``) on the :attr:`~speedsched.model.Instance.usable_speeds`.
+    Both stages run for every algorithm before the oracle, and all three
+    share ``solves``.  An exhausted node budget names ``where``.  With the exact oracle, a ratio below ``1 - 1e-9``
     fails loudly: the oracle would not be one.  With ``failure_context``, an
     algorithm's error other than an exhausted node budget is re-raised as a
     :class:`RuntimeError` that names ``failure_context(spec)``.
     """
-    speeds = [s for s in instance.true_speeds if s != 0.0]
+    speeds = instance.usable_speeds
     makespans = []
     with _budget_failure_names(where):
         for spec in algorithms:
@@ -313,29 +307,7 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-def _default_algorithms() -> tuple[AlgorithmSpec, ...]:
-    return (
-        AlgorithmSpec("one-consistent"),
-        AlgorithmSpec("ipr", alpha=0.5, rho=4.0),
-        AlgorithmSpec("lpt"),
-    )
-
-
-def _config_type_error(key: str, value: object) -> str | None:
-    """What experiment config ``key`` must hold, when its JSON ``value`` is of
-    another type that ``ExperimentConfig`` would coerce (``true`` as 1) or
-    trip over later with a TypeError; None when the type is right."""
-    if key in ("n", "m", "instances_per_point", "seed", "node_budget"):
-        return None if is_json_number(value) and isinstance(value, int) else "an integer"
-    if key == "err_sigma":
-        return None if is_json_number(value) else "a number"
-    if key == "sweep_values":
-        if value is None or isinstance(value, list) and all(map(is_json_number, value)):
-            return None
-        return "a list of numbers or null"
-    if key == "algorithms":
-        return None if value is None or isinstance(value, list) else "a list or null"
-    return None
+_DEFAULT_ALGORITHMS = (AlgorithmSpec("one-consistent"), AlgorithmSpec("ipr"), AlgorithmSpec("lpt"))
 
 
 @dataclass(frozen=True)
@@ -350,6 +322,11 @@ class ExperimentConfig:
     ``instances_per_point`` instances are drawn with seeds ``seed + rep`` —
     the same seeds across points, so algorithms that ignore the swept
     parameter produce identical columns.
+
+    The constructor checks every key and :meth:`from_json_dict` calls it, so
+    both accept the same values (a distribution may be its JSON object); a
+    bad value raises ``ValueError`` naming its key.  ``points``, resolved
+    here, pairs each sweep value with its instance parameters.
     """
 
     n: int = 12
@@ -365,87 +342,94 @@ class ExperimentConfig:
     oracle: str = "exact"
     seed: int = 0
     node_budget: int = DEFAULT_NODE_BUDGET
+    points: tuple[tuple[float, SyntheticConfig], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be at least 1")
-        if self.err_sigma < 0.0:
-            raise ValueError("err_sigma must be non-negative")
-        if self.sweep_param not in SWEEP_PARAMS:
-            raise ValueError(f"sweep_param must be one of {SWEEP_PARAMS}")
-        if self.instances_per_point < 1:
-            raise ValueError("instances_per_point must be at least 1")
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(f"scheduler must be one of {SCHEDULERS}")
-        if self.oracle not in ORACLES:
-            raise ValueError(f"oracle must be one of {ORACLES}")
-        if not self.algorithms:
-            object.__setattr__(self, "algorithms", _default_algorithms())
-        else:
-            object.__setattr__(
-                self, "algorithms", tuple(parse_algorithm(a) for a in self.algorithms)
-            )
+        def require(key: str, holds: bool, want: str) -> None:
+            if not holds:
+                value = getattr(self, key)
+                raise ValueError(f"experiment config {key!r} must be {want}, got {value!r}")
+
+        def named(what: str, make: Callable[[], Any]) -> Any:
+            try:
+                return make()
+            except ValueError as exc:
+                raise ValueError(f"experiment config {what}: {exc}") from None
+
+        for key in ("n", "m", "instances_per_point", "seed", "node_budget"):
+            value = getattr(self, key)
+            require(key, is_json_number(value) and isinstance(value, int), "an integer")
+        for key in ("instances_per_point", "node_budget"):
+            require(key, getattr(self, key) >= 1, "at least 1")
+        require("err_sigma", is_json_number(self.err_sigma), "a number")
+        for key, allowed in zip(
+            ("sweep_param", "scheduler", "oracle"), (SWEEP_PARAMS, SCHEDULERS, ORACLES)
+        ):
+            require(key, getattr(self, key) in allowed, f"one of {allowed}")
+        param, values, algorithms = self.sweep_param, self.sweep_values, self.algorithms
+        require("sweep_values", values is None or isinstance(values, (list, tuple))
+                and all(map(is_json_number, values)), "a list of numbers or null")
+        require("algorithms", algorithms is None or isinstance(algorithms, (list, tuple)),
+                "a list or null")
+        for key in ("job_dist", "speed_dist"):
+            doc = getattr(self, key)
+            if not isinstance(doc, Dist):
+                object.__setattr__(self, key, named(repr(key), lambda: Dist.from_json_dict(doc)))
+        specs = named("'algorithms'", lambda: tuple(map(parse_algorithm, algorithms or ())))
+        object.__setattr__(self, "algorithms", specs or _DEFAULT_ALGORITHMS)
         labels = [a.label for a in self.algorithms]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate algorithm labels: {labels}")
-        if self.sweep_values is not None:
-            object.__setattr__(
-                self, "sweep_values", tuple(float(v) for v in self.sweep_values)
+            raise ValueError(f"experiment config 'algorithms' has duplicate labels: {labels}")
+
+        # The sweep points.  A SyntheticConfig error names its field, the config key.
+        try:
+            base = SyntheticConfig(self.n, self.m, self.job_dist, self.speed_dist,
+                                   self.err_sigma, self.seed)
+        except ValueError as exc:
+            raise ValueError(f"experiment config {exc}") from None
+        dist_key = {"sigma_p": "job_dist", "sigma_s": "speed_dist"}.get(param)
+        if dist_key and getattr(base, dist_key).kind != "normal":
+            raise ValueError(
+                f"experiment config 'sweep_param' {param!r} needs a normal {dist_key!r}, "
+                f"got {getattr(base, dist_key).kind}"
             )
-
-    def resolved_sweep_values(self) -> tuple[float, ...]:
-        if self.sweep_values is not None:
-            return self.sweep_values
-        if self.sweep_param == "err_sigma":
+        if values is not None:
+            values = tuple(map(float, values))
+            object.__setattr__(self, "sweep_values", values)
+        elif param != "err_sigma":
+            raise ValueError(
+                f"experiment config 'sweep_values' must be given for 'sweep_param' {param!r}"
+            )
+        else:
             mu = self.speed_dist.mean
-            return tuple(i * mu / 10.0 for i in range(11))
-        raise ValueError(f"sweep_values must be given for sweep_param={self.sweep_param!r}")
+            values = tuple(i * mu / 10.0 for i in range(11))
+            if not all(0.0 <= v < math.inf for v in values):
+                raise ValueError(f"experiment config 'speed_dist' has mean {mu!r}, but the default "
+                                 "'sweep_values' grid runs err_sigma from 0 to that mean, which "
+                                 "must be finite and non-negative")
 
-    def synthetic_config_at(self, value: float, seed: int) -> SyntheticConfig:
-        n, m = self.n, self.m
-        job_dist, speed_dist = self.job_dist, self.speed_dist
-        err_sigma = self.err_sigma
-        if self.sweep_param == "err_sigma":
-            err_sigma = value
-        elif self.sweep_param in ("n", "m"):
-            if value != int(value) or int(value) < 1:
-                raise ValueError(f"swept {self.sweep_param} must be a positive integer, got {value}")
-            if self.sweep_param == "n":
-                n = int(value)
-            else:
-                m = int(value)
-        elif self.sweep_param == "sigma_p":
-            if job_dist.kind != "normal":
-                raise ValueError("sigma_p sweep requires a normal job distribution")
-            job_dist = Dist.normal(job_dist.a, value)
-        else:  # sigma_s
-            if speed_dist.kind != "normal":
-                raise ValueError("sigma_s sweep requires a normal speed distribution")
-            speed_dist = Dist.normal(speed_dist.a, value)
-        return SyntheticConfig(
-            n=n, m=m, job_dist=job_dist, speed_dist=speed_dist, err_sigma=err_sigma, seed=seed
-        )
+        def point(value: float) -> SyntheticConfig:
+            if dist_key:
+                return replace(base, **{dist_key: Dist.normal(getattr(base, dist_key).a, value)})
+            if param != "err_sigma" and value != int(value):
+                raise ValueError("not a whole number")
+            return replace(base, **{param: value if param == "err_sigma" else int(value)})
+
+        points = []
+        for value in values:
+            what = f"'sweep_values' entry {value!r} for 'sweep_param' {param!r}"
+            points.append((value, named(what, functools.partial(point, value))))
+        object.__setattr__(self, "points", tuple(points))
 
     @classmethod
     def from_json_dict(cls, doc: object) -> "ExperimentConfig":
+        """The config a parsed JSON object states, checked by the constructor."""
         if not isinstance(doc, dict):
             raise ValueError("experiment config must be a JSON object")
-        extra = doc.keys() - {f.name for f in fields(cls)}
+        extra = doc.keys() - {f.name for f in fields(cls) if f.init}
         if extra:
             raise ValueError(f"unknown experiment config keys: {sorted(extra)}")
-        for key, value in doc.items():
-            want = _config_type_error(key, value)
-            if want:
-                raise ValueError(f"experiment config {key!r} must be {want}, got {value!r}")
-        # ``__post_init__`` parses the algorithms and the sweep values.
-        kwargs = dict(doc)
-        for key in ("job_dist", "speed_dist"):
-            if key in doc:
-                try:
-                    kwargs[key] = Dist.from_json_dict(doc[key])
-                except ValueError as exc:
-                    raise ValueError(f"experiment config {key!r}: {exc}") from None
-        return cls(**kwargs)
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -477,9 +461,9 @@ def _seed_ratios(
     rep = inst_seed - config.seed
     solves: dict[tuple, Any] = {}
 
-    def ratios(value: float) -> list[float]:
+    def ratios(value: float, point: SyntheticConfig) -> list[float]:
         return _instance_ratios(
-            gen_synthetic(config.synthetic_config_at(value, inst_seed), solves),
+            gen_synthetic(replace(point, seed=inst_seed), solves),
             config.algorithms,
             config.scheduler,
             config.oracle,
@@ -489,8 +473,8 @@ def _seed_ratios(
             lambda spec: f"{config.sweep_param}={value}, algorithm={spec.label}, seed={inst_seed}",
         )
 
-    for point, value in enumerate(config.resolved_sweep_values()):
-        yield point * config.instances_per_point + rep, functools.partial(ratios, value)
+    for index, (value, point) in enumerate(config.points):
+        yield index * config.instances_per_point + rep, functools.partial(ratios, value, point)
 
 
 class WorkerDiedError(RuntimeError):
@@ -633,12 +617,11 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     run over sweep points, and seeds within a point, meets first; no instance
     is solved twice.
     """
-    values = config.resolved_sweep_values()
     count = config.instances_per_point
     seeds = [config.seed + rep for rep in range(count)]
     results = _map_tasks(functools.partial(_seed_ratios, config), seeds)
     rows: list[ExperimentRow] = []
-    for point, value in enumerate(values):
+    for point, (value, _) in enumerate(config.points):
         for j, spec in enumerate(config.algorithms):
             values_list = [results[point * count + rep][j] for rep in range(count)]
             mean = left_sum(values_list) / len(values_list)
@@ -647,17 +630,10 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
                 std = math.sqrt(var)
             else:
                 std = 0.0
-            rows.append(
-                ExperimentRow(
-                    sweep_param=config.sweep_param,
-                    sweep_value=value,
-                    algorithm=spec.label,
-                    mean_ratio=mean,
-                    std_ratio=std,
-                    n_instances=len(values_list),
-                    oracle_kind=config.oracle,
-                )
-            )
+            rows.append(ExperimentRow(
+                sweep_param=config.sweep_param, sweep_value=value, algorithm=spec.label,
+                mean_ratio=mean, std_ratio=std, n_instances=count, oracle_kind=config.oracle,
+            ))
     return rows
 
 
@@ -1164,8 +1140,9 @@ def verify_properties(
     The families section computes its ratios through
     :func:`_instance_ratios`, as :func:`evaluate` does.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    for name, value in (("trials", trials), ("node_budget", node_budget)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     results = _map_tasks(
         functools.partial(_section_checks, seed, trials, node_budget), _HEAVIEST_FIRST
     )

@@ -130,6 +130,17 @@ class Instance:
         )
 
     @property
+    def usable_machines(self) -> tuple[int, ...]:
+        """The indices of the machines with a nonzero true speed: 0.0 marks an
+        unusable machine of an :attr:`all_or_nothing` instance."""
+        return tuple(i for i, s in enumerate(self.true_speeds) if s != 0.0)
+
+    @property
+    def usable_speeds(self) -> tuple[float, ...]:
+        """The true speeds of :attr:`usable_machines`, in the same order."""
+        return tuple(self.true_speeds[i] for i in self.usable_machines)
+
+    @property
     def n(self) -> int:
         return len(self.jobs)
 

@@ -152,7 +152,7 @@ def test_criterion_08_experiment_trends(default_experiment):
     mu_s it is worse than the speed-oblivious baseline; and at both endpoints
     the rebalancing algorithm stays inside the band the two benchmarks span."""
     rows, elapsed = default_experiment
-    values = ExperimentConfig().resolved_sweep_values()
+    values = [value for value, _ in ExperimentConfig().points]
     sigma_lo, sigma_hi = values[0], values[-1]
     cell = {(r.sweep_value, r.algorithm): r.mean_ratio for r in rows}
     oc_lo = cell[(sigma_lo, "one-consistent")]

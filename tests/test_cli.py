@@ -433,7 +433,9 @@ def test_experiment_rejects_algorithm_parameter_of_wrong_type(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"algorithms": [{"name": "ipr", "alpha": []}]}))
     assert main(["experiment", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "error: algorithm 'alpha' must be a number, got []\n"
+    assert capsys.readouterr().err == (
+        "error: experiment config 'algorithms': algorithm 'alpha' must be a number, got []\n"
+    )
 
 
 def test_import_and_one_cpu_experiment_leave_multiprocessing_unloaded(tmp_path):
@@ -604,6 +606,56 @@ def test_budget_exhaustion_exit_code(tmp_path, capsys):
     assert main(["evaluate", "--in", str(inst), "--algo", "one-consistent",
                  "--node-budget", "1"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--trials", "1"],
+        ["partition", "--in", "x.json"],
+        ["schedule", "--in", "x.json", "--partition", "p.json"],
+        ["evaluate", "--in", "x.json", "--algo", "lpt"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_node_budget_flag_below_one_is_a_usage_error(capsys, args, budget):
+    # Rejected as malformed (exit 2), not run until the budget is exhausted (exit 3).
+    with pytest.raises(SystemExit) as excinfo:
+        main([*args, "--node-budget", budget])
+    assert excinfo.value.code == 2
+    assert f"argument --node-budget: must be at least 1, got {budget}\n" in capsys.readouterr().err
+
+
+MALFORMED_CONFIGS = [
+    ({"sweep_param": "n", "sweep_values": [12, 6.5]},
+     "experiment config 'sweep_values' entry 6.5 for 'sweep_param' 'n': not a whole number"),
+    ({"speed_dist": {"kind": "uniform", "lo": -5, "hi": -1}},
+     "experiment config 'speed_dist' has mean -3.0, but the default 'sweep_values' grid runs "
+     "err_sigma from 0 to that mean, which must be finite and non-negative"),
+    ({"speed_dist": {"kind": "uniform", "lo": 1e308, "hi": 1.7e308}},
+     "experiment config 'speed_dist' has mean inf, but the default 'sweep_values' grid runs "
+     "err_sigma from 0 to that mean, which must be finite and non-negative"),
+    ({"node_budget": -5}, "experiment config 'node_budget' must be at least 1, got -5"),
+    ({"node_budget": 0}, "experiment config 'node_budget' must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("doc, error", MALFORMED_CONFIGS)
+def test_malformed_config_exits_2_before_any_instance_is_drawn(
+    tmp_path, monkeypatch, capsys, doc, error
+):
+    # The whole config is checked when it is built: no worker starts and no
+    # instance is drawn, so a bad sweep value cannot fail after earlier points ran.
+    def never(*args, **kwargs):
+        raise AssertionError("a malformed config reached the run")
+
+    monkeypatch.setattr(harness, "_map_tasks", never)
+    monkeypatch.setattr(harness, "gen_synthetic", never)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("oracle", ["exact", "lower_bound"])

@@ -370,9 +370,10 @@ def test_gen_synthetic_with_a_memo_draws_what_fresh_calls_draw(param, err_sigma)
         err_sigma=err_sigma, sweep_param=param, sweep_values=SWEEPS[param],
     )
     solves = {}
+    assert [value for value, _ in config.points] == list(SWEEPS[param])
     for seed in (0, 1, 17, 2**40 + 3):
-        for value in SWEEPS[param]:
-            synthetic = config.synthetic_config_at(value, seed)
+        for _, point in config.points:
+            synthetic = dataclasses.replace(point, seed=seed)
             got, want = gen_synthetic(synthetic, solves), gen_synthetic(synthetic)
             assert _hexes(got) == _hexes(want)
             assert (got.name, got.seed) == (want.name, want.seed)

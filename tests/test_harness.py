@@ -1,5 +1,6 @@
 """Tests for the evaluation harness: specs, ratios, experiments, verification."""
 
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -407,7 +408,7 @@ def test_experiment_config_defaults():
 
 def test_experiment_config_default_sweep_is_error_grid():
     cfg = ExperimentConfig()
-    values = cfg.resolved_sweep_values()
+    values = [value for value, _ in cfg.points]
     assert len(values) == 11
     assert values[0] == 0.0
     assert values[-1] == pytest.approx(20.0)  # mean of uniform(0, 40)
@@ -429,34 +430,34 @@ def test_experiment_config_validation():
 
 def test_experiment_config_non_default_sweep_needs_values():
     cfg = ExperimentConfig(sweep_param="n", sweep_values=(4.0, 8.0))
-    assert cfg.resolved_sweep_values() == (4.0, 8.0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(sweep_param="n").resolved_sweep_values()
+    assert [value for value, _ in cfg.points] == [4.0, 8.0]
+    with pytest.raises(ValueError, match="'sweep_values' must be given for 'sweep_param' 'n'"):
+        ExperimentConfig(sweep_param="n")
 
 
-def test_synthetic_config_at_applies_sweep():
-    cfg = ExperimentConfig()
-    syn = cfg.synthetic_config_at(7.5, seed=3)
+def test_experiment_config_points_apply_sweep():
+    cfg = ExperimentConfig(seed=3, sweep_values=(7.5,))
+    ((value, syn),) = cfg.points
+    assert value == 7.5
     assert syn.err_sigma == 7.5
     assert syn.seed == 3
     assert syn.n == 12 and syn.m == 4
 
     ncfg = ExperimentConfig(sweep_param="n", sweep_values=(6.0,))
-    assert ncfg.synthetic_config_at(6.0, seed=0).n == 6
-    with pytest.raises(ValueError):
-        ncfg.synthetic_config_at(6.5, seed=0)
+    assert ncfg.points[0][1].n == 6
+    with pytest.raises(ValueError, match="'sweep_values' entry 6.5 for 'sweep_param' 'n'"):
+        ExperimentConfig(sweep_param="n", sweep_values=(6.0, 6.5))
 
 
-def test_synthetic_config_at_sigma_sweeps_need_normal_dists():
-    cfg = ExperimentConfig(sweep_param="sigma_s", sweep_values=(1.0,))
-    with pytest.raises(ValueError):
-        cfg.synthetic_config_at(1.0, seed=0)
+def test_experiment_config_sigma_sweeps_need_normal_dists():
+    with pytest.raises(ValueError, match="'sweep_param' 'sigma_s' needs a normal 'speed_dist'"):
+        ExperimentConfig(sweep_param="sigma_s", sweep_values=(1.0,))
     ok = ExperimentConfig(
         sweep_param="sigma_s",
         sweep_values=(1.0,),
         speed_dist=Dist.normal(20.0, 4.0),
     )
-    assert ok.synthetic_config_at(1.0, seed=0).speed_dist == Dist.normal(20.0, 1.0)
+    assert ok.points[0][1].speed_dist == Dist.normal(20.0, 1.0)
 
 
 def test_experiment_config_from_json():
@@ -501,6 +502,60 @@ def test_experiment_config_from_json_rejects_unknown_keys():
         ExperimentConfig.from_json_dict({"bogus": 1})
     with pytest.raises(ValueError):
         ExperimentConfig.from_json_dict([])
+    with pytest.raises(ValueError, match=r"unknown experiment config keys: \['points'\]"):
+        ExperimentConfig.from_json_dict({"points": []})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": True},
+        {"n": 2.5},
+        {"n": 0},
+        {"m": -1},
+        {"seed": 1.5},
+        {"instances_per_point": 0},
+        {"node_budget": 0},
+        {"node_budget": -5},
+        {"err_sigma": "1"},
+        {"err_sigma": -1.0},
+        {"err_sigma": math.nan},
+        {"sweep_param": "speed"},
+        {"scheduler": "greedy"},
+        {"oracle": None},
+        {"sweep_values": "12"},
+        {"sweep_values": [0, "1"]},
+        {"sweep_values": [0.0, True]},
+        {"algorithms": "lpt"},
+        {"algorithms": [5]},
+        {"algorithms": ["lpt", "lpt"]},
+        {"job_dist": 5},
+        {"job_dist": {"kind": "normal", "mu": math.inf, "sigma": 1}},
+        # The default err_sigma grid runs from 0 to the speed distribution's mean.
+        {"speed_dist": {"kind": "uniform", "lo": -5, "hi": -1}},
+        {"speed_dist": {"kind": "uniform", "lo": 1e308, "hi": 1.7e308}},
+        {"sweep_param": "n"},
+        {"sweep_param": "n", "sweep_values": [12, 6.5]},
+        {"sweep_param": "m", "sweep_values": [2, 0]},
+        {"sweep_param": "sigma_p", "sweep_values": [1.0]},
+        {"sweep_param": "sigma_s", "sweep_values": [1.0, -2.0],
+         "speed_dist": {"kind": "normal", "mu": 20, "sigma": 1}},
+    ],
+)
+def test_experiment_config_constructor_and_json_reader_reject_alike(doc):
+    # One rule set: the same error, naming a key, whichever way the config is built.
+    with pytest.raises(ValueError) as built:
+        ExperimentConfig(**doc)
+    with pytest.raises(ValueError) as read:
+        ExperimentConfig.from_json_dict(doc)
+    assert str(built.value) == str(read.value)
+    assert str(read.value).startswith("experiment config '")
+    assert any(repr(key) in str(read.value) for key in doc)
+
+
+def test_experiment_config_accepts_distributions_as_json_objects():
+    doc = {"kind": "normal", "mu": 20, "sigma": 4}
+    assert ExperimentConfig(speed_dist=doc) == ExperimentConfig(speed_dist=Dist.normal(20.0, 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -891,8 +946,9 @@ def test_evaluate_matches_run_experiment():
             n=8, m=3, instances_per_point=1, sweep_values=(0.0, 12.0), algorithms=algorithms,
             seed=seed,
         )
+        points = dict(config.points)
         for row in run_experiment(config):
-            inst = gen_synthetic(config.synthetic_config_at(row.sweep_value, seed))
+            inst = gen_synthetic(dataclasses.replace(points[row.sweep_value], seed=seed))
             spec = next(a for a in algorithms if a.label == row.algorithm)
             assert evaluate(inst, spec) == row.mean_ratio
 
@@ -996,6 +1052,9 @@ def test_verify_properties_covers_every_check():
 def test_verify_properties_rejects_bad_trials():
     with pytest.raises(ValueError):
         verify_properties(trials=0)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="node_budget must be at least 1"):
+            verify_properties(trials=1, node_budget=budget)
 
 
 VERIFY_RUNS = [(0, 3), (4, 7), (11, 12)]

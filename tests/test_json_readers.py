@@ -1,0 +1,125 @@
+"""Seeded fuzz of the JSON readers: the experiment config (with its
+distributions and algorithm objects) and the instance file.
+
+Each case substitutes a generated JSON value for one key of a valid
+document, then only parses and constructs; it never runs an experiment, so
+no case can draw a huge instance.  Every case must either construct or raise
+``ValueError`` (exit code 2 from the CLI), and a config error must name the
+top-level key it was given.
+"""
+
+import copy
+import json
+import math
+
+import pytest
+
+from speedsched.gen import SplitMix64
+from speedsched.harness import ExperimentConfig
+from speedsched.model import Instance
+
+STRINGS = ("", "x", "1", "NaN", "uniform", "normal", "kind", "name", "exact", "lpt",
+           "lower_bound", "ipr", "one-consistent", "err_sigma", "n", "m", "sigma_p",
+           "sigma_s")
+NUMBERS = (0, 1, -1, 2, 3, -5, 6.5, 0.0, -0.0, 0.5, 1e-300, 2**53 + 1, 2**63, 10**400,
+           -(10**400), 1e300, 1.7e308, -1.7e308, math.nan, math.inf, -math.inf)
+
+
+def json_value(rng: SplitMix64, depth: int = 0) -> object:
+    """A JSON value drawn from ``rng``: null, a boolean, an edge-case or
+    random number, a string, a list of numbers, or (above depth 2 only
+    scalars) a list or object of further values."""
+    kind = rng.next_u64() % (8 if depth < 2 else 5)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return bool(rng.next_u64() & 1)
+    if kind == 2:
+        return NUMBERS[rng.next_u64() % len(NUMBERS)]
+    if kind == 3:  # a random number of any sign and magnitude, integer or not
+        x = (rng.next_float() - 0.25) * 10.0 ** (rng.next_u64() % 40 - 8)
+        return round(x) if rng.next_u64() & 1 else x
+    if kind == 4:
+        return STRINGS[rng.next_u64() % len(STRINGS)]
+    size = rng.next_u64() % 4
+    if kind == 5:
+        return [json_value(rng, 2) for _ in range(size)]
+    if kind == 6:
+        return [json_value(rng, depth + 1) for _ in range(size)]
+    return {STRINGS[rng.next_u64() % len(STRINGS)]: json_value(rng, depth + 1) for _ in range(size)}
+
+
+BASE_CONFIGS = [
+    {"n": 6, "m": 2, "job_dist": {"kind": "uniform", "lo": 0, "hi": 100},
+     "speed_dist": {"kind": "uniform", "lo": 0, "hi": 40}, "err_sigma": 1.0,
+     "sweep_param": "err_sigma", "sweep_values": None,
+     "algorithms": ["one-consistent", {"name": "ipr", "alpha": 0.5, "rho": 4.0,
+                                       "scheduler": "lpt"}, "lpt"],
+     "instances_per_point": 2, "scheduler": "exact", "oracle": "exact", "seed": 0,
+     "node_budget": 1000},
+    {"n": 6, "m": 2, "sweep_param": "n", "sweep_values": [3, 5]},
+    {"sweep_param": "m", "sweep_values": [2, 4.0], "algorithms": [{"name": "lpt"}]},
+    {"sweep_param": "sigma_p", "sweep_values": [0.0, 8.0],
+     "job_dist": {"kind": "normal", "mu": 40, "sigma": 15}},
+    {"sweep_param": "sigma_s", "sweep_values": [0.0, 5.0],
+     "speed_dist": {"kind": "normal", "mu": 10, "sigma": 6}},
+]
+
+
+def substitutions(doc: object, rng: SplitMix64, path: tuple = ()):
+    """``(path, document)`` pairs: for each key and list item inside ``doc``,
+    a copy of ``doc`` with a generated value at that place."""
+    places = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in list(places):
+        for _ in range(6):
+            changed = copy.deepcopy(doc)
+            changed[key] = json_value(rng)
+            yield (*path, key), changed
+        if isinstance(value, (dict, list)):
+            for inner_path, inner in substitutions(value, rng, (*path, key)):
+                changed = copy.deepcopy(doc)
+                changed[key] = inner
+                yield inner_path, changed
+
+
+def build(reader, doc):
+    """``reader`` on ``doc`` after a JSON round trip: the object, or the
+    ``ValueError`` it raised; any other exception fails the test."""
+    doc = json.loads(json.dumps(doc))
+    try:
+        return reader(doc)
+    except ValueError as exc:
+        return exc
+
+
+def test_config_reader_constructs_or_names_the_key():
+    rng = SplitMix64(20240611)
+    outcomes = []
+    for _ in range(24):
+        for base in BASE_CONFIGS:
+            for path, doc in substitutions(base, rng):
+                got = build(ExperimentConfig.from_json_dict, doc)
+                outcomes.append(type(got))
+                if isinstance(got, ValueError):
+                    message = str(got)
+                    assert message.startswith("experiment config '"), (path, doc, message)
+                    assert repr(path[0]) in message, (path, doc, message)
+    assert outcomes.count(ExperimentConfig) > 300 and outcomes.count(ValueError) > 3000
+
+
+def test_instance_reader_constructs_or_raises_value_error():
+    rng = SplitMix64(7)
+    base = {"jobs": [3.0, 2, 1e-3], "true_speeds": [1.0, 0.0], "predicted_speeds": [1.0, 1.0],
+            "name": "fuzz", "seed": 4}
+    outcomes = []
+    for _ in range(80):
+        for _, doc in substitutions(base, rng):
+            outcomes.append(type(build(Instance.from_json_dict, doc)))
+    assert outcomes.count(Instance) > 100 and outcomes.count(ValueError) > 1000
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_json_values_cover_every_json_type(seed):
+    rng = SplitMix64(seed)
+    types = {type(json_value(rng)) for _ in range(200)}
+    assert types == {type(None), bool, int, float, str, list, dict}

@@ -128,6 +128,15 @@ def test_instance_allows_zero_true_speed_only_when_all_or_nothing():
             make_instance([1.0], true, predicted)
 
 
+def test_usable_machines_are_those_with_a_nonzero_true_speed():
+    inst = make_instance([1.0, 1.0], [0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 0.0, 1.0])
+    assert inst.usable_machines == (1, 3)
+    assert inst.usable_speeds == (1.0, 1.0)
+    # A zero prediction does not make a machine unusable.
+    related = make_instance([1.0], [2.0, 0.5], [0.0, 1.0])
+    assert related.usable_machines == (0, 1) and related.usable_speeds == (2.0, 0.5)
+
+
 def test_instance_allows_zero_predicted_speed():
     # Predictions may declare a machine unusable in any instance.
     inst = make_instance([1.0, 1.0], [1.0, 1.0], [1.0, 0.0])
