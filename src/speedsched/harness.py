@@ -2,9 +2,11 @@
 
 ``evaluate`` measures one (instance, algorithm) pair end to end: partition on
 predicted speeds, schedule the bags on true speeds, divide by an oracle value.
-``run_experiment`` sweeps a parameter, one instance seed per worker process,
-and aggregates mean/std ratios into deterministic CSV rows; each seed solves
-every scheduling subproblem once.  Both, and ``verify``'s fixed families,
+``run_experiment`` sweeps a parameter over instance seeds in worker processes,
+sharing the work one sweep point of one seed at a time, and aggregates
+mean/std ratios into deterministic CSV rows; a seed solves every scheduling
+subproblem once in each worker that runs its points (one, unless a worker with
+no seed left to start joins it).  Both, and ``verify``'s fixed families,
 compute their ratios through one function, ``_instance_ratios``: stage one and
 stage two for every algorithm, then the oracle, with one ``solves`` memo that
 also holds the prediction-trusting partition ``one-consistent`` and ``ipr``
@@ -22,6 +24,7 @@ consistency knob alpha.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import csv
 import functools
@@ -451,11 +454,11 @@ def _seed_ratios(
 ) -> Iterator[tuple[int, Callable[[], list[float]]]]:
     """A :func:`_map_tasks` task: one step per sweep point, which computes the
     ratios of every algorithm on the instance of seed ``inst_seed`` there (its
-    serial index is ``point * instances_per_point + rep``).  One memo of
-    ``solves`` for the seed draws its jobs, true speeds and unit-normal
-    errors once per distinct instance shape (see
-    :func:`~speedsched.gen.gen_synthetic`) and solves each subproblem its
-    instances share once, the oracle included.
+    serial index is ``point * instances_per_point + rep``).  Each call has
+    one memo of ``solves`` for the seed, which draws its jobs, true speeds
+    and unit-normal errors once per distinct instance shape (see
+    :func:`~speedsched.gen.gen_synthetic`) and solves each subproblem the
+    steps it runs share once, the oracle included.
     An exhausted node budget names the sweep point and the seed.
     """
     rep = inst_seed - config.seed
@@ -481,23 +484,75 @@ class WorkerDiedError(RuntimeError):
     """A worker process of :func:`_map_tasks` exited without its results."""
 
 
-class _SharedInt:
-    """An integer this process and those it forks change atomically: a pipe
-    holds it as 8 bytes, and whoever reads them out holds it till writing back."""
+class _SharedCounters:
+    """Unsigned integers that this process and those it forks share: an
+    anonymous shared ``mmap`` holds them, and a one-byte token in a pipe
+    guards them.  Whoever holds the token (see :meth:`held`) alone reads and
+    changes them."""
 
-    def __init__(self, value: int) -> None:
-        self.fds = os.pipe()
-        os.write(self.fds[1], value.to_bytes(8, "little"))
+    def __init__(self, values: Sequence[int]) -> None:
+        import mmap  # here, not at module level: it slows every import
 
-    def update(self, change: Callable[[int], int]) -> int:
-        """Replace the value with ``change(value)``; return the old value."""
-        value = int.from_bytes(os.read(self.fds[0], 8), "little")
-        os.write(self.fds[1], change(value).to_bytes(8, "little"))
-        return value
+        self._map = mmap.mmap(-1, 8 * len(values))
+        self._values = memoryview(self._map).cast("Q")
+        for i, value in enumerate(values):
+            self._values[i] = value
+        self._token = os.pipe()
+        os.write(self._token[1], b"\0")
 
-    @property
-    def value(self) -> int:
-        return self.update(lambda value: value)
+    @contextlib.contextmanager
+    def held(self) -> Iterator[memoryview]:
+        """The integers, while this process holds the token."""
+        os.read(self._token[0], 1)
+        try:
+            yield self._values
+        finally:
+            os.write(self._token[1], b"\0")
+
+    def close(self) -> None:
+        self._values.release()
+        self._map.close()
+        for fd in self._token:
+            os.close(fd)
+
+
+_NO_FAILURE = (1 << 64) - 1  # the lowest failing index before any step fails
+
+
+def _claim(
+    counters: list[int] | memoryview, indexes: Sequence[Sequence[int]], own: int
+) -> tuple[int, int] | None:
+    """The ``(item, step)`` a worker on item ``own`` (``-1`` for none) runs
+    next, claimed by advancing that item's counter; ``None`` when no step is
+    left to claim.
+
+    ``counters`` holds the lowest failing index met so far, the first item no
+    worker has started, then each item's next unclaimed step; ``indexes``
+    holds each item's step indexes, increasing.  A step past the lowest
+    failing index is never claimed.  The worker stays on its own item while
+    that has a step left, then starts the next unstarted item; once every
+    item is started, it joins the one with the most steps left, the lowest on
+    a tie.
+    """
+    failure, items = counters[0], len(indexes)
+
+    def left(item: int) -> int:
+        start = counters[2 + item]
+        return bisect.bisect_right(indexes[item], failure, start) - start
+
+    if own < 0 or not left(own):
+        while counters[1] < items and not left(counters[1]):
+            counters[1] += 1
+        if counters[1] < items:
+            own = counters[1]
+            counters[1] += 1
+        else:
+            own = max(range(items), key=lambda item: (left(item), -item), default=-1)
+            if own < 0 or not left(own):
+                return None
+    step = counters[2 + own]
+    counters[2 + own] = step + 1
+    return own, step
 
 
 def _map_tasks(
@@ -508,51 +563,69 @@ def _map_tasks(
 
     A task yields ``(index, step)`` pairs in increasing index order, ``index``
     being the step's place in a serial run and ``step`` a function of no
-    arguments.  This function alone keeps the failure protocol: it runs a
-    task's steps until one fails or one lies past the lowest failing index
-    any task has met so far, catches a step's error, and lowers that shared
-    index to the step's.  The error with the lowest index is raised.
+    arguments.  ``task(item)`` is called once for its indexes, before any
+    step runs, and again by each worker that runs its steps.  This function
+    alone keeps the failure protocol: no step past the lowest failing index
+    met so far is started, a step's error is caught, and that shared index is
+    lowered to the step's.  The error with the lowest index is raised.
 
-    The items run in processes forked from this one, one per CPU it may use
-    and at most one per item, which take them in order, send their results
-    and errors back pickled (an error keeps its message and attributes, not
-    its ``__cause__``), each over its own pipe, and leave through
-    ``os._exit``.  This process only reads the pipes and reaps each worker
-    when its pipe closes; a worker that exits otherwise raises
-    :class:`WorkerDiedError`, and on any error the workers are killed and
-    reaped.  With one such CPU, without ``fork``, or when this process runs
-    other threads (whose locks a child would inherit, held forever), the
-    items run here, in order.
+    The steps run in processes forked from this one, one per CPU it may use
+    and at most one per item, which claim them by :func:`_claim`: a worker
+    runs its item's steps in order, then starts the next unstarted item, and
+    once every item is started joins the one with the most steps left,
+    claiming its steps one at a time.  A joiner runs them from its own call
+    of ``task(item)``: for :func:`_seed_ratios`, with its own memo of the
+    seed, so the subproblems its steps share may be solved once in each
+    worker that runs them.  The counters and the failing index live in
+    one :class:`_SharedCounters`.  The workers send their results and errors
+    back pickled (an error keeps its message and attributes, not its
+    ``__cause__``), each over its own pipe, and leave through ``os._exit``.
+    This process only reads the pipes and reaps each worker when its pipe
+    closes; a worker that exits otherwise raises :class:`WorkerDiedError`,
+    and on any error the workers are killed and reaped.  With one such CPU,
+    without ``fork``, or when this process runs other threads (whose locks a
+    child would inherit, held forever), the items run here, in order.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     workers = min(cpus, len(items))
-    first_failure, next_item = _SharedInt((1 << 64) - 1), _SharedInt(0)
+    indexes = [[index for index, _ in task(item)] for item in items]
+    counters = [_NO_FAILURE, 0] + [0] * len(items)
 
-    def run(item: Any) -> tuple[list[tuple[int, Any]], list[tuple[int, Exception]]]:
-        done = []
-        for index, step in task(item):
-            if index > first_failure.value:
-                break
+    def work(held: Callable[[], Any]) -> tuple[list[tuple[int, Any]], list[tuple[int, Exception]]]:
+        """The results and errors of the steps this worker claims; ``held()``
+        enters a block that holds the counters."""
+        done, failed, own, steps = [], [], -1, []
+        while True:
+            with held() as values:
+                claimed = _claim(values, indexes, own)
+            if claimed is None:
+                return done, failed
+            if claimed[0] != own:
+                steps = list(task(items[claimed[0]]))
+            own, step = claimed
+            index, run = steps[step]
             try:
-                done.append((index, step()))
+                done.append((index, run()))
             except Exception as exc:
-                first_failure.update(lambda known: min(known, index))
-                return done, [(index, exc)]
-        return done, []
+                with held() as values:
+                    values[0] = min(values[0], index)
+                failed.append((index, exc))
 
     pids: dict[int, int] = {}  # the read end of each live worker's pipe: its pid
+    shared = None
     try:
         if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-            outcomes = [run(item) for item in items]
+            outcomes = [work(lambda: contextlib.nullcontext(counters))]
         else:
             # Imported here, not at module level: they slow every import.
             import pickle
             import select
             import signal
 
+            shared = _SharedCounters(counters)
             poller, received = select.poll(), {}
             for _ in range(workers):
                 read, write = os.pipe()
@@ -560,11 +633,8 @@ def _map_tasks(
                 if pid == 0:
                     status = 1
                     try:
-                        records = []
-                        while (i := next_item.update(lambda value: value + 1)) < len(items):
-                            records.append(run(items[i]))
                         with open(write, "wb") as out:
-                            pickle.dump(records, out, pickle.HIGHEST_PROTOCOL)
+                            pickle.dump(work(shared.held), out, pickle.HIGHEST_PROTOCOL)
                         status = 0
                     finally:
                         os._exit(status)
@@ -587,14 +657,14 @@ def _map_tasks(
                             "a worker process terminated abruptly "
                             f"(exit status {os.waitstatus_to_exitcode(status)})"
                         )
-                    outcomes += pickle.loads(received[read])
+                    outcomes.append(pickle.loads(received[read]))
     finally:
         for read, pid in pids.items():
             os.close(read)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for fd in first_failure.fds + next_item.fds:
-            os.close(fd)
+        if shared is not None:
+            shared.close()
     results: dict[int, Any] = {}
     failures: list[tuple[int, Exception]] = []
     for done, failed in outcomes:
@@ -609,13 +679,17 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Evaluate every (sweep point, algorithm) cell; deterministic given config.
 
     Each instance seed is a :func:`_seed_ratios` task of :func:`_map_tasks`,
-    in parallel on the CPUs this process may use (``taskset -c 0`` runs them
-    here, in order), and each instance goes through
-    :func:`_instance_ratios`, as in :func:`evaluate`.  Means and sample
-    standard deviations are added in seed order, so the CSV bytes do not
-    depend on the number of CPUs.  A failure raises the error that a serial
-    run over sweep points, and seeds within a point, meets first; no instance
-    is solved twice.
+    whose steps are its sweep points, in parallel on the CPUs this process
+    may use (``taskset -c 0`` runs them here, in order), and each instance
+    goes through :func:`_instance_ratios`, as in :func:`evaluate`.  A worker
+    runs whole seeds while any is unstarted, then joins the seed with the
+    most points left; the joiner redraws the seed in its own memo, so the
+    seed's sweep-blind subproblems (the oracle, ``lpt``'s partition and its
+    stage two) may be solved once per worker.  Means and sample standard
+    deviations are added in seed order, so the CSV bytes do not depend on the
+    number of CPUs.  A failure raises the error that a serial run over sweep
+    points, and seeds within a point, meets first; no instance is solved
+    twice.
     """
     count = config.instances_per_point
     seeds = [config.seed + rep for rep in range(count)]

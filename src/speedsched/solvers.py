@@ -80,7 +80,8 @@ def lpt_schedule(loads: Sequence[float], speeds: Sequence[float]) -> SolveResult
     m = len(speeds)
     assign = [0] * len(loads)
     machine = [0.0] * m
-    for j in sorted(range(len(loads)), key=lambda j: (-loads[j], j)):
+    # A reverse sort is stable: equal loads keep their index order.
+    for j in sorted(range(len(loads)), key=loads.__getitem__, reverse=True):
         p = loads[j]
         best_i = 0
         best_v = (machine[0] + p) / speeds[0]
@@ -140,7 +141,8 @@ def exact_schedule(
     incumbent = lpt_schedule(loads, speeds)
     static_lb = opt_lower_bound(loads, speeds)
 
-    order = [j for j in sorted(range(n), key=lambda j: (-loads[j], j)) if loads[j] > 0.0]
+    # Equal loads keep their index order, as in lpt_schedule.
+    order = [j for j in sorted(range(n), key=loads.__getitem__, reverse=True) if loads[j] > 0.0]
     sorted_loads = [loads[j] for j in order]
     k = len(order)
     last = k - 1

@@ -1,6 +1,7 @@
 """Tests for the evaluation harness: specs, ratios, experiments, verification."""
 
 import dataclasses
+import functools
 import json
 import math
 import multiprocessing
@@ -852,20 +853,201 @@ def test_run_experiment_solves_each_subproblem_once_per_seed(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_run_experiment_draws_each_seed_once(monkeypatch, tmp_path, cpus):
     # Every point of the default sweep draws the same jobs, true speeds and
-    # unit-normal errors for a seed; the seed's memo draws them once, in
-    # whichever process runs the seed.
+    # unit-normal errors for a seed; the seed's memo draws them once in each
+    # process that runs the seed's points.  On one CPU that is one process;
+    # in a pool a worker left without an unstarted seed joins a started one
+    # and draws it again, so a seed is drawn once per worker that runs it,
+    # and only a seed still running when the last one starts is shared.
     path = tmp_path / "draws"
     draws = gen._draws
 
     def recording(config):
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write(f"{config.seed}\n")
+            fh.write(f"{os.getpid()} {config.seed}\n")
         return draws(config)
 
     monkeypatch.setattr(gen, "_draws", recording)
     use_cpus(monkeypatch, cpus)
     run_experiment(ExperimentConfig())
-    assert sorted(map(int, path.read_text(encoding="utf-8").split())) == list(range(100))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    records = [tuple(map(int, line.split())) for line in lines]
+    seeds = sorted(seed for _, seed in records)
+    if cpus == 1:
+        assert seeds == list(range(100))
+    else:
+        assert set(seeds) == set(range(100))
+        assert len(records) == len(set(records))
+        assert sum(seeds.count(seed) > 1 for seed in set(seeds)) <= cpus * (cpus - 1)
+    assert_no_child_processes()
+
+
+NO_FAILURE = harness._NO_FAILURE
+
+
+def test_claim_keeps_its_item_then_starts_the_next_unstarted_one():
+    indexes = [[0, 3, 6], [1, 4, 7], [2, 5, 8]]
+    counters = [NO_FAILURE, 2, 1, 1, 0]  # items 0 and 1 started, one step each claimed
+    assert harness._claim(counters, indexes, 0) == (0, 1)
+    assert harness._claim(counters, indexes, 0) == (0, 2)
+    assert harness._claim(counters, indexes, 0) == (2, 0)
+    assert counters == [NO_FAILURE, 3, 3, 1, 1]
+
+
+def test_claim_joins_the_started_item_with_the_most_steps_left():
+    indexes = [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]]
+    counters = [NO_FAILURE, 3, 4, 2, 2]  # all started; items 1 and 2 have two steps left
+    assert harness._claim(counters, indexes, 0) == (1, 2)  # a tie goes to the lowest item
+    assert harness._claim(counters, indexes, -1) == (2, 2)  # item 2 has more left now
+    assert harness._claim(counters, indexes, 1) == (1, 3)  # a joiner stays on its item
+    assert harness._claim(counters, indexes, 1) == (2, 3)
+    assert harness._claim(counters, indexes, 2) is None
+    assert counters == [NO_FAILURE, 3, 4, 4, 4]
+
+
+def test_claim_takes_no_step_past_the_first_failure():
+    indexes = [[0, 3, 6], [1, 4, 7], [2, 5, 8]]
+    counters = [4, 1, 1, 0, 0]  # a step at index 4 failed
+    assert harness._claim(counters, indexes, 0) == (0, 1)
+    assert harness._claim(counters, indexes, 0) == (1, 0)  # item 0's next index is 6
+    assert harness._claim(counters, indexes, 1) == (1, 1)
+    assert harness._claim(counters, indexes, 1) == (2, 0)
+    assert harness._claim(counters, indexes, 2) is None  # item 2 goes on at index 5
+    assert counters == [4, 3, 2, 2, 1]
+
+
+def test_claim_skips_items_without_steps_and_runs_one_worker_in_serial_order():
+    assert harness._claim([NO_FAILURE, 0, 0, 0], [[], [0]], -1) == (1, 0)
+    indexes = [[0, 2, 4], [], [1, 3]]
+    counters, own, claims = [NO_FAILURE, 0, 0, 0, 0], -1, []
+    while (claimed := harness._claim(counters, indexes, own)) is not None:
+        own = claimed[0]
+        claims.append(claimed)
+    assert claims == [(0, 0), (0, 1), (0, 2), (2, 0), (2, 1)]
+
+
+def test_two_workers_on_three_seeds_give_the_in_process_rows(monkeypatch, tmp_path):
+    # Three seeds on two workers: the worker that finishes first joins the
+    # last seed started, and the rows stay those of one CPU.
+    config = ExperimentConfig(n=8, m=3, instances_per_point=3)
+    use_cpus(monkeypatch, 1)
+    in_process = run_experiment(config)
+    pids = record_pids(monkeypatch, tmp_path / "pooled")
+    use_cpus(monkeypatch, 2)
+    assert run_experiment(config) == in_process
+    assert_no_child_processes()
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert pids() and str(os.getpid()) not in pids()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_a_failure_in_a_shared_seed_is_the_serial_one(monkeypatch, tmp_path):
+    # Seed 0's points are quick and seed 1's slow in a worker, so the worker
+    # done with seed 0 joins seed 1.  Seed 0 fails at err_sigma=18 (index
+    # 18) and seed 1 at err_sigma=10 (index 11): a serial run meets seed 0's
+    # error first and seed 1's later, and raises seed 1's; so must the pool,
+    # whichever worker runs that point.
+    parent, path = os.getpid(), tmp_path / "instances"
+
+    def failing(config, solves=None):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {config.seed} {config.err_sigma}\n")
+        if config.seed == 1 and os.getpid() != parent:
+            time.sleep(0.1)
+        if (config.seed, config.err_sigma) in ((0, 18.0), (1, 10.0)):
+            raise ValueError(f"seed {config.seed} failed at err_sigma={config.err_sigma}")
+        return gen_synthetic(config, solves)
+
+    monkeypatch.setattr(harness, "gen_synthetic", failing)
+    config = ExperimentConfig(n=6, m=2, instances_per_point=2)
+    errors = []
+    for cpus in (1, 2):
+        path.unlink(missing_ok=True)
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError) as excinfo:
+            run_experiment(config)
+        errors.append(str(excinfo.value))
+    assert errors == ["seed 1 failed at err_sigma=10.0"] * 2
+    assert_no_child_processes()
+    records = [line.split() for line in path.read_text(encoding="utf-8").splitlines()]
+    instances = [(seed, sigma) for _, seed, sigma in records]
+    assert len(instances) == len(set(instances))
+    assert len({pid for pid, seed, _ in records if seed == "1"}) == 2
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_map_tasks_leaves_no_open_fd(monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    before = sorted(os.listdir("/proc/self/fd"))
+    run_experiment(ExperimentConfig(n=6, m=2, instances_per_point=3, sweep_values=(0.0, 10.0)))
+    with pytest.raises(BudgetExceededError):
+        run_experiment(ExperimentConfig(n=6, m=2, instances_per_point=3, node_budget=1))
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_more_workers_than_cpus_run_every_step_once(monkeypatch, tmp_path):
+    # Six workers on this machine's CPUs: five items have one step and the
+    # last 2000, so five workers join it at once and claim its steps side by
+    # side; still every step runs once.  An alarm ends a run that hangs.
+    path = tmp_path / "runs"
+    indexes = [[item] for item in range(5)] + [list(range(5, 2005))]
+    runs = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+
+    def task(item):
+        def step(index):
+            os.write(runs, b"%d\n" % index)
+            return index * index
+
+        return [(index, functools.partial(step, index)) for index in indexes[item]]
+
+    def timeout(signum, frame):
+        raise TimeoutError
+
+    use_cpus(monkeypatch, 6)
+    previous = signal.signal(signal.SIGALRM, timeout)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 30.0)
+        results = harness._map_tasks(task, range(6))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        os.close(runs)
+    assert results == {index: index * index for index in range(2005)}
+    assert sorted(map(int, path.read_text(encoding="utf-8").split())) == list(range(2005))
+    assert_no_child_processes()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_shared_counters_lose_no_update():
+    # Four processes, more than this machine's CPUs, start together and add
+    # 1 to one counter 20,000 times each while holding the token; an update
+    # made outside it would be lost.  Each child ends within 30 s or is killed.
+    counters = harness._SharedCounters([0, 7])
+    start = os.pipe()
+    pids = []
+    try:
+        for _ in range(4):
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    signal.alarm(30)
+                    os.read(start[0], 1)
+                    for _ in range(20000):
+                        with counters.held() as values:
+                            values[0] += 1
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+        os.write(start[1], b"go!!")
+        for pid in pids:
+            assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        with counters.held() as values:
+            assert list(values) == [80000, 7]
+    finally:
+        counters.close()
+        for fd in start:
+            os.close(fd)
     assert_no_child_processes()
 
 
