@@ -15,7 +15,10 @@ therefore part of the package's external contract and is fixed here:
   perturbs the draws of existing fields.
 * Uniform double in [0, 1): ``(next_u64() >> 11) * 2**-53``.  The open-interval
   variant used for normals adds 0.5 to the 53-bit integer before scaling, so
-  it never returns 0.0 or 1.0 exactly.
+  it never returns 0.0.  The sum rounds to even, so the top integer,
+  ``2**53 - 1``, would give exactly 1.0; it alone gives ``1 - 2**-53``, the
+  largest double below 1, which no other integer gives.  Every draw lies in
+  [2**-54, 1 - 2**-53].
 * Standard normal: Acklam's rational approximation of the inverse normal CDF
   applied to an open-interval uniform draw (max relative error ~1.15e-9, which
   is far below the experiment tolerances and identical on every platform).
@@ -70,7 +73,7 @@ class SplitMix64:
 
     def next_open_float(self) -> float:
         """Uniform in (0, 1) — safe input for the inverse normal CDF."""
-        return ((self.next_u64() >> 11) + 0.5) * 2.0**-53
+        return min(((self.next_u64() >> 11) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
 
 
 def substream(seed: int, tag: int) -> SplitMix64:
@@ -134,6 +137,11 @@ def normal_inv_cdf(p: float) -> float:
     )
 
 
+# The largest magnitude of a unit-normal draw: the inverse CDF at the ends of
+# ``next_open_float``'s range.
+_Z_MAX = max(-normal_inv_cdf(2.0**-54), normal_inv_cdf(1.0 - 2.0**-53))
+
+
 def _dist_params(kind: object) -> tuple[str, str]:
     """The names of a distribution kind's two parameters in JSON."""
     if kind == "uniform":
@@ -159,8 +167,13 @@ class Dist:
             object.__setattr__(self, field, float(value))
         if self.kind == "uniform" and not self.b > self.a:
             raise ValueError(f"uniform needs hi > lo, got ({self.a}, {self.b})")
+        if self.kind == "uniform" and not math.isfinite(self.b - self.a):
+            raise ValueError(f"uniform needs a finite hi - lo, got ({self.a}, {self.b})")
         if self.kind == "normal" and self.b < 0.0:
             raise ValueError(f"normal needs sigma >= 0, got {self.b}")
+        if self.kind == "normal" and not math.isfinite(abs(self.a) + _Z_MAX * self.b):
+            raise ValueError(f"normal needs a finite |mu| + {_Z_MAX:.2f} * sigma, "
+                             f"got ({self.a}, {self.b})")
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "Dist":
@@ -230,6 +243,11 @@ class SyntheticConfig:
                 raise ValueError(f"{key!r} must be at least 1, got {getattr(self, key)!r}")
         if not 0.0 <= self.err_sigma < math.inf:
             raise ValueError(f"'err_sigma' must be non-negative finite, got {self.err_sigma!r}")
+        speeds = self.speed_dist
+        top = speeds.b if speeds.kind == "uniform" else speeds.a + speeds.b * _Z_MAX
+        if not math.isfinite(top + self.err_sigma * _Z_MAX):
+            raise ValueError(f"'err_sigma' must keep every predicted speed finite, got "
+                             f"{self.err_sigma!r} with true speeds up to {top!r}")
 
 
 def _clamp(x: float) -> float:

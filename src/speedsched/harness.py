@@ -3,8 +3,9 @@
 ``evaluate`` measures one (instance, algorithm) pair end to end: partition on
 predicted speeds, schedule the bags on true speeds, divide by an oracle value.
 ``run_experiment`` sweeps a parameter over instance seeds in worker processes,
-sharing the work one sweep point of one seed at a time, and aggregates
-mean/std ratios into deterministic CSV rows; a seed solves every scheduling
+to which the calling process hands out the work one sweep point of one seed at
+a time, receiving each result as its step ends, and aggregates mean/std
+ratios into deterministic CSV rows; a seed solves every scheduling
 subproblem once in each worker that runs its points (one, unless a worker with
 no seed left to start joins it).  Both, and ``verify``'s fixed families,
 compute their ratios through one function, ``_instance_ratios``: stage one and
@@ -16,8 +17,8 @@ structural guarantee the algorithms are supposed to satisfy (balance bounds,
 monotone rebalancing, iteration caps, consistency/robustness envelopes,
 certificate feasibility, oracle agreement) over seeded random instances, one
 section per worker process, and reports the first counterexample when one
-exists.  Both pooled runs go through ``_map_tasks``, which alone keeps the
-failure protocol, and give the bytes of a serial run.
+exists.  Both pooled runs go through ``_map_tasks``, which alone hands out
+the steps and keeps the failure protocol, and give the bytes of a serial run.
 ``theory_curves`` tabulates the guarantee envelopes as functions of the
 consistency knob alpha.
 """
@@ -484,55 +485,20 @@ class WorkerDiedError(RuntimeError):
     """A worker process of :func:`_map_tasks` exited without its results."""
 
 
-class _SharedCounters:
-    """Unsigned integers that this process and those it forks share: an
-    anonymous shared ``mmap`` holds them, and a one-byte token in a pipe
-    guards them.  Whoever holds the token (see :meth:`held`) alone reads and
-    changes them."""
-
-    def __init__(self, values: Sequence[int]) -> None:
-        import mmap  # here, not at module level: it slows every import
-
-        self._map = mmap.mmap(-1, 8 * len(values))
-        self._values = memoryview(self._map).cast("Q")
-        for i, value in enumerate(values):
-            self._values[i] = value
-        self._token = os.pipe()
-        os.write(self._token[1], b"\0")
-
-    @contextlib.contextmanager
-    def held(self) -> Iterator[memoryview]:
-        """The integers, while this process holds the token."""
-        os.read(self._token[0], 1)
-        try:
-            yield self._values
-        finally:
-            os.write(self._token[1], b"\0")
-
-    def close(self) -> None:
-        self._values.release()
-        self._map.close()
-        for fd in self._token:
-            os.close(fd)
-
-
-_NO_FAILURE = (1 << 64) - 1  # the lowest failing index before any step fails
-
-
 def _claim(
-    counters: list[int] | memoryview, indexes: Sequence[Sequence[int]], own: int
+    counters: list[float], indexes: Sequence[Sequence[int]], own: int
 ) -> tuple[int, int] | None:
     """The ``(item, step)`` a worker on item ``own`` (``-1`` for none) runs
     next, claimed by advancing that item's counter; ``None`` when no step is
     left to claim.
 
-    ``counters`` holds the lowest failing index met so far, the first item no
-    worker has started, then each item's next unclaimed step; ``indexes``
-    holds each item's step indexes, increasing.  A step past the lowest
-    failing index is never claimed.  The worker stays on its own item while
-    that has a step left, then starts the next unstarted item; once every
-    item is started, it joins the one with the most steps left, the lowest on
-    a tie.
+    ``counters`` holds the lowest failing index met so far (``math.inf``
+    before any), the first item no worker has started, then each item's next
+    unclaimed step; ``indexes`` holds each item's step indexes, increasing.
+    A step past the lowest failing index is never claimed.  The worker stays
+    on its own item while that has a step left, then starts the next
+    unstarted item; once every item is started, it joins the one with the
+    most steps left, the lowest on a tie.
     """
     failure, items = counters[0], len(indexes)
 
@@ -564,27 +530,29 @@ def _map_tasks(
     A task yields ``(index, step)`` pairs in increasing index order, ``index``
     being the step's place in a serial run and ``step`` a function of no
     arguments.  ``task(item)`` is called once for its indexes, before any
-    step runs, and again by each worker that runs its steps.  This function
-    alone keeps the failure protocol: no step past the lowest failing index
-    met so far is started, a step's error is caught, and that shared index is
-    lowered to the step's.  The error with the lowest index is raised.
+    step runs, and again by each process that runs its steps.  This function
+    alone keeps the failure protocol: a step's error is caught, the lowest
+    failing index is kept, no step past it is claimed, and the error with the
+    lowest index is raised.
 
-    The steps run in processes forked from this one, one per CPU it may use
-    and at most one per item, which claim them by :func:`_claim`: a worker
-    runs its item's steps in order, then starts the next unstarted item, and
-    once every item is started joins the one with the most steps left,
-    claiming its steps one at a time.  A joiner runs them from its own call
-    of ``task(item)``: for :func:`_seed_ratios`, with its own memo of the
-    seed, so the subproblems its steps share may be solved once in each
-    worker that runs them.  The counters and the failing index live in
-    one :class:`_SharedCounters`.  The workers send their results and errors
-    back pickled (an error keeps its message and attributes, not its
-    ``__cause__``), each over its own pipe, and leave through ``os._exit``.
-    This process only reads the pipes and reaps each worker when its pipe
-    closes; a worker that exits otherwise raises :class:`WorkerDiedError`,
-    and on any error the workers are killed and reaped.  With one such CPU,
-    without ``fork``, or when this process runs other threads (whose locks a
-    child would inherit, held forever), the items run here, in order.
+    This process alone holds the counters :func:`_claim` reads, and hands out
+    every step by it: a worker runs its item's steps in order, then starts
+    the next unstarted item, and once every item is started joins the one
+    with the most steps left, one step at a time.  A joiner runs them from
+    its own call of ``task(item)``: for :func:`_seed_ratios`, with its own
+    memo of the seed, so the subproblems its steps share may be solved once
+    in each worker that runs them.  The workers are forked from this
+    process, one per CPU it may use and at most one per item.  Each reads its
+    claims, pickled, from a pipe of its own and, as each step ends, sends
+    back its index, result and error over a second pipe (an error keeps its
+    message and attributes, not its ``__cause__``).  This process records
+    the result and replies with the worker's next claim, or ``None``, on
+    which the worker leaves through ``os._exit`` and is reaped.  A worker
+    whose pipe closes before it is sent ``None``, or that exits with a status
+    other than 0, raises :class:`WorkerDiedError`; on any error the workers
+    are killed and reaped.  With one such CPU, without ``fork``, or when this
+    process runs other threads (whose locks a child would inherit, held
+    forever), the same claims run here, in order.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -592,84 +560,106 @@ def _map_tasks(
         cpus = os.cpu_count() or 1
     workers = min(cpus, len(items))
     indexes = [[index for index, _ in task(item)] for item in items]
-    counters = [_NO_FAILURE, 0] + [0] * len(items)
+    counters: list[float] = [math.inf, 0] + [0] * len(items)
+    results: dict[int, Any] = {}
+    failures: list[tuple[int, Exception]] = []
 
-    def work(held: Callable[[], Any]) -> tuple[list[tuple[int, Any]], list[tuple[int, Exception]]]:
-        """The results and errors of the steps this worker claims; ``held()``
-        enters a block that holds the counters."""
-        done, failed, own, steps = [], [], -1, []
-        while True:
-            with held() as values:
-                claimed = _claim(values, indexes, own)
-            if claimed is None:
-                return done, failed
-            if claimed[0] != own:
-                steps = list(task(items[claimed[0]]))
-            own, step = claimed
-            index, run = steps[step]
-            try:
-                done.append((index, run()))
-            except Exception as exc:
-                with held() as values:
-                    values[0] = min(values[0], index)
-                failed.append((index, exc))
+    @functools.lru_cache(maxsize=1)
+    def steps(item: int) -> list[tuple[int, Callable[[], Any]]]:
+        return list(task(items[item]))
 
-    pids: dict[int, int] = {}  # the read end of each live worker's pipe: its pid
-    shared = None
-    try:
-        if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-            outcomes = [work(lambda: contextlib.nullcontext(counters))]
+    def run(item: int, step: int) -> tuple[int, Any, Exception | None]:
+        """Step ``step`` of ``item``, run in this process: its index, result and error."""
+        index, call = steps(item)[step]
+        try:
+            return index, call(), None
+        except Exception as exc:
+            return index, None, exc
+
+    def record(index: int, result: Any, error: Exception | None) -> None:
+        if error is None:
+            results[index] = result
         else:
-            # Imported here, not at module level: they slow every import.
-            import pickle
-            import select
-            import signal
+            failures.append((index, error))
+            counters[0] = min(counters[0], index)
 
-            shared = _SharedCounters(counters)
-            poller, received = select.poll(), {}
+    pool: dict[int, tuple[int, int, Any]] = {}  # a live worker's result fd: pid, claim fd, reader
+    owns: dict[int, int] = {}  # a live worker's result fd: the item of its last claim
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        own = -1
+        while (claimed := _claim(counters, indexes, own)) is not None:
+            own = claimed[0]
+            record(*run(*claimed))
+    else:
+        # Imported here, not at module level: they slow every import.
+        import pickle
+        import select
+        import signal
+
+        poller = select.poll()
+
+        def reap(fd: int) -> int:
+            """Wait for a worker to exit, close its pipes, and give its exit code."""
+            pid, to_worker, reader = pool[fd]
+            status = os.waitpid(pid, 0)[1]  # first: if interrupted, ``finally`` reaps it
+            del pool[fd]
+            poller.unregister(fd)
+            os.close(to_worker)
+            reader.close()
+            return os.waitstatus_to_exitcode(status)
+
+        def hand_out(fd: int) -> None:
+            """Send a worker its next claim; reap it once that is ``None``."""
+            claimed = _claim(counters, indexes, owns[fd])
+            # A dead worker cannot take its claim; its EOF or exit status reports it.
+            with contextlib.suppress(BrokenPipeError):
+                os.write(pool[fd][1], pickle.dumps(claimed, pickle.HIGHEST_PROTOCOL))
+            if claimed is not None:
+                owns[fd] = claimed[0]
+            elif (code := reap(fd)) != 0:
+                raise WorkerDiedError(f"a worker process terminated abruptly (exit status {code})")
+
+        try:
             for _ in range(workers):
-                read, write = os.pipe()
+                from_parent, to_worker = os.pipe()
+                from_worker, to_parent = os.pipe()
                 pid = os.fork()
                 if pid == 0:
                     status = 1
                     try:
-                        with open(write, "wb") as out:
-                            pickle.dump(work(shared.held), out, pickle.HIGHEST_PROTOCOL)
+                        # The parent's ends: held here, they would keep a
+                        # worker waiting for claims after the parent died.
+                        for fd in (to_worker, from_worker, *pool, *(w[1] for w in pool.values())):
+                            os.close(fd)
+                        with open(from_parent, "rb") as inbox, open(to_parent, "wb") as outbox:
+                            while (claimed := pickle.load(inbox)) is not None:
+                                pickle.dump(run(*claimed), outbox, pickle.HIGHEST_PROTOCOL)
+                                outbox.flush()
                         status = 0
                     finally:
                         os._exit(status)
-                os.close(write)
-                pids[read], received[read] = pid, bytearray()
-                poller.register(read, select.POLLIN)
-            outcomes = []
-            while pids:
-                for read, _ in poller.poll():
-                    chunk = os.read(read, 1 << 16)
-                    received[read] += chunk
-                    if chunk:
-                        continue
-                    _, status = os.waitpid(pids[read], 0)
-                    del pids[read]
-                    poller.unregister(read)
-                    os.close(read)
-                    if status != 0:
+                os.close(from_parent)
+                os.close(to_parent)
+                pool[from_worker] = pid, to_worker, open(from_worker, "rb")
+                owns[from_worker] = -1
+                poller.register(from_worker, select.POLLIN)
+                hand_out(from_worker)
+            while pool:
+                for fd, _ in poller.poll():
+                    try:
+                        outcome = pickle.load(pool[fd][2])
+                    except (EOFError, pickle.UnpicklingError):
                         raise WorkerDiedError(
-                            "a worker process terminated abruptly "
-                            f"(exit status {os.waitstatus_to_exitcode(status)})"
-                        )
-                    outcomes.append(pickle.loads(received[read]))
-    finally:
-        for read, pid in pids.items():
-            os.close(read)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if shared is not None:
-            shared.close()
-    results: dict[int, Any] = {}
-    failures: list[tuple[int, Exception]] = []
-    for done, failed in outcomes:
-        results.update(done)
-        failures += failed
+                            f"a worker process terminated abruptly (exit status {reap(fd)})"
+                        ) from None
+                    record(*outcome)
+                    hand_out(fd)
+        finally:
+            for pid, to_worker, reader in pool.values():
+                os.close(to_worker)
+                reader.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     return results
@@ -681,11 +671,12 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     Each instance seed is a :func:`_seed_ratios` task of :func:`_map_tasks`,
     whose steps are its sweep points, in parallel on the CPUs this process
     may use (``taskset -c 0`` runs them here, in order), and each instance
-    goes through :func:`_instance_ratios`, as in :func:`evaluate`.  A worker
-    runs whole seeds while any is unstarted, then joins the seed with the
-    most points left; the joiner redraws the seed in its own memo, so the
-    seed's sweep-blind subproblems (the oracle, ``lpt``'s partition and its
-    stage two) may be solved once per worker.  Means and sample standard
+    goes through :func:`_instance_ratios`, as in :func:`evaluate`.  This
+    process hands out every step and receives each result as its step ends:
+    a worker runs whole seeds while any is unstarted, then joins the seed
+    with the most points left; the joiner redraws the seed in its own memo,
+    so the seed's sweep-blind subproblems (the oracle, ``lpt``'s partition
+    and its stage two) may be solved once per worker.  Means and sample standard
     deviations are added in seed order, so the CSV bytes do not depend on the
     number of CPUs.  A failure raises the error that a serial run over sweep
     points, and seeds within a point, meets first; no instance is solved

@@ -4,8 +4,10 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,15 @@ def test_gen_synthetic_to_stdout(capsys):
     assert main(["gen", "--n", "3", "--m", "2", "--seed", "1"]) == 0
     inst = instance_from_json(capsys.readouterr().out)
     assert inst == gen_synthetic(SyntheticConfig(n=3, m=2, seed=1))
+
+
+def test_a_seed_that_draws_the_top_open_float_runs(tmp_path, capsys):
+    # This seed's first error draw is the top 53-bit integer, which once gave
+    # the inverse normal CDF exactly 1.0.
+    assert main(["gen", "--seed", "12926587775233257026"]) == 0
+    assert instance_from_json(capsys.readouterr().out).seed == 12926587775233257026
+    config = experiment_config_file(tmp_path, instances_per_point=1, sweep_values=[1.0])
+    assert main(["experiment", "--config", str(config), "--seed", "12926587775233257026"]) == 0
 
 
 def test_gen_respects_distribution_flags(tmp_path):
@@ -519,6 +530,64 @@ def test_verify_fails_when_a_worker_process_dies():
     assert proc.stderr.startswith("error: ") and "terminated abruptly" in proc.stderr
 
 
+def running(pid):
+    """Whether process ``pid`` exists and is not a zombie (an exited process
+    its new parent has not reaped yet)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
+def test_workers_leave_when_the_experiment_process_is_killed(tmp_path):
+    # Each step sleeps 0.05 s, so the run would last about half a minute; a
+    # SIGKILL of the parent closes its ends of the pipes, and each worker
+    # leaves as its step ends, instead of waiting for a claim forever.
+    code = (
+        "import os, sys, time\n"
+        "from speedsched import cli, harness\n"
+        "parent, generate = os.getpid(), harness.gen_synthetic\n"
+        "def slow(config, solves=None):\n"
+        "    if os.getpid() != parent:\n"
+        "        with open(sys.argv[2], 'a') as fh:\n"
+        "            fh.write(f'{os.getpid()}\\n')\n"
+        "        time.sleep(0.05)\n"
+        "    return generate(config, solves)\n"
+        "harness.gen_synthetic = slow\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "sys.exit(cli.main(['experiment', '--config', sys.argv[1]]))\n"
+    )
+    config = experiment_config_file(tmp_path, instances_per_point=100, sweep_values=None)
+    pids_path = tmp_path / "pids"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, str(config), str(pids_path)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = set()
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            if pids_path.exists():
+                workers = set(map(int, pids_path.read_text(encoding="utf-8").split()))
+        assert len(workers) == 2
+        proc.kill()
+        proc.wait(timeout=60)
+        deadline = time.monotonic() + 5
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, workers))
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+        for pid in filter(running, workers):
+            os.kill(pid, signal.SIGKILL)
+
+
 # ---------------------------------------------------------------------------
 # verify / curves
 # ---------------------------------------------------------------------------
@@ -638,6 +707,11 @@ MALFORMED_CONFIGS = [
      "err_sigma from 0 to that mean, which must be finite and non-negative"),
     ({"node_budget": -5}, "experiment config 'node_budget' must be at least 1, got -5"),
     ({"node_budget": 0}, "experiment config 'node_budget' must be at least 1, got 0"),
+    ({"n": 3, "m": 3, "instances_per_point": 2, "sweep_values": [1.0, 1.7e308]},
+     "experiment config 'sweep_values' entry 1.7e+308 for 'sweep_param' 'err_sigma': "
+     "'err_sigma' must keep every predicted speed finite, got 1.7e+308 with true speeds up to 40.0"),
+    ({"job_dist": {"kind": "uniform", "lo": -1.7e308, "hi": 1.7e308}},
+     "experiment config 'job_dist': uniform needs a finite hi - lo, got (-1.7e+308, 1.7e+308)"),
 ]
 
 

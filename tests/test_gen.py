@@ -65,6 +65,15 @@ def test_next_open_float_golden_value():
     assert SplitMix64(7).next_open_float() == 0.38982974839127155
 
 
+def test_next_open_float_maps_only_the_top_integer_below_one():
+    # 2**53 - 1 + 0.5 rounds to 2**53, which would scale to exactly 1.0; that
+    # integer alone gives the largest double below 1, and its neighbour keeps
+    # its own value.
+    assert SplitMix64(17685126244420568887).next_u64() >> 11 == 2**53 - 1
+    assert SplitMix64(17685126244420568887).next_open_float() == 1.0 - 2.0**-53
+    assert (2**53 - 2 + 0.5) * 2.0**-53 == 1.0 - 2.0**-52
+
+
 def test_float_ranges():
     rng = SplitMix64(99)
     for _ in range(2000):
@@ -160,6 +169,37 @@ def test_dist_validation():
         Dist.normal(0.0, -1.0)
     with pytest.raises(ValueError):
         Dist("poisson", 1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "dist, error",
+    [
+        (("uniform", -1.7e308, 1.7e308), r"uniform needs a finite hi - lo"),
+        (("normal", 1.7e308, 1e307), r"normal needs a finite \|mu\| \+ 8\.29 \* sigma"),
+        (("normal", -1.7e308, 1e307), r"normal needs a finite \|mu\| \+ 8\.29 \* sigma"),
+        (("normal", 0.0, 1.7e308), r"normal needs a finite \|mu\| \+ 8\.29 \* sigma"),
+    ],
+)
+def test_dist_rejects_parameters_whose_draws_overflow(dist, error):
+    with pytest.raises(ValueError, match=error):
+        Dist(*dist)
+
+
+def test_dist_accepts_the_largest_parameters_whose_draws_are_finite():
+    # A unit-normal draw lies in [-8.30, 8.21], the inverse CDF at the ends
+    # of next_open_float's range.
+    assert -8.30 < normal_inv_cdf(2.0**-54) < -8.29 and 8.20 < normal_inv_cdf(1 - 2.0**-53) < 8.21
+    for dist in (Dist.uniform(-8e307, 8e307), Dist.normal(1.7e308, 0.0), Dist.normal(0.0, 2e307)):
+        for seed in range(20):
+            assert math.isfinite(dist.sample(SplitMix64(seed)))
+
+
+def test_synthetic_config_rejects_an_err_sigma_whose_predictions_overflow():
+    with pytest.raises(ValueError, match="'err_sigma' must keep every predicted speed finite"):
+        SyntheticConfig(n=1, m=1, err_sigma=1.7e308)
+    with pytest.raises(ValueError, match="true speeds up to 1.7e"):
+        SyntheticConfig(n=1, m=1, speed_dist=Dist.uniform(1e308, 1.7e308), err_sigma=1e307)
+    SyntheticConfig(n=1, m=1, speed_dist=Dist.uniform(1e308, 1.7e308), err_sigma=1e306)
 
 
 def test_dist_parse():

@@ -881,7 +881,7 @@ def test_run_experiment_draws_each_seed_once(monkeypatch, tmp_path, cpus):
     assert_no_child_processes()
 
 
-NO_FAILURE = harness._NO_FAILURE
+NO_FAILURE = math.inf
 
 
 def test_claim_keeps_its_item_then_starts_the_next_unstarted_one():
@@ -1015,39 +1015,6 @@ def test_more_workers_than_cpus_run_every_step_once(monkeypatch, tmp_path):
         os.close(runs)
     assert results == {index: index * index for index in range(2005)}
     assert sorted(map(int, path.read_text(encoding="utf-8").split())) == list(range(2005))
-    assert_no_child_processes()
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
-def test_shared_counters_lose_no_update():
-    # Four processes, more than this machine's CPUs, start together and add
-    # 1 to one counter 20,000 times each while holding the token; an update
-    # made outside it would be lost.  Each child ends within 30 s or is killed.
-    counters = harness._SharedCounters([0, 7])
-    start = os.pipe()
-    pids = []
-    try:
-        for _ in range(4):
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    signal.alarm(30)
-                    os.read(start[0], 1)
-                    for _ in range(20000):
-                        with counters.held() as values:
-                            values[0] += 1
-                finally:
-                    os._exit(0)
-            pids.append(pid)
-        os.write(start[1], b"go!!")
-        for pid in pids:
-            assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-        with counters.held() as values:
-            assert list(values) == [80000, 7]
-    finally:
-        counters.close()
-        for fd in start:
-            os.close(fd)
     assert_no_child_processes()
 
 
@@ -1353,6 +1320,62 @@ def test_a_dying_worker_ends_the_run_and_leaves_no_process(monkeypatch):
     use_cpus(monkeypatch, 2)
     with pytest.raises(WorkerDiedError, match="terminated abruptly"):
         run_experiment(POOL_CONFIGS[0])
+    assert_no_child_processes()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_a_worker_that_exits_0_mid_step_died(monkeypatch):
+    # A worker's exit status 0 does not mean it finished: one that leaves in
+    # the middle of a step, before it was sent None, died.
+    parent = os.getpid()
+
+    def task(item):
+        def step():
+            if os.getpid() != parent and item == 1:
+                os._exit(0)
+            return item
+
+        return [(item, step)]
+
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(WorkerDiedError, match=r"terminated abruptly \(exit status 0\)"):
+        harness._map_tasks(task, range(3))
+    assert_no_child_processes()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_a_claim_sent_to_a_dead_worker_reports_its_death(monkeypatch):
+    # Both workers are killed after the first result is read and before the
+    # claim that answers it is written.  That write, and any that answers a
+    # result already in a pipe, meets a broken pipe, which must not escape as
+    # an OSError (a usage error at the command line); the death is reported
+    # instead.
+    parent, forked, writes = os.getpid(), [], []
+    fork, write = os.fork, os.write
+
+    def forking():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def writing(fd, data):
+        if os.getpid() == parent:
+            writes.append(fd)
+            if len(writes) == 3:  # after one claim to each worker
+                for pid in forked:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        return write(fd, data)
+
+    def task(item):
+        return [(3 * item + step, functools.partial(int, step)) for step in range(3)]
+
+    monkeypatch.setattr(os, "fork", forking)
+    monkeypatch.setattr(os, "write", writing)
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(WorkerDiedError, match=r"terminated abruptly \(exit status -9\)"):
+        harness._map_tasks(task, range(3))
     assert_no_child_processes()
 
 
