@@ -103,8 +103,26 @@ def _add_budget_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that rejects ``--flag=--``: argparse drops that
+    ``--`` as the end-of-options marker and hands the flag an empty list,
+    without calling its type.
+
+    The hook is argparse's private ``_get_values``, whose first step in
+    CPython 3.11 and earlier removes the first ``--`` from any action's
+    arguments, an option's included (seen on 3.11.7).  On a release that
+    keeps an option's ``--``, its type gets ``"--"`` like any other value and
+    this check is never met; delete the class once no supported Python
+    strips it."""
+
+    def _get_values(self, action: argparse.Action, arg_strings: list[str]) -> object:
+        if action.nargs is None and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="speedsched",
         description="Two-stage scheduling with speed predictions: generators, "
         "partitioners, schedulers, experiments, verification.",

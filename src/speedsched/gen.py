@@ -38,6 +38,9 @@ from typing import Any
 from .model import Instance, is_json_number
 
 CLAMP_FLOOR = 1e-3
+# The largest job or machine count of a synthetic instance, so that its draws
+# fit in memory: a config asking for more is rejected before any draw.
+MAX_SHAPE = 1_000_000
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -239,8 +242,11 @@ class SyntheticConfig:
 
     def __post_init__(self) -> None:
         for key in ("n", "m"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key!r} must be at least 1, got {getattr(self, key)!r}")
+            value = getattr(self, key)
+            if value < 1:
+                raise ValueError(f"{key!r} must be at least 1, got {value!r}")
+            if value > MAX_SHAPE:
+                raise ValueError(f"{key!r} must be at most {MAX_SHAPE}, got {value!r}")
         if not 0.0 <= self.err_sigma < math.inf:
             raise ValueError(f"'err_sigma' must be non-negative finite, got {self.err_sigma!r}")
         speeds = self.speed_dist

@@ -73,19 +73,22 @@ def lpt_schedule(loads: Sequence[float], speeds: Sequence[float]) -> SolveResult
     """Greedy: items in non-increasing load order, each to the machine where it
     finishes earliest given current loads; ties break to the lowest machine
     index.  Deterministic, never optimal-flagged.  The scan over machines is
-    a plain loop with a strict ``<``: it is faster than a list or ``map``
-    argmin at the 50-machine experiment shape."""
+    a plain loop with a strict ``<`` over a prebuilt tuple of indices: at the
+    50-machine experiment shape it is faster than a list or ``map`` argmin,
+    or than a ``range`` built per item."""
     loads = finite_floats(loads, "item loads", allow_zero=True, allow_empty=True)
     speeds = finite_floats(speeds, "machine speeds")
     m = len(speeds)
     assign = [0] * len(loads)
     machine = [0.0] * m
+    rest = tuple(range(1, m))
+    first_speed = speeds[0]
     # A reverse sort is stable: equal loads keep their index order.
     for j in sorted(range(len(loads)), key=loads.__getitem__, reverse=True):
         p = loads[j]
         best_i = 0
-        best_v = (machine[0] + p) / speeds[0]
-        for i in range(1, m):
+        best_v = (machine[0] + p) / first_speed
+        for i in rest:
             v = (machine[i] + p) / speeds[i]
             if v < best_v:
                 best_v = v
@@ -116,15 +119,20 @@ def exact_schedule(
 
     The loop is built for cost per node.  The last item's children, the
     complete placements, are handled inside their parent's loop rather than
-    by a call each; each still counts as a node against the budget.  The
-    incumbent test runs before the twin test, and the loads tried per node
-    are kept, and twins scanned, only when two speeds are equal.  Every node,
-    leaf or not, adds its item to the machine and subtracts it again
-    afterwards: the subtraction's rounding can leave the load a few ulps off,
-    and the placements, makespan bits and node counts of later branches
-    depend on that, so skipping the pair at a leaf would change results.
-    On the default experiment's calls this searches about 0.9-1.2M nodes/s
-    (one CPU of a 2-CPU Xeon, Python 3.11).
+    by a call each; each still counts as a node against the budget.  A node
+    reads its item, flags and tried loads from one tuple per level, and scans
+    a tuple of machine indices from its first index on, built by the first
+    node that starts there.  Its incumbent test reads the child's ratio
+    alone: the node's own partial makespan stays below the incumbent,
+    because the node returns once the incumbent falls to it.  That test runs
+    before the twin test, and the loads tried per node are kept, and twins
+    scanned, only when two speeds are equal.  Every node, leaf or not, adds
+    its item to the machine and subtracts it again afterwards: the
+    subtraction's rounding can leave the load a few ulps off, and the
+    placements, makespan bits and node counts of later branches depend on
+    that, so skipping the pair at a leaf would change results.
+    On the default experiment's calls this searches about 1.0-1.6M nodes/s
+    (the solver alone on one CPU of a 2-CPU Xeon, Python 3.11).
 
     Raises :class:`BudgetExceededError` after ``node_budget`` node expansions.
     Ties in the returned placement are resolved deterministically (items in
@@ -145,37 +153,50 @@ def exact_schedule(
     order = [j for j in sorted(range(n), key=loads.__getitem__, reverse=True) if loads[j] > 0.0]
     sorted_loads = [loads[j] for j in order]
     k = len(order)
-    last = k - 1
-    # Whether each item equals the one before it (its run takes machine
-    # indices from the previous item's on).
-    repeats = [idx > 0 and sorted_loads[idx] == sorted_loads[idx - 1] for idx in range(k)]
-    # Symmetric machines: the lower-index machines of equal speed.
-    twins = [tuple(j for j in range(i) if speeds[j] == speeds[i]) for i in range(m)]
+    # Per level: the item; whether it equals the one before (its run takes
+    # machine indices from the previous item's on); whether it is the last;
+    # and the loads its node tried.
+    levels = [
+        (p, idx > 0 and p == sorted_loads[idx - 1], idx == k - 1, [0.0] * m)
+        for idx, p in enumerate(sorted_loads)
+    ]
+    # Symmetric machines: the lower-index machines of equal speed, grouped by
+    # speed so that distinct speeds cost O(m), not O(m^2), to sort out.
+    same_speed: dict[float, list[int]] = {}
+    twins = []
+    for i, speed in enumerate(speeds):
+        group = same_speed.setdefault(speed, [])
+        twins.append(tuple(group))
+        group.append(i)
     symmetric = any(twins)
+    # The machines a node scans, from each first index on, built by the first
+    # node to scan them: the set-up never costs more than the search.
+    spans: list[tuple[int, ...] | None] = [None] * m
 
     best_val = incumbent.makespan
     best_assign: list[int] | None = None
     machine = [0.0] * m
     path = [0] * k
-    tried_loads = [[0.0] * m for _ in range(k)]
     nodes = 0
 
     def dfs(idx: int, cur_max: float) -> bool:
         nonlocal nodes, best_val, best_assign
-        p = sorted_loads[idx]
-        start = path[idx - 1] if repeats[idx] else 0
-        leaf = idx == last
-        tried = tried_loads[idx]
-        for i in range(start, m):
+        p, repeat, leaf, tried = levels[idx]
+        start = path[idx - 1] if repeat else 0
+        span = spans[start]
+        if span is None:
+            span = spans[start] = tuple(range(start, m))
+        for i in span:
             load = machine[i]
             if symmetric:
                 # The load each machine had when this node reached it: rounding
                 # in the restoring subtraction below can move it before a later
                 # twin is reached.
                 tried[i] = load
+            # cur_max < best_val holds here (see the return below), so the
+            # child's partial makespan reaches the incumbent iff its ratio does.
             ratio = (load + p) / speeds[i]
-            new_max = ratio if ratio > cur_max else cur_max
-            if new_max >= best_val:
+            if ratio >= best_val:
                 continue
             if symmetric:
                 twin_tried = False
@@ -192,6 +213,7 @@ def exact_schedule(
                     f"({n} items, {m} machines)",
                     nodes_explored=nodes,
                 )
+            new_max = ratio if ratio > cur_max else cur_max
             machine[i] = load + p
             path[idx] = i
             if leaf:
@@ -208,6 +230,10 @@ def exact_schedule(
             machine[i] -= p
             if finished:
                 return True
+            if cur_max >= best_val:
+                # The incumbent fell to this node's own partial makespan:
+                # no later child can get below it.
+                return False
         return False
 
     if best_val > static_lb and k > 0:

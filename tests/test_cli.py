@@ -14,7 +14,7 @@ import pytest
 
 from speedsched import cli, harness
 from speedsched.cli import main
-from speedsched.gen import Dist, SyntheticConfig, gen_prop1_instance, gen_synthetic
+from speedsched.gen import MAX_SHAPE, Dist, SyntheticConfig, gen_prop1_instance, gen_synthetic
 from speedsched.harness import ExperimentConfig, rows_to_csv, run_experiment
 from speedsched.model import (
     Instance,
@@ -696,6 +696,16 @@ def test_node_budget_flag_below_one_is_a_usage_error(capsys, args, budget):
     assert f"argument --node-budget: must be at least 1, got {budget}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--out"])
+def test_flag_given_an_end_of_options_marker_is_a_usage_error(capsys, flag):
+    # argparse drops "--" as the end-of-options marker; the flag must not
+    # then run with an empty list in place of its value.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", f"{flag}=--"])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: expected one argument\n" in capsys.readouterr().err
+
+
 MALFORMED_CONFIGS = [
     ({"sweep_param": "n", "sweep_values": [12, 6.5]},
      "experiment config 'sweep_values' entry 6.5 for 'sweep_param' 'n': not a whole number"),
@@ -712,6 +722,11 @@ MALFORMED_CONFIGS = [
      "'err_sigma' must keep every predicted speed finite, got 1.7e+308 with true speeds up to 40.0"),
     ({"job_dist": {"kind": "uniform", "lo": -1.7e308, "hi": 1.7e308}},
      "experiment config 'job_dist': uniform needs a finite hi - lo, got (-1.7e+308, 1.7e+308)"),
+    # Shapes whose draws would not fit in memory.
+    ({"n": 4, "m": 2, "instances_per_point": 1, "sweep_param": "m", "sweep_values": [1e300]},
+     "experiment config 'sweep_values' entry 1e+300 for 'sweep_param' 'm': "
+     f"'m' must be at most {MAX_SHAPE}, got {int(1e300)}"),
+    ({"n": MAX_SHAPE + 1}, f"experiment config 'n' must be at most {MAX_SHAPE}, got {MAX_SHAPE + 1}"),
 ]
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from speedsched.gen import (
     CLAMP_FLOOR,
+    MAX_SHAPE,
     Dist,
     SplitMix64,
     SyntheticConfig,
@@ -266,6 +267,16 @@ def test_synthetic_config_validation():
         SyntheticConfig(n=1, m=0)
     with pytest.raises(ValueError):
         SyntheticConfig(n=1, m=1, err_sigma=-0.1)
+
+
+def test_synthetic_config_bounds_the_shape():
+    # Constructed only, never drawn: the largest shape is accepted, one more
+    # job or machine is not.
+    SyntheticConfig(n=MAX_SHAPE, m=MAX_SHAPE)
+    with pytest.raises(ValueError, match=f"'n' must be at most {MAX_SHAPE}, got {MAX_SHAPE + 1}"):
+        SyntheticConfig(n=MAX_SHAPE + 1, m=1)
+    with pytest.raises(ValueError, match=f"'m' must be at most {MAX_SHAPE}, got {10**300}"):
+        SyntheticConfig(n=1, m=10**300)
 
 
 def test_gen_synthetic_shape_and_name():

@@ -1,5 +1,6 @@
 """Seeded fuzz of the JSON readers: the experiment config (with its
-distributions and algorithm objects) and the instance file.
+distributions and algorithm objects) and the instance file; and of the
+CLI's integer flags.
 
 Each case substitutes a generated JSON value for one key of a valid
 document, then only parses and constructs; it never runs an experiment, so
@@ -14,6 +15,7 @@ import math
 
 import pytest
 
+from speedsched import cli
 from speedsched.gen import SplitMix64
 from speedsched.harness import ExperimentConfig
 from speedsched.model import Instance
@@ -123,3 +125,61 @@ def test_json_values_cover_every_json_type(seed):
     rng = SplitMix64(seed)
     types = {type(json_value(rng)) for _ in range(200)}
     assert types == {type(None), bool, int, float, str, list, dict}
+
+
+# The CLI's integer flags, each with the other arguments its command requires.
+INT_FLAGS = [
+    (["gen"], "--count"),
+    (["gen"], "--seed"),
+    (["experiment"], "--seed"),
+    (["verify"], "--trials"),
+    (["verify"], "--seed"),
+    (["verify"], "--node-budget"),
+    (["partition", "--in", "i.json"], "--node-budget"),
+    (["schedule", "--in", "i.json", "--partition", "p.json"], "--node-budget"),
+    (["evaluate", "--in", "i.json", "--algo", "lpt"], "--node-budget"),
+]
+FLAG_TEXTS = ("", " ", "-", "--", "+", "0", "-0", "1", "+1", " 7 ", "-1", "-5", "1.0", "1e3",
+              "0x10", "1_000", "nan", "inf", "-inf", "true", "None", "٣", "½",
+              str(2**63), str(2**64 + 1), str(-(2**64)), "9" * 400, "9" * 5000, "--trials")
+
+
+def flag_text(rng: SplitMix64) -> str:
+    """A command-line value drawn from ``rng``: an edge case, a random
+    integer of any sign and length, or an integer with junk around it."""
+    kind = rng.next_u64() % 3
+    if kind == 0:
+        return FLAG_TEXTS[rng.next_u64() % len(FLAG_TEXTS)]
+    number = str((rng.next_u64() >> (rng.next_u64() % 64)) * (1 if rng.next_u64() & 1 else -1))
+    if kind == 1:
+        return number
+    junk = STRINGS[rng.next_u64() % len(STRINGS)]
+    return junk + number if rng.next_u64() & 1 else number + junk
+
+
+def test_cli_int_flags_parse_in_range_or_exit_2(capsys):
+    # Only the parser runs, never a command: each value either parses to an
+    # int in the flag's range (seeds: any int, reduced mod 2**64 by the
+    # generator; the rest: at least 1) or exits 2 with argparse's message.
+    parser = cli.build_parser()
+    rng = SplitMix64(20261019)
+    parsed = exits = 0
+    for _ in range(150):
+        for command, flag in INT_FLAGS:
+            text = flag_text(rng)
+            # The "--flag=value" form hands a leading "-" to the type too.
+            args = [f"{flag}={text}"] if rng.next_u64() & 1 else [flag, text]
+            try:
+                ns = parser.parse_args([*command, *args])
+            except SystemExit as exc:
+                err = capsys.readouterr().err
+                assert exc.code == 2, (command, args, err)
+                assert err.startswith("usage: ") and "error: " in err, (command, args, err)
+                assert "Traceback" not in err, (command, args, err)
+                exits += 1
+                continue
+            value = getattr(ns, flag[2:].replace("-", "_"))
+            assert type(value) is int, (command, args, value)
+            assert flag == "--seed" or value >= 1, (command, args, value)
+            parsed += 1
+    assert parsed > 300 and exits > 300

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -180,6 +181,24 @@ def test_exact_schedule_handles_many_equal_items():
     # the obvious one.
     res = exact_schedule([1.0] * 12, (1.0, 1.0, 1.0, 1.0))
     assert res.makespan == 3.0
+
+
+def test_exact_schedule_set_up_is_linear_in_machines():
+    # A few items on many distinct machines: the search is tiny, so set-up
+    # sized m^2 would dominate.  A tuple of machine indices for every first
+    # index would take gigabytes here, and comparing every pair of speeds
+    # seconds; this takes megabytes and milliseconds.
+    m = 20_000
+    speeds = [2.0 - i / m for i in range(m)]
+    tracemalloc.start()
+    try:
+        res = exact_schedule([1.0, 1.0, 1.0], speeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.nodes_explored > 0
+    assert res.makespan == 1.0 / speeds[2]
+    assert peak < 32 * 2**20
 
 
 def pinned_exact_inputs():
