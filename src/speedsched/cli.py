@@ -110,10 +110,10 @@ class _Parser(argparse.ArgumentParser):
 
     The hook is argparse's private ``_get_values``, whose first step in
     CPython 3.11 and earlier removes the first ``--`` from any action's
-    arguments, an option's included (seen on 3.11.7).  On a release that
-    keeps an option's ``--``, its type gets ``"--"`` like any other value and
-    this check is never met; delete the class once no supported Python
-    strips it."""
+    arguments, an option's included (seen on 3.11.7).  A release that keeps
+    an option's ``--`` (seen on 3.13.13) would itself reject it, as an
+    invalid int value, but this check runs first, so every release gives
+    the same message; delete the class once no supported Python strips it."""
 
     def _get_values(self, action: argparse.Action, arg_strings: list[str]) -> object:
         if action.nargs is None and arg_strings == ["--"]:

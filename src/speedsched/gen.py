@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any
 
-from .model import Instance, is_json_number
+from .model import Instance, is_json_number, json_object
 
 CLAMP_FLOOR = 1e-3
 # The largest job or machine count of a synthetic instance, so that its draws
@@ -197,15 +197,10 @@ class Dist:
 
     @classmethod
     def from_json_dict(cls, doc: object) -> "Dist":
-        if not isinstance(doc, dict) or "kind" not in doc:
-            raise ValueError('distribution must be an object with a "kind"')
-        kind = doc["kind"]
+        # The kind names the other keys, so it is read first, letting any key through.
+        kind = json_object(doc, "distribution", ("kind",), optional=doc)["kind"]
         params = _dist_params(kind)
-        if not set(params) <= doc.keys():
-            raise ValueError(f'{kind} distribution needs "{params[0]}" and "{params[1]}"')
-        extra = doc.keys() - {"kind", *params}
-        if extra:
-            raise ValueError(f"unknown {kind} distribution keys: {sorted(extra)}")
+        json_object(doc, f"{kind} distribution", ("kind", *params))
         return cls(kind, *(doc[key] for key in params))
 
     @classmethod

@@ -37,6 +37,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .gen import (
+    CLAMP_FLOOR,
     Dist,
     SplitMix64,
     SyntheticConfig,
@@ -53,6 +54,7 @@ from .model import (
     beta_ratio,
     instance_to_json,
     is_json_number,
+    json_object,
     left_sum,
     prediction_error,
     validate_partition,
@@ -128,14 +130,7 @@ def parse_algorithm(spec: "AlgorithmSpec | str | dict") -> AlgorithmSpec:
         return spec
     if isinstance(spec, str):
         return AlgorithmSpec(name=spec)
-    if isinstance(spec, dict):
-        extra = spec.keys() - {"name", "alpha", "rho", "scheduler"}
-        if extra:
-            raise ValueError(f"unknown algorithm keys: {sorted(extra)}")
-        if "name" not in spec:
-            raise ValueError('algorithm object needs a "name"')
-        return AlgorithmSpec(**spec)
-    raise ValueError(f"cannot parse algorithm spec {spec!r}")
+    return AlgorithmSpec(**json_object(spec, "algorithm", ("name",), ("alpha", "rho", "scheduler")))
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +423,8 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, doc: object) -> "ExperimentConfig":
         """The config a parsed JSON object states, checked by the constructor."""
-        if not isinstance(doc, dict):
-            raise ValueError("experiment config must be a JSON object")
-        extra = doc.keys() - {f.name for f in fields(cls) if f.init}
-        if extra:
-            raise ValueError(f"unknown experiment config keys: {sorted(extra)}")
-        return cls(**doc)
+        keys = [f.name for f in fields(cls) if f.init]
+        return cls(**json_object(doc, "experiment config", (), keys))
 
 
 @dataclass(frozen=True)
@@ -733,24 +724,24 @@ class CurveRow:
 CURVES_CSV_HEADER = tuple(f.name for f in fields(CurveRow))
 
 
+def theory_curve(alpha: float) -> CurveRow:
+    """The guarantee envelopes at one alpha: consistency ``1 + a``; worst-case
+    ratio ``2 + 2/a`` in general, ``2 + 1/a`` for equal-size jobs, ``1 + 1/a``
+    for infinitesimal jobs.  ``verify`` checks its bounds against these."""
+    a = float(alpha)
+    IprConfig(alpha=a)  # validates the range
+    return CurveRow(
+        alpha=a,
+        consistency=1.0 + a,
+        robustness_general=2.0 + 2.0 / a,
+        robustness_equal_jobs=2.0 + 1.0 / a,
+        robustness_fluid=1.0 + 1.0 / a,
+    )
+
+
 def theory_curves(alphas: Sequence[float]) -> list[CurveRow]:
-    """Guarantee envelopes per alpha: consistency ``1 + a``; worst-case ratio
-    ``2 + 2/a`` in general, ``2 + 1/a`` for equal-size jobs, ``1 + 1/a`` for
-    infinitesimal jobs."""
-    rows = []
-    for a in alphas:
-        a = float(a)
-        IprConfig(alpha=a)  # validates the range
-        rows.append(
-            CurveRow(
-                alpha=a,
-                consistency=1.0 + a,
-                robustness_general=2.0 + 2.0 / a,
-                robustness_equal_jobs=2.0 + 1.0 / a,
-                robustness_fluid=1.0 + 1.0 / a,
-            )
-        )
-    return rows
+    """:func:`theory_curve` at each alpha."""
+    return list(map(theory_curve, alphas))
 
 
 def curves_to_csv(rows: Sequence[CurveRow]) -> str:
@@ -842,7 +833,7 @@ def _check_generator(seed: int, trials: int, node_budget: int) -> Iterator[_Verd
         inst = random_small_instance(rng)
         try:
             eta = prediction_error(inst.predicted_speeds, inst.true_speeds)
-            ok = eta >= 1.0 and all(p >= 1e-3 for p in inst.jobs)
+            ok = eta >= 1.0 and all(p >= CLAMP_FLOOR for p in inst.jobs)
             detail = f"eta={eta}"
         except ValueError as exc:
             ok, detail = False, str(exc)
@@ -905,7 +896,7 @@ def _check_ipr_trace(seed: int, trials: int, node_budget: int) -> Iterator[_Verd
         beta = beta_ratio(result.partition, inst.jobs)
         yield (
             "ipr-beta-le-robust-bound",
-            _le(beta, 2.0 + 2.0 / alpha),
+            _le(beta, theory_curve(alpha).robustness_general),
             lambda: _dump(inst, f"alpha={alpha} beta={beta}"),
         )
         validate_partition(result.partition, inst.n, inst.m)
@@ -926,7 +917,7 @@ def _check_perfect_predictions(seed: int, trials: int, node_budget: int) -> Iter
                 sum(bag_load(b, inst.jobs) for b in coll) / s
                 for coll, s in zip(result.state.assignment.collections, speeds_desc)
             )
-            bound = (1.0 + alpha) * result.state.opt_c_bar
+            bound = theory_curve(alpha).consistency * result.state.opt_c_bar
             yield (
                 "ipr-consistency-guard",
                 _le(final, bound),
@@ -938,6 +929,7 @@ def _check_adversarial_speeds(seed: int, trials: int, node_budget: int) -> Itera
     """Robustness: ``ipr`` at alpha = 0.5 within ratio 6 on adversarial true
     speeds."""
     rng = substream(seed, 105)
+    bound = theory_curve(0.5).robustness_general  # 6.0
     for _ in range(trials):
         base = random_small_instance(rng)
         adversarial = tuple(
@@ -945,7 +937,7 @@ def _check_adversarial_speeds(seed: int, trials: int, node_budget: int) -> Itera
         )
         inst = replace(base, true_speeds=adversarial, name=f"adversarial-{base.name}")
         ratio = evaluate(inst, AlgorithmSpec("ipr", alpha=0.5, rho=4.0), "exact", "exact", node_budget)
-        yield "ipr-robust-ratio-le-6", _le(ratio, 6.0), lambda: _dump(inst, f"ratio={ratio}")
+        yield "ipr-robust-ratio-le-6", _le(ratio, bound), lambda: _dump(inst, f"ratio={ratio}")
 
 
 def _check_unit_jobs(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
@@ -959,7 +951,7 @@ def _check_unit_jobs(seed: int, trials: int, node_budget: int) -> Iterator[_Verd
         beta = beta_ratio(result.partition, inst.jobs)
         yield (
             "unit-ipr-rho2-beta-bound",
-            _le(beta, 2.0 + 1.0 / alpha),
+            _le(beta, theory_curve(alpha).robustness_equal_jobs),
             lambda: _dump(inst, f"alpha={alpha} beta={beta}"),
         )
         hist = result.state.b_min_history
@@ -981,7 +973,7 @@ def _check_fluid(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]
         loads = fluid_ipr(total, speeds, alpha, rho=2.0)
         yield (
             "fluid-rho2-balance-bound",
-            _le(max(loads), (1.0 + 1.0 / alpha) * min(loads)),
+            _le(max(loads), theory_curve(alpha).robustness_fluid * min(loads)),
             lambda: f"alpha={alpha} speeds={speeds} loads={loads}",
         )
         yield (
@@ -1106,7 +1098,7 @@ def _check_families(seed: int, trials: int, node_budget: int) -> Iterator[_Verdi
         for alpha, ratio in zip(_ALPHA_CYCLE, ratios):
             yield (
                 "tradeoff-family-ipr-bound",
-                _le(ratio, 2.0 + 2.0 / alpha),
+                _le(ratio, theory_curve(alpha).robustness_general),
                 lambda: _dump(inst, f"alpha={alpha} ratio={ratio}"),
             )
     for k in (1, 2, 3):

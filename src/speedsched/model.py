@@ -52,6 +52,23 @@ def is_json_number(value: object) -> bool:
     )
 
 
+def json_object(
+    doc: object, what: str, required: Sequence[str], optional: Iterable[str] = ()
+) -> dict:
+    """``doc``, if it is a JSON object with every ``required`` key and no key
+    outside ``required`` and ``optional``; else ``ValueError`` naming ``what``
+    and the keys.  Every JSON reader checks its objects with this one test."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"{what} missing keys: {missing}")
+    extra = doc.keys() - {*required, *optional}
+    if extra:
+        raise ValueError(f"unknown {what} keys: {sorted(extra)}")
+    return doc
+
+
 def finite_floats(
     values: Sequence[float], what: str, allow_zero: bool = False, allow_empty: bool = False
 ) -> list[float]:
@@ -162,12 +179,9 @@ class Instance:
 
     @classmethod
     def from_json_dict(cls, doc: object) -> "Instance":
-        if not isinstance(doc, dict):
-            raise ValueError("instance JSON must be an object")
-        missing = {"jobs", "true_speeds", "predicted_speeds"} - doc.keys()
-        if missing:
-            raise ValueError(f"instance JSON missing keys: {sorted(missing)}")
-        for key in ("jobs", "true_speeds", "predicted_speeds"):
+        arrays = ("jobs", "true_speeds", "predicted_speeds")
+        doc = json_object(doc, "instance", arrays, ("name", "seed"))
+        for key in arrays:
             if not isinstance(doc[key], list) or not all(map(is_json_number, doc[key])):
                 raise ValueError(f"instance {key!r} must be a list of numbers, got {doc[key]!r}")
         name = doc.get("name")
@@ -207,15 +221,12 @@ class Partition:
 
     @classmethod
     def from_json_dict(cls, doc: object) -> "Partition":
-        if not isinstance(doc, dict) or "bags" not in doc:
-            raise ValueError('partition JSON must be an object with a "bags" key')
-        bags = doc["bags"]
+        bags = json_object(doc, "partition", ("bags",))["bags"]
         if not isinstance(bags, list) or not all(isinstance(b, list) for b in bags):
-            raise ValueError('"bags" must be a list of lists of job indices')
-        for b in bags:
-            for j in b:
-                if not isinstance(j, int) or isinstance(j, bool):
-                    raise ValueError(f"job index must be an integer, got {j!r}")
+            raise ValueError("partition 'bags' must be a list of lists of job indices")
+        for j in (j for b in bags for j in b):
+            if not (is_json_number(j) and isinstance(j, int)):
+                raise ValueError(f"partition 'bags' job index must be an integer, got {j!r}")
         return cls(bags=tuple(tuple(b) for b in bags))
 
 

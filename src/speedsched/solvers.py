@@ -153,22 +153,21 @@ def exact_schedule(
     order = [j for j in sorted(range(n), key=loads.__getitem__, reverse=True) if loads[j] > 0.0]
     sorted_loads = [loads[j] for j in order]
     k = len(order)
+    # Symmetric machines: per machine, the indices of every machine of its
+    # speed in ascending order, one list shared by the group, so that set-up
+    # is O(m) however many speeds are equal.
+    same_speed: dict[float, list[int]] = {}
+    for i, speed in enumerate(speeds):
+        same_speed.setdefault(speed, []).append(i)
+    twins = [same_speed[speed] for speed in speeds]
+    symmetric = len(same_speed) < m
     # Per level: the item; whether it equals the one before (its run takes
     # machine indices from the previous item's on); whether it is the last;
-    # and the loads its node tried.
+    # and, when two speeds are equal, the loads its node tried.
     levels = [
-        (p, idx > 0 and p == sorted_loads[idx - 1], idx == k - 1, [0.0] * m)
+        (p, idx > 0 and p == sorted_loads[idx - 1], idx == k - 1, [0.0] * m if symmetric else None)
         for idx, p in enumerate(sorted_loads)
     ]
-    # Symmetric machines: the lower-index machines of equal speed, grouped by
-    # speed so that distinct speeds cost O(m), not O(m^2), to sort out.
-    same_speed: dict[float, list[int]] = {}
-    twins = []
-    for i, speed in enumerate(speeds):
-        group = same_speed.setdefault(speed, [])
-        twins.append(tuple(group))
-        group.append(i)
-    symmetric = any(twins)
     # The machines a node scans, from each first index on, built by the first
     # node to scan them: the set-up never costs more than the search.
     spans: list[tuple[int, ...] | None] = [None] * m
@@ -201,6 +200,8 @@ def exact_schedule(
             if symmetric:
                 twin_tried = False
                 for j in twins[i]:
+                    if j >= i:
+                        break
                     if j >= start and tried[j] == load:
                         twin_tried = True
                         break

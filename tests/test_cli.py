@@ -213,6 +213,26 @@ def test_schedule_rejects_mismatched_partition(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        ({"bags": [[0], [1, 2]], "bag": 3}, "unknown partition keys: ['bag']"),
+        ({"bags": [[0], [1, 10**400]]}, "partition 'bags' job index must be an integer, got 1000"),
+        ({"bags": [[0], [1, 2.0]]}, "partition 'bags' job index must be an integer, got 2.0"),
+        ({"bag": [[0], [1, 2]]}, "partition missing keys: ['bags']"),
+    ],
+    ids=["stray-key", "huge-index", "float-index", "missing-key"],
+)
+def test_schedule_rejects_partition_with_stray_key_or_bad_index(tmp_path, capsys, doc, error):
+    # A usage error naming the key, not a misspelt key ignored or an index
+    # that no float holds accepted.
+    inst = write_instance(tmp_path, "abc", [4.0, 3.0, 2.0], [2.0, 1.0], [2.0, 1.0])
+    part_path = tmp_path / "part.json"
+    part_path.write_text(json.dumps(doc))
+    assert main(["schedule", "--in", str(inst), "--partition", str(part_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+
+
 def write_all_or_nothing_instance(tmp_path, true_speeds):
     # Written by hand, as a user would: 0.0 marks an unusable machine.
     doc = {"jobs": [4.0, 3.0, 2.0, 1.0], "true_speeds": list(true_speeds),
@@ -285,6 +305,15 @@ def test_evaluate_rejects_instance_value_that_is_not_a_json_number(tmp_path, cap
     assert main(["evaluate", "--in", str(path), "--algo", "ipr"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: instance {key} must be")
+
+
+def test_evaluate_rejects_instance_with_a_stray_key(tmp_path, capsys):
+    # A misspelt key is a usage error naming it, not a key silently dropped.
+    doc = {"jobs": [1.0], "true_speeds": [1.0], "predicted_speeds": [1.0], "true_speed": [5.0]}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--in", str(path), "--algo", "ipr"]) == 2
+    assert capsys.readouterr().err == "error: unknown instance keys: ['true_speed']\n"
 
 
 def test_evaluate_bare_ratio(tmp_path, capsys):

@@ -1,24 +1,26 @@
 """Seeded fuzz of the JSON readers: the experiment config (with its
-distributions and algorithm objects) and the instance file; and of the
-CLI's integer flags.
+distributions and algorithm objects), the instance file and the partition
+file; and of the CLI's integer flags.
 
 Each case substitutes a generated JSON value for one key of a valid
-document, then only parses and constructs; it never runs an experiment, so
-no case can draw a huge instance.  Every case must either construct or raise
-``ValueError`` (exit code 2 from the CLI), and a config error must name the
-top-level key it was given.
+document, adds a generated unknown key to one of its objects, or drops one
+of its keys; then it only parses and constructs, and never runs an
+experiment, so no case can draw a huge instance.  Every case must either
+construct or raise ``ValueError`` (exit code 2 from the CLI); a config error
+must name the top-level key it was given, and a key error the key.
 """
 
 import copy
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from speedsched import cli
 from speedsched.gen import SplitMix64
 from speedsched.harness import ExperimentConfig
-from speedsched.model import Instance
+from speedsched.model import Instance, Partition
 
 STRINGS = ("", "x", "1", "NaN", "uniform", "normal", "kind", "name", "exact", "lpt",
            "lower_bound", "ipr", "one-consistent", "err_sigma", "n", "m", "sigma_p",
@@ -109,15 +111,107 @@ def test_config_reader_constructs_or_names_the_key():
     assert outcomes.count(ExperimentConfig) > 300 and outcomes.count(ValueError) > 3000
 
 
+BASE_INSTANCE = {"jobs": [3.0, 2, 1e-3], "true_speeds": [1.0, 0.0],
+                 "predicted_speeds": [1.0, 1.0], "name": "fuzz", "seed": 4}
+BASE_PARTITION = {"bags": [[0, 2], [], [1]]}
+
+
 def test_instance_reader_constructs_or_raises_value_error():
     rng = SplitMix64(7)
-    base = {"jobs": [3.0, 2, 1e-3], "true_speeds": [1.0, 0.0], "predicted_speeds": [1.0, 1.0],
-            "name": "fuzz", "seed": 4}
     outcomes = []
     for _ in range(80):
-        for _, doc in substitutions(base, rng):
+        for _, doc in substitutions(BASE_INSTANCE, rng):
             outcomes.append(type(build(Instance.from_json_dict, doc)))
     assert outcomes.count(Instance) > 100 and outcomes.count(ValueError) > 1000
+
+
+def test_partition_reader_constructs_or_raises_value_error():
+    rng = SplitMix64(11)
+    outcomes = []
+    for _ in range(40):
+        for _, doc in substitutions(BASE_PARTITION, rng):
+            outcomes.append(type(build(Partition.from_json_dict, doc)))
+    assert outcomes.count(Partition) > 50 and outcomes.count(ValueError) > 500
+
+
+# Every key that some reader knows.  A generated unknown key is none of them.
+KNOWN_KEYS = {f.name for f in fields(ExperimentConfig) if f.init} | {
+    "kind", "lo", "hi", "mu", "sigma", "name", "alpha", "rho", "scheduler", *BASE_INSTANCE,
+    *BASE_PARTITION}
+# The keys the readers require, wherever they appear in the base documents;
+# an algorithm object requires only its "name".
+REQUIRED_KEYS = {"kind", "lo", "hi", "mu", "sigma", "jobs", "true_speeds", "predicted_speeds",
+                 "bags"}
+
+
+def unknown_key(rng: SplitMix64) -> str:
+    """A key that no reader knows: a known key or a fuzz string with one
+    letter dropped, doubled or capitalised, or an underscore put in."""
+    words = sorted(KNOWN_KEYS) + list(STRINGS)
+    while True:
+        word = words[rng.next_u64() % len(words)]
+        cut = rng.next_u64() % (len(word) + 1)
+        head, tail = word[:cut], word[cut:]
+        edited = (tail[1:], tail[:1] * 2 + tail[1:], tail[:1].upper() + tail[1:],
+                  "_" + tail)[rng.next_u64() % 4]
+        if head + edited not in KNOWN_KEYS:
+            return head + edited
+
+
+def objects(doc: object, path: tuple = ()):
+    """The path of every object inside ``doc``, ``doc`` included."""
+    if isinstance(doc, dict):
+        yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from objects(value, (*path, key))
+
+
+def doc_at(doc: object, path: tuple) -> object:
+    """The value at ``path`` inside ``doc``."""
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def key_changes(doc: dict, rng: SplitMix64):
+    """``(path, key, added, document)`` tuples: for each object inside
+    ``doc``, at ``path``, a copy with a generated unknown ``key`` added, and a
+    copy with each of its keys dropped."""
+    for path in objects(doc):
+        key = unknown_key(rng)
+        added = copy.deepcopy(doc)
+        doc_at(added, path)[key] = json_value(rng)
+        yield path, key, True, added
+        for key in doc_at(doc, path):
+            dropped = copy.deepcopy(doc)
+            del doc_at(dropped, path)[key]
+            yield path, key, False, dropped
+
+
+@pytest.mark.parametrize(
+    "reader, bases",
+    [(ExperimentConfig.from_json_dict, BASE_CONFIGS), (Instance.from_json_dict, [BASE_INSTANCE]),
+     (Partition.from_json_dict, [BASE_PARTITION])],
+    ids=["config", "instance", "partition"],
+)
+def test_readers_reject_an_unknown_key_and_name_a_dropped_one(reader, bases):
+    # An unknown key, such as "true_speed" for "true_speeds", is an error
+    # that names it, never a key silently ignored.  A dropped key is an error
+    # that names it when the reader requires it; otherwise the document
+    # either constructs from the default or the error names the key.
+    rng = SplitMix64(20261020)
+    outcomes = []
+    for _ in range(10):
+        for base in bases:
+            for path, key, added, doc in key_changes(base, rng):
+                got = build(reader, doc)
+                required = key == "name" if path[:1] == ("algorithms",) else key in REQUIRED_KEYS
+                if added or required or isinstance(got, ValueError):
+                    assert isinstance(got, ValueError) and repr(key) in str(got), (path, doc, got)
+                outcomes.append((added, type(got)))
+    assert outcomes.count((True, ValueError)) >= 10 * len(bases)
+    assert outcomes.count((False, ValueError)) >= 10 * len(bases)
 
 
 @pytest.mark.parametrize("seed", range(3))

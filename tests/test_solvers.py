@@ -183,21 +183,30 @@ def test_exact_schedule_handles_many_equal_items():
     assert res.makespan == 3.0
 
 
-def test_exact_schedule_set_up_is_linear_in_machines():
-    # A few items on many distinct machines: the search is tiny, so set-up
-    # sized m^2 would dominate.  A tuple of machine indices for every first
-    # index would take gigabytes here, and comparing every pair of speeds
-    # seconds; this takes megabytes and milliseconds.
-    m = 20_000
-    speeds = [2.0 - i / m for i in range(m)]
+@pytest.mark.parametrize(
+    "loads, speeds, makespan, searched",
+    [
+        # Distinct speeds: the search runs, on the three fastest machines.
+        ([1.0] * 3, [2.0 - i / 20_000 for i in range(20_000)], 1.0 / (2.0 - 2 / 20_000), True),
+        # Equal speeds: greedy meets the lower bound, so only set-up runs.
+        ([3.0, 2.0], [1.0] * 5_000, 3.0, False),
+    ],
+    ids=["distinct-speeds", "equal-speeds"],
+)
+def test_exact_schedule_set_up_is_linear_in_machines(loads, speeds, makespan, searched):
+    # A few items on many machines: the search is tiny, so set-up sized m^2
+    # would dominate.  A tuple of machine indices for every first index, or
+    # for every machine the lower-index machines of its speed, would take
+    # gigabytes or a hundred megabytes here, and comparing every pair of
+    # speeds seconds; this takes megabytes and milliseconds.
     tracemalloc.start()
     try:
-        res = exact_schedule([1.0, 1.0, 1.0], speeds)
+        res = exact_schedule(loads, speeds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.nodes_explored > 0
-    assert res.makespan == 1.0 / speeds[2]
+    assert (res.nodes_explored > 0) == searched
+    assert res.makespan == makespan
     assert peak < 32 * 2**20
 
 
