@@ -5,10 +5,9 @@ Subcommands: ``gen`` (instance files), ``partition`` (bags from predictions),
 ratio), ``experiment`` (parameter-sweep CSV), ``verify`` (property suite), and
 ``curves`` (guarantee envelopes per alpha).
 
-Everything is flag-driven; the one environment override is ``SPEEDSCHED_SEED``,
-which supplies a default seed where a ``--seed`` flag is absent (an explicit
-flag always wins).  Exit codes: 0 success, 1 verification failures, 2 usage or
-malformed input, 3 solver budget exhausted, 4 internal error (any other
+Everything is flag-driven: no environment variable changes what a command
+prints.  Exit codes: 0 success, 1 verification failures, 2 usage or malformed
+input, 3 solver budget exhausted, 4 internal error (any other
 ``RuntimeError``, such as an infeasible capacity placement or the rebalance
 loop's safety bound; each means a bug in this package).
 """
@@ -18,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -61,22 +59,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-SEED_ENV_VAR = "SPEEDSCHED_SEED"
-
-
-def _resolve_seed(flag_value: int | None, fallback: int) -> int:
-    """Flag beats environment beats fallback."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return fallback
-
 
 def _write(text: str, path: str | None) -> None:
     if path is None or path == "-":
@@ -142,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--job-dist", default="uniform(0,100)", help="uniform(lo,hi) or normal(mu,sigma)")
     p.add_argument("--speed-dist", default="uniform(0,40)", help="uniform(lo,hi) or normal(mu,sigma)")
     p.add_argument("--err-sigma", type=float, default=0.0, help="additive speed-prediction noise scale")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=positive_int, default=1, help="write this many instances at seeds seed, seed+1, ...")
     p.add_argument("--out", default=None, help="output path; with --count > 1, a template containing {seed}")
 
@@ -181,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property-verification suite")
     p.add_argument("--trials", type=positive_int, default=200)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     _add_budget_flag(p)
     p.add_argument("--out", default=None, help="also write the report as JSON")
 
@@ -206,7 +188,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             job_dist=Dist.parse(args.job_dist),
             speed_dist=Dist.parse(args.speed_dist),
             err_sigma=args.err_sigma,
-            seed=_resolve_seed(args.seed, 0),
+            seed=args.seed,
         )
         if args.count == 1:
             _write(instance_to_json(gen_synthetic(config)), args.out)
@@ -295,9 +277,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             config = ExperimentConfig.from_json_dict(json.load(fh))
     else:
         config = ExperimentConfig()
-    seed = _resolve_seed(args.seed, config.seed)
-    if seed != config.seed:
-        config = dataclasses.replace(config, seed=seed)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     rows = run_experiment(config)
     if args.format == "json":
         text = json.dumps([dataclasses.asdict(r) for r in rows], indent=2) + "\n"
@@ -308,9 +289,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_properties(
-        seed=_resolve_seed(args.seed, 0), trials=args.trials, node_budget=args.node_budget
-    )
+    report = verify_properties(seed=args.seed, trials=args.trials, node_budget=args.node_budget)
     lines = []
     for prop in report.properties:
         status = "PASS" if prop.ok else "FAIL"

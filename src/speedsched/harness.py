@@ -38,6 +38,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .gen import (
     CLAMP_FLOOR,
+    MAX_SHAPE,
     Dist,
     SplitMix64,
     SyntheticConfig,
@@ -360,6 +361,8 @@ class ExperimentConfig:
             require(key, is_json_number(value) and isinstance(value, int), "an integer")
         for key in ("instances_per_point", "node_budget"):
             require(key, getattr(self, key) >= 1, "at least 1")
+        require("instances_per_point", self.instances_per_point <= MAX_SHAPE,
+                f"at most {MAX_SHAPE}")
         require("err_sigma", is_json_number(self.err_sigma), "a number")
         for key, allowed in zip(
             ("sweep_param", "scheduler", "oracle"), (SWEEP_PARAMS, SCHEDULERS, ORACLES)
@@ -933,7 +936,7 @@ def _check_adversarial_speeds(seed: int, trials: int, node_budget: int) -> Itera
     for _ in range(trials):
         base = random_small_instance(rng)
         adversarial = tuple(
-            max(40.0 * rng.next_float(), 1e-3) for _ in range(base.m)
+            max(40.0 * rng.next_float(), CLAMP_FLOOR) for _ in range(base.m)
         )
         inst = replace(base, true_speeds=adversarial, name=f"adversarial-{base.name}")
         ratio = evaluate(inst, AlgorithmSpec("ipr", alpha=0.5, rho=4.0), "exact", "exact", node_budget)
@@ -967,7 +970,7 @@ def _check_fluid(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]
     rng = substream(seed, 107)
     for t in range(trials):
         m = 2 + rng.next_u64() % 3
-        speeds = [max(40.0 * rng.next_float(), 1e-3) for _ in range(m)]
+        speeds = [max(40.0 * rng.next_float(), CLAMP_FLOOR) for _ in range(m)]
         total = 1.0 + 999.0 * rng.next_float()
         alpha = _ALPHA_CYCLE[t % len(_ALPHA_CYCLE)]
         loads = fluid_ipr(total, speeds, alpha, rho=2.0)
@@ -993,7 +996,7 @@ def _check_all_or_nothing(seed: int, trials: int, node_budget: int) -> Iterator[
         m_zero = 1 + rng.next_u64() % m
         dist = Dist.uniform(0.0, 100.0)
         jrng = SplitMix64(rng.next_u64())
-        jobs = [max(dist.sample(jrng), 1e-3) for _ in range(n)]
+        jobs = [max(dist.sample(jrng), CLAMP_FLOOR) for _ in range(n)]
         # Up to three solves on identical machines (m_hat, m and m_zero of
         # them), one per distinct machine count.
         solves: dict[tuple, Any] = {}

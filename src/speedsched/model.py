@@ -245,15 +245,8 @@ class Assignment:
         )
         object.__setattr__(self, "collections", canon)
 
-    @property
-    def m(self) -> int:
-        return len(self.collections)
-
-    def bags(self) -> tuple[Bag, ...]:
-        return tuple(bag for coll in self.collections for bag in coll)
-
     def to_partition(self) -> Partition:
-        return Partition(bags=self.bags())
+        return Partition(bags=tuple(bag for coll in self.collections for bag in coll))
 
 
 @dataclass(frozen=True)
@@ -289,19 +282,12 @@ class IprState:
     b_min_history:
         Minimum bag load at each evaluation of the rebalance-loop condition;
         the last entry is the returned partition's minimum bag load.
-    last_rebalance_load:
-        Total load of the receiving collection in the last rebalance, or
-        ``None`` if no rebalance ran.
-    last_rebalance_count:
-        Number of bags that collection was re-split into, or ``None``.
     """
 
     assignment: Assignment
     opt_c_bar: float
     iterations: int
     b_min_history: tuple[float, ...] = field(default_factory=tuple)
-    last_rebalance_load: float | None = None
-    last_rebalance_count: int | None = None
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,8 @@ def _rebalance(
     guard: float,
     load_of: Callable[[_BagT], float],
     splittable: Callable[[_BagT], bool],
-    resplit: Callable[[list[_BagT]], tuple[list[_BagT], float]],
-) -> tuple[list[list[_BagT]], int, list[float], float | None, int | None]:
+    resplit: Callable[[list[_BagT]], list[_BagT]],
+) -> tuple[list[list[_BagT]], int, list[float]]:
     """The rebalance loop of :func:`ipr` and :func:`fluid_ipr`.
 
     ``collections[i]`` holds the bags of the machine with predicted speed
@@ -141,20 +141,17 @@ def _rebalance(
     bag and the collection holding the first heaviest ``splittable`` bag, and
     stops when there is no splittable bag or it is at most ``rho`` times the
     smallest.  Otherwise it moves the smallest bag into that collection and
-    ``resplit``s the collection into as many bags as it now holds (the new
-    bags and the collection's total load).  Only those two collections
-    change; the step is kept if the makespan under ``speeds_desc`` stays
-    within ``guard``, and otherwise discarded, which ends the loop.
+    ``resplit``s the collection into as many bags as it now holds.  Only
+    those two collections change; the step is kept if the makespan under
+    ``speeds_desc`` stays within ``guard``, and otherwise discarded, which
+    ends the loop.
 
     Returns the final collections, the steps tried (a discarded one
-    included), the smallest bag load at the start of each pass, and the total
-    load and bag count of the last re-split collection (``None`` before any).
+    included) and the smallest bag load at the start of each pass.
     """
     loads = [[load_of(bag) for bag in coll] for coll in collections]
     history: list[float] = []
     iterations = 0
-    last_load: float | None = None
-    last_count: int | None = None
     safety = 16 * len(speeds_desc) * len(speeds_desc) + 64
     while True:
         min_load, min_ci, min_bi = math.inf, -1, -1
@@ -179,8 +176,7 @@ def _rebalance(
         tentative[min_ci] = source[:min_bi] + source[min_bi + 1 :]
         tentative_loads[min_ci] = loads[min_ci][:min_bi] + loads[min_ci][min_bi + 1 :]
         receiving = tentative[max_ci] + [source[min_bi]]
-        tentative[max_ci], last_load = resplit(receiving)
-        last_count = len(receiving)
+        tentative[max_ci] = resplit(receiving)
         tentative_loads[max_ci] = [load_of(bag) for bag in tentative[max_ci]]
         tentative_makespan = max(
             left_sum(coll_loads) / s for coll_loads, s in zip(tentative_loads, speeds_desc)
@@ -188,7 +184,7 @@ def _rebalance(
         if tentative_makespan > guard:
             break
         collections, loads = tentative, tentative_loads
-    return collections, iterations, history, last_load, last_count
+    return collections, iterations, history
 
 
 def ipr(
@@ -210,7 +206,7 @@ def ipr(
     construction no matter how unbalanced the bags remain.
 
     Returns the final partition plus an :class:`~speedsched.model.IprState`
-    trace (iteration count, minimum-bag-load history, last rebalance stats).
+    trace (iteration count and minimum-bag-load history).
     """
     jobs = finite_floats(jobs, "job processing times", allow_zero=True, allow_empty=True)
     speeds = finite_floats(predicted_speeds, "predicted speeds")
@@ -218,11 +214,10 @@ def ipr(
     if len(collections) != len(speeds):
         raise ValueError(f"initial partition has {len(collections)} bags for {len(speeds)} speeds")
 
-    def lpt_resplit(bags: list[Bag]) -> tuple[list[Bag], float]:
-        items = [(jobs[j], j) for bag in bags for j in bag]
-        return _lpt_split(items, len(bags)), left_sum(load for load, _ in items)
+    def lpt_resplit(bags: list[Bag]) -> list[Bag]:
+        return _lpt_split([(jobs[j], j) for bag in bags for j in bag], len(bags))
 
-    collections, iterations, history, last_load, last_count = _rebalance(
+    collections, iterations, history = _rebalance(
         collections,
         sorted(speeds, reverse=True),
         config.rho,
@@ -237,8 +232,6 @@ def ipr(
         opt_c_bar=initial.opt_c_bar,
         iterations=iterations,
         b_min_history=tuple(history),
-        last_rebalance_load=last_load,
-        last_rebalance_count=last_count,
     )
     return IprResult(assignment.to_partition(), state)
 
@@ -264,11 +257,10 @@ def fluid_ipr(
     speeds_desc = sorted(speeds, reverse=True)
     total_speed = left_sum(speeds_desc)
 
-    def equal_shares(bags: list[float]) -> tuple[list[float], float]:
-        within = left_sum(bags)
-        return [within / len(bags)] * len(bags), within
+    def equal_shares(bags: list[float]) -> list[float]:
+        return [left_sum(bags) / len(bags)] * len(bags)
 
-    collections, *_ = _rebalance(
+    collections, _, _ = _rebalance(
         [[total_load * s / total_speed] for s in speeds_desc],
         speeds_desc,
         rho,

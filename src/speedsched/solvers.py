@@ -109,13 +109,15 @@ def exact_schedule(
     Intended for small inputs (roughly <= 15 items, <= 5 machines).  The
     incumbent starts as the greedy solution; a child is searched only if its
     partial makespan stays strictly below the incumbent's, and the search stops
-    once the incumbent meets :func:`opt_lower_bound`.  There is no capacity
-    bound: a child that passes the incumbent test leaves room for all unplaced
-    work whenever the incumbent exceeds total work over total speed.  Two
-    symmetry reductions keep regular inputs (equal items, equal machines)
-    tractable without affecting the optimal value: a machine is skipped when a
-    lower-index machine of equal speed had the same load when this node tried
-    it, and runs of equal-size items use non-decreasing machine indices.
+    once the incumbent meets :func:`opt_lower_bound`; when the greedy
+    incumbent meets it already, it is returned before any search set-up is
+    built.  There is no capacity bound: a child that passes the incumbent
+    test leaves room for all unplaced work whenever the incumbent exceeds
+    total work over total speed.  Two symmetry reductions keep regular inputs
+    (equal items, equal machines) tractable without affecting the optimal
+    value: a machine is skipped when a lower-index machine of equal speed had
+    the same load when this node tried it, and runs of equal-size items use
+    non-decreasing machine indices.
 
     The loop is built for cost per node.  The last item's children, the
     complete placements, are handled inside their parent's loop rather than
@@ -148,6 +150,8 @@ def exact_schedule(
 
     incumbent = lpt_schedule(loads, speeds)
     static_lb = opt_lower_bound(loads, speeds)
+    if incumbent.makespan <= static_lb:
+        return SolveResult(incumbent.schedule, incumbent.makespan, optimal=True, nodes_explored=0)
 
     # Equal loads keep their index order, as in lpt_schedule.
     order = [j for j in sorted(range(n), key=loads.__getitem__, reverse=True) if loads[j] > 0.0]
@@ -237,8 +241,8 @@ def exact_schedule(
                 return False
         return False
 
-    if best_val > static_lb and k > 0:
-        dfs(0, 0.0)
+    # Some item is positive here: all-zero items meet the bound at 0.0.
+    dfs(0, 0.0)
 
     if best_assign is None:
         assign = list(incumbent.schedule.bag_to_machine)

@@ -27,11 +27,6 @@ from speedsched.model import (
 )
 
 
-@pytest.fixture(autouse=True)
-def clean_seed_env(monkeypatch):
-    monkeypatch.delenv("SPEEDSCHED_SEED", raising=False)
-
-
 def write_instance(tmp_path, name, jobs, true_speeds, predicted_speeds):
     inst = Instance(
         jobs=tuple(jobs),
@@ -133,22 +128,8 @@ def test_gen_rejects_bad_family_shape(capsys):
 
 
 # ---------------------------------------------------------------------------
-# seed resolution
+# seeds
 # ---------------------------------------------------------------------------
-
-
-def test_seed_env_var_used_when_flag_absent(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPEEDSCHED_SEED", "9")
-    out = tmp_path / "env.json"
-    assert main(["gen", "--n", "3", "--m", "2", "--out", str(out)]) == 0
-    assert load_instance(str(out)).seed == 9
-
-
-def test_seed_flag_beats_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPEEDSCHED_SEED", "9")
-    out = tmp_path / "flag.json"
-    assert main(["gen", "--n", "3", "--m", "2", "--seed", "3", "--out", str(out)]) == 0
-    assert load_instance(str(out)).seed == 3
 
 
 def test_seed_defaults_to_zero(tmp_path):
@@ -157,10 +138,19 @@ def test_seed_defaults_to_zero(tmp_path):
     assert load_instance(str(out)).seed == 0
 
 
-def test_bad_seed_env_var_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("SPEEDSCHED_SEED", "not-a-number")
-    assert main(["gen", "--n", "3", "--m", "2"]) == 2
-    assert "SPEEDSCHED_SEED" in capsys.readouterr().err
+def test_environment_does_not_choose_the_seed(tmp_path, monkeypatch, capsys):
+    # Only --seed and a config's seed choose the draws: the same command line
+    # prints the same bytes with or without an environment variable that an
+    # older release read as the default seed.
+    cfg_path = experiment_config_file(tmp_path, instances_per_point=2, sweep_values=[0.0])
+    commands = (["gen", "--n", "3", "--m", "2"], ["experiment", "--config", str(cfg_path)])
+    printed = []
+    for _ in range(2):
+        for argv in commands:
+            assert main(argv) == 0
+            printed.append(capsys.readouterr().out)
+        monkeypatch.setenv("SPEEDSCHED_SEED", "9")
+    assert printed[2:] == printed[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +746,8 @@ MALFORMED_CONFIGS = [
      "experiment config 'sweep_values' entry 1e+300 for 'sweep_param' 'm': "
      f"'m' must be at most {MAX_SHAPE}, got {int(1e300)}"),
     ({"n": MAX_SHAPE + 1}, f"experiment config 'n' must be at most {MAX_SHAPE}, got {MAX_SHAPE + 1}"),
+    ({"instances_per_point": 10**30},
+     f"experiment config 'instances_per_point' must be at most {MAX_SHAPE}, got {10**30}"),
 ]
 
 

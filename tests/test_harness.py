@@ -427,6 +427,10 @@ def test_experiment_config_validation():
         ExperimentConfig(oracle="brute")
     with pytest.raises(ValueError):
         ExperimentConfig(algorithms=("lpt", "lpt"))
+    # Built only, never run: a run at the bound draws a million instances per point.
+    ExperimentConfig(instances_per_point=gen.MAX_SHAPE)
+    with pytest.raises(ValueError, match="'instances_per_point' must be at most"):
+        ExperimentConfig(instances_per_point=gen.MAX_SHAPE + 1)
 
 
 def test_experiment_config_non_default_sweep_needs_values():

@@ -178,8 +178,6 @@ def test_partition_allows_empty_bags():
 
 def test_assignment_flattens_in_collection_order():
     asg = Assignment(collections=(((0, 1), (2,)), ((3,),)))
-    assert asg.m == 2
-    assert asg.bags() == ((0, 1), (2,), (3,))
     assert asg.to_partition().bags == ((0, 1), (2,), (3,))
 
 
@@ -197,8 +195,6 @@ def test_ipr_state_holds_trace_fields():
         opt_c_bar=1.0,
         iterations=0,
         b_min_history=(1.0,),
-        last_rebalance_load=0.0,
-        last_rebalance_count=0,
     )
     assert state.opt_c_bar == 1.0
     assert state.b_min_history == (1.0,)

@@ -184,16 +184,19 @@ def test_exact_schedule_handles_many_equal_items():
 
 
 @pytest.mark.parametrize(
-    "loads, speeds, makespan, searched",
+    "loads, speeds, makespan, searched, peak_mb",
     [
         # Distinct speeds: the search runs, on the three fastest machines.
-        ([1.0] * 3, [2.0 - i / 20_000 for i in range(20_000)], 1.0 / (2.0 - 2 / 20_000), True),
-        # Equal speeds: greedy meets the lower bound, so only set-up runs.
-        ([3.0, 2.0], [1.0] * 5_000, 3.0, False),
+        ([1.0] * 3, [2.0 - i / 20_000 for i in range(20_000)], 1.0 / (2.0 - 2 / 20_000), True, 32),
+        # Equal speeds: greedy meets the lower bound, so no search runs.
+        ([3.0, 2.0], [1.0] * 5_000, 3.0, False, 32),
+        # The same with many items: search set-up, one list of m tried loads
+        # per item, would take 5.2 MB here; greedy alone takes 0.6 MB.
+        ([1.0] * 60, [1.0] * 10_000, 1.0, False, 2),
     ],
-    ids=["distinct-speeds", "equal-speeds"],
+    ids=["distinct-speeds", "equal-speeds", "equal-speeds-many-items"],
 )
-def test_exact_schedule_set_up_is_linear_in_machines(loads, speeds, makespan, searched):
+def test_exact_schedule_set_up_is_linear_in_machines(loads, speeds, makespan, searched, peak_mb):
     # A few items on many machines: the search is tiny, so set-up sized m^2
     # would dominate.  A tuple of machine indices for every first index, or
     # for every machine the lower-index machines of its speed, would take
@@ -207,7 +210,7 @@ def test_exact_schedule_set_up_is_linear_in_machines(loads, speeds, makespan, se
         tracemalloc.stop()
     assert (res.nodes_explored > 0) == searched
     assert res.makespan == makespan
-    assert peak < 32 * 2**20
+    assert peak < peak_mb * 2**20
 
 
 def pinned_exact_inputs():
