@@ -31,9 +31,9 @@ speeds (after the additive error).  Predicted speeds are ``true + err`` with
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Any
 
 from .model import Instance, is_json_number, json_object
 
@@ -255,40 +255,33 @@ def _clamp(x: float) -> float:
     return max(x, CLAMP_FLOOR)
 
 
+@functools.lru_cache(maxsize=1)
 def _draws(
-    config: SyntheticConfig,
+    seed: int, n: int, m: int, job_dist: Dist, speed_dist: Dist
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """The jobs, the true speeds and the ``m`` unit-normal error draws of
-    ``config``; ``err_sigma`` only scales the last, so it is not read."""
-    jobs_rng = substream(config.seed, _JOBS_TAG)
-    speeds_rng = substream(config.seed, _SPEEDS_TAG)
-    err_rng = substream(config.seed, _ERRORS_TAG)
-    jobs = tuple(_clamp(config.job_dist.sample(jobs_rng)) for _ in range(config.n))
-    true_speeds = tuple(_clamp(config.speed_dist.sample(speeds_rng)) for _ in range(config.m))
-    normals = tuple(normal_inv_cdf(err_rng.next_open_float()) for _ in range(config.m))
+    """The jobs, the true speeds and the ``m`` unit-normal error draws of a
+    config; ``err_sigma`` only scales the last, so it is not read.  The last
+    draws are kept, so the instances of one seed at every point of an
+    ``err_sigma`` sweep, run back to back, share them and differ only in the
+    predicted speeds."""
+    jobs_rng = substream(seed, _JOBS_TAG)
+    speeds_rng = substream(seed, _SPEEDS_TAG)
+    err_rng = substream(seed, _ERRORS_TAG)
+    jobs = tuple(_clamp(job_dist.sample(jobs_rng)) for _ in range(n))
+    true_speeds = tuple(_clamp(speed_dist.sample(speeds_rng)) for _ in range(m))
+    normals = tuple(normal_inv_cdf(err_rng.next_open_float()) for _ in range(m))
     return jobs, true_speeds, normals
 
 
-def gen_synthetic(config: SyntheticConfig, solves: dict[tuple, Any] | None = None) -> Instance:
+def gen_synthetic(config: SyntheticConfig) -> Instance:
     """Draw an instance: i.i.d. jobs and true speeds from the configured
     distributions; predicted speeds are true speeds plus additive
     ``normal(0, err_sigma)`` noise.  Draws below ``CLAMP_FLOOR`` are raised
     to it.  Fully determined by ``config`` (see module docstring for
     the stream layout).
-
-    ``solves``, when given, memoises the draws (jobs, true speeds and
-    unit-normal errors) under ``("draws", config)`` with ``err_sigma``
-    zeroed, so the instances of one seed at every point of an ``err_sigma``
-    sweep share them and differ only in the predicted speeds; the harness
-    passes the seed's memo, which also holds its solves and oracle values.
     """
-    if solves is None:
-        jobs, true_speeds, normals = _draws(config)
-    else:
-        key = ("draws", replace(config, err_sigma=0.0))
-        if key not in solves:
-            solves[key] = _draws(config)
-        jobs, true_speeds, normals = solves[key]
+    jobs, true_speeds, normals = _draws(config.seed, config.n, config.m, config.job_dist,
+                                        config.speed_dist)
     sigma = config.err_sigma
     return Instance(
         jobs=jobs,

@@ -9,15 +9,16 @@ ratios into deterministic CSV rows; a seed solves every scheduling
 subproblem once in each worker that runs its points (one, unless a worker with
 no seed left to start joins it).  Both, and ``verify``'s fixed families,
 compute their ratios through one function, ``_instance_ratios``: stage one and
-stage two for every algorithm, then the oracle, with one ``solves`` memo that
-also holds the prediction-trusting partition ``one-consistent`` and ``ipr``
-share.  Its stage one is ``make_partition``, the one place that decides which
-partition each algorithm builds on.  ``verify_properties`` re-checks every
-structural guarantee the algorithms are supposed to satisfy (balance bounds,
-monotone rebalancing, iteration caps, consistency/robustness envelopes,
-certificate feasibility, oracle agreement) over seeded random instances, one
-section per worker process, and reports the first counterexample when one
-exists.  Both pooled runs go through ``_map_tasks``, which alone hands out
+stage two for every algorithm, then the oracle, each solving through
+``_solve`` with one ``solves`` memo that also holds the prediction-trusting
+partition ``one-consistent`` and ``ipr`` share.  Its stage one is
+``make_partition``, the one place that decides which partition each
+algorithm builds on, and that solves its start.  ``verify_properties``
+re-checks every structural guarantee the algorithms are supposed to satisfy
+(balance bounds, monotone rebalancing, iteration caps, consistency/robustness
+envelopes, certificate feasibility, oracle agreement) over seeded random
+instances, one section per worker process, and reports the first
+counterexample when one exists.  Both pooled runs go through ``_map_tasks``, which alone hands out
 the steps and keeps the failure protocol, and give the bytes of a serial run.
 ``theory_curves`` tabulates the guarantee envelopes as functions of the
 consistency knob alpha.
@@ -61,6 +62,7 @@ from .model import (
     validate_partition,
 )
 from .partition import (
+    ConsistentPartition,
     IprConfig,
     binary_speed_partition,
     consistent_partition,
@@ -72,6 +74,7 @@ from .solvers import (
     DEFAULT_NODE_BUDGET,
     SCHEDULERS,
     BudgetExceededError,
+    SolveResult,
     brute_force_makespan,
     capacity_robust_schedule,
     exact_schedule,
@@ -140,12 +143,25 @@ def parse_algorithm(spec: "AlgorithmSpec | str | dict") -> AlgorithmSpec:
 
 
 def _memoised(solves: dict[tuple, Any] | None, key: tuple, compute: Callable[[], Any]) -> Any:
-    """``compute()``, kept in ``solves`` under ``key`` when a memo is given."""
+    """``compute()``, kept in ``solves`` under ``key`` when a memo is given;
+    a failed ``compute()`` is not kept."""
     if solves is None:
         return compute()
     if key not in solves:
         solves[key] = compute()
     return solves[key]
+
+
+def _solve(
+    solves: dict[tuple, Any] | None, loads: Sequence[float], speeds: Sequence[float],
+    scheduler: str, node_budget: int,
+) -> SolveResult:
+    """:func:`~speedsched.solvers.schedule`, memoised in ``solves`` under
+    ``(scheduler, tuple(loads), tuple(speeds))``: in the items' own order,
+    because the schedule maps item positions.  Stage one, stage two and the
+    oracle of every evaluation solve through here."""
+    key = (scheduler, tuple(loads), tuple(speeds))
+    return _memoised(solves, key, lambda: schedule(loads, speeds, scheduler, node_budget))
 
 
 def make_partition(
@@ -158,21 +174,21 @@ def make_partition(
     """Run the named partitioner on (jobs, predicted speeds).
 
     This is the one place that decides which partition an algorithm builds
-    on.  The algorithm's pinned scheduler, if any, replaces ``scheduler``,
-    whose name is checked; the partition is returned as the partitioner built
-    it, not passed through :func:`~speedsched.model.validate_partition`.
-    ``lpt`` ignores the speeds.  On
-    :attr:`~speedsched.model.Instance.all_or_nothing` instances
-    ``one-consistent`` routes to
-    :func:`~speedsched.partition.binary_speed_partition` with the predicted
-    usable count (the predicted speeds equal to 1.0).  Otherwise
-    ``one-consistent`` is the prediction-trusting partition and ``ipr`` starts
-    from it; both reject a prediction with a zero speed before any solve.
-    ``solves``, when given, memoises across algorithms and instances: the
-    schedules (see :func:`~speedsched.solvers.schedule`), the LPT partitions,
-    keyed by ``("lpt_partition", jobs, m)``, and the prediction-trusting
-    partitions, keyed by ``("consistent_partition", scheduler, jobs,
-    predicted_speeds)``, so that ``one-consistent`` and ``ipr`` share one.
+    on, and it solves the partitioner's start.  The algorithm's pinned
+    scheduler, if any, replaces ``scheduler``, whose name is checked; the
+    partition is returned as the partitioner built it, not passed through
+    :func:`~speedsched.model.validate_partition`.  ``lpt`` ignores the
+    speeds.  On :attr:`~speedsched.model.Instance.all_or_nothing` instances
+    ``one-consistent`` is :func:`~speedsched.partition.binary_speed_partition`
+    from the prediction-trusting partition on one unit speed per predicted
+    usable machine (speed 1.0).  Otherwise ``one-consistent`` is the
+    prediction-trusting partition and ``ipr`` starts from it; both reject a
+    prediction with a zero speed before any solve.  ``solves``, when given,
+    memoises across algorithms and instances: the schedules (see
+    :func:`_solve`), the LPT partitions, keyed by ``("lpt_partition", jobs,
+    m)``, and the prediction-trusting partitions, keyed by
+    ``("consistent_partition", scheduler, jobs, speeds)``, so that
+    ``one-consistent`` and ``ipr`` share one.
     """
     spec = parse_algorithm(algorithm)
     if spec.scheduler is not None:
@@ -180,26 +196,27 @@ def make_partition(
     if scheduler not in SCHEDULERS:
         raise ValueError(f"scheduler must be one of {SCHEDULERS}")
     jobs, predicted = instance.jobs, instance.predicted_speeds
+
+    def trusting(speeds: tuple[float, ...]) -> ConsistentPartition:
+        def start() -> ConsistentPartition:
+            placed = _solve(solves, jobs, speeds, scheduler, node_budget)
+            return consistent_partition(jobs, speeds, placed)
+
+        return _memoised(solves, ("consistent_partition", scheduler, jobs, speeds), start)
+
     if spec.name == "lpt":
         return _memoised(
             solves, ("lpt_partition", jobs, instance.m), lambda: lpt_partition(jobs, instance.m)
         )
     if spec.name == "one-consistent" and instance.all_or_nothing:
-        m_hat = predicted.count(1.0)
-        return binary_speed_partition(jobs, instance.m, m_hat, scheduler, node_budget, solves)
+        return binary_speed_partition(jobs, instance.m, trusting((1.0,) * predicted.count(1.0)))
     if 0.0 in predicted:
         unusable = [i for i, s in enumerate(predicted) if s == 0.0]
         raise ValueError(
             f"{spec.name} partitions on positive predicted speeds, but the prediction marks "
             f"machines {unusable} unusable (speed 0.0)"
         )
-    start = _memoised(
-        solves,
-        ("consistent_partition", scheduler, jobs, predicted),
-        lambda: consistent_partition(
-            jobs, predicted, solver=scheduler, node_budget=node_budget, solves=solves
-        ),
-    )
+    start = trusting(predicted)
     if spec.name == "one-consistent":
         return start.partition
     config = IprConfig(alpha=spec.alpha, rho=spec.rho)
@@ -216,14 +233,13 @@ def oracle_value(
     :attr:`~speedsched.model.Instance.usable_speeds`.  ``oracle="lower_bound"``
     substitutes the cheap bound, making reported ratios upper bounds on the
     true approximation ratio.  ``solves`` memoises the exact solve (see
-    :func:`~speedsched.solvers.schedule`) and the bound, keyed by
-    ``("lower_bound", jobs, speeds)``.
+    :func:`_solve`) and the bound, keyed by ``("lower_bound", jobs, speeds)``.
     """
     if oracle not in ORACLES:
         raise ValueError(f"oracle must be one of {ORACLES}")
     jobs, speeds = instance.jobs, instance.usable_speeds
     if oracle == "exact":
-        return schedule(jobs, speeds, "exact", node_budget, solves).makespan
+        return _solve(solves, jobs, speeds, "exact", node_budget).makespan
     return _memoised(solves, ("lower_bound", jobs, speeds), lambda: opt_lower_bound(jobs, speeds))
 
 
@@ -254,7 +270,8 @@ def _instance_ratios(
     scheduler stage one ran with (the algorithm's pinned one, else
     ``scheduler``) on the :attr:`~speedsched.model.Instance.usable_speeds`.
     Both stages run for every algorithm before the oracle, and all three
-    share ``solves``.  An exhausted node budget names ``where``.  With the exact oracle, a ratio below ``1 - 1e-9``
+    solve through :func:`_solve`, sharing ``solves``.  An exhausted node
+    budget names ``where``.  With the exact oracle, a ratio below ``1 - 1e-9``
     fails loudly: the oracle would not be one.  With ``failure_context``, an
     algorithm's error other than an exhausted node budget is re-raised as a
     :class:`RuntimeError` that names ``failure_context(spec)``.
@@ -267,7 +284,7 @@ def _instance_ratios(
                 part = make_partition(instance, spec, scheduler, node_budget, solves)
                 loads = [bag_load(bag, instance.jobs) for bag in part.bags]
                 stage2 = spec.scheduler or scheduler
-                makespans.append(schedule(loads, speeds, stage2, node_budget, solves).makespan)
+                makespans.append(_solve(solves, loads, speeds, stage2, node_budget).makespan)
             except BudgetExceededError:
                 raise
             except Exception as exc:
@@ -382,6 +399,10 @@ class ExperimentConfig:
         labels = [a.label for a in self.algorithms]
         if len(set(labels)) != len(labels):
             raise ValueError(f"experiment config 'algorithms' has duplicate labels: {labels}")
+        count = 11 if values is None else len(values)  # the default grid has 11 points
+        if count * self.instances_per_point > MAX_SHAPE:
+            raise ValueError(f"experiment config 'sweep_values' times 'instances_per_point' must "
+                             f"be at most {MAX_SHAPE}, got {count} * {self.instances_per_point}")
 
         # The sweep points.  A SyntheticConfig error names its field, the config key.
         try:
@@ -450,9 +471,7 @@ def _seed_ratios(
     """A :func:`_map_tasks` task: one step per sweep point, which computes the
     ratios of every algorithm on the instance of seed ``inst_seed`` there (its
     serial index is ``point * instances_per_point + rep``).  Each call has
-    one memo of ``solves`` for the seed, which draws its jobs, true speeds
-    and unit-normal errors once per distinct instance shape (see
-    :func:`~speedsched.gen.gen_synthetic`) and solves each subproblem the
+    one memo of ``solves`` for the seed, which solves each subproblem the
     steps it runs share once, the oracle included.
     An exhausted node budget names the sweep point and the seed.
     """
@@ -461,7 +480,7 @@ def _seed_ratios(
 
     def ratios(value: float, point: SyntheticConfig) -> list[float]:
         return _instance_ratios(
-            gen_synthetic(replace(point, seed=inst_seed), solves),
+            gen_synthetic(replace(point, seed=inst_seed)),
             config.algorithms,
             config.scheduler,
             config.oracle,
@@ -668,8 +687,8 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     goes through :func:`_instance_ratios`, as in :func:`evaluate`.  This
     process hands out every step and receives each result as its step ends:
     a worker runs whole seeds while any is unstarted, then joins the seed
-    with the most points left; the joiner redraws the seed in its own memo,
-    so the seed's sweep-blind subproblems (the oracle, ``lpt``'s partition
+    with the most points left; the joiner redraws the seed and keeps its own
+    memo, so the seed's sweep-blind subproblems (the oracle, ``lpt``'s partition
     and its stage two) may be solved once per worker.  Means and sample standard
     deviations are added in seed order, so the CSV bytes do not depend on the
     number of CPUs.  A failure raises the error that a serial run over sweep
@@ -875,6 +894,12 @@ def _bmin_monotone(hist: Sequence[float]) -> bool:
     return all(_le(hist[i], hist[i + 1]) for i in range(start, len(hist) - 1))
 
 
+def _exact_start(inst: Instance, node_budget: int) -> ConsistentPartition:
+    """The exact prediction-trusting partition of ``inst``, ``ipr``'s start."""
+    placed = exact_schedule(inst.jobs, inst.predicted_speeds, node_budget)
+    return consistent_partition(inst.jobs, inst.predicted_speeds, placed)
+
+
 def _check_ipr_trace(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """The ``ipr`` trace with rho = 4: monotone b_min, at most m^2
     iterations, beta within the robust bound."""
@@ -882,7 +907,7 @@ def _check_ipr_trace(seed: int, trials: int, node_budget: int) -> Iterator[_Verd
     for t in range(trials):
         inst = random_small_instance(rng)
         alpha = _ALPHA_CYCLE[t % len(_ALPHA_CYCLE)]
-        initial = consistent_partition(inst.jobs, inst.predicted_speeds, "exact", node_budget)
+        initial = _exact_start(inst, node_budget)
         result = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=alpha, rho=4.0), initial)
         state = result.state
         hist = state.b_min_history
@@ -912,7 +937,7 @@ def _check_perfect_predictions(seed: int, trials: int, node_budget: int) -> Iter
     for t in range(trials):
         base = random_small_instance(rng)
         inst = replace(base, predicted_speeds=base.true_speeds)
-        initial = consistent_partition(inst.jobs, inst.predicted_speeds, "exact", node_budget)
+        initial = _exact_start(inst, node_budget)
         for alpha in _ALPHA_CYCLE:
             result = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=alpha, rho=4.0), initial)
             speeds_desc = sorted(inst.predicted_speeds, reverse=True)
@@ -935,9 +960,7 @@ def _check_adversarial_speeds(seed: int, trials: int, node_budget: int) -> Itera
     bound = theory_curve(0.5).robustness_general  # 6.0
     for _ in range(trials):
         base = random_small_instance(rng)
-        adversarial = tuple(
-            max(40.0 * rng.next_float(), CLAMP_FLOOR) for _ in range(base.m)
-        )
+        adversarial = tuple(max(40.0 * rng.next_float(), CLAMP_FLOOR) for _ in range(base.m))
         inst = replace(base, true_speeds=adversarial, name=f"adversarial-{base.name}")
         ratio = evaluate(inst, AlgorithmSpec("ipr", alpha=0.5, rho=4.0), "exact", "exact", node_budget)
         yield "ipr-robust-ratio-le-6", _le(ratio, bound), lambda: _dump(inst, f"ratio={ratio}")
@@ -949,7 +972,7 @@ def _check_unit_jobs(seed: int, trials: int, node_budget: int) -> Iterator[_Verd
     for t in range(trials):
         inst = random_small_instance(rng, unit_jobs=True)
         alpha = _ALPHA_CYCLE[t % len(_ALPHA_CYCLE)]
-        initial = consistent_partition(inst.jobs, inst.predicted_speeds, "exact", node_budget)
+        initial = _exact_start(inst, node_budget)
         result = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=alpha, rho=2.0), initial)
         beta = beta_ratio(result.partition, inst.jobs)
         yield (
@@ -1000,9 +1023,10 @@ def _check_all_or_nothing(seed: int, trials: int, node_budget: int) -> Iterator[
         # Up to three solves on identical machines (m_hat, m and m_zero of
         # them), one per distinct machine count.
         solves: dict[tuple, Any] = {}
-        part = binary_speed_partition(jobs, m, m_hat, "exact", node_budget, solves)
+        placed = _solve(solves, jobs, [1.0] * m_hat, "exact", node_budget)
+        part = binary_speed_partition(jobs, m, consistent_partition(jobs, [1.0] * m_hat, placed))
         loads = [bag_load(b, jobs) for b in part.bags]
-        opt_m = schedule(jobs, [1.0] * m, "exact", node_budget, solves).makespan
+        opt_m = _solve(solves, jobs, [1.0] * m, "exact", node_budget).makespan
         yield (
             "binary-stage1-max-bag-le-2opt",
             _le(max(loads), 2.0 * opt_m),
@@ -1010,7 +1034,7 @@ def _check_all_or_nothing(seed: int, trials: int, node_budget: int) -> Iterator[
         )
         merged = merge_to_fit(loads, m_zero)
         alg = max(merged) if merged else 0.0
-        opt0 = schedule(jobs, [1.0] * m_zero, "exact", node_budget, solves).makespan
+        opt0 = _solve(solves, jobs, [1.0] * m_zero, "exact", node_budget).makespan
         yield (
             "binary-merge-ratio-le-2",
             _le(alg, 2.0 * opt0),

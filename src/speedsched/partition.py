@@ -13,7 +13,10 @@ balanced to within a factor ``rho`` or a step would cost more than a
 ``(1 + alpha)`` factor under the predicted speeds.  :func:`ipr` runs it on
 bags of jobs, :func:`fluid_ipr` on divisible loads (infinitesimal jobs).
 
-All tie-breaks are by lowest index so every routine is deterministic.
+No partitioner here calls a solver: each is handed its solved start, which
+the caller computes and may share (see
+:func:`speedsched.harness.make_partition`).  All tie-breaks are by lowest
+index so every routine is deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .model import Assignment, Bag, IprState, Partition, bag_load, finite_floats, left_sum
-from .solvers import DEFAULT_NODE_BUDGET, SolveResult, schedule
+from .solvers import SolveResult
 
 _BagT = TypeVar("_BagT")
 
@@ -91,38 +94,34 @@ def lpt_partition(jobs: Sequence[float], k: int) -> Partition:
 
 
 def consistent_partition(
-    jobs: Sequence[float],
-    predicted_speeds: Sequence[float],
-    solver: str = "exact",
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    solves: dict[tuple, SolveResult] | None = None,
+    jobs: Sequence[float], predicted_speeds: Sequence[float], placed: SolveResult
 ) -> ConsistentPartition:
-    """Partition that trusts the predictions: one bag per machine, computed by
-    scheduling the jobs on the *predicted* speeds (memoised in ``solves``, see
-    :func:`~speedsched.solvers.schedule`).
+    """Partition that trusts the predictions: one bag per machine, the bags
+    of ``placed``, a solve of the jobs on the *predicted* speeds.  A placement
+    of another item or machine count raises ``ValueError``.
 
     Bags are reordered so loads are non-increasing, paired with the predicted
     speeds sorted non-increasing; this pairing never increases the makespan, so
     ``opt_c_bar`` (the makespan of the returned pairing under predicted speeds)
-    equals the solver's value — exactly optimal for ``solver="exact"``.  This
+    equals the solver's value — exactly optimal for an exact solve.  This
     doubles as the prediction-trusting benchmark in experiments.
     """
+    jobs = finite_floats(jobs, "job processing times", allow_zero=True, allow_empty=True)
     speeds = finite_floats(predicted_speeds, "predicted speeds")
     m = len(speeds)
-    result = schedule(jobs, speeds, solver, node_budget, solves)
-    groups: list[list[int]] = [[] for _ in range(m)]
-    for j, i in enumerate(result.schedule.bag_to_machine):
-        groups[i].append(j)
-    bags = [tuple(sorted(g)) for g in groups]
-    loads = [bag_load(b, jobs) for b in bags]
+    placement = placed.schedule
+    if (len(placement.bag_to_machine), placement.m) != (len(jobs), m):
+        raise ValueError(f"placement of {len(placement.bag_to_machine)} items on {placement.m} "
+                         f"machines for {len(jobs)} jobs on {m} predicted speeds")
+    # Each bag's jobs, and its load summed in that order, as bag_load would.
+    bags: list[list[int]] = [[] for _ in range(m)]
+    loads = [0.0] * m
+    for j, i in enumerate(placement.bag_to_machine):
+        bags[i].append(j)
+        loads[i] += jobs[j]
     order = sorted(range(m), key=lambda i: (-loads[i], i))
-    bags_desc = tuple(bags[i] for i in order)
-    loads_desc = [loads[i] for i in order]
-    speeds_desc = sorted(speeds, reverse=True)
-    opt_c_bar = max(
-        load / s for load, s in zip(loads_desc, speeds_desc)
-    )
-    return ConsistentPartition(Partition(bags_desc), opt_c_bar)
+    opt_c_bar = max(loads[i] / s for i, s in zip(order, sorted(speeds, reverse=True)))
+    return ConsistentPartition(Partition(tuple(tuple(bags[i]) for i in order)), opt_c_bar)
 
 
 def _rebalance(
@@ -195,15 +194,15 @@ def ipr(
 ) -> IprResult:
     """Iterative partial rebalancing.
 
-    Starts from ``initial``, the prediction-trusting partition
-    ``consistent_partition(jobs, predicted_speeds, solver)`` under whichever
-    solver the caller chose (one bag per machine, machines taken in
-    non-increasing predicted-speed order), and runs the rebalance loop with
-    ``rho = config.rho`` and the guard ``(1 + alpha)`` times its makespan
-    ``initial.opt_c_bar``.  A bag is splittable when it holds at least two
-    jobs, and a receiving collection's jobs are LPT-split into its bags.  A
-    step the guard discards is undone, so the consistency guarantee holds by
-    construction no matter how unbalanced the bags remain.
+    Starts from ``initial``, the prediction-trusting partition that
+    :func:`consistent_partition` forms from the caller's solve (one bag per
+    machine, machines taken in non-increasing predicted-speed order), and
+    runs the rebalance loop with ``rho = config.rho`` and the guard
+    ``(1 + alpha)`` times its makespan ``initial.opt_c_bar``.  A bag is
+    splittable when it holds at least two jobs, and a receiving collection's
+    jobs are LPT-split into its bags.  A step the guard discards is undone,
+    so the consistency guarantee holds by construction no matter how
+    unbalanced the bags remain.
 
     Returns the final partition plus an :class:`~speedsched.model.IprState`
     trace (iteration count and minimum-bag-load history).
@@ -273,30 +272,23 @@ def fluid_ipr(
 
 
 def binary_speed_partition(
-    jobs: Sequence[float],
-    m: int,
-    m_hat: int,
-    solver: str = "exact",
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    solves: dict[tuple, SolveResult] | None = None,
+    jobs: Sequence[float], m: int, initial: ConsistentPartition
 ) -> Partition:
     """Partition for all-or-nothing speeds: ``m_hat`` of the ``m`` machines are
     predicted usable, the rest predicted dead.
 
-    Stage one splits the jobs into ``m_hat`` subsets as if scheduling on
-    ``m_hat`` identical machines (exactly optimal with ``solver="exact"``);
-    subsets are taken in non-increasing load order.  Each subset is then
-    LPT-split into either ``ceil(m / m_hat)`` or ``floor(m / m_hat)`` bags —
-    the first ``m mod m_hat`` (heaviest) subsets get the extra bag — for ``m``
-    bags total.  Stage two places the bags with the chosen scheduler on the
-    machines that turn out usable, however many there are.  ``solves``
-    memoises the stage-one solve, as in :func:`consistent_partition`.
+    ``initial`` is stage one's split of the jobs into ``m_hat`` subsets,
+    :func:`consistent_partition` on ``m_hat`` unit speeds (exactly optimal
+    for an exact solve), its subsets in non-increasing load order; ``m_hat``
+    must be in ``1..m``.  Each subset is then LPT-split into either
+    ``ceil(m / m_hat)`` or ``floor(m / m_hat)`` bags — the first
+    ``m mod m_hat`` (heaviest) subsets get the extra bag — for ``m`` bags
+    total.  Stage two places the bags with the chosen scheduler on the
+    machines that turn out usable, however many there are.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m_hat = len(initial.partition.bags)
     if not 1 <= m_hat <= m:
-        raise ValueError(f"m_hat must be in 1..{m}, got {m_hat}")
-    initial = consistent_partition(jobs, [1.0] * m_hat, solver, node_budget, solves)
+        raise ValueError(f"initial partition has {m_hat} subsets for {m} machines; need 1..{m}")
     quotient, remainder = divmod(m, m_hat)
     bags: list[Bag] = []
     for idx, subset in enumerate(initial.partition.bags):

@@ -259,21 +259,10 @@ def schedule(
     speeds: Sequence[float],
     scheduler: str,
     node_budget: int,
-    solves: dict[tuple, SolveResult] | None = None,
 ) -> SolveResult:
     """Place the items with the named scheduler: ``"exact"`` is
     :func:`exact_schedule` within ``node_budget`` nodes, ``"lpt"`` is
-    :func:`lpt_schedule`.  Any other name raises ``ValueError``.
-
-    ``solves``, when given, memoises the results under
-    ``(scheduler, tuple(loads), tuple(speeds))``, in the items' own order
-    because the schedule maps item positions; a failed solve is not kept.
-    """
-    if solves is not None:
-        key = (scheduler, tuple(loads), tuple(speeds))
-        if key not in solves:
-            solves[key] = schedule(loads, speeds, scheduler, node_budget)
-        return solves[key]
+    :func:`lpt_schedule`.  Any other name raises ``ValueError``."""
     if scheduler == "exact":
         return exact_schedule(loads, speeds, node_budget)
     if scheduler == "lpt":

@@ -510,10 +510,10 @@ def test_experiment_fails_when_a_worker_process_dies(tmp_path):
         "import os, sys\n"
         "from speedsched import cli, harness\n"
         "parent, generate = os.getpid(), harness.gen_synthetic\n"
-        "def dying(config, solves=None):\n"
+        "def dying(config):\n"
         "    if os.getpid() != parent and config.seed == 1:\n"
         "        os._exit(9)\n"
-        "    return generate(config, solves)\n"
+        "    return generate(config)\n"
         "harness.gen_synthetic = dying\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "sys.exit(cli.main(['experiment', '--config', sys.argv[1]]))\n"
@@ -569,12 +569,12 @@ def test_workers_leave_when_the_experiment_process_is_killed(tmp_path):
         "import os, sys, time\n"
         "from speedsched import cli, harness\n"
         "parent, generate = os.getpid(), harness.gen_synthetic\n"
-        "def slow(config, solves=None):\n"
+        "def slow(config):\n"
         "    if os.getpid() != parent:\n"
         "        with open(sys.argv[2], 'a') as fh:\n"
         "            fh.write(f'{os.getpid()}\\n')\n"
         "        time.sleep(0.05)\n"
-        "    return generate(config, solves)\n"
+        "    return generate(config)\n"
         "harness.gen_synthetic = slow\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "sys.exit(cli.main(['experiment', '--config', sys.argv[1]]))\n"
@@ -748,6 +748,9 @@ MALFORMED_CONFIGS = [
     ({"n": MAX_SHAPE + 1}, f"experiment config 'n' must be at most {MAX_SHAPE}, got {MAX_SHAPE + 1}"),
     ({"instances_per_point": 10**30},
      f"experiment config 'instances_per_point' must be at most {MAX_SHAPE}, got {10**30}"),
+    ({"instances_per_point": 500000, "sweep_values": [0, 5, 10]},
+     "experiment config 'sweep_values' times 'instances_per_point' must be at most "
+     f"{MAX_SHAPE}, got 3 * 500000"),
 ]
 
 

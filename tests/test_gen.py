@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from speedsched import gen
 from speedsched.gen import (
     CLAMP_FLOOR,
     MAX_SHAPE,
@@ -414,17 +415,22 @@ SWEEPS = {
 @pytest.mark.parametrize("param", SWEEP_PARAMS)
 @pytest.mark.parametrize("err_sigma", [0.0, 7.0])
 def test_gen_synthetic_with_a_memo_draws_what_fresh_calls_draw(param, err_sigma):
-    # One memo across every point and seed of a sweep, repeats included:
-    # each instance equals a fresh draw to the last bit.
+    # Every point of a sweep for one seed after another, repeats included,
+    # as a worker runs them: each instance, drawn or built from the kept
+    # draws, equals a fresh draw to the last bit.
     config = ExperimentConfig(
         n=6, m=3, job_dist=Dist.normal(40.0, 15.0), speed_dist=Dist.normal(10.0, 6.0),
         err_sigma=err_sigma, sweep_param=param, sweep_values=SWEEPS[param],
     )
-    solves = {}
     assert [value for value, _ in config.points] == list(SWEEPS[param])
-    for seed in (0, 1, 17, 2**40 + 3):
-        for _, point in config.points:
-            synthetic = dataclasses.replace(point, seed=seed)
-            got, want = gen_synthetic(synthetic, solves), gen_synthetic(synthetic)
-            assert _hexes(got) == _hexes(want)
-            assert (got.name, got.seed) == (want.name, want.seed)
+    seeds = (0, 1, 17, 2**40 + 3)
+    synthetic = [dataclasses.replace(point, seed=s) for s in seeds for _, point in config.points]
+    gen._draws.cache_clear()
+    got = list(map(gen_synthetic, synthetic))
+    if param == "err_sigma":  # the points of a seed share its draws
+        assert gen._draws.cache_info().misses == len(seeds)
+    for point, inst in zip(synthetic, got):
+        gen._draws.cache_clear()
+        want = gen_synthetic(point)
+        assert _hexes(inst) == _hexes(want)
+        assert (inst.name, inst.seed) == (want.name, want.seed)

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from speedsched import cli, gen, harness, partition, solvers
+from speedsched import cli, gen, harness, solvers
 from speedsched.gen import (
     Dist,
     SplitMix64,
@@ -45,7 +45,7 @@ from speedsched.harness import (
 )
 from speedsched.model import Instance, beta_ratio, validate_partition
 from speedsched.partition import IprConfig, binary_speed_partition, consistent_partition, ipr, lpt_partition
-from speedsched.solvers import BudgetExceededError, exact_schedule, opt_lower_bound
+from speedsched.solvers import BudgetExceededError, exact_schedule, lpt_schedule, opt_lower_bound
 
 EXPECTED_PROPERTY_NAMES = [
     "gen-valid-instances",
@@ -197,8 +197,25 @@ def test_near_one_half_speed_is_a_related_speed():
 
 
 # ---------------------------------------------------------------------------
-# make_partition routing
+# _solve, and make_partition routing
 # ---------------------------------------------------------------------------
+
+
+def test_solve_memo_keys_on_scheduler_and_item_order():
+    solves = {}
+    first = harness._solve(solves, [3.0, 2.0, 2.0], [2.0, 1.0], "exact", 1000)
+    assert first == exact_schedule([3.0, 2.0, 2.0], [2.0, 1.0], 1000)
+    assert harness._solve(solves, (3.0, 2.0, 2.0), (2.0, 1.0), "exact", 1000) is first
+    # The schedule maps item positions, so another order is another key.
+    reordered = harness._solve(solves, [2.0, 3.0, 2.0], [2.0, 1.0], "exact", 1000)
+    assert reordered is not first and reordered.makespan == first.makespan
+    greedy = harness._solve(solves, [3.0, 2.0, 2.0], [2.0, 1.0], "lpt", 1000)
+    assert greedy == lpt_schedule([3.0, 2.0, 2.0], [2.0, 1.0])
+    assert len(solves) == 3
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            harness._solve(solves, [3.0, 2.0, 2.0, 1.0], [1.5, 1.0], "exact", 1)
+    assert len(solves) == 3
 
 
 def test_make_partition_lpt_ignores_speeds():
@@ -208,19 +225,22 @@ def test_make_partition_lpt_ignores_speeds():
 
 def test_make_partition_one_consistent_uses_predictions():
     inst = small_instance([3.0, 2.0, 2.0], (1.0, 1.0), (2.0, 1.0))
-    expected = consistent_partition(inst.jobs, inst.predicted_speeds).partition
+    placed = exact_schedule(inst.jobs, inst.predicted_speeds)
+    expected = consistent_partition(inst.jobs, inst.predicted_speeds, placed).partition
     assert make_partition(inst, "one-consistent") == expected
 
 
 def test_make_partition_routes_binary_instances():
     inst = gen_binary_lb_instance(1)
-    expected = binary_speed_partition(inst.jobs, inst.m, 3)
+    initial = consistent_partition(inst.jobs, [1.0] * 3, exact_schedule(inst.jobs, [1.0] * 3))
+    expected = binary_speed_partition(inst.jobs, inst.m, initial)
     assert make_partition(inst, "one-consistent") == expected
 
 
 def test_make_partition_ipr_matches_direct_call():
     inst = gen_synthetic(SyntheticConfig(n=10, m=3, err_sigma=8.0, seed=4))
-    initial = consistent_partition(inst.jobs, inst.predicted_speeds)
+    placed = exact_schedule(inst.jobs, inst.predicted_speeds)
+    initial = consistent_partition(inst.jobs, inst.predicted_speeds, placed)
     expected = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=0.5, rho=4.0), initial)
     assert make_partition(inst, "ipr") == expected.partition
 
@@ -229,6 +249,7 @@ def test_make_partition_rejects_ipr_on_predicted_unusable_machines(monkeypatch):
     def unexpected(*args, **kwargs):
         raise AssertionError("solved before rejecting")
 
+    monkeypatch.setattr(harness, "schedule", unexpected)
     monkeypatch.setattr(harness, "consistent_partition", unexpected)
     inst = small_instance([3.0, 3.0, 2.0, 2.0], (1.0, 1.0, 0.0), (1.0, 0.0, 1.0))
     assert inst.all_or_nothing
@@ -243,6 +264,7 @@ def test_make_partition_rejects_one_consistent_on_predicted_unusable_machines(mo
     def unexpected(*args, **kwargs):
         raise AssertionError("solved before rejecting")
 
+    monkeypatch.setattr(harness, "schedule", unexpected)
     monkeypatch.setattr(harness, "consistent_partition", unexpected)
     inst = small_instance([3.0, 3.0, 2.0, 2.0], (1.0, 1.0, 2.0), (1.0, 0.0, 2.0))
     assert not inst.all_or_nothing
@@ -256,9 +278,9 @@ def test_make_partition_rejects_one_consistent_on_predicted_unusable_machines(mo
 def test_make_partition_shares_trusting_partition_per_scheduler(monkeypatch):
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["solver"])
-        return consistent_partition(*args, **kwargs)
+    def counting(jobs, speeds, placed):
+        calls.append("exact" if placed.optimal else "lpt")
+        return consistent_partition(jobs, speeds, placed)
 
     inst = gen_synthetic(SyntheticConfig(n=10, m=3, err_sigma=8.0, seed=4))
     unshared = make_partition(inst, "ipr")
@@ -427,10 +449,23 @@ def test_experiment_config_validation():
         ExperimentConfig(oracle="brute")
     with pytest.raises(ValueError):
         ExperimentConfig(algorithms=("lpt", "lpt"))
-    # Built only, never run: a run at the bound draws a million instances per point.
-    ExperimentConfig(instances_per_point=gen.MAX_SHAPE)
+    # Built only, never run: a run at the bound draws a million instances.
+    ExperimentConfig(instances_per_point=gen.MAX_SHAPE, sweep_values=[0.0])
     with pytest.raises(ValueError, match="'instances_per_point' must be at most"):
         ExperimentConfig(instances_per_point=gen.MAX_SHAPE + 1)
+
+
+def test_experiment_config_bounds_the_instances_of_a_sweep():
+    # Built only, never run.  The bound holds for the sweep as a whole, the
+    # default grid's 11 points included, and is checked before any sweep
+    # value is resolved: 6.5 is no job count, but the size is found first.
+    half = gen.MAX_SHAPE // 2
+    ExperimentConfig(sweep_param="n", sweep_values=[4, 8], instances_per_point=half)
+    for doc, points in (({"sweep_values": [0.0, 1.0, 2.0]}, 3), ({}, 11),
+                        ({"sweep_param": "n", "sweep_values": [12, 6.5, 8]}, 3)):
+        with pytest.raises(ValueError, match=r"^experiment config 'sweep_values' times "
+                           rf"'instances_per_point' must be at most \d+, got {points} \* {half}$"):
+            ExperimentConfig(instances_per_point=half, **doc)
 
 
 def test_experiment_config_non_default_sweep_needs_values():
@@ -669,7 +704,6 @@ def test_run_experiment_solves_consistent_partition_once_per_scheduler(
         return consistent_partition(*args, **kwargs)
 
     monkeypatch.setattr(harness, "consistent_partition", counting)
-    monkeypatch.setattr(partition, "consistent_partition", counting)
     config = ExperimentConfig(
         n=6, m=2, instances_per_point=4, sweep_values=(0.0, 10.0), algorithms=algorithms
     )
@@ -693,10 +727,10 @@ def use_cpus(monkeypatch, count):
 def record_pids(monkeypatch, path):
     """Append the id of the process behind every ``gen_synthetic`` call to ``path``."""
 
-    def recording(config, solves=None):
+    def recording(config):
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        return gen_synthetic(config, solves)
+        return gen_synthetic(config)
 
     monkeypatch.setattr(harness, "gen_synthetic", recording)
     return lambda: set(path.read_text(encoding="utf-8").split()) if path.exists() else set()
@@ -782,9 +816,9 @@ def test_run_experiment_runs_no_instance_after_the_first_failure(monkeypatch):
     # stops; its error is raised as it was met, and no other seed runs.
     seeds = []
 
-    def recording(config, solves=None):
+    def recording(config):
         seeds.append(config.seed)
-        return gen_synthetic(config, solves)
+        return gen_synthetic(config)
 
     monkeypatch.setattr(harness, "gen_synthetic", recording)
     use_cpus(monkeypatch, 1)
@@ -799,10 +833,10 @@ def record_instances(monkeypatch, path):
     """Append ``seed err_sigma`` of every generated instance to ``path``, from
     whichever process generates it."""
 
-    def recording(config, solves=None):
+    def recording(config):
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(f"{config.seed} {config.err_sigma}\n")
-        return gen_synthetic(config, solves)
+        return gen_synthetic(config)
 
     monkeypatch.setattr(harness, "gen_synthetic", recording)
     return lambda: path.read_text(encoding="utf-8").splitlines()
@@ -857,20 +891,24 @@ def test_run_experiment_solves_each_subproblem_once_per_seed(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_run_experiment_draws_each_seed_once(monkeypatch, tmp_path, cpus):
     # Every point of the default sweep draws the same jobs, true speeds and
-    # unit-normal errors for a seed; the seed's memo draws them once in each
-    # process that runs the seed's points.  On one CPU that is one process;
-    # in a pool a worker left without an unstarted seed joins a started one
-    # and draws it again, so a seed is drawn once per worker that runs it,
-    # and only a seed still running when the last one starts is shared.
+    # unit-normal errors for a seed; the generator keeps the last draws, and
+    # a process runs a seed's points back to back, so it draws them once in
+    # each process that runs the seed's points.  On one CPU that is one
+    # process; in a pool a worker left without an unstarted seed joins a
+    # started one and draws it again, so a seed is drawn once per worker
+    # that runs it, and only a seed still running when the last one starts
+    # is shared.  A draw, not a kept one, opens the seed's job stream.
     path = tmp_path / "draws"
-    draws = gen._draws
+    substream = gen.substream
 
-    def recording(config):
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()} {config.seed}\n")
-        return draws(config)
+    def recording(seed, tag):
+        if tag == gen._JOBS_TAG:
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {seed}\n")
+        return substream(seed, tag)
 
-    monkeypatch.setattr(gen, "_draws", recording)
+    monkeypatch.setattr(gen, "substream", recording)
+    gen._draws.cache_clear()
     use_cpus(monkeypatch, cpus)
     run_experiment(ExperimentConfig())
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -952,14 +990,14 @@ def test_a_failure_in_a_shared_seed_is_the_serial_one(monkeypatch, tmp_path):
     # whichever worker runs that point.
     parent, path = os.getpid(), tmp_path / "instances"
 
-    def failing(config, solves=None):
+    def failing(config):
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()} {config.seed} {config.err_sigma}\n")
         if config.seed == 1 and os.getpid() != parent:
             time.sleep(0.1)
         if (config.seed, config.err_sigma) in ((0, 18.0), (1, 10.0)):
             raise ValueError(f"seed {config.seed} failed at err_sigma={config.err_sigma}")
-        return gen_synthetic(config, solves)
+        return gen_synthetic(config)
 
     monkeypatch.setattr(harness, "gen_synthetic", failing)
     config = ExperimentConfig(n=6, m=2, instances_per_point=2)
@@ -1315,10 +1353,10 @@ def test_pooled_verify_runs_its_failing_section_once(monkeypatch, tmp_path):
 def test_a_dying_worker_ends_the_run_and_leaves_no_process(monkeypatch):
     parent = os.getpid()
 
-    def dying(config, solves=None):
+    def dying(config):
         if os.getpid() != parent and config.seed == POOL_CONFIGS[0].seed + 1:
             os._exit(9)
-        return gen_synthetic(config, solves)
+        return gen_synthetic(config)
 
     monkeypatch.setattr(harness, "gen_synthetic", dying)
     use_cpus(monkeypatch, 2)
@@ -1390,10 +1428,10 @@ def test_an_interrupted_pool_leaves_no_process(monkeypatch):
     # interrupt repeats every 5 s, so that a run left waiting ends too.
     parent = os.getpid()
 
-    def hanging(config, solves=None):
+    def hanging(config):
         if os.getpid() != parent:
             time.sleep(60)
-        return gen_synthetic(config, solves)
+        return gen_synthetic(config)
 
     def interrupt(signum, frame):
         raise KeyboardInterrupt

@@ -43,6 +43,9 @@ def test_every_exported_name_resolves():
         assert hasattr(speedsched, name), name
 
 
+# A placement of two items on two machines, for consistent_partition.
+_PLACED = lpt_schedule([2.0, 3.0], [1.0, 2.0])
+
 # Each entry point that takes jobs or speeds, with one value replaced by ``x``.
 _VALIDATING_CALLS = {
     "Instance-job": lambda x: Instance(jobs=(2.0, x), true_speeds=(1.0, 2.0),
@@ -56,8 +59,8 @@ _VALIDATING_CALLS = {
     "lpt_schedule-load": lambda x: lpt_schedule([2.0, x], [1.0, 2.0]),
     "lpt_schedule-speed": lambda x: lpt_schedule([2.0, 3.0], [1.0, x]),
     "lpt_partition-job": lambda x: lpt_partition([2.0, x], 2),
-    "consistent_partition-job": lambda x: consistent_partition([2.0, x], [1.0, 2.0]),
-    "consistent_partition-speed": lambda x: consistent_partition([2.0, 3.0], [1.0, x]),
+    "consistent_partition-job": lambda x: consistent_partition([2.0, x], [1.0, 2.0], _PLACED),
+    "consistent_partition-speed": lambda x: consistent_partition([2.0, 3.0], [1.0, x], _PLACED),
     "prediction_error-predicted": lambda x: prediction_error([1.0, x], [1.0, 2.0]),
     "prediction_error-true": lambda x: prediction_error([1.0, 2.0], [1.0, x]),
 }

@@ -11,12 +11,14 @@ from speedsched.gen import SplitMix64, SyntheticConfig, gen_synthetic
 from speedsched.model import (
     Assignment,
     Partition,
+    Schedule,
     bag_load,
     beta_ratio,
     left_sum,
     validate_partition,
 )
 from speedsched.partition import (
+    ConsistentPartition,
     IprConfig,
     _lpt_split,
     _rebalance,
@@ -25,7 +27,7 @@ from speedsched.partition import (
     fluid_ipr,
     lpt_partition,
 )
-from speedsched.solvers import lpt_schedule
+from speedsched.solvers import DEFAULT_NODE_BUDGET, SolveResult, lpt_schedule, schedule
 
 UNIT = 1.0
 
@@ -34,10 +36,20 @@ def bag_loads(part, jobs):
     return [bag_load(b, jobs) for b in part.bags]
 
 
+def trusting(jobs, speeds, solver="exact"):
+    """The prediction-trusting partition of the jobs, solved by ``solver``."""
+    return consistent_partition(jobs, speeds, schedule(jobs, speeds, solver, DEFAULT_NODE_BUDGET))
+
+
 def ipr(jobs, speeds, config):
     """:func:`speedsched.partition.ipr` from the exact prediction-trusting
     partition."""
-    return partition.ipr(jobs, speeds, config, consistent_partition(jobs, speeds))
+    return partition.ipr(jobs, speeds, config, trusting(jobs, speeds))
+
+
+def binary(jobs, m, m_hat):
+    """:func:`binary_speed_partition` from the exact split into ``m_hat`` subsets."""
+    return binary_speed_partition(jobs, m, trusting(jobs, [1.0] * m_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +130,19 @@ def test_lpt_partition_balance_within_two():
 
 
 def test_consistent_partition_pairs_heavy_bags_with_fast_machines():
-    result = consistent_partition([UNIT] * 9, (8.0, 1.0))
+    result = trusting([UNIT] * 9, (8.0, 1.0))
     assert [len(b) for b in result.partition.bags] == [8, 1]
     assert result.opt_c_bar == 1.0
 
 
 def test_consistent_partition_small_example():
-    result = consistent_partition([3.0, 2.0, 2.0], (2.0, 1.0))
+    result = trusting([3.0, 2.0, 2.0], (2.0, 1.0))
     assert result.partition.bags == ((0, 2), (1,))
     assert result.opt_c_bar == 2.5
 
 
 def test_consistent_partition_single_machine():
-    result = consistent_partition([4.0, 1.0], (2.0,))
+    result = trusting([4.0, 1.0], (2.0,))
     assert result.partition.bags == ((0, 1),)
     assert result.opt_c_bar == 2.5
 
@@ -142,22 +154,34 @@ def test_consistent_partition_lpt_solver_close_to_exact():
         m = 1 + rng.next_u64() % 3
         jobs = [0.5 + 9.5 * rng.next_float() for _ in range(n)]
         speeds = [0.5 + 4.0 * rng.next_float() for _ in range(m)]
-        exact = consistent_partition(jobs, speeds, solver="exact")
-        greedy = consistent_partition(jobs, speeds, solver="lpt")
+        exact = trusting(jobs, speeds, "exact")
+        greedy = trusting(jobs, speeds, "lpt")
         validate_partition(greedy.partition, n, m)
         assert exact.opt_c_bar <= greedy.opt_c_bar + 1e-9 * max(1.0, greedy.opt_c_bar)
 
 
-def test_consistent_partition_rejects_bad_solver():
-    with pytest.raises(ValueError):
-        consistent_partition([1.0], (1.0,), solver="greedy")
+def test_consistent_partition_takes_its_placement_as_given():
+    # The bags are the placement's, whatever solved it.
+    jobs, speeds = [3.0, 2.0, 2.0], (2.0, 1.0)
+    placed = SolveResult(Schedule((1, 1, 0), 2), 5.0, optimal=False)
+    result = consistent_partition(jobs, speeds, placed)
+    assert result.partition.bags == ((0, 1), (2,))
+    assert result.opt_c_bar == 2.5
+
+
+@pytest.mark.parametrize("items, machines", [(2, 2), (4, 2), (3, 1), (3, 3), (0, 2)])
+def test_consistent_partition_rejects_a_placement_of_another_shape(items, machines):
+    placed = lpt_schedule([1.0] * items, [1.0] * machines)
+    with pytest.raises(ValueError, match=rf"^placement of {items} items on {machines} machines "
+                                         r"for 3 jobs on 2 predicted speeds$"):
+        consistent_partition([3.0, 2.0, 2.0], (2.0, 1.0), placed)
 
 
 def test_consistent_partition_rejects_bad_speeds():
     with pytest.raises(ValueError):
-        consistent_partition([1.0], (0.0,))
+        consistent_partition([1.0], (0.0,), lpt_schedule([1.0], [1.0]))
     with pytest.raises(ValueError):
-        consistent_partition([1.0], ())
+        consistent_partition([1.0], (), lpt_schedule([1.0], [1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +342,7 @@ def greedy_results_digest():
         res = lpt_schedule(jobs, true)
         digest.update(repr((res.schedule.bag_to_machine, res.makespan.hex())).encode())
         digest.update(repr(lpt_partition(jobs, len(true)).bags).encode())
-        initial = consistent_partition(jobs, pred, "lpt")
+        initial = consistent_partition(jobs, pred, lpt_schedule(jobs, pred))
         digest.update(repr((initial.partition.bags, initial.opt_c_bar.hex())).encode())
         for rho in (2.0, 4.0):
             out = partition.ipr(jobs, pred, IprConfig(alpha=0.5, rho=rho), initial)
@@ -454,31 +478,30 @@ def test_fluid_ipr_rejects_bad_input():
 
 def test_binary_partition_example():
     jobs = [4.0, 3.0, 2.0, 1.0]
-    part = binary_speed_partition(jobs, m=4, m_hat=2)
+    part = binary(jobs, m=4, m_hat=2)
     assert part.bags == ((0,), (3,), (1,), (2,))
     assert bag_loads(part, jobs) == [4.0, 1.0, 3.0, 2.0]
 
 
 def test_binary_partition_uneven_split():
     jobs = [UNIT] * 6
-    part = binary_speed_partition(jobs, m=5, m_hat=2)
+    part = binary(jobs, m=5, m_hat=2)
     assert bag_loads(part, jobs) == [1.0, 1.0, 1.0, 2.0, 1.0]
 
 
 def test_binary_partition_full_prediction_is_plain_split():
     jobs = [4.0, 3.0, 2.0, 1.0]
-    part = binary_speed_partition(jobs, m=2, m_hat=2)
+    part = binary(jobs, m=2, m_hat=2)
     validate_partition(part, 4, 2)
     assert sorted(bag_loads(part, jobs)) == [5.0, 5.0]
 
 
-def test_binary_partition_rejects_bad_counts():
-    with pytest.raises(ValueError):
-        binary_speed_partition([1.0], m=0, m_hat=1)
-    with pytest.raises(ValueError):
-        binary_speed_partition([1.0], m=2, m_hat=0)
-    with pytest.raises(ValueError):
-        binary_speed_partition([1.0], m=2, m_hat=3)
+@pytest.mark.parametrize("m, m_hat", [(0, 1), (2, 0), (2, 3)])
+def test_binary_partition_rejects_bad_counts(m, m_hat):
+    # m_hat is the initial partition's subset count, which must be in 1..m.
+    initial = ConsistentPartition(Partition(((),) * m_hat), 0.0)
+    with pytest.raises(ValueError, match=rf"^initial partition has {m_hat} subsets for {m} "):
+        binary_speed_partition([1.0], m, initial)
 
 
 def test_binary_partition_covers_all_jobs():
@@ -488,5 +511,5 @@ def test_binary_partition_covers_all_jobs():
         m = 1 + rng.next_u64() % 5
         m_hat = 1 + rng.next_u64() % m
         jobs = [0.5 + 9.5 * rng.next_float() for _ in range(n)]
-        part = binary_speed_partition(jobs, m, m_hat)
+        part = binary(jobs, m, m_hat)
         validate_partition(part, n, m)

@@ -463,18 +463,11 @@ def test_capacity_robust_handles_oversized_singletons():
 # ---------------------------------------------------------------------------
 
 
-def test_schedule_memo_keys_on_scheduler_and_item_order():
-    solves = {}
-    first = schedule([3.0, 2.0, 2.0], [2.0, 1.0], "exact", 1000, solves)
-    assert first == exact_schedule([3.0, 2.0, 2.0], [2.0, 1.0], 1000)
-    assert schedule((3.0, 2.0, 2.0), (2.0, 1.0), "exact", 1000, solves) is first
-    # The schedule maps item positions, so another order is another key.
-    reordered = schedule([2.0, 3.0, 2.0], [2.0, 1.0], "exact", 1000, solves)
-    assert reordered is not first and reordered.makespan == first.makespan
-    greedy = schedule([3.0, 2.0, 2.0], [2.0, 1.0], "lpt", 1000, solves)
-    assert greedy == lpt_schedule([3.0, 2.0, 2.0], [2.0, 1.0])
-    assert len(solves) == 3
-    for _ in range(2):
-        with pytest.raises(BudgetExceededError):
-            schedule([3.0, 2.0, 2.0, 1.0], [1.5, 1.0], "exact", 1, solves)
-    assert len(solves) == 3
+def test_schedule_runs_the_named_scheduler():
+    loads, speeds = [3.0, 2.0, 2.0, 1.0], [1.5, 1.0]
+    assert schedule(loads, speeds, "exact", 1000) == exact_schedule(loads, speeds, 1000)
+    assert schedule(loads, speeds, "lpt", 1) == lpt_schedule(loads, speeds)
+    with pytest.raises(BudgetExceededError):
+        schedule(loads, speeds, "exact", 1)
+    with pytest.raises(ValueError, match=r"^scheduler must be one of \('exact', 'lpt'\)$"):
+        schedule(loads, speeds, "greedy", 1000)
