@@ -103,6 +103,10 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
+_ALGO_HELP = ("binary needs an all-or-nothing instance (every speed 0.0 or 1.0); "
+              "one-consistent and ipr need positive predicted speeds; lpt takes any instance")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="speedsched",
@@ -130,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="partition an instance's jobs into bags")
     p.add_argument("--in", dest="infile", required=True, help="instance JSON file")
-    p.add_argument("--algo", choices=ALGORITHMS, default="ipr")
+    p.add_argument("--algo", choices=ALGORITHMS, default="ipr", help=_ALGO_HELP)
     p.add_argument("--alpha", type=float, default=0.5, help="consistency-loss tolerance (ipr)")
     p.add_argument("--rho", type=float, default=4.0, help="bag-balance target (ipr)")
     p.add_argument("--scheduler", choices=SCHEDULERS, default="exact")
@@ -146,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="approximation ratio of one algorithm on one instance")
     p.add_argument("--in", dest="infile", required=True, help="instance JSON file")
-    p.add_argument("--algo", choices=ALGORITHMS, required=True)
+    p.add_argument("--algo", choices=ALGORITHMS, required=True, help=_ALGO_HELP)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--rho", type=float, default=4.0)
     p.add_argument("--scheduler", choices=SCHEDULERS, default="exact")

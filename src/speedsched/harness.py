@@ -11,14 +11,14 @@ no seed left to start joins it).  Both, and ``verify``'s fixed families,
 compute their ratios through one function, ``_instance_ratios``: stage one and
 stage two for every algorithm, then the oracle, each solving through
 ``_solve`` with one ``solves`` memo that also holds the prediction-trusting
-partition ``one-consistent`` and ``ipr`` share.  Its stage one is
-``make_partition``, the one place that decides which partition each
-algorithm builds on, and that solves its start.  ``verify_properties``
-re-checks every structural guarantee the algorithms are supposed to satisfy
-(balance bounds, monotone rebalancing, iteration caps, consistency/robustness
-envelopes, certificate feasibility, oracle agreement) over seeded random
-instances, one section per worker process, and reports the first
-counterexample when one exists.  Both pooled runs go through ``_map_tasks``, which alone hands out
+partition the other algorithms share.  Its stage one is ``make_partition``,
+the one place that decides, by name alone, which partition each algorithm
+builds on, and that solves its start.  ``verify_properties`` re-checks every
+structural guarantee the algorithms are supposed to satisfy (balance bounds,
+monotone rebalancing, iteration caps, consistency/robustness envelopes,
+certificate feasibility, oracle agreement) over seeded random instances, one
+section per worker process, and reports the first counterexample when one
+exists.  Both pooled runs go through ``_map_tasks``, which alone hands out
 the steps and keeps the failure protocol, and give the bytes of a serial run.
 ``theory_curves`` tabulates the guarantee envelopes as functions of the
 consistency knob alpha.
@@ -84,7 +84,7 @@ from .solvers import (
     schedule,
 )
 
-ALGORITHMS = ("one-consistent", "ipr", "lpt")
+ALGORITHMS = ("one-consistent", "ipr", "lpt", "binary")
 ORACLES = ("exact", "lower_bound")
 SWEEP_PARAMS = ("err_sigma", "n", "m", "sigma_p", "sigma_s")
 
@@ -174,21 +174,23 @@ def make_partition(
     """Run the named partitioner on (jobs, predicted speeds).
 
     This is the one place that decides which partition an algorithm builds
-    on, and it solves the partitioner's start.  The algorithm's pinned
-    scheduler, if any, replaces ``scheduler``, whose name is checked; the
-    partition is returned as the partitioner built it, not passed through
-    :func:`~speedsched.model.validate_partition`.  ``lpt`` ignores the
-    speeds.  On :attr:`~speedsched.model.Instance.all_or_nothing` instances
-    ``one-consistent`` is :func:`~speedsched.partition.binary_speed_partition`
-    from the prediction-trusting partition on one unit speed per predicted
-    usable machine (speed 1.0).  Otherwise ``one-consistent`` is the
-    prediction-trusting partition and ``ipr`` starts from it; both reject a
-    prediction with a zero speed before any solve.  ``solves``, when given,
-    memoises across algorithms and instances: the schedules (see
-    :func:`_solve`), the LPT partitions, keyed by ``("lpt_partition", jobs,
-    m)``, and the prediction-trusting partitions, keyed by
-    ``("consistent_partition", scheduler, jobs, speeds)``, so that
-    ``one-consistent`` and ``ipr`` share one.
+    on, by its name alone, and it solves the partitioner's start.  The
+    algorithm's pinned scheduler, if any, replaces ``scheduler``, whose name
+    is checked; the partition is returned as the partitioner built it, not
+    passed through :func:`~speedsched.model.validate_partition`.  ``lpt``
+    ignores the speeds.  ``binary`` is
+    :func:`~speedsched.partition.binary_speed_partition` from the
+    prediction-trusting partition on one unit speed per predicted usable
+    machine (speed 1.0), and rejects an instance that is not
+    :attr:`~speedsched.model.Instance.all_or_nothing`.  ``one-consistent`` is
+    the prediction-trusting partition and ``ipr`` starts from it; both reject
+    a prediction with a zero speed.  Every rejection comes before any solve.
+    ``solves``, when given, memoises across algorithms and instances: the
+    schedules (see :func:`_solve`), the LPT partitions, keyed by
+    ``("lpt_partition", jobs, m)``, and the prediction-trusting partitions,
+    keyed by ``("consistent_partition", scheduler, jobs, speeds)``, so that
+    ``one-consistent`` and ``ipr`` share one, and ``binary`` shares it too
+    when every prediction is 1.0.
     """
     spec = parse_algorithm(algorithm)
     if spec.scheduler is not None:
@@ -208,7 +210,11 @@ def make_partition(
         return _memoised(
             solves, ("lpt_partition", jobs, instance.m), lambda: lpt_partition(jobs, instance.m)
         )
-    if spec.name == "one-consistent" and instance.all_or_nothing:
+    if spec.name == "binary":
+        if not instance.all_or_nothing:
+            raise ValueError(f"binary partitions all-or-nothing instances (every speed 0.0 or 1.0, "
+                             f"some 1.0 in each vector), but instance name={instance.name!r} "
+                             f"seed={instance.seed!r} is not")
         return binary_speed_partition(jobs, instance.m, trusting((1.0,) * predicted.count(1.0)))
     if 0.0 in predicted:
         unusable = [i for i, s in enumerate(predicted) if s == 0.0]
@@ -273,8 +279,10 @@ def _instance_ratios(
     solve through :func:`_solve`, sharing ``solves``.  An exhausted node
     budget names ``where``.  With the exact oracle, a ratio below ``1 - 1e-9``
     fails loudly: the oracle would not be one.  With ``failure_context``, an
-    algorithm's error other than an exhausted node budget is re-raised as a
-    :class:`RuntimeError` that names ``failure_context(spec)``.
+    algorithm's error other than an exhausted node budget is re-raised with
+    a message that names ``failure_context(spec)``: a ``ValueError`` (an
+    input the algorithm rejects) as a ``ValueError``, any other as a
+    :class:`RuntimeError`.
     """
     speeds = instance.usable_speeds
     makespans = []
@@ -285,12 +293,11 @@ def _instance_ratios(
                 loads = [bag_load(bag, instance.jobs) for bag in part.bags]
                 stage2 = spec.scheduler or scheduler
                 makespans.append(_solve(solves, loads, speeds, stage2, node_budget).makespan)
-            except BudgetExceededError:
-                raise
             except Exception as exc:
-                if failure_context is None:
+                if failure_context is None or isinstance(exc, BudgetExceededError):
                     raise
-                raise RuntimeError(f"evaluation failed at {failure_context(spec)}: {exc}") from exc
+                kind = ValueError if isinstance(exc, ValueError) else RuntimeError
+                raise kind(f"evaluation failed at {failure_context(spec)}: {exc}") from exc
         ref = oracle_value(instance, oracle, node_budget, solves)
     ratios = [alg / ref for alg in makespans]
     for ratio in ratios:
@@ -1010,7 +1017,9 @@ def _check_fluid(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]
 
 
 def _check_all_or_nothing(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
-    """All-or-nothing speeds: the stage-one bag bound and the merge lemma."""
+    """All-or-nothing speeds: the stage-one bag bound of ``binary``, its
+    partition formed by :func:`make_partition` as the CLI forms it, and the
+    merge lemma."""
     rng = substream(seed, 108)
     for _ in range(trials):
         n = 1 + rng.next_u64() % 12
@@ -1020,11 +1029,12 @@ def _check_all_or_nothing(seed: int, trials: int, node_budget: int) -> Iterator[
         dist = Dist.uniform(0.0, 100.0)
         jrng = SplitMix64(rng.next_u64())
         jobs = [max(dist.sample(jrng), CLAMP_FLOOR) for _ in range(n)]
+        true, predicted = ((1.0,) * k + (0.0,) * (m - k) for k in (m_zero, m_hat))
+        inst = Instance(tuple(jobs), true, predicted)
         # Up to three solves on identical machines (m_hat, m and m_zero of
         # them), one per distinct machine count.
         solves: dict[tuple, Any] = {}
-        placed = _solve(solves, jobs, [1.0] * m_hat, "exact", node_budget)
-        part = binary_speed_partition(jobs, m, consistent_partition(jobs, [1.0] * m_hat, placed))
+        part = make_partition(inst, "binary", "exact", node_budget, solves)
         loads = [bag_load(b, jobs) for b in part.bags]
         opt_m = _solve(solves, jobs, [1.0] * m, "exact", node_budget).makespan
         yield (
@@ -1108,6 +1118,7 @@ def _check_families(seed: int, trials: int, node_budget: int) -> Iterator[_Verdi
         return _instance_ratios(inst, specs, "exact", "exact", node_budget, solves, where)
 
     consistent = [AlgorithmSpec("one-consistent")]
+    binary = [AlgorithmSpec("binary")]
     for m in (2, 3):
         for n in range(m + 1, 13):
             inst = gen_prop1_instance(n, m)
@@ -1130,7 +1141,7 @@ def _check_families(seed: int, trials: int, node_budget: int) -> Iterator[_Verdi
             )
     for k in (1, 2, 3):
         inst = gen_binary_lb_instance(k)
-        ratio = ratios_on(inst, consistent)[0]
+        ratio = ratios_on(inst, binary)[0]
         yield (
             "binary-family-benchmark-floor",
             ratio >= 4.0 / 3.0 - 1e-9,

@@ -252,8 +252,18 @@ def test_schedule_skips_unusable_machines(tmp_path, capsys):
 
 def test_evaluate_all_or_nothing_instance(tmp_path, capsys):
     inst = write_all_or_nothing_instance(tmp_path, (1.0, 1.0, 0.0, 0.0))
-    assert main(["evaluate", "--in", str(inst), "--algo", "one-consistent"]) == 0
+    assert main(["evaluate", "--in", str(inst), "--algo", "binary"]) == 0
     assert float(capsys.readouterr().out) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "partition"])
+def test_binary_rejects_related_instance(tmp_path, capsys, command):
+    inst = write_instance(tmp_path, "related", [3.0, 2.0, 2.0], [2.0, 1.0], [1.0, 1.0])
+    assert main([command, "--in", str(inst), "--algo", "binary"]) == 2
+    assert capsys.readouterr().err == (
+        "error: binary partitions all-or-nothing instances (every speed 0.0 or 1.0, some 1.0 "
+        "in each vector), but instance name='related' seed=None is not\n"
+    )
 
 
 def test_evaluate_ipr_rejects_predicted_unusable_machines(tmp_path, capsys):
@@ -264,12 +274,16 @@ def test_evaluate_ipr_rejects_predicted_unusable_machines(tmp_path, capsys):
 
 
 def test_evaluate_one_consistent_rejects_predicted_unusable_machines(tmp_path, capsys):
-    # A related-speed instance (true speed 2.0), so 0.0 cannot mean an
-    # all-or-nothing prediction; the error names the algorithm and machine.
-    inst = write_instance(tmp_path, "dead", [3.0, 3.0, 2.0, 2.0], [1.0, 1.0, 2.0], [1.0, 0.0, 2.0])
-    assert main(["evaluate", "--in", str(inst), "--algo", "one-consistent"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: one-consistent ") and "machines [1] unusable" in err
+    # one-consistent partitions on positive predicted speeds whatever the
+    # true speeds are, related (2.0) or all-or-nothing, which is binary's
+    # input; the error names the algorithm and machine.
+    for true_speeds, predicted in (([1.0, 1.0, 2.0], [1.0, 0.0, 2.0]),
+                                   ([1.0, 1.0, 0.0], [1.0, 0.0, 1.0])):
+        inst = write_instance(tmp_path, "dead", [3.0, 3.0, 2.0, 2.0], true_speeds, predicted)
+        assert main(["evaluate", "--in", str(inst), "--algo", "one-consistent"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: one-consistent ") and "machines [1] unusable" in err
+    assert main(["evaluate", "--in", str(inst), "--algo", "binary"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -674,18 +688,33 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: invariant broken\n"
 
 
-def test_experiment_evaluation_failure_exit_code(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("error, code", [(ValueError, 2), (RuntimeError, 4)])
+def test_experiment_evaluation_failure_exit_code(tmp_path, monkeypatch, capsys, error, code):
+    # An input an algorithm rejects is a usage error, as through evaluate;
+    # any other error is internal.  Both name the point, algorithm and seed.
     def broken(jobs, k):
-        raise ValueError("boom")
+        raise error("boom")
 
     monkeypatch.setattr(harness, "lpt_partition", broken)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(
         {"n": 4, "m": 2, "sweep_values": [0.0], "instances_per_point": 1, "algorithms": ["lpt"]}
     ))
-    assert main(["experiment", "--config", str(path)]) == 4
+    assert main(["experiment", "--config", str(path)]) == code
     assert capsys.readouterr().err == (
         "error: evaluation failed at err_sigma=0.0, algorithm=lpt, seed=0: boom\n"
+    )
+
+
+def test_experiment_binary_on_related_sweep_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 6, "m": 2, "instances_per_point": 2, "sweep_values": [0, 5],
+                                "algorithms": ["binary"]}))
+    assert main(["experiment", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: evaluation failed at err_sigma=0.0, algorithm=binary, seed=0: binary partitions "
+        "all-or-nothing instances (every speed 0.0 or 1.0, some 1.0 in each vector), but "
+        "instance name='synthetic-n6-m2-seed0' seed=0 is not\n"
     )
 
 

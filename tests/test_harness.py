@@ -193,7 +193,11 @@ def test_near_one_half_speed_is_a_related_speed():
     assert not inst.all_or_nothing
     assert oracle_value(inst, "exact") == 7.0
     for algo in ALGORITHMS:
-        assert evaluate(inst, algo) == pytest.approx(10.0 / 7.0)
+        if algo == "binary":
+            with pytest.raises(ValueError, match="^binary partitions all-or-nothing instances"):
+                evaluate(inst, algo)
+        else:
+            assert evaluate(inst, algo) == pytest.approx(10.0 / 7.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +235,53 @@ def test_make_partition_one_consistent_uses_predictions():
 
 
 def test_make_partition_routes_binary_instances():
-    inst = gen_binary_lb_instance(1)
-    initial = consistent_partition(inst.jobs, [1.0] * 3, exact_schedule(inst.jobs, [1.0] * 3))
-    expected = binary_speed_partition(inst.jobs, inst.m, initial)
-    assert make_partition(inst, "one-consistent") == expected
+    # m_hat, the machines predicted usable, is 3 of 3, then 2 of 3: the
+    # split into m_hat subsets, then into three bags.
+    for inst, m_hat in ((gen_binary_lb_instance(1), 3),
+                        (small_instance([4.0, 3.0, 2.0, 1.0], (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)), 2)):
+        speeds = [1.0] * m_hat
+        initial = consistent_partition(inst.jobs, speeds, exact_schedule(inst.jobs, speeds))
+        expected = binary_speed_partition(inst.jobs, inst.m, initial)
+        assert make_partition(inst, "binary") == expected
+
+
+def test_make_partition_rejects_binary_on_related_instances(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("solved before rejecting")
+
+    monkeypatch.setattr(harness, "schedule", unexpected)
+    monkeypatch.setattr(harness, "consistent_partition", unexpected)
+    monkeypatch.setattr(harness, "binary_speed_partition", unexpected)
+    related = small_instance([3.0, 2.0, 2.0], (2.0, 1.0), (1.0, 1.0), name="rel", seed=5)
+    # A 0/1 prediction is not enough: the true speeds must be 0.0 or 1.0 too.
+    for inst in (related, small_instance([3.0, 2.0], (1.0, 0.5), (1.0, 0.0), name="half")):
+        assert not inst.all_or_nothing
+        with pytest.raises(
+            ValueError, match=rf"^binary partitions .* instance name={inst.name!r} seed="
+        ):
+            make_partition(inst, "binary")
+
+
+def test_binary_equals_one_consistent_when_every_prediction_is_one():
+    # With every predicted speed 1.0, m_hat = m, so binary splits the
+    # prediction-trusting partition's m subsets into one bag each: the same
+    # partition, the identity that keeps a 0/1 instance's bytes.
+    rng = SplitMix64(23)
+    for _ in range(200):
+        n = 1 + rng.next_u64() % 9
+        m = 1 + rng.next_u64() % 4
+        jobs = [max(100.0 * rng.next_float(), 1e-3) for _ in range(n)]
+        true = [float(rng.next_u64() % 2) for _ in range(m)]
+        true[rng.next_u64() % m] = 1.0
+        inst = small_instance(jobs, true, [1.0] * m)
+        assert inst.all_or_nothing
+        for scheduler in ("exact", "lpt"):
+            solves = {}
+            trusted = make_partition(inst, "one-consistent", scheduler, solves=solves)
+            assert make_partition(inst, "binary", scheduler) == trusted
+            # Shared, not solved twice.
+            assert make_partition(inst, "binary", scheduler, solves=solves) == trusted
+            assert len(solves) == 2
 
 
 def test_make_partition_ipr_matches_direct_call():
@@ -253,10 +300,13 @@ def test_make_partition_rejects_ipr_on_predicted_unusable_machines(monkeypatch):
     monkeypatch.setattr(harness, "consistent_partition", unexpected)
     inst = small_instance([3.0, 3.0, 2.0, 2.0], (1.0, 1.0, 0.0), (1.0, 0.0, 1.0))
     assert inst.all_or_nothing
-    with pytest.raises(ValueError, match=r"^ipr .* machines \[1\] unusable"):
-        make_partition(inst, "ipr")
+    # An all-or-nothing instance: binary takes it, and one-consistent, which
+    # partitions on positive predicted speeds, rejects it like ipr.
+    for algorithm in ("one-consistent", "ipr"):
+        with pytest.raises(ValueError, match=rf"^{algorithm} .* machines \[1\] unusable"):
+            make_partition(inst, algorithm)
     monkeypatch.undo()
-    assert evaluate(inst, "one-consistent") == 1.0
+    assert evaluate(inst, "binary") == 1.0
     assert evaluate(inst, "lpt") == pytest.approx(1.2)
 
 
@@ -361,7 +411,7 @@ def test_evaluate_consistency_trap_trio():
 
 
 def test_evaluate_binary_lb_family():
-    assert evaluate(gen_binary_lb_instance(2), "one-consistent") == pytest.approx(4.0 / 3.0)
+    assert evaluate(gen_binary_lb_instance(2), "binary") == pytest.approx(4.0 / 3.0)
 
 
 def test_evaluate_binary_schedules_bags_on_usable_machines():
@@ -373,13 +423,13 @@ def test_evaluate_binary_schedules_bags_on_usable_machines():
         (1.0, 1.0, 0.0, 0.0),
         (1.0, 1.0, 1.0, 1.0),
     )
-    assert evaluate(inst, "one-consistent") == 1.0
+    assert evaluate(inst, "binary") == 1.0
     inst = small_instance(
         [3.0, 3.0, 2.0, 2.0, 2.0],
         (1.0, 1.0, 0.0, 0.0, 0.0),
         (1.0, 1.0, 1.0, 1.0, 1.0),
     )
-    assert evaluate(inst, "one-consistent") == 1.0
+    assert evaluate(inst, "binary") == 1.0
 
 
 def test_evaluate_never_below_one_with_exact_oracle():

@@ -23,7 +23,7 @@ from speedsched.harness import ExperimentConfig
 from speedsched.model import Instance, Partition
 
 STRINGS = ("", "x", "1", "NaN", "uniform", "normal", "kind", "name", "exact", "lpt",
-           "lower_bound", "ipr", "one-consistent", "err_sigma", "n", "m", "sigma_p",
+           "lower_bound", "ipr", "one-consistent", "binary", "err_sigma", "n", "m", "sigma_p",
            "sigma_s")
 NUMBERS = (0, 1, -1, 2, 3, -5, 6.5, 0.0, -0.0, 0.5, 1e-300, 2**53 + 1, 2**63, 10**400,
            -(10**400), 1e300, 1.7e308, -1.7e308, math.nan, math.inf, -math.inf)

@@ -301,6 +301,16 @@ def test_ipr_rejects_initial_with_wrong_bag_count():
         partition.ipr([UNIT] * 3, (1.0, 1.0), IprConfig(alpha=0.5), initial)
 
 
+@pytest.mark.parametrize("jobs", [[3.0, 2.0], [3.0, 2.0, 2.0, 9.0]])
+def test_ipr_rejects_a_start_formed_for_other_jobs(jobs):
+    # The start of [3, 2, 2] on two unit speeds has the right bag count but
+    # holds three jobs: with two, job 2 is no job; with four, job 3 is in no
+    # bag.
+    initial = trusting([3.0, 2.0, 2.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match=rf"^initial partition holds 3 jobs, not {len(jobs)}$"):
+        partition.ipr(jobs, (1.0, 1.0), IprConfig(alpha=0.5), initial)
+
+
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_ipr_rejects_bad_jobs(bad):
     # Rejected before the loop: no negative load in b_min_history, no NaN
@@ -502,6 +512,12 @@ def test_binary_partition_rejects_bad_counts(m, m_hat):
     initial = ConsistentPartition(Partition(((),) * m_hat), 0.0)
     with pytest.raises(ValueError, match=rf"^initial partition has {m_hat} subsets for {m} "):
         binary_speed_partition([1.0], m, initial)
+
+
+def test_binary_partition_rejects_a_start_formed_for_other_jobs():
+    initial = trusting([3.0, 2.0, 2.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^initial partition holds 3 jobs, not 4$"):
+        binary_speed_partition([3.0, 2.0, 2.0, 9.0], 2, initial)
 
 
 def test_binary_partition_covers_all_jobs():
