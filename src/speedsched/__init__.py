@@ -18,22 +18,18 @@ from .gen import (
     gen_tradeoff_instance,
     normal_inv_cdf,
     substream,
-    synthetic_batch,
 )
 from .harness import (
     AlgorithmSpec,
     CurveRow,
     ExperimentConfig,
     ExperimentRow,
-    MetricsReport,
     PropertyCheck,
-    curves_to_csv,
     evaluate,
     make_partition,
     oracle_value,
-    rows_to_csv,
     run_experiment,
-    theory_curves,
+    theory_curve,
     verify_properties,
 )
 from .model import (
@@ -45,14 +41,7 @@ from .model import (
     Schedule,
     bag_load,
     beta_ratio,
-    instance_from_json,
-    instance_to_json,
-    load_instance,
-    load_partition,
-    partition_from_json,
-    partition_to_json,
     prediction_error,
-    save_instance,
     validate_partition,
 )
 from .partition import (
@@ -97,7 +86,6 @@ __all__ = [
     "IprConfig",
     "IprResult",
     "IprState",
-    "MetricsReport",
     "Partition",
     "PropertyCheck",
     "Schedule",
@@ -110,7 +98,6 @@ __all__ = [
     "brute_force_makespan",
     "capacity_robust_schedule",
     "consistent_partition",
-    "curves_to_csv",
     "evaluate",
     "exact_schedule",
     "fluid_ipr",
@@ -118,11 +105,7 @@ __all__ = [
     "gen_prop1_instance",
     "gen_synthetic",
     "gen_tradeoff_instance",
-    "instance_from_json",
-    "instance_to_json",
     "ipr",
-    "load_instance",
-    "load_partition",
     "lpt_partition",
     "lpt_schedule",
     "make_partition",
@@ -130,15 +113,10 @@ __all__ = [
     "normal_inv_cdf",
     "opt_lower_bound",
     "oracle_value",
-    "partition_from_json",
-    "partition_to_json",
     "prediction_error",
-    "rows_to_csv",
     "run_experiment",
-    "save_instance",
     "substream",
-    "synthetic_batch",
-    "theory_curves",
+    "theory_curve",
     "validate_partition",
     "verify_properties",
 ]

@@ -15,10 +15,12 @@ loop's safety bound; each means a bug in this package).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import sys
-from typing import Sequence
+from typing import Any, Iterable, Sequence
 
 from .gen import (
     Dist,
@@ -27,31 +29,21 @@ from .gen import (
     gen_prop1_instance,
     gen_synthetic,
     gen_tradeoff_instance,
-    synthetic_batch,
 )
 from .harness import (
     ALGORITHMS,
     ORACLES,
     AlgorithmSpec,
+    CurveRow,
     ExperimentConfig,
-    csv_text,
-    curves_to_csv,
+    ExperimentRow,
     evaluate,
     make_partition,
-    rows_to_csv,
     run_experiment,
-    theory_curves,
+    theory_curve,
     verify_properties,
 )
-from .model import (
-    bag_load,
-    instance_to_json,
-    load_instance,
-    load_partition,
-    partition_to_json,
-    save_instance,
-    validate_partition,
-)
+from .model import Instance, Partition, bag_load, validate_partition
 from .solvers import DEFAULT_NODE_BUDGET, SCHEDULERS, BudgetExceededError, schedule
 
 EXIT_OK = 0
@@ -59,6 +51,38 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+
+
+def _read(path: str, kind: type) -> Any:
+    """The ``kind`` (:class:`Instance`, :class:`Partition` or
+    :class:`ExperimentConfig`) that the JSON file at ``path`` states."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    return kind.from_json_dict(doc)
+
+
+def _json(doc: object) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _csv(header: Iterable[str], rows: Iterable[Iterable[object]]) -> str:
+    """CSV text: ``header``, then one line per row of ``rows``, each line ending
+    in a bare newline.  ``None`` is written as an empty field and a float as
+    its ``repr``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _table(kind: type, rows: Iterable[object]) -> str:
+    """A CSV of dataclass ``rows``, headed by the field names of ``kind``."""
+    return _csv([f.name for f in dataclasses.fields(kind)], map(dataclasses.astuple, rows))
+
 
 def _write(text: str, path: str | None) -> None:
     if path is None or path == "-":
@@ -194,17 +218,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             err_sigma=args.err_sigma,
             seed=args.seed,
         )
-        if args.count == 1:
-            _write(instance_to_json(gen_synthetic(config)), args.out)
+        if args.count > 1:
+            if args.out is None or "{seed}" not in args.out:
+                raise ValueError("--count > 1 needs --out with a {seed} placeholder")
+            for seed in range(args.seed, args.seed + args.count):
+                instance = gen_synthetic(dataclasses.replace(config, seed=seed))
+                path = args.out.replace("{seed}", str(seed))
+                _write(_json(instance.to_json_dict()), path)
+                print(path)
             return EXIT_OK
-        if args.out is None or "{seed}" not in args.out:
-            raise ValueError("--count > 1 needs --out with a {seed} placeholder")
-        for instance in synthetic_batch(config, args.count):
-            path = args.out.replace("{seed}", str(instance.seed))
-            save_instance(instance, path)
-            print(path)
-        return EXIT_OK
-    if args.kind == "prop1":
+        instance = gen_synthetic(config)
+    elif args.kind == "prop1":
         instance = gen_prop1_instance(
             args.n if args.n is not None else 10, args.m if args.m is not None else 2
         )
@@ -212,7 +236,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         instance = gen_tradeoff_instance(args.m if args.m is not None else 4)
     else:
         instance = gen_binary_lb_instance(args.k if args.k is not None else 2)
-    _write(instance_to_json(instance), args.out)
+    _write(_json(instance.to_json_dict()), args.out)
     return EXIT_OK
 
 
@@ -221,17 +245,17 @@ def _algorithm_from_args(args: argparse.Namespace) -> AlgorithmSpec:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    instance = load_instance(args.infile)
+    instance = _read(args.infile, Instance)
     part = make_partition(
         instance, _algorithm_from_args(args), scheduler=args.scheduler, node_budget=args.node_budget
     )
-    _write(partition_to_json(part), args.out)
+    _write(_json(part.to_json_dict()), args.out)
     return EXIT_OK
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    instance = load_instance(args.infile)
-    part = load_partition(args.partition)
+    instance = _read(args.infile, Instance)
+    part = _read(args.partition, Partition)
     validate_partition(part, instance.n, instance.m)
     loads = [bag_load(bag, instance.jobs) for bag in part.bags]
     result = schedule(loads, instance.usable_speeds, args.scheduler, args.node_budget)
@@ -241,34 +265,26 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         "bag_to_machine": [usable[i] for i in result.schedule.bag_to_machine],
         "optimal": result.optimal,
     }
-    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    _write(_json(doc), args.out)
     return EXIT_OK
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    instance = load_instance(args.infile)
+    instance = _read(args.infile, Instance)
     spec = _algorithm_from_args(args)
-    ratio = evaluate(
-        instance,
-        spec,
-        scheduler=args.scheduler,
-        oracle=args.oracle,
-        node_budget=args.node_budget,
-    )
+    ratio = evaluate(instance, spec, scheduler=args.scheduler, oracle=args.oracle,
+                     node_budget=args.node_budget)
+    doc = {
+        "instance": instance.name,
+        "algorithm": spec.label,
+        "scheduler": args.scheduler,
+        "oracle_kind": args.oracle,
+        "ratio": ratio,
+    }
     if args.format == "json":
-        doc = {
-            "instance": instance.name,
-            "algorithm": spec.label,
-            "scheduler": args.scheduler,
-            "oracle_kind": args.oracle,
-            "ratio": ratio,
-        }
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json(doc)
     elif args.format == "csv":
-        text = csv_text(
-            ["instance", "algorithm", "scheduler", "oracle_kind", "ratio"],
-            [[instance.name or "", spec.label, args.scheduler, args.oracle, repr(ratio)]],
-        )
+        text = _csv(doc, [doc.values()])
     else:
         text = f"{ratio!r}\n"
     _write(text, args.out)
@@ -276,37 +292,35 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = ExperimentConfig.from_json_dict(json.load(fh))
-    else:
-        config = ExperimentConfig()
+    config = ExperimentConfig() if args.config is None else _read(args.config, ExperimentConfig)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     rows = run_experiment(config)
     if args.format == "json":
-        text = json.dumps([dataclasses.asdict(r) for r in rows], indent=2) + "\n"
+        text = _json(list(map(dataclasses.asdict, rows)))
     else:
-        text = rows_to_csv(rows)
+        text = _table(ExperimentRow, rows)
     _write(text, args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_properties(seed=args.seed, trials=args.trials, node_budget=args.node_budget)
+    checks = verify_properties(seed=args.seed, trials=args.trials, node_budget=args.node_budget)
     lines = []
-    for prop in report.properties:
+    for prop in checks:
         status = "PASS" if prop.ok else "FAIL"
         line = f"{status} {prop.name} ({prop.passed}/{prop.trials})"
         if not prop.ok and prop.counterexample:
             line += "\n  counterexample: " + " ".join(prop.counterexample.split())
         lines.append(line)
-    n_ok = sum(1 for prop in report.properties if prop.ok)
-    lines.append(f"{n_ok}/{len(report.properties)} properties passed")
+    n_ok = sum(1 for prop in checks if prop.ok)
+    lines.append(f"{n_ok}/{len(checks)} properties passed")
     print("\n".join(lines))
+    all_passed = n_ok == len(checks)
     if args.out is not None:
-        _write(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
-    return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
+        doc = {"all_passed": all_passed, "properties": list(map(dataclasses.asdict, checks))}
+        _write(_json(doc), args.out)
+    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
@@ -316,7 +330,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         raise ValueError(f"--alphas must be comma-separated numbers, got {args.alphas!r}") from None
     if not alphas:
         raise ValueError("--alphas is empty")
-    _write(curves_to_csv(theory_curves(alphas)), args.out)
+    _write(_table(CurveRow, map(theory_curve, alphas)), args.out)
     return EXIT_OK
 
 

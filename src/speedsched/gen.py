@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import Instance, is_json_number, json_object
 
 CLAMP_FLOOR = 1e-3
-# The largest job or machine count of a synthetic instance, so that its draws
-# fit in memory: a config asking for more is rejected before any draw.
+# The largest job or machine count of a generated instance, so that it fits
+# in memory: a shape asking for more is rejected before any draw or tuple.
 MAX_SHAPE = 1_000_000
 
 _MASK64 = (1 << 64) - 1
@@ -302,6 +302,8 @@ def gen_prop1_instance(n: int, m: int) -> Instance:
         raise ValueError("need m >= 2")
     if n <= m:
         raise ValueError("need n > m")
+    if n > MAX_SHAPE:
+        raise ValueError(f"need n <= {MAX_SHAPE}")
     return Instance(
         jobs=(1.0,) * n,
         true_speeds=(1.0,) * m,
@@ -317,6 +319,8 @@ def gen_tradeoff_instance(m: int) -> Instance:
     simultaneously near-consistent and near-robust on it."""
     if m < 2:
         raise ValueError("need m >= 2")
+    if 2 * m - 1 > MAX_SHAPE:
+        raise ValueError(f"need m <= {(MAX_SHAPE + 1) // 2} (2m - 1 jobs)")
     return Instance(
         jobs=(1.0,) * (2 * m - 1),
         true_speeds=(1.0,) * m,
@@ -331,6 +335,8 @@ def gen_binary_lb_instance(k: int) -> Instance:
     speeds 1.0, 1.0, 0.0)."""
     if k < 1:
         raise ValueError("need k >= 1")
+    if 6 * k > MAX_SHAPE:
+        raise ValueError(f"need k <= {MAX_SHAPE // 6} (6k jobs)")
     return Instance(
         jobs=(1.0,) * (6 * k),
         true_speeds=(1.0, 1.0, 0.0),
@@ -338,9 +344,3 @@ def gen_binary_lb_instance(k: int) -> Instance:
         name=f"binary-lb-k{k}",
     )
 
-
-def synthetic_batch(config: SyntheticConfig, count: int) -> list[Instance]:
-    """Instances for seeds ``seed, seed + 1, ...`` (used by `gen --count`)."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    return [gen_synthetic(replace(config, seed=config.seed + i)) for i in range(count)]

@@ -5,7 +5,7 @@ predicted speeds, schedule the bags on true speeds, divide by an oracle value.
 ``run_experiment`` sweeps a parameter over instance seeds in worker processes,
 to which the calling process hands out the work one sweep point of one seed at
 a time, receiving each result as its step ends, and aggregates mean/std
-ratios into deterministic CSV rows; a seed solves every scheduling
+ratios into deterministic rows; a seed solves every scheduling
 subproblem once in each worker that runs its points (one, unless a worker with
 no seed left to start joins it).  Both, and ``verify``'s fixed families,
 compute their ratios through one function, ``_instance_ratios``: stage one and
@@ -20,21 +20,21 @@ certificate feasibility, oracle agreement) over seeded random instances, one
 section per worker process, and reports the first counterexample when one
 exists.  Both pooled runs go through ``_map_tasks``, which alone hands out
 the steps and keeps the failure protocol, and give the bytes of a serial run.
-``theory_curves`` tabulates the guarantee envelopes as functions of the
-consistency knob alpha.
+``theory_curve`` gives the guarantee envelopes at one value of the
+consistency knob alpha.  The module returns values; the CLI writes them as
+CSV or JSON.
 """
 
 from __future__ import annotations
 
 import bisect
 import contextlib
-import csv
 import functools
-import io
+import json
 import math
 import os
 import threading
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .gen import (
@@ -54,7 +54,6 @@ from .model import (
     Partition,
     bag_load,
     beta_ratio,
-    instance_to_json,
     is_json_number,
     json_object,
     left_sum,
@@ -469,9 +468,6 @@ class ExperimentRow:
     oracle_kind: str
 
 
-EXPERIMENT_CSV_HEADER = tuple(f.name for f in fields(ExperimentRow))
-
-
 def _seed_ratios(
     config: ExperimentConfig, inst_seed: int
 ) -> Iterator[tuple[int, Callable[[], list[float]]]]:
@@ -722,20 +718,6 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     return rows
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """CSV text: ``header``, then one line per row of ``rows``, each line ending
-    in a bare newline.  Floats are written as their ``repr``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
-    return csv_text(EXPERIMENT_CSV_HEADER, map(astuple, rows))
-
-
 # ---------------------------------------------------------------------------
 # Theory curves
 # ---------------------------------------------------------------------------
@@ -748,9 +730,6 @@ class CurveRow:
     robustness_general: float
     robustness_equal_jobs: float
     robustness_fluid: float
-
-
-CURVES_CSV_HEADER = tuple(f.name for f in fields(CurveRow))
 
 
 def theory_curve(alpha: float) -> CurveRow:
@@ -768,15 +747,6 @@ def theory_curve(alpha: float) -> CurveRow:
     )
 
 
-def theory_curves(alphas: Sequence[float]) -> list[CurveRow]:
-    """:func:`theory_curve` at each alpha."""
-    return list(map(theory_curve, alphas))
-
-
-def curves_to_csv(rows: Sequence[CurveRow]) -> str:
-    return csv_text(CURVES_CSV_HEADER, map(astuple, rows))
-
-
 # ---------------------------------------------------------------------------
 # Property verification
 # ---------------------------------------------------------------------------
@@ -792,20 +762,6 @@ class PropertyCheck:
     @property
     def ok(self) -> bool:
         return self.passed == self.trials
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """The property verdicts of one :func:`verify_properties` run."""
-
-    properties: tuple[PropertyCheck, ...] = ()
-
-    @property
-    def all_passed(self) -> bool:
-        return all(p.ok for p in self.properties)
-
-    def to_json_dict(self) -> dict:
-        return {"all_passed": self.all_passed, "properties": list(map(asdict, self.properties))}
 
 
 def _le(a: float, b: float) -> bool:
@@ -846,7 +802,7 @@ def random_small_instance(
 
 
 def _dump(instance: Instance, extra: str = "") -> str:
-    text = instance_to_json(instance).strip()
+    text = json.dumps(instance.to_json_dict(), indent=2)
     return f"{extra + '; ' if extra else ''}instance: {text}"
 
 
@@ -1221,15 +1177,16 @@ def verify_properties(
     seed: int = 0,
     trials: int = 200,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> MetricsReport:
+) -> tuple[PropertyCheck, ...]:
     """Check every structural property over ``trials`` random small instances
     each, plus the fixed adversarial families.  Failures are reported as data
-    (pass counts + first counterexample), never raised.
+    (one :class:`PropertyCheck` per property: pass count and first
+    counterexample), never raised.
 
     The properties come in sections, each with its own substream of ``seed``,
     run as :func:`_section_checks` tasks of :func:`_map_tasks`, heaviest
     first, on the CPUs this process may use (``taskset -c 0`` runs them here,
-    in order).  The report lists their checks in report order, so it does not
+    in order).  The checks come in report order, so it does not
     depend on the number of CPUs, and an error a section raises (an exhausted
     node budget, an invalid partition) is the one a serial run meets first.
     The families section computes its ratios through
@@ -1241,6 +1198,4 @@ def verify_properties(
     results = _map_tasks(
         functools.partial(_section_checks, seed, trials, node_budget), _HEAVIEST_FIRST
     )
-    return MetricsReport(
-        properties=tuple(c for position in sorted(results) for c in results[position])
-    )
+    return tuple(c for position in sorted(results) for c in results[position])

@@ -6,8 +6,10 @@ grouped, and the *true* speeds revealed afterwards.  Jobs are first partitioned
 into bags (one future machine-load unit each); bags are later placed on machines
 without being split.  This module defines the containers (:class:`Partition`,
 :class:`Assignment`, :class:`Schedule`, :class:`IprState`), the measurements on
-them (bag loads, the bag-balance ratio, the prediction-error factor), and
-deterministic JSON round-trips for instances and partitions.
+them (bag loads, the bag-balance ratio, the prediction-error factor), and the
+JSON objects of instances and partitions (``to_json_dict`` /
+``from_json_dict``, bit-exact: a float's ``repr`` parses back equal); the CLI
+reads and writes the files.
 
 All validation is eager: malformed data raises ``ValueError`` (or ``IndexError``
 for out-of-range job indices) before it can enter a computation.
@@ -15,7 +17,6 @@ for out-of-range job indices) before it can enter a computation.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import sys
@@ -361,39 +362,3 @@ def validate_partition(partition: Partition, n: int, m: int) -> None:
     if len(seen) != n:
         missing = sorted(set(range(n)) - seen)
         raise ValueError(f"jobs missing from partition: {missing[:8]}")
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trips (bit-exact: floats serialize via repr and parse back equal)
-# ---------------------------------------------------------------------------
-
-
-def instance_to_json(instance: Instance) -> str:
-    return json.dumps(instance.to_json_dict(), indent=2) + "\n"
-
-
-def instance_from_json(text: str) -> Instance:
-    return Instance.from_json_dict(json.loads(text))
-
-
-def save_instance(instance: Instance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(instance_to_json(instance))
-
-
-def load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(fh.read())
-
-
-def partition_to_json(partition: Partition) -> str:
-    return json.dumps(partition.to_json_dict(), indent=2) + "\n"
-
-
-def partition_from_json(text: str) -> Partition:
-    return Partition.from_json_dict(json.loads(text))
-
-
-def load_partition(path: str) -> Partition:
-    with open(path, "r", encoding="utf-8") as fh:
-        return partition_from_json(fh.read())

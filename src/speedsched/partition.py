@@ -124,12 +124,16 @@ def consistent_partition(
     return ConsistentPartition(Partition(tuple(tuple(bags[i]) for i in order)), opt_c_bar)
 
 
-def _check_start_size(initial: ConsistentPartition, n: int) -> None:
-    """Reject a start formed for other jobs: one whose bags do not hold ``n``
-    jobs in all (a count, cheap at a thousand jobs)."""
-    held = sum(map(len, initial.partition.bags))
+def _check_start_jobs(initial: ConsistentPartition, n: int) -> None:
+    """Reject a start formed for other jobs: its bags must hold each job index
+    ``0..n-1`` once.  A count, each sorted bag's ends and one set union keep
+    it cheap at a thousand jobs."""
+    bags = initial.partition.bags
+    held = sum(map(len, bags))
     if held != n:
         raise ValueError(f"initial partition holds {held} jobs, not {n}")
+    if any(bag and not 0 <= bag[0] <= bag[-1] < n for bag in bags) or len(set().union(*bags)) != n:
+        raise ValueError(f"initial partition does not hold each of jobs 0..{n - 1} once")
 
 
 def _rebalance(
@@ -211,8 +215,8 @@ def ipr(
     jobs are LPT-split into its bags.  A step the guard discards is undone,
     so the consistency guarantee holds by construction no matter how
     unbalanced the bags remain.  A start whose bag count is not the speed
-    count, or whose bags do not hold ``len(jobs)`` jobs in all, raises
-    ``ValueError``.
+    count, or whose bags do not hold each of the ``len(jobs)`` jobs once,
+    raises ``ValueError``.
 
     Returns the final partition plus an :class:`~speedsched.model.IprState`
     trace (iteration count and minimum-bag-load history).
@@ -222,7 +226,7 @@ def ipr(
     collections = [[bag] for bag in initial.partition.bags]
     if len(collections) != len(speeds):
         raise ValueError(f"initial partition has {len(collections)} bags for {len(speeds)} speeds")
-    _check_start_size(initial, len(jobs))
+    _check_start_jobs(initial, len(jobs))
 
     def lpt_resplit(bags: list[Bag]) -> list[Bag]:
         return _lpt_split([(jobs[j], j) for bag in bags for j in bag], len(bags))
@@ -291,8 +295,8 @@ def binary_speed_partition(
     ``initial`` is stage one's split of the jobs into ``m_hat`` subsets,
     :func:`consistent_partition` on ``m_hat`` unit speeds (exactly optimal
     for an exact solve), its subsets in non-increasing load order; ``m_hat``
-    must be in ``1..m``, and the subsets must hold ``len(jobs)`` jobs in all
-    (else ``ValueError``).  Each subset is then LPT-split into either
+    must be in ``1..m``, and the subsets must hold each of the ``len(jobs)``
+    jobs once (else ``ValueError``).  Each subset is then LPT-split into either
     ``ceil(m / m_hat)`` or ``floor(m / m_hat)`` bags — the first
     ``m mod m_hat`` (heaviest) subsets get the extra bag — for ``m`` bags
     total.  Stage two places the bags with the chosen scheduler on the
@@ -301,7 +305,7 @@ def binary_speed_partition(
     m_hat = len(initial.partition.bags)
     if not 1 <= m_hat <= m:
         raise ValueError(f"initial partition has {m_hat} subsets for {m} machines; need 1..{m}")
-    _check_start_size(initial, len(jobs))
+    _check_start_jobs(initial, len(jobs))
     quotient, remainder = divmod(m, m_hat)
     bags: list[Bag] = []
     for idx, subset in enumerate(initial.partition.bags):

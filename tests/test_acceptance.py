@@ -11,12 +11,13 @@ import time
 
 import pytest
 
+from speedsched import cli
 from speedsched.gen import gen_binary_lb_instance, gen_prop1_instance
 from speedsched.harness import (
     AlgorithmSpec,
     ExperimentConfig,
+    ExperimentRow,
     evaluate,
-    rows_to_csv,
     run_experiment,
     verify_properties,
 )
@@ -47,7 +48,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def _prop(report, name: str):
-    for p in report.properties:
+    for p in report:
         if p.name == name:
             return p
     raise AssertionError(f"property {name!r} missing from verification report")
@@ -194,13 +195,15 @@ def test_criterion_09_exact_solver_oracle_equivalence(verify_report):
     _report(9, ok, f"{_fmt(p)} (>= 200 trials)")
 
 
-def test_criterion_10_deterministic_csv(default_experiment):
-    """Re-running the default sweep with the same seed reproduces the results
-    CSV byte for byte, and those bytes are the recorded ones."""
+def test_criterion_10_deterministic_csv(default_experiment, tmp_path):
+    """Re-running the default sweep with the same seed, as plain
+    ``speedsched experiment``, reproduces the results CSV byte for byte, and
+    those bytes are the recorded ones."""
     rows, _ = default_experiment
-    again = run_experiment(ExperimentConfig())
-    csv_a = rows_to_csv(rows)
-    csv_b = rows_to_csv(again)
+    out = tmp_path / "default.csv"
+    assert cli.main(["experiment", "--out", str(out)]) == 0
+    csv_a = cli._table(ExperimentRow, rows)
+    csv_b = out.read_text(encoding="utf-8")
     digest = hashlib.sha256(csv_a.encode()).hexdigest()
     ok = csv_a == csv_b and digest == DEFAULT_CSV_SHA256
     _report(

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface (in-process main)."""
 
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -15,16 +16,17 @@ import pytest
 from speedsched import cli, harness
 from speedsched.cli import main
 from speedsched.gen import MAX_SHAPE, Dist, SyntheticConfig, gen_prop1_instance, gen_synthetic
-from speedsched.harness import ExperimentConfig, rows_to_csv, run_experiment
-from speedsched.model import (
-    Instance,
-    instance_from_json,
-    load_instance,
-    load_partition,
-    partition_to_json,
-    save_instance,
-    Partition,
-)
+from speedsched.harness import ExperimentConfig, ExperimentRow, run_experiment
+from speedsched.model import Instance, Partition
+
+
+def write_json(path, value):
+    """Write ``value`` (an instance or partition) as the JSON file the CLI reads."""
+    path.write_text(json.dumps(value.to_json_dict()), encoding="utf-8")
+
+
+def read_instance(text):
+    return Instance.from_json_dict(json.loads(text))
 
 
 def write_instance(tmp_path, name, jobs, true_speeds, predicted_speeds):
@@ -35,7 +37,7 @@ def write_instance(tmp_path, name, jobs, true_speeds, predicted_speeds):
         name=name,
     )
     path = tmp_path / f"{name}.json"
-    save_instance(inst, str(path))
+    write_json(path, inst)
     return path
 
 
@@ -48,12 +50,12 @@ def test_gen_synthetic_to_file(tmp_path):
     out = tmp_path / "inst.json"
     assert main(["gen", "--kind", "synthetic", "--n", "4", "--m", "2", "--seed", "5",
                  "--out", str(out)]) == 0
-    assert load_instance(str(out)) == gen_synthetic(SyntheticConfig(n=4, m=2, seed=5))
+    assert read_instance(out.read_text()) == gen_synthetic(SyntheticConfig(n=4, m=2, seed=5))
 
 
 def test_gen_synthetic_to_stdout(capsys):
     assert main(["gen", "--n", "3", "--m", "2", "--seed", "1"]) == 0
-    inst = instance_from_json(capsys.readouterr().out)
+    inst = read_instance(capsys.readouterr().out)
     assert inst == gen_synthetic(SyntheticConfig(n=3, m=2, seed=1))
 
 
@@ -61,7 +63,7 @@ def test_a_seed_that_draws_the_top_open_float_runs(tmp_path, capsys):
     # This seed's first error draw is the top 53-bit integer, which once gave
     # the inverse normal CDF exactly 1.0.
     assert main(["gen", "--seed", "12926587775233257026"]) == 0
-    assert instance_from_json(capsys.readouterr().out).seed == 12926587775233257026
+    assert read_instance(capsys.readouterr().out).seed == 12926587775233257026
     config = experiment_config_file(tmp_path, instances_per_point=1, sweep_values=[1.0])
     assert main(["experiment", "--config", str(config), "--seed", "12926587775233257026"]) == 0
 
@@ -80,19 +82,19 @@ def test_gen_respects_distribution_flags(tmp_path):
             seed=2,
         )
     )
-    assert load_instance(str(out)) == expected
+    assert read_instance(out.read_text()) == expected
 
 
 def test_gen_adversarial_kinds(tmp_path, capsys):
     assert main(["gen", "--kind", "prop1", "--n", "10", "--m", "2"]) == 0
-    assert instance_from_json(capsys.readouterr().out) == gen_prop1_instance(10, 2)
+    assert read_instance(capsys.readouterr().out) == gen_prop1_instance(10, 2)
 
     assert main(["gen", "--kind", "tradeoff", "--m", "3"]) == 0
-    inst = instance_from_json(capsys.readouterr().out)
+    inst = read_instance(capsys.readouterr().out)
     assert inst.name == "tradeoff-m3"
 
     assert main(["gen", "--kind", "binary-lb", "--k", "1"]) == 0
-    inst = instance_from_json(capsys.readouterr().out)
+    inst = read_instance(capsys.readouterr().out)
     assert inst.name == "binary-lb-k1"
 
 
@@ -103,7 +105,7 @@ def test_gen_count_writes_seed_template(tmp_path, capsys):
     paths = capsys.readouterr().out.strip().split("\n")
     assert len(paths) == 3
     for seed in (10, 11, 12):
-        inst = load_instance(str(tmp_path / f"inst-{seed}.json"))
+        inst = read_instance((tmp_path / f"inst-{seed}.json").read_text())
         assert inst.seed == seed
 
 
@@ -127,6 +129,23 @@ def test_gen_rejects_bad_family_shape(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--kind", "prop1", "--n", str(MAX_SHAPE + 1)], f"need n <= {MAX_SHAPE}"),
+    (["--kind", "prop1", "--n", str(10**20)], f"need n <= {MAX_SHAPE}"),
+    (["--kind", "tradeoff", "--m", str((MAX_SHAPE + 1) // 2 + 1)],
+     f"need m <= {(MAX_SHAPE + 1) // 2} (2m - 1 jobs)"),
+    (["--kind", "tradeoff", "--m", str(10**20)], f"need m <= {(MAX_SHAPE + 1) // 2} (2m - 1 jobs)"),
+    (["--kind", "binary-lb", "--k", str(MAX_SHAPE // 6 + 1)],
+     f"need k <= {MAX_SHAPE // 6} (6k jobs)"),
+    (["--kind", "binary-lb", "--k", str(10**20)], f"need k <= {MAX_SHAPE // 6} (6k jobs)"),
+], ids=["prop1-past", "prop1-huge", "tradeoff-past", "tradeoff-huge", "binary-lb-past",
+        "binary-lb-huge"])
+def test_gen_rejects_a_family_over_max_shape(capsys, flags, error):
+    # Rejected before any tuple is built: no OverflowError, no MemoryError.
+    assert main(["gen", *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 # ---------------------------------------------------------------------------
 # seeds
 # ---------------------------------------------------------------------------
@@ -135,7 +154,7 @@ def test_gen_rejects_bad_family_shape(capsys):
 def test_seed_defaults_to_zero(tmp_path):
     out = tmp_path / "zero.json"
     assert main(["gen", "--n", "3", "--m", "2", "--out", str(out)]) == 0
-    assert load_instance(str(out)).seed == 0
+    assert read_instance(out.read_text()).seed == 0
 
 
 def test_environment_does_not_choose_the_seed(tmp_path, monkeypatch, capsys):
@@ -163,7 +182,8 @@ def test_partition_ipr_on_skewed_prediction(tmp_path):
     out = tmp_path / "part.json"
     assert main(["partition", "--in", str(inst), "--algo", "ipr", "--alpha", "0.5",
                  "--out", str(out)]) == 0
-    assert load_partition(str(out)).bags == ((0, 2, 4, 6, 8), (1, 3, 5, 7))
+    part = Partition.from_json_dict(json.loads(out.read_text()))
+    assert part.bags == ((0, 2, 4, 6, 8), (1, 3, 5, 7))
 
 
 def test_partition_one_consistent_trusts_prediction(tmp_path, capsys):
@@ -176,7 +196,7 @@ def test_partition_one_consistent_trusts_prediction(tmp_path, capsys):
 def test_schedule_round_trip(tmp_path, capsys):
     inst = write_instance(tmp_path, "abc", [4.0, 3.0, 2.0], [2.0, 1.0], [2.0, 1.0])
     part_path = tmp_path / "part.json"
-    part_path.write_text(partition_to_json(Partition(bags=((0,), (1, 2)))), encoding="utf-8")
+    write_json(part_path, Partition(bags=((0,), (1, 2))))
     assert main(["schedule", "--in", str(inst), "--partition", str(part_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["makespan"] == 4.0
@@ -187,7 +207,7 @@ def test_schedule_round_trip(tmp_path, capsys):
 def test_schedule_lpt_variant(tmp_path, capsys):
     inst = write_instance(tmp_path, "abc", [4.0, 3.0, 2.0], [2.0, 1.0], [2.0, 1.0])
     part_path = tmp_path / "part.json"
-    part_path.write_text(partition_to_json(Partition(bags=((0,), (1, 2)))), encoding="utf-8")
+    write_json(part_path, Partition(bags=((0,), (1, 2))))
     assert main(["schedule", "--in", str(inst), "--partition", str(part_path),
                  "--scheduler", "lpt"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -198,7 +218,7 @@ def test_schedule_lpt_variant(tmp_path, capsys):
 def test_schedule_rejects_mismatched_partition(tmp_path, capsys):
     inst = write_instance(tmp_path, "abc", [4.0, 3.0, 2.0], [2.0, 1.0], [2.0, 1.0])
     part_path = tmp_path / "part.json"
-    part_path.write_text(partition_to_json(Partition(bags=((0, 1, 2),))), encoding="utf-8")
+    write_json(part_path, Partition(bags=((0, 1, 2),)))
     assert main(["schedule", "--in", str(inst), "--partition", str(part_path)]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -223,6 +243,22 @@ def test_schedule_rejects_partition_with_stray_key_or_bad_index(tmp_path, capsys
     assert capsys.readouterr().err.startswith(f"error: {error}")
 
 
+@pytest.mark.parametrize("reader", [
+    ["experiment", "--config", "{deep}"],
+    ["evaluate", "--in", "{deep}", "--algo", "lpt"],
+    ["partition", "--in", "{deep}"],
+    ["schedule", "--in", "{instance}", "--partition", "{deep}"],
+], ids=["experiment-config", "evaluate-in", "partition-in", "schedule-partition"])
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, reader):
+    # The decoder's RecursionError is a RuntimeError, which would exit 4.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    instance = write_instance(tmp_path, "abc", [4.0, 3.0, 2.0], [2.0, 1.0], [2.0, 1.0])
+    argv = [arg.format(deep=deep, instance=instance) for arg in reader]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {deep}: JSON nested too deeply to read\n")
+
+
 def write_all_or_nothing_instance(tmp_path, true_speeds):
     # Written by hand, as a user would: 0.0 marks an unusable machine.
     doc = {"jobs": [4.0, 3.0, 2.0, 1.0], "true_speeds": list(true_speeds),
@@ -235,7 +271,7 @@ def write_all_or_nothing_instance(tmp_path, true_speeds):
 def test_schedule_skips_unusable_machines(tmp_path, capsys):
     part_path = tmp_path / "part.json"
     part = Partition(bags=((0,), (1,), (2,), (3,)))
-    part_path.write_text(partition_to_json(part), encoding="utf-8")
+    write_json(part_path, part)
     for true_speeds, usable in (((1.0, 1.0, 0.0, 0.0), {0, 1}),
                                 ((0.0, 1.0, 0.0, 1.0), {1, 3})):
         inst = write_all_or_nothing_instance(tmp_path, true_speeds)
@@ -373,11 +409,21 @@ def experiment_config_file(tmp_path, **overrides):
     return path
 
 
+def rows_csv(rows):
+    """The CSV of experiment ``rows``, spelled out: the row fields' names, then
+    one line per row, a float as its ``repr`` and a label with a comma quoted."""
+    lines = [",".join(f.name for f in dataclasses.fields(ExperimentRow))]
+    for row in rows:
+        lines.append(",".join(f'"{v}"' if "," in str(v) else str(v)
+                              for v in dataclasses.astuple(row)))
+    return "".join(line + "\n" for line in lines)
+
+
 def test_experiment_csv_matches_library(tmp_path):
     cfg_path = experiment_config_file(tmp_path)
     out = tmp_path / "rows.csv"
     assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
-    expected = rows_to_csv(
+    expected = rows_csv(
         run_experiment(
             ExperimentConfig(n=6, m=2, instances_per_point=5, sweep_values=(0.0, 10.0))
         )
@@ -390,7 +436,7 @@ def test_experiment_seed_override(tmp_path):
     out = tmp_path / "rows.csv"
     assert main(["experiment", "--config", str(cfg_path), "--seed", "7",
                  "--out", str(out)]) == 0
-    expected = rows_to_csv(
+    expected = rows_csv(
         run_experiment(
             ExperimentConfig(n=6, m=2, instances_per_point=5, sweep_values=(0.0, 10.0), seed=7)
         )

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from speedsched import gen
+from speedsched import cli, gen
 from speedsched.gen import (
     CLAMP_FLOOR,
     MAX_SHAPE,
@@ -19,9 +19,9 @@ from speedsched.gen import (
     mix64,
     normal_inv_cdf,
     substream,
-    synthetic_batch,
 )
 from speedsched.harness import SWEEP_PARAMS, ExperimentConfig
+from speedsched.model import Instance
 from speedsched.solvers import exact_schedule
 
 
@@ -388,14 +388,20 @@ def test_gen_binary_lb_instance_validation():
         gen_binary_lb_instance(0)
 
 
-def test_synthetic_batch_strides_seeds():
+def test_gen_count_strides_seeds(tmp_path, capsys):
     cfg = SyntheticConfig(n=4, m=2, seed=10)
-    batch = synthetic_batch(cfg, count=3)
+    template = str(tmp_path / "inst-{seed}.json")
+    argv = ["gen", "--n", "4", "--m", "2", "--seed", "10", "--out", template, "--count"]
+    assert cli.main([*argv, "3"]) == 0
+    paths = capsys.readouterr().out.split()
+    assert paths == [template.replace("{seed}", str(seed)) for seed in (10, 11, 12)]
+    batch = [cli._read(path, Instance) for path in paths]
     assert [inst.seed for inst in batch] == [10, 11, 12]
     assert batch[0] == gen_synthetic(dataclasses.replace(cfg, seed=10))
     assert batch[2] == gen_synthetic(dataclasses.replace(cfg, seed=12))
-    with pytest.raises(ValueError):
-        synthetic_batch(cfg, count=0)
+    with pytest.raises(SystemExit):
+        cli.main([*argv, "0"])
+    assert "--count: must be at least 1, got 0" in capsys.readouterr().err
 
 
 def _hexes(inst):

@@ -24,23 +24,19 @@ from speedsched.gen import (
 )
 from speedsched.harness import (
     ALGORITHMS,
-    EXPERIMENT_CSV_HEADER,
     AlgorithmSpec,
     CurveRow,
     ExperimentConfig,
     ExperimentRow,
-    MetricsReport,
     PropertyCheck,
     WorkerDiedError,
-    curves_to_csv,
     evaluate,
     make_partition,
     oracle_value,
     parse_algorithm,
     random_small_instance,
-    rows_to_csv,
     run_experiment,
-    theory_curves,
+    theory_curve,
     verify_properties,
 )
 from speedsched.model import Instance, beta_ratio, validate_partition
@@ -1194,14 +1190,14 @@ def test_evaluate_matches_run_experiment():
             assert evaluate(inst, spec) == row.mean_ratio
 
 
-def test_rows_to_csv_format():
+def test_experiment_csv_format():
     rows = [
         ExperimentRow("err_sigma", 0.0, "lpt", 1.25, 0.5, 10, "exact"),
         ExperimentRow("err_sigma", 2.5, "ipr(alpha=0.5,rho=4)", 1.0, 0.0, 10, "exact"),
     ]
-    text = rows_to_csv(rows)
+    text = cli._table(ExperimentRow, rows)
     lines = text.split("\n")
-    assert lines[0] == ",".join(EXPERIMENT_CSV_HEADER) == (
+    assert lines[0] == (
         "sweep_param,sweep_value,algorithm,mean_ratio,std_ratio,n_instances,oracle_kind"
     )
     assert lines[1] == "err_sigma,0.0,lpt,1.25,0.5,10,exact"
@@ -1215,8 +1211,8 @@ def test_rows_to_csv_format():
 # ---------------------------------------------------------------------------
 
 
-def test_theory_curves_values():
-    (row,) = theory_curves([0.5])
+def test_theory_curve_values():
+    row = theory_curve(0.5)
     assert row == CurveRow(
         alpha=0.5,
         consistency=1.5,
@@ -1224,20 +1220,18 @@ def test_theory_curves_values():
         robustness_equal_jobs=4.0,
         robustness_fluid=3.0,
     )
-    (quarter,) = theory_curves([0.25])
-    assert quarter.robustness_general == 10.0
+    assert theory_curve(0.25).robustness_general == 10.0
 
 
-def test_theory_curves_validation():
+def test_theory_curve_validation():
     with pytest.raises(ValueError):
-        theory_curves([0.0])
+        theory_curve(0.0)
     with pytest.raises(ValueError):
-        theory_curves([1.0])
-    assert theory_curves([]) == []
+        theory_curve(1.0)
 
 
-def test_curves_to_csv_format():
-    text = curves_to_csv(theory_curves([0.5]))
+def test_curves_csv_format():
+    text = cli._table(CurveRow, [theory_curve(0.5)])
     lines = text.strip().split("\n")
     assert lines[0] == "alpha,consistency,robustness_general,robustness_equal_jobs,robustness_fluid"
     assert lines[1] == "0.5,1.5,6.0,4.0,3.0"
@@ -1253,15 +1247,19 @@ def test_property_check_ok():
     assert not PropertyCheck("x", passed=4, trials=5, counterexample="boom").ok
 
 
-def test_metrics_report_aggregation():
+def test_verify_report_aggregation(monkeypatch, capsys, tmp_path):
     good = PropertyCheck("a", 2, 2)
-    bad = PropertyCheck("b", 1, 2, counterexample="c")
-    assert MetricsReport(properties=(good,)).all_passed
-    report = MetricsReport(properties=(good, bad))
-    assert not report.all_passed
-    doc = report.to_json_dict()
-    assert doc["all_passed"] is False
-    assert [p["name"] for p in doc["properties"]] == ["a", "b"]
+    bad = PropertyCheck("b", 1, 2, counterexample="c\n  d")
+    out = tmp_path / "report.json"
+    for checks, code in (((good,), 0), ((good, bad), 1)):
+        monkeypatch.setattr(cli, "verify_properties", lambda **kwargs: checks)
+        assert cli.main(["verify", "--out", str(out)]) == code
+        doc = json.loads(out.read_text())
+        assert doc["all_passed"] is (code == 0)
+        assert doc["properties"] == list(map(dataclasses.asdict, checks))
+    assert capsys.readouterr().out.endswith(
+        "PASS a (2/2)\nFAIL b (1/2)\n  counterexample: c d\n1/2 properties passed\n"
+    )
 
 
 def test_random_small_instance_ranges():
@@ -1283,11 +1281,10 @@ def test_random_small_instance_unit_jobs():
 
 def test_verify_properties_covers_every_check():
     report = verify_properties(seed=0, trials=10)
-    names = [p.name for p in report.properties]
+    names = [p.name for p in report]
     assert names == EXPECTED_PROPERTY_NAMES
-    failing = [p.name for p in report.properties if not p.ok]
+    failing = [p.name for p in report if not p.ok]
     assert failing == []
-    assert report.all_passed
 
 
 def test_verify_properties_rejects_bad_trials():
@@ -1323,7 +1320,7 @@ def test_verify_pool_gives_the_in_process_report(monkeypatch, capsys, tmp_path, 
     assert verify_properties(seed=seed, trials=trials) == in_process
     assert verify_cli(capsys, tmp_path, seed, trials) == in_process_cli
     assert_no_child_processes()
-    assert [p.name for p in in_process.properties] == EXPECTED_PROPERTY_NAMES
+    assert [p.name for p in in_process] == EXPECTED_PROPERTY_NAMES
     assert in_process_cli[0] == 0
     if "fork" in multiprocessing.get_all_start_methods():
         assert pids() and str(os.getpid()) not in pids()
@@ -1341,7 +1338,7 @@ def test_verify_forks_no_worker_from_a_threaded_process(monkeypatch, tmp_path):
         release.set()
         thread.join(timeout=60)
     assert not thread.is_alive()
-    assert report.all_passed
+    assert all(p.ok for p in report)
     assert pids() == {str(os.getpid())}
 
 

@@ -6,6 +6,7 @@ import math
 import pytest
 
 import speedsched
+from speedsched import cli
 from speedsched.gen import SplitMix64
 from speedsched.model import (
     Assignment,
@@ -15,14 +16,7 @@ from speedsched.model import (
     Schedule,
     bag_load,
     beta_ratio,
-    instance_from_json,
-    instance_to_json,
-    load_instance,
-    load_partition,
-    partition_from_json,
-    partition_to_json,
     prediction_error,
-    save_instance,
     validate_partition,
 )
 from speedsched.harness import oracle_value
@@ -423,7 +417,7 @@ def test_instance_json_round_trip_is_bit_exact():
         name="round-trip",
         seed=123,
     )
-    again = instance_from_json(instance_to_json(inst))
+    again = Instance.from_json_dict(json.loads(json.dumps(inst.to_json_dict())))
     assert again == inst
     assert again.jobs[1] == inst.jobs[1]
     assert again.predicted_speeds[1] == inst.predicted_speeds[1]
@@ -431,27 +425,27 @@ def test_instance_json_round_trip_is_bit_exact():
 
 def test_instance_json_is_pretty_printed_dict():
     inst = make_instance([1.0], [1.0], [1.0])
-    doc = json.loads(instance_to_json(inst))
+    doc = inst.to_json_dict()
     assert doc["jobs"] == [1.0]
     assert doc["true_speeds"] == [1.0]
     assert doc["predicted_speeds"] == [1.0]
 
 
 def test_instance_from_json_rejects_missing_key():
-    with pytest.raises((KeyError, ValueError)):
-        instance_from_json(json.dumps({"jobs": [1.0], "true_speeds": [1.0]}))
+    with pytest.raises(ValueError, match=r"^instance missing keys: \['predicted_speeds'\]$"):
+        Instance.from_json_dict({"jobs": [1.0], "true_speeds": [1.0]})
 
 
 def test_instance_file_round_trip(tmp_path):
     inst = make_instance([4.0, 3.0], [2.0, 1.0], [2.5, 0.5], name="disk", seed=9)
-    path = tmp_path / "inst.json"
-    save_instance(inst, str(path))
-    assert load_instance(str(path)) == inst
+    path = str(tmp_path / "inst.json")
+    cli._write(cli._json(inst.to_json_dict()), path)
+    assert cli._read(path, Instance) == inst
 
 
 def test_partition_json_round_trip(tmp_path):
     part = Partition(bags=((0, 2), (1,), ()))
-    assert partition_from_json(partition_to_json(part)) == part
-    path = tmp_path / "part.json"
-    path.write_text(partition_to_json(part), encoding="utf-8")
-    assert load_partition(str(path)) == part
+    assert Partition.from_json_dict(json.loads(json.dumps(part.to_json_dict()))) == part
+    path = str(tmp_path / "part.json")
+    cli._write(cli._json(part.to_json_dict()), path)
+    assert cli._read(path, Partition) == part

@@ -311,6 +311,26 @@ def test_ipr_rejects_a_start_formed_for_other_jobs(jobs):
         partition.ipr(jobs, (1.0, 1.0), IprConfig(alpha=0.5), initial)
 
 
+# Starts whose bags hold three job indices for three jobs, but not each once:
+# a repeated index, one past the end (once an IndexError) and a negative one.
+BAD_STARTS = [((0, 0), (1,)), ((0, 5), (1,)), ((-1, 0), (1,))]
+NOT_EACH_ONCE = r"^initial partition does not hold each of jobs 0\.\.2 once$"
+
+
+@pytest.mark.parametrize("bags", BAD_STARTS, ids=["repeated", "past-end", "negative"])
+def test_ipr_rejects_a_start_without_each_job_once(bags):
+    initial = ConsistentPartition(Partition(bags), 6.0)
+    with pytest.raises(ValueError, match=NOT_EACH_ONCE):
+        partition.ipr([3.0, 2.0, 2.0], (1.0, 1.0), IprConfig(alpha=0.5), initial)
+
+
+@pytest.mark.parametrize("bags", BAD_STARTS, ids=["repeated", "past-end", "negative"])
+def test_binary_partition_rejects_a_start_without_each_job_once(bags):
+    initial = ConsistentPartition(Partition(bags), 6.0)
+    with pytest.raises(ValueError, match=NOT_EACH_ONCE):
+        binary_speed_partition([3.0, 2.0, 2.0], 2, initial)
+
+
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_ipr_rejects_bad_jobs(bad):
     # Rejected before the loop: no negative load in b_min_history, no NaN
