@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import sys
 from typing import Any, Iterable, Sequence
 
@@ -55,10 +56,21 @@ EXIT_INTERNAL = 4
 
 def _read(path: str, kind: type) -> Any:
     """The ``kind`` (:class:`Instance`, :class:`Partition` or
-    :class:`ExperimentConfig`) that the JSON file at ``path`` states."""
+    :class:`ExperimentConfig`) that the JSON file at ``path`` states.  An
+    object that repeats a key, at any depth, is rejected: :mod:`json` would
+    keep the last value silently."""
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ValueError(f"{path}: JSON object repeats key {key!r}")
+            doc[key] = value
+        return doc
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
     return kind.from_json_dict(doc)
@@ -82,6 +94,19 @@ def _csv(header: Iterable[str], rows: Iterable[Iterable[object]]) -> str:
 def _table(kind: type, rows: Iterable[object]) -> str:
     """A CSV of dataclass ``rows``, headed by the field names of ``kind``."""
     return _csv([f.name for f in dataclasses.fields(kind)], map(dataclasses.astuple, rows))
+
+
+def _check_out_dir(args: argparse.Namespace) -> None:
+    """Reject an ``--out`` whose directory does not exist before any work
+    starts; ``gen --count``'s template is checked at its first seed."""
+    path = args.out
+    if path is None or path == "-":
+        return
+    if args.command == "gen" and args.count > 1:
+        path = path.replace("{seed}", str(args.seed))
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"--out {path}: no such directory {directory}")
 
 
 def _write(text: str, path: str | None) -> None:
@@ -349,6 +374,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_dir(args)
         return _HANDLERS[args.command](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

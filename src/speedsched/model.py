@@ -79,13 +79,24 @@ def finite_floats(
     Every layer validates jobs, loads and speeds through this one check.  Raises
     ``ValueError`` naming ``what`` for the first value that is not a number, is
     NaN or infinite, or is out of range.
+
+    A list whose ``min`` is in range and whose ``sum`` is below ``inf`` is
+    accepted at once, both scans in C: a NaN or an infinity makes the sum NaN
+    or ``inf``, and the sum is only a test, never part of the output.  Any
+    other list, one whose finite values overflow the sum included, goes
+    through the per-value check, which names the first bad value.
     """
     try:
-        out = [float(v) for v in values]
+        out = list(map(float, values))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} must be a sequence of numbers") from exc
-    if not out and not allow_empty:
-        raise ValueError(f"{what} must not be empty")
+    if not out:
+        if not allow_empty:
+            raise ValueError(f"{what} must not be empty")
+        return out
+    low = min(out)
+    if (low > 0.0 or (allow_zero and low == 0.0)) and sum(out) < math.inf:
+        return out
     for v in out:
         if not 0.0 <= v < math.inf or (v == 0.0 and not allow_zero):
             sign = "non-negative" if allow_zero else "positive"
@@ -207,11 +218,7 @@ class Partition:
     bags: tuple[Bag, ...]
 
     def __post_init__(self) -> None:
-        canon = []
-        for bag in self.bags:
-            idx = tuple(sorted(int(j) for j in bag))
-            canon.append(idx)
-        object.__setattr__(self, "bags", tuple(canon))
+        object.__setattr__(self, "bags", tuple(tuple(sorted(map(int, bag))) for bag in self.bags))
 
     @property
     def m(self) -> int:
@@ -242,7 +249,7 @@ class Assignment:
 
     def __post_init__(self) -> None:
         canon = tuple(
-            tuple(tuple(sorted(int(j) for j in bag)) for bag in coll) for coll in self.collections
+            tuple(tuple(sorted(map(int, bag))) for bag in coll) for coll in self.collections
         )
         object.__setattr__(self, "collections", canon)
 
@@ -258,12 +265,16 @@ class Schedule:
     m: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bag_to_machine", tuple(int(i) for i in self.bag_to_machine))
+        bag_to_machine = tuple(map(int, self.bag_to_machine))
+        object.__setattr__(self, "bag_to_machine", bag_to_machine)
         if self.m < 0:
             raise ValueError("machine count must be non-negative")
-        for i in self.bag_to_machine:
-            if not 0 <= i < self.m:
-                raise ValueError(f"machine index {i} out of range for m={self.m}")
+        # One range test in C; the scan that names the first bad index runs
+        # only when it fails.
+        if bag_to_machine and not (0 <= min(bag_to_machine) and max(bag_to_machine) < self.m):
+            for i in bag_to_machine:
+                if not 0 <= i < self.m:
+                    raise ValueError(f"machine index {i} out of range for m={self.m}")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter, truediv
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .model import Assignment, Bag, IprState, Partition, bag_load, finite_floats, left_sum
@@ -75,7 +76,9 @@ def _lpt_split(items: Sequence[tuple[float, int]], k: int) -> list[Bag]:
         raise ValueError("bag count must be at least 1")
     bags: list[list[int]] = [[] for _ in range(k)]
     heap = [(0.0, i) for i in range(k)]
-    for load, j in sorted(items, key=lambda t: (-t[0], t[1])):
+    # By index, then stably by load, largest first: the order of the key
+    # (-load, index), as reverse=True keeps equal loads in index order.
+    for load, j in sorted(sorted(items, key=itemgetter(1)), key=itemgetter(0), reverse=True):
         least, target = heap[0]
         bags[target].append(j)
         heapq.heapreplace(heap, (least + load, target))
@@ -157,10 +160,15 @@ def _rebalance(
     ``speeds_desc`` stays within ``guard``, and otherwise discarded, which
     ends the loop.
 
+    Each collection's load sum is kept between steps, and the guard test
+    re-sums only the collections a step changes: the smallest bag's and the
+    receiving one, the same collection when the step stays inside one.
+
     Returns the final collections, the steps tried (a discarded one
     included) and the smallest bag load at the start of each pass.
     """
     loads = [[load_of(bag) for bag in coll] for coll in collections]
+    sums = [left_sum(coll_loads) for coll_loads in loads]
     history: list[float] = []
     iterations = 0
     safety = 16 * len(speeds_desc) * len(speeds_desc) + 64
@@ -182,19 +190,18 @@ def _rebalance(
                 f"rebalance loop exceeded safety bound {safety}; this indicates a bug"
             )
         # Shallow copies: the tentative step rebuilds only the two collections.
-        tentative, tentative_loads = collections[:], loads[:]
+        tentative, tentative_loads, tentative_sums = collections[:], loads[:], sums[:]
         source = collections[min_ci]
         tentative[min_ci] = source[:min_bi] + source[min_bi + 1 :]
         tentative_loads[min_ci] = loads[min_ci][:min_bi] + loads[min_ci][min_bi + 1 :]
         receiving = tentative[max_ci] + [source[min_bi]]
         tentative[max_ci] = resplit(receiving)
         tentative_loads[max_ci] = [load_of(bag) for bag in tentative[max_ci]]
-        tentative_makespan = max(
-            left_sum(coll_loads) / s for coll_loads, s in zip(tentative_loads, speeds_desc)
-        )
-        if tentative_makespan > guard:
+        tentative_sums[min_ci] = left_sum(tentative_loads[min_ci])
+        tentative_sums[max_ci] = left_sum(tentative_loads[max_ci])
+        if max(map(truediv, tentative_sums, speeds_desc)) > guard:
             break
-        collections, loads = tentative, tentative_loads
+        collections, loads, sums = tentative, tentative_loads, tentative_sums
     return collections, iterations, history
 
 

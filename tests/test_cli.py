@@ -259,6 +259,56 @@ def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, reader):
     assert capsys.readouterr() == ("", f"error: {deep}: JSON nested too deeply to read\n")
 
 
+@pytest.mark.parametrize("reader, text, key", [
+    (["evaluate", "--in", "{doc}", "--algo", "lpt"],
+     '{"jobs": [4.0, 3.0], "true_speeds": [1.0], "predicted_speeds": [1.0], "jobs": [1.0]}',
+     "jobs"),
+    (["schedule", "--in", "{instance}", "--partition", "{doc}"],
+     '{"bags": [[0, 1], [2]], "bags": [[0], [1], [2]]}', "bags"),
+    (["experiment", "--config", "{doc}"], '{"n": 4, "m": 2, "n": 5}', "n"),
+    (["experiment", "--config", "{doc}"],
+     '{"n": 4, "m": 2, "speed_dist": {"kind": "uniform", "lo": 1, "hi": 2, "lo": 0}}', "lo"),
+    (["experiment", "--config", "{doc}"],
+     '{"algorithms": ["lpt", {"name": "ipr", "alpha": 0.5, "name": "lpt"}]}', "name"),
+], ids=["instance", "partition", "config", "config-distribution", "config-algorithm"])
+def test_a_repeated_json_key_is_a_usage_error(tmp_path, capsys, monkeypatch, reader, text, key):
+    # json keeps a repeated key's last value; every reader rejects it, at any depth.
+    def never(*args, **kwargs):
+        raise AssertionError("a document with a repeated key was read")
+
+    for name in ("evaluate", "schedule", "run_experiment"):
+        monkeypatch.setattr(cli, name, never)
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    instance = write_instance(tmp_path, "abc", [4.0, 3.0, 2.0], [2.0, 1.0], [2.0, 1.0])
+    argv = [arg.format(doc=doc, instance=instance) for arg in reader]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {doc}: JSON object repeats key {key!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "30", "--out", "{missing}/r.json"],
+    ["experiment", "--out", "{missing}/r.csv"],
+    ["curves", "--out", "{missing}/c.csv"],
+    ["gen", "--out", "{missing}/i.json"],
+    ["gen", "--count", "2", "--seed", "5", "--out", "{missing}/i-{{seed}}.json"],
+], ids=["verify", "experiment", "curves", "gen", "gen-count"])
+def test_out_into_a_missing_directory_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "verify_properties", never)
+    monkeypatch.setattr(cli, "run_experiment", never)
+    monkeypatch.setattr(cli, "theory_curve", never)
+    monkeypatch.setattr(cli, "gen_synthetic", never)
+    missing = tmp_path / "missing"
+    argv = [arg.format(missing=missing) for arg in argv]
+    path = argv[-1].replace("{seed}", "5")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: --out {path}: no such directory {missing}\n")
+    assert not missing.exists()
+
+
 def write_all_or_nothing_instance(tmp_path, true_speeds):
     # Written by hand, as a user would: 0.0 marks an unusable machine.
     doc = {"jobs": [4.0, 3.0, 2.0, 1.0], "true_speeds": list(true_speeds),

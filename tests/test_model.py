@@ -16,6 +16,7 @@ from speedsched.model import (
     Schedule,
     bag_load,
     beta_ratio,
+    finite_floats,
     prediction_error,
     validate_partition,
 )
@@ -65,6 +66,43 @@ _VALIDATING_CALLS = {
 def test_entry_points_reject_non_finite_negative_and_missing_numbers(call, bad):
     with pytest.raises(ValueError):
         _VALIDATING_CALLS[call](bad)
+
+
+@pytest.mark.parametrize("values, named", [
+    ([1.0, -2.0, math.nan], "-2.0"),
+    ([1.0, math.nan, -2.0], "nan"),
+    ([2.0, math.inf, -math.inf], "inf"),
+    ([3.0, 0.0, -1.0], "0.0"),
+])
+def test_finite_floats_names_the_first_bad_value(values, named):
+    with pytest.raises(ValueError) as info:
+        finite_floats(values, "loads")
+    assert str(info.value) == f"loads must be positive finite, got {named}"
+
+
+def test_finite_floats_accepts_finite_values_whose_sum_overflows():
+    assert finite_floats([1e308, 1e308], "loads") == [1e308, 1e308]
+    assert finite_floats((1.7e308, 0.0, 1.7e308), "loads", allow_zero=True) == [1.7e308, 0.0, 1.7e308]
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=repr)
+def test_finite_floats_takes_a_zero_only_under_allow_zero(zero):
+    out = finite_floats([2.0, zero, 1], "speeds", allow_zero=True)
+    assert out == [2.0, 0.0, 1.0] and math.copysign(1.0, out[1]) == math.copysign(1.0, zero)
+    with pytest.raises(ValueError) as info:
+        finite_floats([2.0, zero], "speeds")
+    assert str(info.value) == f"speeds must be positive finite, got {zero!r}"
+    with pytest.raises(ValueError) as info:
+        finite_floats([zero, -1.0], "speeds", allow_zero=True)
+    assert str(info.value) == "speeds must be non-negative finite, got -1.0"
+
+
+def test_finite_floats_empty_and_non_numbers():
+    assert finite_floats([], "jobs", allow_empty=True) == []
+    with pytest.raises(ValueError, match="^jobs must not be empty$"):
+        finite_floats([], "jobs")
+    with pytest.raises(ValueError, match="^jobs must be a sequence of numbers$"):
+        finite_floats([1.0, "x"], "jobs")
 
 
 def make_instance(jobs, true_speeds, predicted_speeds, **kwargs):
@@ -183,6 +221,13 @@ def test_schedule_rejects_out_of_range_machine():
         Schedule(bag_to_machine=(0, 2), m=2)
     with pytest.raises(ValueError):
         Schedule(bag_to_machine=(0,), m=0)
+
+
+@pytest.mark.parametrize("placement, named", [((0, 5, -1), 5), ((0, -1, 5), -1), ((1, 3, 3), 3)])
+def test_schedule_names_the_first_out_of_range_index(placement, named):
+    with pytest.raises(ValueError) as info:
+        Schedule(bag_to_machine=placement, m=3)
+    assert str(info.value) == f"machine index {named} out of range for m=3"
 
 
 def test_ipr_state_holds_trace_fields():

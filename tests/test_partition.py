@@ -223,6 +223,50 @@ def test_lpt_rebalance_within_one_collection():
     assert iterations == 1
 
 
+def test_rebalance_step_inside_one_collection_then_across_under_a_guard():
+    # Pass 1's smallest bag (1,) and heaviest splittable bag (2, 3) are both
+    # in collection 0; pass 2 moves a bag into collection 1, and pass 3's
+    # step, (1, 3) into collection 1, would load it to 28 / 2 = 14 > 11, so
+    # the guard undoes it.  Recorded before the kept per-collection sums.
+    jobs = [4.0, 7.0, 9.0, 2.0, 6.0]
+
+    def lpt_resplit(bags):
+        return _lpt_split([(jobs[j], j) for bag in bags for j in bag], len(bags))
+
+    collections, iterations, history = _rebalance(
+        [[(2, 3), (1,)], [(0, 4)]],
+        [2.0, 2.0],
+        1.0,
+        11.0,
+        lambda bag: bag_load(bag, jobs),
+        lambda bag: len(bag) >= 2,
+        lpt_resplit,
+    )
+    assert collections == [[(1, 3)], [(2,), (0, 4)]]
+    assert (iterations, history) == (3, [7.0, 9.0, 9.0])
+
+
+def test_rebalance_guard_reads_the_source_collections_new_sum():
+    # The step leaves collection 0 with job 0 alone, 8 / 2 = 4.0, exactly
+    # the guard; its old sum, 9 / 2 = 4.5, would undo the step.
+    jobs = [8.0, 1.0, 6.0, 3.0, 4.0]
+
+    def lpt_resplit(bags):
+        return _lpt_split([(jobs[j], j) for bag in bags for j in bag], len(bags))
+
+    collections, iterations, history = _rebalance(
+        [[(1,), (0,)], [(3, 4)], [(2,)]],
+        [2.0, 2.0, 2.0],
+        1.5,
+        4.0,
+        lambda bag: bag_load(bag, jobs),
+        lambda bag: len(bag) >= 2,
+        lpt_resplit,
+    )
+    assert collections == [[(0,)], [(4,), (1, 3)], [(2,)]]
+    assert (iterations, history) == (1, [1.0, 4.0])
+
+
 def test_lpt_rebalance_three_collections():
     asg = Assignment(collections=(((0,),), ((1, 2),), ((3,),)))
     out, iterations = lpt_rebalance(asg, [6.0, 3.0, 3.0, 1.0], rho=2.0)
