@@ -38,14 +38,12 @@ from .model import (
     Instance,
     IprState,
     Partition,
-    Schedule,
     bag_load,
     beta_ratio,
     prediction_error,
     validate_partition,
 )
 from .partition import (
-    ConsistentPartition,
     IprConfig,
     IprResult,
     binary_speed_partition,
@@ -76,7 +74,6 @@ __all__ = [
     "BudgetExceededError",
     "CLAMP_FLOOR",
     "CapacityInfeasibleError",
-    "ConsistentPartition",
     "CurveRow",
     "DEFAULT_NODE_BUDGET",
     "Dist",
@@ -88,7 +85,6 @@ __all__ = [
     "IprState",
     "Partition",
     "PropertyCheck",
-    "Schedule",
     "SolveResult",
     "SplitMix64",
     "SyntheticConfig",

@@ -61,7 +61,6 @@ from .model import (
     validate_partition,
 )
 from .partition import (
-    ConsistentPartition,
     IprConfig,
     binary_speed_partition,
     consistent_partition,
@@ -92,16 +91,18 @@ SWEEP_PARAMS = ("err_sigma", "n", "m", "sigma_p", "sigma_s")
 class AlgorithmSpec:
     """A partitioning algorithm choice: name plus parameters where relevant.
 
-    ``scheduler`` optionally pins this algorithm's solver (both the inner
-    partitioning solve and the bag-scheduling stage); ``None`` inherits the
-    caller's scheduler.  The published experiment protocol handicaps the
-    rebalancing algorithm with the greedy scheduler while the benchmarks get
-    exact scheduling, which this field expresses.
+    Only ``ipr`` takes ``alpha`` and ``rho`` (``None``: 0.5 and 4.0); any
+    other algorithm given one raises ``ValueError`` naming it.  ``scheduler``
+    optionally pins this algorithm's solver (both the inner partitioning
+    solve and the bag-scheduling stage); ``None`` inherits the caller's
+    scheduler.  The published experiment protocol handicaps the rebalancing
+    algorithm with the greedy scheduler while the benchmarks get exact
+    scheduling, which this field expresses.
     """
 
     name: str
-    alpha: float = 0.5
-    rho: float = 4.0
+    alpha: float | None = None
+    rho: float | None = None
     scheduler: str | None = None
 
     def __post_init__(self) -> None:
@@ -109,10 +110,15 @@ class AlgorithmSpec:
             raise ValueError(
                 f"unknown algorithm {self.name!r}; expected one of {sorted(ALGORITHMS)}"
             )
-        for key in ("alpha", "rho"):
-            if not is_json_number(getattr(self, key)):
-                raise ValueError(f"algorithm {key!r} must be a number, got {getattr(self, key)!r}")
-            object.__setattr__(self, key, float(getattr(self, key)))
+        for key, default in (("alpha", 0.5), ("rho", 4.0)):
+            value = getattr(self, key)
+            if self.name != "ipr":
+                if value is not None:
+                    raise ValueError(f"algorithm {self.name!r} takes no {key!r}; only 'ipr' does")
+            elif value is None or is_json_number(value):
+                object.__setattr__(self, key, default if value is None else float(value))
+            else:
+                raise ValueError(f"algorithm {key!r} must be a number, got {value!r}")
         if self.name == "ipr":
             IprConfig(alpha=self.alpha, rho=self.rho)  # validates ranges
         if self.scheduler is not None and self.scheduler not in SCHEDULERS:
@@ -182,8 +188,9 @@ def make_partition(
     prediction-trusting partition on one unit speed per predicted usable
     machine (speed 1.0), and rejects an instance that is not
     :attr:`~speedsched.model.Instance.all_or_nothing`.  ``one-consistent`` is
-    the prediction-trusting partition and ``ipr`` starts from it; both reject
-    a prediction with a zero speed.  Every rejection comes before any solve.
+    the prediction-trusting partition, and ``ipr`` starts from it and derives
+    its guard from it; both reject a prediction with a zero speed.  Every
+    rejection comes before any solve.
     ``solves``, when given, memoises across algorithms and instances: the
     schedules (see :func:`_solve`), the LPT partitions, keyed by
     ``("lpt_partition", jobs, m)``, and the prediction-trusting partitions,
@@ -198,8 +205,8 @@ def make_partition(
         raise ValueError(f"scheduler must be one of {SCHEDULERS}")
     jobs, predicted = instance.jobs, instance.predicted_speeds
 
-    def trusting(speeds: tuple[float, ...]) -> ConsistentPartition:
-        def start() -> ConsistentPartition:
+    def trusting(speeds: tuple[float, ...]) -> Partition:
+        def start() -> Partition:
             placed = _solve(solves, jobs, speeds, scheduler, node_budget)
             return consistent_partition(jobs, speeds, placed)
 
@@ -223,7 +230,7 @@ def make_partition(
         )
     start = trusting(predicted)
     if spec.name == "one-consistent":
-        return start.partition
+        return start
     config = IprConfig(alpha=spec.alpha, rho=spec.rho)
     return ipr(jobs, predicted, config, start).partition
 
@@ -857,12 +864,6 @@ def _bmin_monotone(hist: Sequence[float]) -> bool:
     return all(_le(hist[i], hist[i + 1]) for i in range(start, len(hist) - 1))
 
 
-def _exact_start(inst: Instance, node_budget: int) -> ConsistentPartition:
-    """The exact prediction-trusting partition of ``inst``, ``ipr``'s start."""
-    placed = exact_schedule(inst.jobs, inst.predicted_speeds, node_budget)
-    return consistent_partition(inst.jobs, inst.predicted_speeds, placed)
-
-
 def _check_ipr_trace(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """The ``ipr`` trace with rho = 4: monotone b_min, at most m^2
     iterations, beta within the robust bound."""
@@ -870,7 +871,7 @@ def _check_ipr_trace(seed: int, trials: int, node_budget: int) -> Iterator[_Verd
     for t in range(trials):
         inst = random_small_instance(rng)
         alpha = _ALPHA_CYCLE[t % len(_ALPHA_CYCLE)]
-        initial = _exact_start(inst, node_budget)
+        initial = make_partition(inst, "one-consistent", "exact", node_budget)
         result = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=alpha, rho=4.0), initial)
         state = result.state
         hist = state.b_min_history
@@ -900,7 +901,7 @@ def _check_perfect_predictions(seed: int, trials: int, node_budget: int) -> Iter
     for t in range(trials):
         base = random_small_instance(rng)
         inst = replace(base, predicted_speeds=base.true_speeds)
-        initial = _exact_start(inst, node_budget)
+        initial = make_partition(inst, "one-consistent", "exact", node_budget)
         for alpha in _ALPHA_CYCLE:
             result = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=alpha, rho=4.0), initial)
             speeds_desc = sorted(inst.predicted_speeds, reverse=True)
@@ -935,7 +936,7 @@ def _check_unit_jobs(seed: int, trials: int, node_budget: int) -> Iterator[_Verd
     for t in range(trials):
         inst = random_small_instance(rng, unit_jobs=True)
         alpha = _ALPHA_CYCLE[t % len(_ALPHA_CYCLE)]
-        initial = _exact_start(inst, node_budget)
+        initial = make_partition(inst, "one-consistent", "exact", node_budget)
         result = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=alpha, rho=2.0), initial)
         beta = beta_ratio(result.partition, inst.jobs)
         yield (

@@ -5,11 +5,12 @@ for the same machines: the speeds that were *predicted* when jobs had to be
 grouped, and the *true* speeds revealed afterwards.  Jobs are first partitioned
 into bags (one future machine-load unit each); bags are later placed on machines
 without being split.  This module defines the containers (:class:`Partition`,
-:class:`Assignment`, :class:`Schedule`, :class:`IprState`), the measurements on
-them (bag loads, the bag-balance ratio, the prediction-error factor), and the
-JSON objects of instances and partitions (``to_json_dict`` /
-``from_json_dict``, bit-exact: a float's ``repr`` parses back equal); the CLI
-reads and writes the files.
+:class:`Assignment`, :class:`IprState`), the measurements on them (bag
+loads, the bag-balance ratio, the prediction-error factor), and the JSON
+objects of instances and partitions (``to_json_dict`` / ``from_json_dict``,
+bit-exact: a float's ``repr`` parses back equal); the CLI reads and writes
+the files.  A placement of bags on machines is a plain tuple, a solver's
+``bag_to_machine`` (see :class:`speedsched.solvers.SolveResult`).
 
 All validation is eager: malformed data raises ``ValueError`` (or ``IndexError``
 for out-of-range job indices) before it can enter a computation.
@@ -258,26 +259,6 @@ class Assignment:
 
 
 @dataclass(frozen=True)
-class Schedule:
-    """Placement of bags onto machines: ``bag_to_machine[k]`` hosts bag ``k``."""
-
-    bag_to_machine: tuple[int, ...]
-    m: int
-
-    def __post_init__(self) -> None:
-        bag_to_machine = tuple(map(int, self.bag_to_machine))
-        object.__setattr__(self, "bag_to_machine", bag_to_machine)
-        if self.m < 0:
-            raise ValueError("machine count must be non-negative")
-        # One range test in C; the scan that names the first bad index runs
-        # only when it fails.
-        if bag_to_machine and not (0 <= min(bag_to_machine) and max(bag_to_machine) < self.m):
-            for i in bag_to_machine:
-                if not 0 <= i < self.m:
-                    raise ValueError(f"machine index {i} out of range for m={self.m}")
-
-
-@dataclass(frozen=True)
 class IprState:
     """Trace of one iterative-rebalancing run.
 
@@ -287,8 +268,9 @@ class IprState:
         Final per-machine collections of bags (machines ordered by predicted
         speed, fastest first).
     opt_c_bar:
-        Makespan of the initial prediction-trusting assignment under the
-        predicted speeds; the rebalancing guard is relative to this value.
+        Makespan of the start under the predicted speeds, its bags paired in
+        order with the speeds sorted fastest first; the rebalancing guard is
+        relative to this value.
     iterations:
         Number of rebalance steps attempted (including one aborted by the guard).
     b_min_history:

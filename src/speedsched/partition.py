@@ -54,11 +54,6 @@ class IprConfig:
             raise ValueError(f"rho must be >= 1, got {self.rho!r}")
 
 
-class ConsistentPartition(NamedTuple):
-    partition: Partition
-    opt_c_bar: float
-
-
 class IprResult(NamedTuple):
     partition: Partition
     state: IprState
@@ -98,40 +93,42 @@ def lpt_partition(jobs: Sequence[float], k: int) -> Partition:
 
 def consistent_partition(
     jobs: Sequence[float], predicted_speeds: Sequence[float], placed: SolveResult
-) -> ConsistentPartition:
+) -> Partition:
     """Partition that trusts the predictions: one bag per machine, the bags
     of ``placed``, a solve of the jobs on the *predicted* speeds.  A placement
-    of another item or machine count raises ``ValueError``.
+    of another item or machine count, or naming a machine outside ``0..m-1``,
+    raises ``ValueError``.
 
-    Bags are reordered so loads are non-increasing, paired with the predicted
-    speeds sorted non-increasing; this pairing never increases the makespan, so
-    ``opt_c_bar`` (the makespan of the returned pairing under predicted speeds)
-    equals the solver's value — exactly optimal for an exact solve.  This
-    doubles as the prediction-trusting benchmark in experiments.
+    Bags are reordered so loads are non-increasing, for :func:`ipr` to pair
+    with the predicted speeds sorted non-increasing; this pairing never
+    increases the makespan, so its makespan, ``ipr``'s ``opt_c_bar``, is
+    exactly optimal for an exact solve.  This doubles as the
+    prediction-trusting benchmark in experiments.
     """
     jobs = finite_floats(jobs, "job processing times", allow_zero=True, allow_empty=True)
     speeds = finite_floats(predicted_speeds, "predicted speeds")
     m = len(speeds)
-    placement = placed.schedule
-    if (len(placement.bag_to_machine), placement.m) != (len(jobs), m):
-        raise ValueError(f"placement of {len(placement.bag_to_machine)} items on {placement.m} "
+    placement = placed.bag_to_machine
+    if (len(placement), placed.m) != (len(jobs), m):
+        raise ValueError(f"placement of {len(placement)} items on {placed.m} "
                          f"machines for {len(jobs)} jobs on {m} predicted speeds")
+    if placement and not 0 <= min(placement) <= max(placement) < m:
+        i = next(i for i in placement if not 0 <= i < m)
+        raise ValueError(f"machine index {i} out of range for m={m}")
     # Each bag's jobs, and its load summed in that order, as bag_load would.
     bags: list[list[int]] = [[] for _ in range(m)]
     loads = [0.0] * m
-    for j, i in enumerate(placement.bag_to_machine):
+    for j, i in enumerate(placement):
         bags[i].append(j)
         loads[i] += jobs[j]
     order = sorted(range(m), key=lambda i: (-loads[i], i))
-    opt_c_bar = max(loads[i] / s for i, s in zip(order, sorted(speeds, reverse=True)))
-    return ConsistentPartition(Partition(tuple(tuple(bags[i]) for i in order)), opt_c_bar)
+    return Partition(tuple(tuple(bags[i]) for i in order))
 
 
-def _check_start_jobs(initial: ConsistentPartition, n: int) -> None:
-    """Reject a start formed for other jobs: its bags must hold each job index
-    ``0..n-1`` once.  A count, each sorted bag's ends and one set union keep
-    it cheap at a thousand jobs."""
-    bags = initial.partition.bags
+def _check_start_jobs(bags: Sequence[Bag], n: int) -> None:
+    """Reject a start formed for other jobs: its ``bags`` must hold each job
+    index ``0..n-1`` once.  A count, each sorted bag's ends and one set union
+    keep it cheap at a thousand jobs."""
     held = sum(map(len, bags))
     if held != n:
         raise ValueError(f"initial partition holds {held} jobs, not {n}")
@@ -209,40 +206,41 @@ def ipr(
     jobs: Sequence[float],
     predicted_speeds: Sequence[float],
     config: IprConfig,
-    initial: ConsistentPartition,
+    initial: Partition,
 ) -> IprResult:
     """Iterative partial rebalancing.
 
-    Starts from ``initial``, the prediction-trusting partition that
-    :func:`consistent_partition` forms from the caller's solve (one bag per
-    machine, machines taken in non-increasing predicted-speed order), and
-    runs the rebalance loop with ``rho = config.rho`` and the guard
-    ``(1 + alpha)`` times its makespan ``initial.opt_c_bar``.  A bag is
-    splittable when it holds at least two jobs, and a receiving collection's
-    jobs are LPT-split into its bags.  A step the guard discards is undone,
-    so the consistency guarantee holds by construction no matter how
-    unbalanced the bags remain.  A start whose bag count is not the speed
-    count, or whose bags do not hold each of the ``len(jobs)`` jobs once,
-    raises ``ValueError``.
+    Starts from ``initial``, one bag per machine paired in order with the
+    predicted speeds sorted fastest first, as :func:`consistent_partition`
+    forms it from the caller's solve.  ``opt_c_bar`` is that pairing's
+    makespan, and the rebalance loop runs with ``rho = config.rho`` and the
+    guard ``(1 + alpha) * opt_c_bar``.  A bag is splittable when it holds at
+    least two jobs, and a receiving collection's jobs are LPT-split into its
+    bags.  A step the guard discards is undone, so the consistency guarantee
+    holds by construction no matter how unbalanced the bags remain.  A start
+    whose bag count is not the speed count, or whose bags do not hold each of
+    the ``len(jobs)`` jobs once, raises ``ValueError``.
 
     Returns the final partition plus an :class:`~speedsched.model.IprState`
     trace (iteration count and minimum-bag-load history).
     """
     jobs = finite_floats(jobs, "job processing times", allow_zero=True, allow_empty=True)
     speeds = finite_floats(predicted_speeds, "predicted speeds")
-    collections = [[bag] for bag in initial.partition.bags]
-    if len(collections) != len(speeds):
-        raise ValueError(f"initial partition has {len(collections)} bags for {len(speeds)} speeds")
-    _check_start_jobs(initial, len(jobs))
+    start = initial.bags
+    if len(start) != len(speeds):
+        raise ValueError(f"initial partition has {len(start)} bags for {len(speeds)} speeds")
+    _check_start_jobs(start, len(jobs))
+    speeds_desc = sorted(speeds, reverse=True)
 
     def lpt_resplit(bags: list[Bag]) -> list[Bag]:
         return _lpt_split([(jobs[j], j) for bag in bags for j in bag], len(bags))
 
+    opt_c_bar = max(bag_load(bag, jobs) / s for bag, s in zip(start, speeds_desc))
     collections, iterations, history = _rebalance(
-        collections,
-        sorted(speeds, reverse=True),
+        [[bag] for bag in start],
+        speeds_desc,
         config.rho,
-        (1.0 + config.alpha) * initial.opt_c_bar,
+        (1.0 + config.alpha) * opt_c_bar,
         lambda bag: bag_load(bag, jobs),
         lambda bag: len(bag) >= 2,
         lpt_resplit,
@@ -250,7 +248,7 @@ def ipr(
     assignment = Assignment(tuple(tuple(coll) for coll in collections))
     state = IprState(
         assignment=assignment,
-        opt_c_bar=initial.opt_c_bar,
+        opt_c_bar=opt_c_bar,
         iterations=iterations,
         b_min_history=tuple(history),
     )
@@ -294,7 +292,7 @@ def fluid_ipr(
 
 
 def binary_speed_partition(
-    jobs: Sequence[float], m: int, initial: ConsistentPartition
+    jobs: Sequence[float], m: int, initial: Partition
 ) -> Partition:
     """Partition for all-or-nothing speeds: ``m_hat`` of the ``m`` machines are
     predicted usable, the rest predicted dead.
@@ -309,13 +307,13 @@ def binary_speed_partition(
     total.  Stage two places the bags with the chosen scheduler on the
     machines that turn out usable, however many there are.
     """
-    m_hat = len(initial.partition.bags)
+    m_hat = len(initial.bags)
     if not 1 <= m_hat <= m:
         raise ValueError(f"initial partition has {m_hat} subsets for {m} machines; need 1..{m}")
-    _check_start_jobs(initial, len(jobs))
+    _check_start_jobs(initial.bags, len(jobs))
     quotient, remainder = divmod(m, m_hat)
     bags: list[Bag] = []
-    for idx, subset in enumerate(initial.partition.bags):
+    for idx, subset in enumerate(initial.bags):
         count = quotient + 1 if idx < remainder else quotient
         items = [(float(jobs[j]), j) for j in subset]
         bags.extend(_lpt_split(items, count))

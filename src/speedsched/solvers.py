@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Partition, Schedule, bag_load, beta_ratio, finite_floats, left_sum
+from .model import Partition, bag_load, beta_ratio, finite_floats, left_sum
 
 DEFAULT_NODE_BUDGET = 20_000_000
 SCHEDULERS = ("exact", "lpt")
@@ -46,14 +46,14 @@ class CapacityInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of a scheduling call.
-
-    ``schedule`` maps item index to machine index; ``optimal`` is True only for
-    the exact solver.  ``nodes_explored`` counts branch-and-bound nodes (0 for
-    greedy results).
+    """Outcome of a scheduling call: item ``k`` on machine
+    ``bag_to_machine[k]`` of ``0..m-1``, and the makespan.  ``optimal`` is
+    True only for the exact solver; ``nodes_explored`` counts branch-and-bound
+    nodes (0 for greedy results).
     """
 
-    schedule: Schedule
+    bag_to_machine: tuple[int, ...]
+    m: int
     makespan: float
     optimal: bool
     nodes_explored: int = 0
@@ -96,7 +96,7 @@ def lpt_schedule(loads: Sequence[float], speeds: Sequence[float]) -> SolveResult
         machine[best_i] += p
         assign[j] = best_i
     mk = max(machine[i] / speeds[i] for i in range(m))
-    return SolveResult(Schedule(tuple(assign), m), mk, optimal=False, nodes_explored=0)
+    return SolveResult(tuple(assign), m, mk, optimal=False, nodes_explored=0)
 
 
 def exact_schedule(
@@ -146,12 +146,12 @@ def exact_schedule(
     m = len(speeds)
     n = len(loads)
     if n == 0:
-        return SolveResult(Schedule((), m), 0.0, optimal=True, nodes_explored=0)
+        return SolveResult((), m, 0.0, optimal=True, nodes_explored=0)
 
     incumbent = lpt_schedule(loads, speeds)
     static_lb = opt_lower_bound(loads, speeds)
     if incumbent.makespan <= static_lb:
-        return SolveResult(incumbent.schedule, incumbent.makespan, optimal=True, nodes_explored=0)
+        return SolveResult(incumbent.bag_to_machine, m, incumbent.makespan, optimal=True)
 
     # Equal loads keep their index order, as in lpt_schedule.
     order = [j for j in sorted(range(n), key=loads.__getitem__, reverse=True) if loads[j] > 0.0]
@@ -245,13 +245,13 @@ def exact_schedule(
     dfs(0, 0.0)
 
     if best_assign is None:
-        assign = list(incumbent.schedule.bag_to_machine)
+        assign = list(incumbent.bag_to_machine)
         best_val = incumbent.makespan
     else:
         assign = [0] * n
         for idx, j in enumerate(order):
             assign[j] = best_assign[idx]
-    return SolveResult(Schedule(tuple(assign), m), best_val, optimal=True, nodes_explored=nodes)
+    return SolveResult(tuple(assign), m, best_val, optimal=True, nodes_explored=nodes)
 
 
 def schedule(
@@ -377,7 +377,7 @@ def capacity_robust_schedule(
     if big_singletons:
         sub = exact_schedule([loads[k] for k in big_singletons], speeds, node_budget)
         nodes = sub.nodes_explored
-        for k, i in zip(big_singletons, sub.schedule.bag_to_machine):
+        for k, i in zip(big_singletons, sub.bag_to_machine):
             place[k] = i
             machine[i] += loads[k]
 
@@ -404,4 +404,4 @@ def capacity_robust_schedule(
 
     final = tuple(int(i) for i in place)  # type: ignore[arg-type]
     mk = max(machine[i] / speeds[i] for i in range(m)) if n_bags else 0.0
-    return SolveResult(Schedule(final, m), mk, optimal=False, nodes_explored=nodes)
+    return SolveResult(final, m, mk, optimal=False, nodes_explored=nodes)

@@ -193,6 +193,29 @@ def test_partition_one_consistent_trusts_prediction(tmp_path, capsys):
     assert sorted(len(b) for b in doc["bags"]) == [1, 8]
 
 
+@pytest.mark.parametrize("command, algo, flags, named", [
+    ("evaluate", "lpt", ["--alpha", "0.99", "--rho", "1000"], "--alpha"),
+    ("evaluate", "binary", ["--rho", "4"], "--rho"),  # even its default value
+    ("partition", "one-consistent", ["--alpha", "0.5"], "--alpha"),
+    ("partition", "lpt", ["--rho", "2"], "--rho"),
+])
+def test_ipr_flags_for_another_algorithm_are_a_usage_error(
+    tmp_path, capsys, monkeypatch, command, algo, flags, named
+):
+    # Rejected before the instance is read, not accepted and ignored.
+    inst = write_instance(tmp_path, "nine", [1.0] * 9, [1.0, 1.0], [8.0, 1.0])
+    monkeypatch.setattr(cli, "_read", lambda *args: pytest.fail("read the instance"))
+    assert main([command, "--in", str(inst), "--algo", algo, *flags]) == 2
+    assert capsys.readouterr().err == f"error: {named} applies only to --algo ipr\n"
+
+
+def test_ipr_flags_reach_ipr(tmp_path, capsys):
+    inst = write_instance(tmp_path, "nine", [1.0] * 9, [1.0, 1.0], [8.0, 1.0])
+    assert main(["evaluate", "--in", str(inst), "--algo", "ipr", "--alpha", "0.25",
+                 "--rho", "2", "--format", "csv"]) == 0
+    assert '"ipr(alpha=0.25,rho=2)"' in capsys.readouterr().out
+
+
 def test_schedule_round_trip(tmp_path, capsys):
     inst = write_instance(tmp_path, "abc", [4.0, 3.0, 2.0], [2.0, 1.0], [2.0, 1.0])
     part_path = tmp_path / "part.json"
@@ -576,6 +599,44 @@ def test_experiment_rejects_algorithm_parameter_of_wrong_type(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: experiment config 'algorithms': algorithm 'alpha' must be a number, got []\n"
     )
+
+
+@pytest.mark.parametrize("algorithm, key", [
+    ({"name": "lpt", "alpha": 7.0, "rho": 0.1}, "alpha"),
+    ({"name": "binary", "rho": 4.0, "scheduler": "lpt"}, "rho"),
+])
+def test_experiment_rejects_an_ipr_parameter_for_another_algorithm(tmp_path, capsys, algorithm, key):
+    path = experiment_config_file(tmp_path, algorithms=[algorithm])
+    assert main(["experiment", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: experiment config 'algorithms': algorithm {algorithm['name']!r} takes no "
+        f"{key!r}; only 'ipr' does\n"
+    )
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["curves", "--alphas", "0.5"]) == 0
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    # Not at import either: the benchmark's setup time covers import and one build.
+    code = "import speedsched.cli as cli; print(cli._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "0\n"
 
 
 def test_import_and_one_cpu_experiment_leave_multiprocessing_unloaded(tmp_path):

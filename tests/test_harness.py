@@ -121,6 +121,21 @@ def test_algorithm_spec_validation():
     assert AlgorithmSpec("lpt").scheduler is None
 
 
+@pytest.mark.parametrize("name", ["one-consistent", "lpt", "binary"])
+def test_algorithm_spec_takes_alpha_and_rho_only_for_ipr(name):
+    for key, value in (("alpha", 7.0), ("alpha", 0.5), ("rho", 4.0)):
+        with pytest.raises(ValueError, match=rf"^algorithm {name!r} takes no {key!r}; only 'ipr' does$"):
+            AlgorithmSpec(name, **{key: value})
+        with pytest.raises(ValueError, match=rf"^algorithm {name!r} takes no {key!r}"):
+            parse_algorithm({"name": name, key: value})
+    assert (AlgorithmSpec(name).alpha, AlgorithmSpec(name).rho) == (None, None)
+    ipr_spec = AlgorithmSpec("ipr")
+    assert (ipr_spec.alpha, ipr_spec.rho) == (0.5, 4.0)
+    assert ipr_spec == AlgorithmSpec("ipr", alpha=0.5, rho=4) == parse_algorithm("ipr")
+    # null is the default, as for "scheduler".
+    assert parse_algorithm({"name": "ipr", "alpha": None, "rho": None}) == ipr_spec
+
+
 def test_parse_algorithm_dict_form():
     spec = parse_algorithm({"name": "ipr", "alpha": 0.25, "rho": 2.0, "scheduler": "lpt"})
     assert spec == AlgorithmSpec("ipr", alpha=0.25, rho=2.0, scheduler="lpt")
@@ -226,7 +241,7 @@ def test_make_partition_lpt_ignores_speeds():
 def test_make_partition_one_consistent_uses_predictions():
     inst = small_instance([3.0, 2.0, 2.0], (1.0, 1.0), (2.0, 1.0))
     placed = exact_schedule(inst.jobs, inst.predicted_speeds)
-    expected = consistent_partition(inst.jobs, inst.predicted_speeds, placed).partition
+    expected = consistent_partition(inst.jobs, inst.predicted_speeds, placed)
     assert make_partition(inst, "one-consistent") == expected
 
 
@@ -338,7 +353,7 @@ def test_make_partition_shares_trusting_partition_per_scheduler(monkeypatch):
     make_partition(inst, "one-consistent", scheduler="lpt", solves=solves)
     assert calls == ["exact", "lpt"]
     kept = {key[1]: value for key, value in solves.items() if key[0] == "consistent_partition"}
-    assert kept["exact"].partition == trusted
+    assert kept["exact"] == trusted
     assert set(kept) == {"exact", "lpt"}
 
 

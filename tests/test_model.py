@@ -1,4 +1,4 @@
-"""Tests for the core data model: instances, partitions, schedules, metrics."""
+"""Tests for the core data model: instances, partitions, placements, metrics."""
 
 import json
 import math
@@ -13,7 +13,6 @@ from speedsched.model import (
     Instance,
     IprState,
     Partition,
-    Schedule,
     bag_load,
     beta_ratio,
     finite_floats,
@@ -25,6 +24,7 @@ from speedsched.partition import consistent_partition, lpt_partition
 from speedsched.solvers import (
     DEFAULT_NODE_BUDGET,
     SCHEDULERS,
+    SolveResult,
     exact_schedule,
     lpt_schedule,
     opt_lower_bound,
@@ -195,7 +195,7 @@ def test_instance_rejects_empty_vectors():
 
 
 # ---------------------------------------------------------------------------
-# Partition / Assignment / Schedule containers
+# Partition / Assignment containers
 # ---------------------------------------------------------------------------
 
 
@@ -214,20 +214,6 @@ def test_partition_allows_empty_bags():
 def test_assignment_flattens_in_collection_order():
     asg = Assignment(collections=(((0, 1), (2,)), ((3,),)))
     assert asg.to_partition().bags == ((0, 1), (2,), (3,))
-
-
-def test_schedule_rejects_out_of_range_machine():
-    with pytest.raises(ValueError):
-        Schedule(bag_to_machine=(0, 2), m=2)
-    with pytest.raises(ValueError):
-        Schedule(bag_to_machine=(0,), m=0)
-
-
-@pytest.mark.parametrize("placement, named", [((0, 5, -1), 5), ((0, -1, 5), -1), ((1, 3, 3), 3)])
-def test_schedule_names_the_first_out_of_range_index(placement, named):
-    with pytest.raises(ValueError) as info:
-        Schedule(bag_to_machine=placement, m=3)
-    assert str(info.value) == f"machine index {named} out of range for m=3"
 
 
 def test_ipr_state_holds_trace_fields():
@@ -266,8 +252,8 @@ def test_bag_load_rejects_bad_index():
 
 def _placed_loads(result, loads):
     """Per-machine load of a solver result, summed from its schedule."""
-    per_machine = [0.0] * result.schedule.m
-    for k, i in enumerate(result.schedule.bag_to_machine):
+    per_machine = [0.0] * result.m
+    for k, i in enumerate(result.bag_to_machine):
         per_machine[i] += loads[k]
     return per_machine
 
@@ -279,7 +265,7 @@ def test_machine_loads_and_makespan_example():
     loads = [bag_load(bag, inst.jobs) for bag in part.bags]
     for scheduler in SCHEDULERS:
         result = schedule(loads, inst.true_speeds, scheduler, DEFAULT_NODE_BUDGET)
-        assert result.schedule == Schedule(bag_to_machine=(0, 1), m=2)
+        assert (result.bag_to_machine, result.m) == ((0, 1), 2)
         assert _placed_loads(result, loads) == [5.0, 2.0]
         assert result.makespan == 2.5
 
@@ -332,8 +318,8 @@ def test_makespan_rejects_machine_count_mismatch():
     with pytest.raises(ValueError, match="predicted_speeds has 2 entries, true_speeds has 1"):
         make_instance([1.0], [1.0], [1.0, 1.0])
     # A placement names only machines that exist.
-    with pytest.raises(ValueError, match="out of range for m=1"):
-        Schedule(bag_to_machine=(0, 1), m=1)
+    with pytest.raises(ValueError, match="^machine index 1 out of range for m=1$"):
+        consistent_partition([1.0, 1.0], [1.0], SolveResult((0, 1), 1, 2.0, optimal=False))
 
 
 def test_makespan_invariances_random_trials():

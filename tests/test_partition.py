@@ -11,14 +11,12 @@ from speedsched.gen import SplitMix64, SyntheticConfig, gen_synthetic
 from speedsched.model import (
     Assignment,
     Partition,
-    Schedule,
     bag_load,
     beta_ratio,
     left_sum,
     validate_partition,
 )
 from speedsched.partition import (
-    ConsistentPartition,
     IprConfig,
     _lpt_split,
     _rebalance,
@@ -39,6 +37,11 @@ def bag_loads(part, jobs):
 def trusting(jobs, speeds, solver="exact"):
     """The prediction-trusting partition of the jobs, solved by ``solver``."""
     return consistent_partition(jobs, speeds, schedule(jobs, speeds, solver, DEFAULT_NODE_BUDGET))
+
+
+def predicted_makespan(part, jobs, speeds):
+    """The bags' makespan with bag ``k`` on the ``k``-th fastest speed."""
+    return max(bag_load(b, jobs) / s for b, s in zip(part.bags, sorted(speeds, reverse=True)))
 
 
 def ipr(jobs, speeds, config):
@@ -131,20 +134,20 @@ def test_lpt_partition_balance_within_two():
 
 def test_consistent_partition_pairs_heavy_bags_with_fast_machines():
     result = trusting([UNIT] * 9, (8.0, 1.0))
-    assert [len(b) for b in result.partition.bags] == [8, 1]
-    assert result.opt_c_bar == 1.0
+    assert [len(b) for b in result.bags] == [8, 1]
+    assert predicted_makespan(result, [UNIT] * 9, (8.0, 1.0)) == 1.0
 
 
 def test_consistent_partition_small_example():
     result = trusting([3.0, 2.0, 2.0], (2.0, 1.0))
-    assert result.partition.bags == ((0, 2), (1,))
-    assert result.opt_c_bar == 2.5
+    assert result.bags == ((0, 2), (1,))
+    assert predicted_makespan(result, [3.0, 2.0, 2.0], (2.0, 1.0)) == 2.5
 
 
 def test_consistent_partition_single_machine():
     result = trusting([4.0, 1.0], (2.0,))
-    assert result.partition.bags == ((0, 1),)
-    assert result.opt_c_bar == 2.5
+    assert result.bags == ((0, 1),)
+    assert predicted_makespan(result, [4.0, 1.0], (2.0,)) == 2.5
 
 
 def test_consistent_partition_lpt_solver_close_to_exact():
@@ -154,19 +157,20 @@ def test_consistent_partition_lpt_solver_close_to_exact():
         m = 1 + rng.next_u64() % 3
         jobs = [0.5 + 9.5 * rng.next_float() for _ in range(n)]
         speeds = [0.5 + 4.0 * rng.next_float() for _ in range(m)]
-        exact = trusting(jobs, speeds, "exact")
-        greedy = trusting(jobs, speeds, "lpt")
-        validate_partition(greedy.partition, n, m)
-        assert exact.opt_c_bar <= greedy.opt_c_bar + 1e-9 * max(1.0, greedy.opt_c_bar)
+        exact = predicted_makespan(trusting(jobs, speeds, "exact"), jobs, speeds)
+        greedy_part = trusting(jobs, speeds, "lpt")
+        validate_partition(greedy_part, n, m)
+        greedy = predicted_makespan(greedy_part, jobs, speeds)
+        assert exact <= greedy + 1e-9 * max(1.0, greedy)
 
 
 def test_consistent_partition_takes_its_placement_as_given():
     # The bags are the placement's, whatever solved it.
     jobs, speeds = [3.0, 2.0, 2.0], (2.0, 1.0)
-    placed = SolveResult(Schedule((1, 1, 0), 2), 5.0, optimal=False)
+    placed = SolveResult((1, 1, 0), 2, 5.0, optimal=False)
     result = consistent_partition(jobs, speeds, placed)
-    assert result.partition.bags == ((0, 1), (2,))
-    assert result.opt_c_bar == 2.5
+    assert result.bags == ((0, 1), (2,))
+    assert predicted_makespan(result, jobs, speeds) == 2.5
 
 
 @pytest.mark.parametrize("items, machines", [(2, 2), (4, 2), (3, 1), (3, 3), (0, 2)])
@@ -175,6 +179,23 @@ def test_consistent_partition_rejects_a_placement_of_another_shape(items, machin
     with pytest.raises(ValueError, match=rf"^placement of {items} items on {machines} machines "
                                          r"for 3 jobs on 2 predicted speeds$"):
         consistent_partition([3.0, 2.0, 2.0], (2.0, 1.0), placed)
+
+
+def test_consistent_partition_rejects_out_of_range_machine():
+    with pytest.raises(ValueError, match="^machine index 2 out of range for m=2$"):
+        consistent_partition([1.0, 1.0], (1.0, 1.0), SolveResult((0, 2), 2, 1.0, optimal=False))
+    # A placement on no machines is of another shape for one speed.
+    with pytest.raises(ValueError, match="^placement of 1 items on 0 machines"):
+        consistent_partition([1.0], (1.0,), SolveResult((0,), 0, 1.0, optimal=False))
+
+
+@pytest.mark.parametrize("placement, named", [((0, 5, -1), 5), ((0, -1, 5), -1), ((1, 3, 3), 3)])
+def test_consistent_partition_names_the_first_out_of_range_index(placement, named):
+    # A negative index would otherwise pick a bag from the end.
+    placed = SolveResult(placement, 3, 1.0, optimal=False)
+    with pytest.raises(ValueError) as info:
+        consistent_partition([1.0, 1.0, 1.0], (1.0, 1.0, 1.0), placed)
+    assert str(info.value) == f"machine index {named} out of range for m=3"
 
 
 def test_consistent_partition_rejects_bad_speeds():
@@ -295,6 +316,28 @@ def test_ipr_rebalances_skewed_prediction():
     assert res.state.b_min_history == (1.0, 4.0)
 
 
+@pytest.mark.parametrize("bags, opt_c_bar", [
+    ((tuple(range(8)), (8,)), 1.0),  # 8 / 8 and 1 / 1
+    (((8,), tuple(range(8))), 8.0),  # 1 / 8 and 8 / 1: the bags in the order given
+])
+def test_ipr_guard_is_its_starts_predicted_makespan(bags, opt_c_bar):
+    res = partition.ipr([UNIT] * 9, (1.0, 8.0), IprConfig(alpha=0.5), Partition(bags))
+    assert res.state.opt_c_bar == opt_c_bar
+
+
+def test_ipr_guard_is_computed_for_any_start():
+    # An LPT split is no prediction-trusting start; its makespan is the guard's base all the same.
+    rng = SplitMix64(406)
+    for _ in range(50):
+        n = 2 + rng.next_u64() % 10
+        m = 1 + rng.next_u64() % 4
+        jobs = [0.5 + 9.5 * rng.next_float() for _ in range(n)]
+        speeds = [0.5 + 4.0 * rng.next_float() for _ in range(m)]
+        start = lpt_partition(jobs, m)
+        res = partition.ipr(jobs, speeds, IprConfig(alpha=0.5), start)
+        assert res.state.opt_c_bar == predicted_makespan(start, jobs, speeds)
+
+
 def test_ipr_already_balanced_is_untouched():
     res = ipr([UNIT] * 4, (3.0, 1.0), IprConfig(alpha=0.5))
     assert sorted(len(b) for b in res.partition.bags) == [1, 3]
@@ -340,7 +383,7 @@ def test_ipr_deterministic():
 
 def test_ipr_rejects_initial_with_wrong_bag_count():
     # Not a one-bag partition for two machines.
-    initial = partition.ConsistentPartition(Partition(((0, 1, 2),)), 3.0)
+    initial = Partition(((0, 1, 2),))
     with pytest.raises(ValueError, match="1 bags for 2 speeds"):
         partition.ipr([UNIT] * 3, (1.0, 1.0), IprConfig(alpha=0.5), initial)
 
@@ -363,14 +406,14 @@ NOT_EACH_ONCE = r"^initial partition does not hold each of jobs 0\.\.2 once$"
 
 @pytest.mark.parametrize("bags", BAD_STARTS, ids=["repeated", "past-end", "negative"])
 def test_ipr_rejects_a_start_without_each_job_once(bags):
-    initial = ConsistentPartition(Partition(bags), 6.0)
+    initial = Partition(bags)
     with pytest.raises(ValueError, match=NOT_EACH_ONCE):
         partition.ipr([3.0, 2.0, 2.0], (1.0, 1.0), IprConfig(alpha=0.5), initial)
 
 
 @pytest.mark.parametrize("bags", BAD_STARTS, ids=["repeated", "past-end", "negative"])
 def test_binary_partition_rejects_a_start_without_each_job_once(bags):
-    initial = ConsistentPartition(Partition(bags), 6.0)
+    initial = Partition(bags)
     with pytest.raises(ValueError, match=NOT_EACH_ONCE):
         binary_speed_partition([3.0, 2.0, 2.0], 2, initial)
 
@@ -379,7 +422,7 @@ def test_binary_partition_rejects_a_start_without_each_job_once(bags):
 def test_ipr_rejects_bad_jobs(bad):
     # Rejected before the loop: no negative load in b_min_history, no NaN
     # comparisons inside it.
-    initial = partition.ConsistentPartition(Partition(((0, 1), (2,))), 10.0)
+    initial = Partition(((0, 1), (2,)))
     with pytest.raises(ValueError, match="job processing times"):
         partition.ipr([5.0, 5.0, bad], (1.0, 1.0), IprConfig(alpha=0.5), initial)
 
@@ -414,12 +457,13 @@ def greedy_results_digest():
     digest = hashlib.sha256()
     for jobs, true, pred in pinned_greedy_inputs():
         res = lpt_schedule(jobs, true)
-        digest.update(repr((res.schedule.bag_to_machine, res.makespan.hex())).encode())
+        digest.update(repr((res.bag_to_machine, res.makespan.hex())).encode())
         digest.update(repr(lpt_partition(jobs, len(true)).bags).encode())
         initial = consistent_partition(jobs, pred, lpt_schedule(jobs, pred))
-        digest.update(repr((initial.partition.bags, initial.opt_c_bar.hex())).encode())
-        for rho in (2.0, 4.0):
-            out = partition.ipr(jobs, pred, IprConfig(alpha=0.5, rho=rho), initial)
+        outs = [partition.ipr(jobs, pred, IprConfig(alpha=0.5, rho=rho), initial)
+                for rho in (2.0, 4.0)]
+        digest.update(repr((initial.bags, outs[0].state.opt_c_bar.hex())).encode())
+        for out in outs:
             state = out.state
             key = (out.partition.bags, state.iterations, tuple(b.hex() for b in state.b_min_history))
             digest.update(repr(key).encode())
@@ -573,7 +617,7 @@ def test_binary_partition_full_prediction_is_plain_split():
 @pytest.mark.parametrize("m, m_hat", [(0, 1), (2, 0), (2, 3)])
 def test_binary_partition_rejects_bad_counts(m, m_hat):
     # m_hat is the initial partition's subset count, which must be in 1..m.
-    initial = ConsistentPartition(Partition(((),) * m_hat), 0.0)
+    initial = Partition(((),) * m_hat)
     with pytest.raises(ValueError, match=rf"^initial partition has {m_hat} subsets for {m} "):
         binary_speed_partition([1.0], m, initial)
 

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from speedsched.gen import SplitMix64, SyntheticConfig, gen_synthetic
-from speedsched.model import Partition, Schedule, bag_load, beta_ratio
+from speedsched.model import Partition, bag_load, beta_ratio
 from speedsched.solvers import (
     BudgetExceededError,
     CapacityInfeasibleError,
@@ -60,14 +60,14 @@ def test_opt_lower_bound_never_exceeds_exact():
 
 def test_lpt_schedule_example():
     res = lpt_schedule([4.0, 3.0, 2.0], (2.0, 1.0))
-    assert res.schedule.bag_to_machine == (0, 1, 0)
+    assert res.bag_to_machine == (0, 1, 0)
     assert res.makespan == 3.0
     assert res.optimal is False
 
 
 def test_lpt_schedule_ties_to_lowest_machine_index():
     res = lpt_schedule([1.0], (1.0, 1.0))
-    assert res.schedule.bag_to_machine == (0,)
+    assert res.bag_to_machine == (0,)
 
 
 def test_lpt_schedule_reports_consistent_makespan():
@@ -76,7 +76,7 @@ def test_lpt_schedule_reports_consistent_makespan():
         loads, speeds = random_loads_speeds(rng)
         res = lpt_schedule(loads, speeds)
         machine = [0.0] * len(speeds)
-        for j, i in enumerate(res.schedule.bag_to_machine):
+        for j, i in enumerate(res.bag_to_machine):
             machine[i] += loads[j]
         recomputed = max(l / s for l, s in zip(machine, speeds))
         assert res.makespan == pytest.approx(recomputed, rel=1e-12)
@@ -97,7 +97,7 @@ def test_exact_schedule_empty_input():
     res = exact_schedule([], (1.0, 1.0))
     assert res.makespan == 0.0
     assert res.optimal is True
-    assert res.schedule.bag_to_machine == ()
+    assert res.bag_to_machine == ()
 
 
 def test_exact_schedule_result_is_self_consistent():
@@ -107,7 +107,7 @@ def test_exact_schedule_result_is_self_consistent():
         res = exact_schedule(loads, speeds)
         assert res.optimal is True
         machine = [0.0] * len(speeds)
-        for j, i in enumerate(res.schedule.bag_to_machine):
+        for j, i in enumerate(res.bag_to_machine):
             machine[i] += loads[j]
         recomputed = max(l / s for l, s in zip(machine, speeds))
         assert res.makespan == pytest.approx(recomputed, rel=1e-12)
@@ -249,7 +249,7 @@ def test_exact_schedule_results_pinned():
     digest = hashlib.sha256()
     for loads, speeds in pinned_exact_inputs():
         res = exact_schedule(loads, speeds)
-        key = (res.schedule.bag_to_machine, res.makespan.hex(), res.nodes_explored)
+        key = (res.bag_to_machine, res.makespan.hex(), res.nodes_explored)
         digest.update(repr(key).encode())
     assert digest.hexdigest() == (
         "961f5260449b19613f5a34b2ce9f2fdd1f5df5aed5dc1642b2f48ff9abf05c71"
@@ -292,8 +292,8 @@ def test_exact_schedule_budget_counts_every_node(loads, speeds, searched):
 
 
 def test_solve_result_fields():
-    res = SolveResult(Schedule((0,), 1), 2.0, optimal=True, nodes_explored=5)
-    assert res.makespan == 2.0
+    res = SolveResult((0,), 1, 2.0, optimal=True, nodes_explored=5)
+    assert (res.bag_to_machine, res.m, res.makespan) == ((0,), 1, 2.0)
     assert res.nodes_explored == 5
 
 
@@ -397,14 +397,14 @@ def test_capacity_robust_balanced_example():
     jobs = [2.0, 2.0, 2.0, 1.0, 2.0, 1.0]
     res = capacity_robust_schedule(part, jobs, (4.0, 3.0, 3.0))
     assert res.makespan == 1.0
-    assert res.schedule.bag_to_machine == (0, 1, 2)
+    assert res.bag_to_machine == (0, 1, 2)
 
 
 def test_capacity_robust_unit_example():
     part = Partition(bags=((0, 1), (2,), (3,)))
     res = capacity_robust_schedule(part, [1.0, 1.0, 1.0, 1.0], (2.0, 1.0, 1.0))
     assert res.makespan == 1.0
-    assert res.schedule.bag_to_machine == (0, 1, 2)
+    assert res.bag_to_machine == (0, 1, 2)
 
 
 def test_capacity_robust_single_bag():
@@ -434,7 +434,7 @@ def test_capacity_robust_within_factor_of_optimal():
         bound = max(2.0, beta) * opt
         assert res.makespan <= bound + 1e-9 * max(1.0, bound)
         loads = [0.0] * m
-        for bag, i in zip(part.bags, res.schedule.bag_to_machine):
+        for bag, i in zip(part.bags, res.bag_to_machine):
             loads[i] += bag_load(bag, jobs)
         assert sum(loads) == pytest.approx(sum(jobs), rel=1e-12)
 
