@@ -138,6 +138,7 @@ def _check_start_jobs(bags: Sequence[Bag], n: int) -> None:
 
 def _rebalance(
     collections: list[list[_BagT]],
+    loads: list[list[float]],
     speeds_desc: Sequence[float],
     rho: float,
     guard: float,
@@ -148,7 +149,8 @@ def _rebalance(
     """The rebalance loop of :func:`ipr` and :func:`fluid_ipr`.
 
     ``collections[i]`` holds the bags of the machine with predicted speed
-    ``speeds_desc[i]``.  Each pass scans every bag once for the first smallest
+    ``speeds_desc[i]``, and ``loads[i]`` their loads, which the caller has
+    summed already.  Each pass scans every bag once for the first smallest
     bag and the collection holding the first heaviest ``splittable`` bag, and
     stops when there is no splittable bag or it is at most ``rho`` times the
     smallest.  Otherwise it moves the smallest bag into that collection and
@@ -164,7 +166,6 @@ def _rebalance(
     Returns the final collections, the steps tried (a discarded one
     included) and the smallest bag load at the start of each pass.
     """
-    loads = [[load_of(bag) for bag in coll] for coll in collections]
     sums = [left_sum(coll_loads) for coll_loads in loads]
     history: list[float] = []
     iterations = 0
@@ -235,9 +236,12 @@ def ipr(
     def lpt_resplit(bags: list[Bag]) -> list[Bag]:
         return _lpt_split([(jobs[j], j) for bag in bags for j in bag], len(bags))
 
-    opt_c_bar = max(bag_load(bag, jobs) / s for bag, s in zip(start, speeds_desc))
+    # Each start bag is summed once, for the guard and the loop.
+    start_loads = [bag_load(bag, jobs) for bag in start]
+    opt_c_bar = max(map(truediv, start_loads, speeds_desc))
     collections, iterations, history = _rebalance(
         [[bag] for bag in start],
+        [[load] for load in start_loads],
         speeds_desc,
         config.rho,
         (1.0 + config.alpha) * opt_c_bar,
@@ -279,8 +283,10 @@ def fluid_ipr(
     def equal_shares(bags: list[float]) -> list[float]:
         return [left_sum(bags) / len(bags)] * len(bags)
 
+    shares = [total_load * s / total_speed for s in speeds_desc]
     collections, _, _ = _rebalance(
-        [[total_load * s / total_speed] for s in speeds_desc],
+        [[share] for share in shares],
+        [[share] for share in shares],
         speeds_desc,
         rho,
         (1.0 + alpha) * (total_load / total_speed),

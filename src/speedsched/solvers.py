@@ -18,7 +18,9 @@ ratio, and the smallest-pair bag merge of the paper's all-or-nothing lemma
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
+from operator import truediv
 from typing import Sequence
 
 from .model import Partition, bag_load, beta_ratio, finite_floats, left_sum
@@ -71,31 +73,65 @@ def opt_lower_bound(loads: Sequence[float], speeds: Sequence[float]) -> float:
 
 def lpt_schedule(loads: Sequence[float], speeds: Sequence[float]) -> SolveResult:
     """Greedy: items in non-increasing load order, each to the machine where it
-    finishes earliest given current loads; ties break to the lowest machine
-    index.  Deterministic, never optimal-flagged.  The scan over machines is
-    a plain loop with a strict ``<`` over a prebuilt tuple of indices: at the
-    50-machine experiment shape it is faster than a list or ``map`` argmin,
-    or than a ``range`` built per item."""
+    finishes earliest given current loads, ``(machine[i] + p) / speeds[i]``;
+    ties break to the lowest machine index.  Deterministic, never
+    optimal-flagged.
+
+    The choice skips machines that provably cannot win, with no slack.  The
+    items are taken in rounds of ``m``; at a round's start each machine gets
+    the bound ``(machine[i] + low) / speeds[i]``, ``low`` being the round's
+    last, smallest item.  Float addition and division by a positive speed
+    round monotonically, so every item of the round finishes on machine ``i``
+    at no less than its bound, bit for bit.  An item walks the machines in
+    ``(bound, index)`` order, keeping the least ``(finish time, index)``, and
+    stops at the first machine whose ``(bound, index)`` exceeds it: the index
+    clause ends a run of equal bounds, as equal speeds make, at once.  Only the
+    chosen machine's bound changes: it is recomputed from the new load and
+    re-inserted in order.  The round's last item finishes at exactly its
+    bound, so it takes the first machine unscanned.  At 1000 items on 50
+    machines an item evaluates about 5 machines instead of 50; on a few items
+    and at most 5 machines, as the exact solver's incumbent has, a call costs
+    a few microseconds more than a plain scan of every machine."""
     loads = finite_floats(loads, "item loads", allow_zero=True, allow_empty=True)
     speeds = finite_floats(speeds, "machine speeds")
     m = len(speeds)
     assign = [0] * len(loads)
     machine = [0.0] * m
-    rest = tuple(range(1, m))
-    first_speed = speeds[0]
+    ranked = list(zip(machine, range(m)))
     # A reverse sort is stable: equal loads keep their index order.
-    for j in sorted(range(len(loads)), key=loads.__getitem__, reverse=True):
-        p = loads[j]
-        best_i = 0
-        best_v = (machine[0] + p) / first_speed
-        for i in rest:
-            v = (machine[i] + p) / speeds[i]
-            if v < best_v:
-                best_v = v
-                best_i = i
-        machine[best_i] += p
-        assign[j] = best_i
-    mk = max(machine[i] / speeds[i] for i in range(m))
+    order = sorted(range(len(loads)), key=loads.__getitem__, reverse=True)
+    for start in range(0, len(order), m):
+        items = order[start : start + m]
+        last = items.pop()
+        low = loads[last]
+        # Built in the last round's order, which is nearly this one's.
+        ranked = [((machine[i] + low) / speeds[i], i) for _, i in ranked]
+        ranked.sort()
+        for j in items:
+            p = loads[j]
+            # (inf, m) is above every (finish time, index), so the first
+            # machine is always evaluated.
+            best_v = math.inf
+            best_i = m
+            for entry in ranked:
+                bound, i = entry
+                if bound >= best_v and (bound > best_v or i > best_i):
+                    break
+                v = (machine[i] + p) / speeds[i]
+                if v <= best_v and (v < best_v or i < best_i):
+                    best_v = v
+                    best_i = i
+                    chosen = entry
+            load = machine[best_i] + p
+            machine[best_i] = load
+            assign[j] = best_i
+            # Found by value: cheaper than counting positions in the scan.
+            ranked.remove(chosen)
+            insort(ranked, ((load + low) / speeds[best_i], best_i))
+        i = ranked[0][1]
+        machine[i] += low
+        assign[last] = i
+    mk = max(map(truediv, machine, speeds))
     return SolveResult(tuple(assign), m, mk, optimal=False, nodes_explored=0)
 
 

@@ -210,6 +210,11 @@ def test_consistent_partition_rejects_bad_speeds():
 # ---------------------------------------------------------------------------
 
 
+def collection_loads(collections, jobs):
+    """Each collection's bag loads, as ``_rebalance`` takes them."""
+    return [[bag_load(bag, jobs) for bag in coll] for coll in collections]
+
+
 def lpt_rebalance(assignment, jobs, rho):
     """Run the rebalance loop on ``assignment`` as :func:`ipr` does (multi-job
     bags are splittable, a receiving collection is LPT-split), with equal
@@ -220,6 +225,7 @@ def lpt_rebalance(assignment, jobs, rho):
 
     collections, iterations, _ = _rebalance(
         [list(coll) for coll in assignment.collections],
+        collection_loads(assignment.collections, jobs),
         [1.0] * len(assignment.collections),
         rho,
         math.inf,
@@ -254,8 +260,10 @@ def test_rebalance_step_inside_one_collection_then_across_under_a_guard():
     def lpt_resplit(bags):
         return _lpt_split([(jobs[j], j) for bag in bags for j in bag], len(bags))
 
+    start = [[(2, 3), (1,)], [(0, 4)]]
     collections, iterations, history = _rebalance(
-        [[(2, 3), (1,)], [(0, 4)]],
+        start,
+        collection_loads(start, jobs),
         [2.0, 2.0],
         1.0,
         11.0,
@@ -275,8 +283,10 @@ def test_rebalance_guard_reads_the_source_collections_new_sum():
     def lpt_resplit(bags):
         return _lpt_split([(jobs[j], j) for bag in bags for j in bag], len(bags))
 
+    start = [[(1,), (0,)], [(3, 4)], [(2,)]]
     collections, iterations, history = _rebalance(
-        [[(1,), (0,)], [(3, 4)], [(2,)]],
+        start,
+        collection_loads(start, jobs),
         [2.0, 2.0, 2.0],
         1.5,
         4.0,

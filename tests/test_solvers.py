@@ -82,6 +82,68 @@ def test_lpt_schedule_reports_consistent_makespan():
         assert res.makespan == pytest.approx(recomputed, rel=1e-12)
 
 
+def plain_scan_lpt(loads, speeds):
+    """LPT with a plain strict-``<`` scan of every machine: the reference
+    :func:`lpt_schedule`'s pruned scan must match bit for bit."""
+    machine = [0.0] * len(speeds)
+    assign = [0] * len(loads)
+    for j in sorted(range(len(loads)), key=loads.__getitem__, reverse=True):
+        best_i, best_v = 0, (machine[0] + loads[j]) / speeds[0]
+        for i in range(1, len(speeds)):
+            v = (machine[i] + loads[j]) / speeds[i]
+            if v < best_v:
+                best_i, best_v = i, v
+        machine[best_i] += loads[j]
+        assign[j] = best_i
+    return tuple(assign), max(x / s for x, s in zip(machine, speeds))
+
+
+def lpt_reference_inputs():
+    """Seeded inputs where a pruned scan can go wrong: ties everywhere, zero
+    loads, one machine, fewer, as many and more items than machines, and a
+    speed of 5e-324, on which every non-zero load finishes at ``inf``."""
+    rng = SplitMix64(306)
+
+    def pick(values):
+        return values[rng.next_u64() % len(values)]
+
+    for case in range(3000):
+        m = pick([1, 1, 2, 3, 4, 5, 8, 13, 40])
+        n = max(pick([0, 1, m - 1, m, m + 1, 2 * m, 3 * m + 2, int(rng.next_u64() % 60)]), 0)
+        kind = case % 5
+        if kind == 0:  # integers: equal loads, equal speeds, equal finish times
+            loads = [float(rng.next_u64() % 4) for _ in range(n)]
+            speeds = [float(1 + rng.next_u64() % 3) for _ in range(m)]
+        elif kind == 1:
+            loads = [10.0 * rng.next_float() for _ in range(n)]
+            speeds = [0.1 + 5.0 * rng.next_float() for _ in range(m)]
+        elif kind == 2:  # finish times of inf, and ties among them
+            loads = [float(rng.next_u64() % 3) for _ in range(n)]
+            speeds = [pick([5e-324, 5e-324, 1e-300, 1.0, 2.0]) for _ in range(m)]
+        elif kind == 3:  # loads that sum past the largest float
+            loads = [pick([0.0, 1.0, 3.0, 1e308]) for _ in range(n)]
+            speeds = [pick([1e-300, 0.5, 1.0]) for _ in range(m)]
+        else:  # decimals, whose sums round
+            loads = [pick([0.0, 0.1, 0.2, 0.3, 0.7]) for _ in range(n)]
+            speeds = [pick([0.1, 0.3, 1.0, 3.0]) for _ in range(m)]
+        yield loads, speeds
+
+
+def test_lpt_schedule_matches_plain_scan():
+    for loads, speeds in lpt_reference_inputs():
+        res = lpt_schedule(loads, speeds)
+        assign, makespan = plain_scan_lpt(loads, speeds)
+        assert (res.bag_to_machine, res.makespan.hex()) == (assign, makespan.hex()), (loads, speeds)
+
+
+def test_lpt_schedule_on_many_equal_machines():
+    # A shape gen.MAX_SHAPE admits.  Each item evaluates one machine and stops
+    # at the next one's bound, where a plain scan would evaluate all of them.
+    res = lpt_schedule([1.0] * 200, [1.0] * 100_000)
+    assert res.bag_to_machine == tuple(range(200))
+    assert res.makespan == 1.0
+
+
 # ---------------------------------------------------------------------------
 # exact_schedule
 # ---------------------------------------------------------------------------
