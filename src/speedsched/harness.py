@@ -147,14 +147,22 @@ def parse_algorithm(spec: "AlgorithmSpec | str | dict") -> AlgorithmSpec:
 # ---------------------------------------------------------------------------
 
 
+_MISSING = object()
+
+
 def _memoised(solves: dict[tuple, Any] | None, key: tuple, compute: Callable[[], Any]) -> Any:
     """``compute()``, kept in ``solves`` under ``key`` when a memo is given;
-    a failed ``compute()`` is not kept."""
+    a failed ``compute()`` is not kept.
+
+    A hit looks ``key`` up once, and a miss once more to store it: a key
+    holds the instance's jobs, and a tuple re-hashes every member each time.
+    """
     if solves is None:
         return compute()
-    if key not in solves:
-        solves[key] = compute()
-    return solves[key]
+    value = solves.get(key, _MISSING)
+    if value is _MISSING:
+        value = solves[key] = compute()
+    return value
 
 
 def _solve(
@@ -196,7 +204,27 @@ def make_partition(
     ``("lpt_partition", jobs, m)``, and the prediction-trusting partitions,
     keyed by ``("consistent_partition", scheduler, jobs, speeds)``, so that
     ``one-consistent`` and ``ipr`` share one, and ``binary`` shares it too
-    when every prediction is 1.0.
+    when every prediction is 1.0.  Each memoised partition is kept beside
+    its bags' loads (see :func:`_stage_one`).
+    """
+    return _stage_one(instance, algorithm, scheduler, node_budget, solves)[0]
+
+
+def _stage_one(
+    instance: Instance,
+    algorithm: "AlgorithmSpec | str | dict",
+    scheduler: str,
+    node_budget: int,
+    solves: dict[tuple, Any] | None,
+) -> tuple[Partition, tuple[float, ...]]:
+    """:func:`make_partition`'s partition, and its bags' loads in partition
+    order, the items stage two places.
+
+    Each load is :func:`~speedsched.model.bag_load` of its bag, bit for bit,
+    summed once: ``ipr``'s are the loads its rebalance loop kept, and the
+    LPT and prediction-trusting partitions' are summed once beside the
+    partition in ``solves``, so a seed's LPT partition is summed once for
+    all its sweep points; ``binary``'s bags are summed as they are formed.
     """
     spec = parse_algorithm(algorithm)
     if spec.scheduler is not None:
@@ -205,34 +233,39 @@ def make_partition(
         raise ValueError(f"scheduler must be one of {SCHEDULERS}")
     jobs, predicted = instance.jobs, instance.predicted_speeds
 
-    def trusting(speeds: tuple[float, ...]) -> Partition:
-        def start() -> Partition:
+    def with_loads(part: Partition) -> tuple[Partition, tuple[float, ...]]:
+        return part, tuple(bag_load(bag, jobs) for bag in part.bags)
+
+    def trusting(speeds: tuple[float, ...]) -> tuple[Partition, tuple[float, ...]]:
+        def start() -> tuple[Partition, tuple[float, ...]]:
             placed = _solve(solves, jobs, speeds, scheduler, node_budget)
-            return consistent_partition(jobs, speeds, placed)
+            return with_loads(consistent_partition(jobs, speeds, placed))
 
         return _memoised(solves, ("consistent_partition", scheduler, jobs, speeds), start)
 
     if spec.name == "lpt":
         return _memoised(
-            solves, ("lpt_partition", jobs, instance.m), lambda: lpt_partition(jobs, instance.m)
+            solves, ("lpt_partition", jobs, instance.m),
+            lambda: with_loads(lpt_partition(jobs, instance.m)),
         )
     if spec.name == "binary":
         if not instance.all_or_nothing:
             raise ValueError(f"binary partitions all-or-nothing instances (every speed 0.0 or 1.0, "
                              f"some 1.0 in each vector), but instance name={instance.name!r} "
                              f"seed={instance.seed!r} is not")
-        return binary_speed_partition(jobs, instance.m, trusting((1.0,) * predicted.count(1.0)))
+        subsets, _ = trusting((1.0,) * predicted.count(1.0))
+        return with_loads(binary_speed_partition(jobs, instance.m, subsets))
     if 0.0 in predicted:
         unusable = [i for i, s in enumerate(predicted) if s == 0.0]
         raise ValueError(
             f"{spec.name} partitions on positive predicted speeds, but the prediction marks "
             f"machines {unusable} unusable (speed 0.0)"
         )
-    start = trusting(predicted)
+    trusted = trusting(predicted)
     if spec.name == "one-consistent":
-        return start
-    config = IprConfig(alpha=spec.alpha, rho=spec.rho)
-    return ipr(jobs, predicted, config, start).partition
+        return trusted
+    result = ipr(jobs, predicted, IprConfig(alpha=spec.alpha, rho=spec.rho), trusted[0])
+    return result.partition, result.loads
 
 
 def oracle_value(
@@ -278,9 +311,12 @@ def _instance_ratios(
     """The ratio of each algorithm on one instance, in order: its stage-two
     makespan over :func:`oracle_value`.
 
-    Stage one is :func:`make_partition`.  Stage two places the bags with the
-    scheduler stage one ran with (the algorithm's pinned one, else
-    ``scheduler``) on the :attr:`~speedsched.model.Instance.usable_speeds`.
+    Stage one is :func:`make_partition`, through :func:`_stage_one`, which
+    hands on the bags' loads with the partition: ``ipr``'s rebalance loop
+    kept them, and a memoised partition's were summed once beside it, so no
+    bag is summed here.  Stage two places those loads with the scheduler
+    stage one ran with (the algorithm's pinned one, else ``scheduler``) on
+    the :attr:`~speedsched.model.Instance.usable_speeds`.
     Both stages run for every algorithm before the oracle, and all three
     solve through :func:`_solve`, sharing ``solves``.  An exhausted node
     budget names ``where``.  With the exact oracle, a ratio below ``1 - 1e-9``
@@ -295,8 +331,7 @@ def _instance_ratios(
     with _budget_failure_names(where):
         for spec in algorithms:
             try:
-                part = make_partition(instance, spec, scheduler, node_budget, solves)
-                loads = [bag_load(bag, instance.jobs) for bag in part.bags]
+                _, loads = _stage_one(instance, spec, scheduler, node_budget, solves)
                 stage2 = spec.scheduler or scheduler
                 makespans.append(_solve(solves, loads, speeds, stage2, node_budget).makespan)
             except Exception as exc:

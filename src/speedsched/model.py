@@ -212,14 +212,33 @@ class Instance:
         )
 
 
+def _sorted_bag(bag: Iterable[int]) -> Bag:
+    """``bag`` as a canonical :data:`Bag`: ``tuple(sorted(map(int, bag)))``.
+
+    A bag whose members all have type exactly ``int`` is sorted without
+    converting each member; the type test is one C-level pass and runs
+    before any sort, so a mixed bag such as ``(1, "0")`` is converted, never
+    compared raw.  Bools, ``IntEnum`` members and digit strings take the
+    converting path.  A generator is read once, into a tuple.
+    """
+    items = tuple(bag)
+    if set(map(type, items)) <= {int}:
+        return tuple(sorted(items))
+    return tuple(sorted(map(int, items)))
+
+
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint bags of job indices; bags may be empty, order is significant."""
+    """Disjoint bags of job indices; bags may be empty, order is significant.
+
+    Each bag is kept as a tuple of ``int`` sorted ascending, whatever
+    iterable of integers it was given as (see :func:`_sorted_bag`).
+    """
 
     bags: tuple[Bag, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bags", tuple(tuple(sorted(map(int, bag))) for bag in self.bags))
+        object.__setattr__(self, "bags", tuple(map(_sorted_bag, self.bags)))
 
     @property
     def m(self) -> int:
@@ -243,15 +262,14 @@ class Partition:
 class Assignment:
     """Bags grouped into per-machine collections (machine ``i`` runs ``collections[i]``).
 
-    Flattening the collections in order yields a :class:`Partition`.
+    Flattening the collections in order yields a :class:`Partition`.  Each
+    bag is canonicalised as a :class:`Partition`'s is (see :func:`_sorted_bag`).
     """
 
     collections: tuple[tuple[Bag, ...], ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(
-            tuple(tuple(sorted(map(int, bag))) for bag in coll) for coll in self.collections
-        )
+        canon = tuple(tuple(map(_sorted_bag, coll)) for coll in self.collections)
         object.__setattr__(self, "collections", canon)
 
     def to_partition(self) -> Partition:

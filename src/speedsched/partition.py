@@ -55,8 +55,12 @@ class IprConfig:
 
 
 class IprResult(NamedTuple):
+    """What :func:`ipr` returns: the final partition, its trace, and each
+    final bag's load in partition order, bit for bit ``bag_load`` of the bag."""
+
     partition: Partition
     state: IprState
+    loads: tuple[float, ...]
 
 
 def _lpt_split(items: Sequence[tuple[float, int]], k: int) -> list[Bag]:
@@ -145,7 +149,7 @@ def _rebalance(
     load_of: Callable[[_BagT], float],
     splittable: Callable[[_BagT], bool],
     resplit: Callable[[list[_BagT]], list[_BagT]],
-) -> tuple[list[list[_BagT]], int, list[float]]:
+) -> tuple[list[list[_BagT]], list[list[float]], int, list[float]]:
     """The rebalance loop of :func:`ipr` and :func:`fluid_ipr`.
 
     ``collections[i]`` holds the bags of the machine with predicted speed
@@ -163,7 +167,8 @@ def _rebalance(
     re-sums only the collections a step changes: the smallest bag's and the
     receiving one, the same collection when the step stays inside one.
 
-    Returns the final collections, the steps tried (a discarded one
+    Returns the final collections and their bags' loads (a discarded
+    step's loads are dropped with it), the steps tried (a discarded one
     included) and the smallest bag load at the start of each pass.
     """
     sums = [left_sum(coll_loads) for coll_loads in loads]
@@ -200,7 +205,7 @@ def _rebalance(
         if max(map(truediv, tentative_sums, speeds_desc)) > guard:
             break
         collections, loads, sums = tentative, tentative_loads, tentative_sums
-    return collections, iterations, history
+    return collections, loads, iterations, history
 
 
 def ipr(
@@ -222,8 +227,11 @@ def ipr(
     whose bag count is not the speed count, or whose bags do not hold each of
     the ``len(jobs)`` jobs once, raises ``ValueError``.
 
-    Returns the final partition plus an :class:`~speedsched.model.IprState`
-    trace (iteration count and minimum-bag-load history).
+    Returns the final partition, an :class:`~speedsched.model.IprState`
+    trace (iteration count and minimum-bag-load history), and the final
+    bags' loads in partition order, as the rebalance loop kept them: each
+    is ``bag_load`` of its bag, bit for bit, so stage two need not sum the
+    bags again.
     """
     jobs = finite_floats(jobs, "job processing times", allow_zero=True, allow_empty=True)
     speeds = finite_floats(predicted_speeds, "predicted speeds")
@@ -239,7 +247,7 @@ def ipr(
     # Each start bag is summed once, for the guard and the loop.
     start_loads = [bag_load(bag, jobs) for bag in start]
     opt_c_bar = max(map(truediv, start_loads, speeds_desc))
-    collections, iterations, history = _rebalance(
+    collections, loads, iterations, history = _rebalance(
         [[bag] for bag in start],
         [[load] for load in start_loads],
         speeds_desc,
@@ -256,7 +264,8 @@ def ipr(
         iterations=iterations,
         b_min_history=tuple(history),
     )
-    return IprResult(assignment.to_partition(), state)
+    final_loads = tuple(load for coll_loads in loads for load in coll_loads)
+    return IprResult(assignment.to_partition(), state, final_loads)
 
 
 def fluid_ipr(
@@ -284,7 +293,7 @@ def fluid_ipr(
         return [left_sum(bags) / len(bags)] * len(bags)
 
     shares = [total_load * s / total_speed for s in speeds_desc]
-    collections, _, _ = _rebalance(
+    collections, _, _, _ = _rebalance(
         [[share] for share in shares],
         [[share] for share in shares],
         speeds_desc,

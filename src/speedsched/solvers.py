@@ -66,6 +66,12 @@ def opt_lower_bound(loads: Sequence[float], speeds: Sequence[float]) -> float:
     item on the fastest machine.  Exact solutions can never beat this."""
     loads = finite_floats(loads, "item loads", allow_zero=True, allow_empty=True)
     speeds = finite_floats(speeds, "machine speeds")
+    return _lower_bound(loads, speeds)
+
+
+def _lower_bound(loads: list[float], speeds: list[float]) -> float:
+    """:func:`opt_lower_bound`'s formula on loads and speeds the caller has
+    validated with ``finite_floats``."""
     if not loads:
         return 0.0
     return max(left_sum(loads) / left_sum(speeds), max(loads) / max(speeds))
@@ -185,7 +191,7 @@ def exact_schedule(
         return SolveResult((), m, 0.0, optimal=True, nodes_explored=0)
 
     incumbent = lpt_schedule(loads, speeds)
-    static_lb = opt_lower_bound(loads, speeds)
+    static_lb = _lower_bound(loads, speeds)
     if incumbent.makespan <= static_lb:
         return SolveResult(incumbent.bag_to_machine, m, incumbent.makespan, optimal=True)
 

@@ -39,7 +39,7 @@ from speedsched.harness import (
     theory_curve,
     verify_properties,
 )
-from speedsched.model import Instance, beta_ratio, validate_partition
+from speedsched.model import Instance, bag_load, beta_ratio, validate_partition
 from speedsched.partition import IprConfig, binary_speed_partition, consistent_partition, ipr, lpt_partition
 from speedsched.solvers import BudgetExceededError, exact_schedule, lpt_schedule, opt_lower_bound
 
@@ -353,8 +353,61 @@ def test_make_partition_shares_trusting_partition_per_scheduler(monkeypatch):
     make_partition(inst, "one-consistent", scheduler="lpt", solves=solves)
     assert calls == ["exact", "lpt"]
     kept = {key[1]: value for key, value in solves.items() if key[0] == "consistent_partition"}
-    assert kept["exact"] == trusted
+    assert kept["exact"] == (trusted, tuple(bag_load(bag, inst.jobs) for bag in trusted.bags))
     assert set(kept) == {"exact", "lpt"}
+
+
+def handed_on_loads_inputs():
+    """Batches of tie-heavy instances that share one memo and a machine
+    count, as an experiment seed's points do: integer jobs and speeds from
+    small ranges, ``n`` below, at and above ``m``, and all-or-nothing
+    instances (speeds 0.0 or 1.0) on the same jobs."""
+    rng = SplitMix64(2909)
+    for _ in range(300):
+        m = 1 + rng.next_u64() % 6
+        related, binary = [], []
+        for _ in range(6):
+            n = 1 + rng.next_u64() % 11
+            jobs = [float(1 + rng.next_u64() % 4) for _ in range(n)]
+            true = [float(1 + rng.next_u64() % 3) for _ in range(m)]
+            pred = [float(1 + rng.next_u64() % 4) for _ in range(m)]
+            related.append(small_instance(jobs, true, pred))
+            usable = [[float(rng.next_u64() % 2) for _ in range(m)] for _ in range(2)]
+            for speeds in usable:
+                speeds[rng.next_u64() % m] = 1.0
+            binary.append(small_instance(jobs, *usable))
+        yield related, binary
+
+
+def test_stage_two_receives_the_loads_of_stage_ones_bags(monkeypatch):
+    # Every load stage one hands on is bag_load of its bag, bit for bit:
+    # ipr's from its rebalance loop (a step the guard discards included),
+    # the memoised partitions' from the memo, for both schedulers.
+    discarded = []
+
+    def recording_ipr(*args, **kwargs):
+        result = ipr(*args, **kwargs)
+        discarded.append(result.state.iterations == len(result.state.b_min_history))
+        return result
+
+    monkeypatch.setattr(harness, "ipr", recording_ipr)
+    related_specs = [AlgorithmSpec("one-consistent"), AlgorithmSpec("lpt")] + [
+        AlgorithmSpec("ipr", alpha=alpha, rho=rho)
+        for rho in (2.0, 4.0) for alpha in harness._ALPHA_CYCLE
+    ]
+    checked = 0
+    for related, binary in handed_on_loads_inputs():
+        for scheduler in ("exact", "lpt"):
+            solves = {}
+            for instances, specs in ((related, related_specs), (binary, [AlgorithmSpec("binary")])):
+                for inst in instances:
+                    for spec in specs:
+                        part, loads = harness._stage_one(inst, spec, scheduler, 10**6, solves)
+                        want = [bag_load(bag, inst.jobs).hex() for bag in part.bags]
+                        assert [load.hex() for load in loads] == want, (inst, spec.label)
+                        checked += 1
+    assert checked > 10_000
+    assert any(discarded) and not all(discarded)
 
 
 def test_evaluate_under_perfect_predictions_solves_each_problem_once(monkeypatch):

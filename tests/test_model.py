@@ -1,5 +1,6 @@
 """Tests for the core data model: instances, partitions, placements, metrics."""
 
+import enum
 import json
 import math
 
@@ -214,6 +215,58 @@ def test_partition_allows_empty_bags():
 def test_assignment_flattens_in_collection_order():
     asg = Assignment(collections=(((0, 1), (2,)), ((3,),)))
     assert asg.to_partition().bags == ((0, 1), (2,), (3,))
+
+
+class _Job(enum.IntEnum):
+    FIRST = 0
+    SECOND = 1
+    THIRD = 2
+
+
+def _canonical_bag_inputs():
+    """Bags of every shape a caller may pass, each as a factory, since a
+    generator can be read once: exact ints sorted or not, duplicates, empty
+    bags, bools, ``IntEnum`` members, digit strings, mixed types, lists and
+    generators."""
+    shapes = [
+        (), (0,), (3, 1, 2), (0, 1, 2), (5, 5, 1), [4, 0, 2], (True, False, 3),
+        (_Job.THIRD, _Job.FIRST), (_Job.SECOND, 0, True), ("3", "1", "20"),
+        (1, "0"), ("7", 2.0, True), (2**70, -1, 0),
+    ]
+    for shape in shapes:
+        yield lambda shape=shape: shape
+        yield lambda shape=shape: list(shape)
+        yield lambda shape=shape: (x for x in shape)
+    rng = SplitMix64(11)
+    for _ in range(200):
+        size = rng.next_u64() % 12
+        bag = [int(rng.next_u64() % 6) for _ in range(size)]
+        yield lambda bag=bag: tuple(bag)
+        yield lambda bag=bag: (x for x in bag)
+
+
+def test_partition_and_assignment_canonicalise_as_the_converting_sort():
+    # Whatever the members' types, a bag comes out as the old conversion
+    # made it: every member converted with int, then sorted.
+    for make in _canonical_bag_inputs():
+        want = tuple(sorted(map(int, make())))
+        for got in (
+            Partition((make(), ())).bags[0],
+            Assignment(((make(),), ((),))).collections[0][0],
+            Assignment(((make(),),)).to_partition().bags[0],
+        ):
+            assert got == want
+            assert all(type(j) is int for j in got)
+    assert Partition(((1, "0"),)).bags == ((0, 1),)
+    assert Assignment((((1, "0"),),)).collections == (((0, 1),),)
+
+
+def test_a_mixed_bag_is_converted_before_it_is_compared():
+    # int("x") raises ValueError; comparing 1 with "x" would raise TypeError.
+    with pytest.raises(ValueError):
+        Partition(((1, "x"),))
+    with pytest.raises(ValueError):
+        Assignment((((1, "x"),),))
 
 
 def test_ipr_state_holds_trace_fields():

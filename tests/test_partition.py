@@ -223,7 +223,7 @@ def lpt_rebalance(assignment, jobs, rho):
     def lpt_resplit(bags):
         return _lpt_split([(jobs[j], j) for bag in bags for j in bag], len(bags))
 
-    collections, iterations, _ = _rebalance(
+    collections, _, iterations, _ = _rebalance(
         [list(coll) for coll in assignment.collections],
         collection_loads(assignment.collections, jobs),
         [1.0] * len(assignment.collections),
@@ -261,7 +261,7 @@ def test_rebalance_step_inside_one_collection_then_across_under_a_guard():
         return _lpt_split([(jobs[j], j) for bag in bags for j in bag], len(bags))
 
     start = [[(2, 3), (1,)], [(0, 4)]]
-    collections, iterations, history = _rebalance(
+    collections, loads, iterations, history = _rebalance(
         start,
         collection_loads(start, jobs),
         [2.0, 2.0],
@@ -273,6 +273,7 @@ def test_rebalance_step_inside_one_collection_then_across_under_a_guard():
     )
     assert collections == [[(1, 3)], [(2,), (0, 4)]]
     assert (iterations, history) == (3, [7.0, 9.0, 9.0])
+    assert loads == collection_loads(collections, jobs)
 
 
 def test_rebalance_guard_reads_the_source_collections_new_sum():
@@ -284,7 +285,7 @@ def test_rebalance_guard_reads_the_source_collections_new_sum():
         return _lpt_split([(jobs[j], j) for bag in bags for j in bag], len(bags))
 
     start = [[(1,), (0,)], [(3, 4)], [(2,)]]
-    collections, iterations, history = _rebalance(
+    collections, loads, iterations, history = _rebalance(
         start,
         collection_loads(start, jobs),
         [2.0, 2.0, 2.0],
@@ -296,6 +297,7 @@ def test_rebalance_guard_reads_the_source_collections_new_sum():
     )
     assert collections == [[(0,)], [(4,), (1, 3)], [(2,)]]
     assert (iterations, history) == (1, [1.0, 4.0])
+    assert loads == collection_loads(collections, jobs)
 
 
 def test_lpt_rebalance_three_collections():
