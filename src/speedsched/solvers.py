@@ -157,26 +157,40 @@ def exact_schedule(
     test leaves room for all unplaced work whenever the incumbent exceeds
     total work over total speed.  Two symmetry reductions keep regular inputs
     (equal items, equal machines) tractable without affecting the optimal
-    value: a machine is skipped when a lower-index machine of equal speed had
-    the same load when this node tried it, and runs of equal-size items use
-    non-decreasing machine indices.
+    value: runs of equal-size items use non-decreasing machine indices, and
+    a node skips a machine when a lower-index machine of the same speed had
+    the same load when the node reached it.
+
+    The second rule is kept as the ``(speed, load)`` pairs of the children a
+    node has searched, each load read before its visit, and a child that
+    passes the incumbent test is skipped when its pair is among them.  That
+    skips the same children.  Take the lowest twin that had the child's
+    load: the same load, item and speed give the same ratio, bit for bit,
+    and the incumbent only falls, so the twin passed the incumbent test; no
+    lower twin had that load, so the twin was not skipped; so it was
+    searched and its pair recorded.  A machine whose speed no other machine
+    has can have no twin, so its pairs are never kept.
 
     The loop is built for cost per node.  The last item's children, the
     complete placements, are handled inside their parent's loop rather than
     by a call each; each still counts as a node against the budget.  A node
-    reads its item, flags and tried loads from one tuple per level, and scans
-    a tuple of machine indices from its first index on, built by the first
-    node that starts there.  Its incumbent test reads the child's ratio
-    alone: the node's own partial makespan stays below the incumbent,
-    because the node returns once the incumbent falls to it.  That test runs
-    before the twin test, and the loads tried per node are kept, and twins
-    scanned, only when two speeds are equal.  Every node, leaf or not, adds
-    its item to the machine and subtracts it again afterwards: the
-    subtraction's rounding can leave the load a few ulps off, and the
-    placements, makespan bits and node counts of later branches depend on
-    that, so skipping the pair at a leaf would change results.
-    On the default experiment's calls this searches about 1.0-1.6M nodes/s
-    (the solver alone on one CPU of a 2-CPU Xeon, Python 3.11).
+    reads its item, its scan and whether it is last from one tuple per
+    level; the scan is a tuple of ``(index, speed)`` pairs, every machine's
+    for a level whose item differs from the one before, otherwise from the
+    previous item's machine on, built by the first node that starts there.
+    The incumbent is passed down and returned, everything a node reads is
+    bound as a local, and a child's load plus its item is added once, as
+    the ratio's numerator and the stored load.  The incumbent test reads the
+    child's ratio alone: a node returns as soon as the incumbent falls to
+    its floor, the larger of its own partial makespan (no later child can
+    get below it) and the lower bound (the search is over), so its partial
+    makespan stays below the incumbent.  Every node, leaf or not, adds its
+    item to the machine and subtracts it again afterwards: the subtraction's
+    rounding can leave the load a few ulps off, and the placements, makespan
+    bits and node counts of later branches depend on that, so skipping the
+    pair at a leaf would change results.  On the default experiment's calls
+    this searches about 1.5-2.0M nodes/s (the solver alone on one CPU of a
+    2-CPU Xeon, Python 3.11).
 
     Raises :class:`BudgetExceededError` after ``node_budget`` node expansions.
     Ties in the returned placement are resolved deterministically (items in
@@ -199,60 +213,75 @@ def exact_schedule(
     order = [j for j in sorted(range(n), key=loads.__getitem__, reverse=True) if loads[j] > 0.0]
     sorted_loads = [loads[j] for j in order]
     k = len(order)
-    # Symmetric machines: per machine, the indices of every machine of its
-    # speed in ascending order, one list shared by the group, so that set-up
-    # is O(m) however many speeds are equal.
-    same_speed: dict[float, list[int]] = {}
-    for i, speed in enumerate(speeds):
-        same_speed.setdefault(speed, []).append(i)
-    twins = [same_speed[speed] for speed in speeds]
-    symmetric = len(same_speed) < m
-    # Per level: the item; whether it equals the one before (its run takes
-    # machine indices from the previous item's on); whether it is the last;
-    # and, when two speeds are equal, the loads its node tried.
+    # Per machine: whether another machine has its speed, as only then can
+    # it have a twin.
+    counts: dict[float, int] = {}
+    for speed in speeds:
+        counts[speed] = counts.get(speed, 0) + 1
+    shared = [counts[speed] > 1 for speed in speeds]
+    # The scans from each first index on: every machine's at once, the
+    # others built by the first node that starts there, so that set-up is
+    # O(m) however many speeds are equal.
+    spans: list[tuple[tuple[int, float], ...] | None] = [None] * m
+    full = spans[0] = tuple(enumerate(speeds))
+    # Per level: the item; its scan, or None when it equals the item before
+    # (its run takes machine indices from the previous item's on); whether
+    # it is the last.
     levels = [
-        (p, idx > 0 and p == sorted_loads[idx - 1], idx == k - 1, [0.0] * m if symmetric else None)
+        (p, None if idx > 0 and p == sorted_loads[idx - 1] else full, idx == k - 1)
         for idx, p in enumerate(sorted_loads)
     ]
-    # The machines a node scans, from each first index on, built by the first
-    # node to scan them: the set-up never costs more than the search.
-    spans: list[tuple[int, ...] | None] = [None] * m
 
-    best_val = incumbent.makespan
     best_assign: list[int] | None = None
     machine = [0.0] * m
     path = [0] * k
     nodes = 0
 
-    def dfs(idx: int, cur_max: float) -> bool:
-        nonlocal nodes, best_val, best_assign
-        p, repeat, leaf, tried = levels[idx]
-        start = path[idx - 1] if repeat else 0
-        span = spans[start]
+    # What every node reads is bound as a default: a local is read faster
+    # than a variable of the enclosing call.
+    def dfs(
+        idx: int,
+        cur_max: float,
+        best: float,
+        machine: list[float] = machine,
+        path: list[int] = path,
+        levels: list[tuple[float, tuple[tuple[int, float], ...] | None, bool]] = levels,
+        spans: list[tuple[tuple[int, float], ...] | None] = spans,
+        full: tuple[tuple[int, float], ...] = full,
+        shared: list[bool] = shared,
+        static_lb: float = static_lb,
+        node_budget: int = node_budget,
+    ) -> float:
+        """Search below a node whose partial makespan is ``cur_max``; give
+        back the incumbent, lowered or not."""
+        nonlocal nodes, best_assign
+        p, span, leaf = levels[idx]
         if span is None:
-            span = spans[start] = tuple(range(start, m))
-        for i in span:
-            load = machine[i]
-            if symmetric:
-                # The load each machine had when this node reached it: rounding
-                # in the restoring subtraction below can move it before a later
-                # twin is reached.
-                tried[i] = load
-            # cur_max < best_val holds here (see the return below), so the
-            # child's partial makespan reaches the incumbent iff its ratio does.
-            ratio = (load + p) / speeds[i]
-            if ratio >= best_val:
+            start = path[idx - 1]
+            span = spans[start]
+            if span is None:
+                span = spans[start] = full[start:]
+        floor = cur_max if cur_max > static_lb else static_lb
+        explored = None
+        for i, speed in span:
+            # q is both the ratio's numerator and the child's load.  cur_max
+            # < best holds here (see the return below), so the child's
+            # partial makespan reaches the incumbent iff its ratio does.
+            q = machine[i] + p
+            ratio = q / speed
+            if ratio >= best:
                 continue
-            if symmetric:
-                twin_tried = False
-                for j in twins[i]:
-                    if j >= i:
-                        break
-                    if j >= start and tried[j] == load:
-                        twin_tried = True
-                        break
-                if twin_tried:
+            if shared[i]:
+                # Keyed on the load before the visit: rounding in the
+                # restoring subtraction below can move it before a later
+                # twin is reached.
+                twin = (speed, machine[i])
+                if explored is None:
+                    explored = {twin}
+                elif twin in explored:
                     continue
+                else:
+                    explored.add(twin)
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceededError(
@@ -260,35 +289,28 @@ def exact_schedule(
                     f"({n} items, {m} machines)",
                     nodes_explored=nodes,
                 )
-            new_max = ratio if ratio > cur_max else cur_max
-            machine[i] = load + p
+            machine[i] = q
             path[idx] = i
             if leaf:
                 # A complete placement below the incumbent: it becomes the
                 # incumbent, searched no further.
-                best_val = new_max
+                best = ratio if ratio > cur_max else cur_max
                 best_assign = path.copy()
-                finished = new_max <= static_lb
             else:
-                finished = dfs(idx + 1, new_max)
-            # Not ``machine[i] = load``, and not skipped at a leaf: results,
+                best = dfs(idx + 1, ratio if ratio > cur_max else cur_max, best)
+            # Not ``machine[i] = q - p``, and not skipped at a leaf: results,
             # and so the pinned experiment digests, depend on this
             # subtraction's rounding.
             machine[i] -= p
-            if finished:
-                return True
-            if cur_max >= best_val:
-                # The incumbent fell to this node's own partial makespan:
-                # no later child can get below it.
-                return False
-        return False
+            if best <= floor:
+                return best
+        return best
 
     # Some item is positive here: all-zero items meet the bound at 0.0.
-    dfs(0, 0.0)
+    best_val = dfs(0, 0.0, incumbent.makespan)
 
     if best_assign is None:
         assign = list(incumbent.bag_to_machine)
-        best_val = incumbent.makespan
     else:
         assign = [0] * n
         for idx, j in enumerate(order):

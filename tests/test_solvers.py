@@ -322,6 +322,28 @@ def test_exact_schedule_budget_error():
     with pytest.raises(BudgetExceededError) as excinfo:
         exact_schedule([3.0, 2.0, 2.0], (2.0, 1.0), node_budget=1)
     assert excinfo.value.nodes_explored > 1
+    # Every searched input of the pinned corpus again, on half its nodes: the
+    # search is cut mid-way, so the message and the node at which the budget
+    # trips are pinned for the paths that ran out, and the result for those
+    # of one node.  Change the digest only together with
+    # test_exact_schedule_results_pinned's.
+    digest = hashlib.sha256()
+    tripped = 0
+    for loads, speeds in pinned_exact_inputs():
+        nodes = exact_schedule(loads, speeds).nodes_explored
+        if nodes == 0:
+            continue
+        try:
+            res = exact_schedule(loads, speeds, node_budget=max(1, nodes // 2))
+            key = (res.bag_to_machine, res.makespan.hex(), res.nodes_explored)
+        except BudgetExceededError as exc:
+            tripped += 1
+            key = (str(exc), exc.nodes_explored)
+        digest.update(repr(key).encode())
+    assert tripped == 377
+    assert digest.hexdigest() == (
+        "9cc27085bf5e52a97cacf8e07a762c2904f51d68baa453da320577123ff3cbdd"
+    )
 
 
 SYNTHETIC_12X4 = gen_synthetic(SyntheticConfig(n=12, m=4, err_sigma=8.0, seed=1))
