@@ -35,7 +35,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .model import Instance, is_json_number, json_object
+from .model import CheckedFloats, Instance, is_json_number, json_object
 
 CLAMP_FLOOR = 1e-3
 # The largest job or machine count of a generated instance, so that it fits
@@ -226,7 +226,9 @@ class Dist:
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Parameters for one synthetic instance (see :func:`gen_synthetic`).
-    An out-of-range value raises ``ValueError`` naming its field."""
+    An out-of-range value raises ``ValueError`` naming its field, and so
+    does a shape or seed that is not an integer, or an ``err_sigma`` that
+    is not a number."""
 
     n: int
     m: int
@@ -236,6 +238,12 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for key in ("n", "m", "seed"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{key!r} must be an integer, got {value!r}")
+        if not is_json_number(self.err_sigma):
+            raise ValueError(f"'err_sigma' must be a number, got {self.err_sigma!r}")
         for key in ("n", "m"):
             value = getattr(self, key)
             if value < 1:
@@ -258,19 +266,23 @@ def _clamp(x: float) -> float:
 @functools.lru_cache(maxsize=1)
 def _draws(
     seed: int, n: int, m: int, job_dist: Dist, speed_dist: Dist
-) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+) -> tuple[CheckedFloats, CheckedFloats, tuple[float, ...]]:
     """The jobs, the true speeds and the ``m`` unit-normal error draws of a
     config; ``err_sigma`` only scales the last, so it is not read.  The last
     draws are kept, so the instances of one seed at every point of an
     ``err_sigma`` sweep, run back to back, share them and differ only in the
-    predicted speeds."""
+    predicted speeds.  The jobs and true speeds are checked here, once, as
+    :class:`~speedsched.model.CheckedFloats`: every instance built from
+    them keeps the same two objects, and checks only its predicted
+    speeds."""
     jobs_rng = substream(seed, _JOBS_TAG)
     speeds_rng = substream(seed, _SPEEDS_TAG)
     err_rng = substream(seed, _ERRORS_TAG)
-    jobs = tuple(_clamp(job_dist.sample(jobs_rng)) for _ in range(n))
-    true_speeds = tuple(_clamp(speed_dist.sample(speeds_rng)) for _ in range(m))
+    jobs = [_clamp(job_dist.sample(jobs_rng)) for _ in range(n)]
+    true_speeds = [_clamp(speed_dist.sample(speeds_rng)) for _ in range(m)]
     normals = tuple(normal_inv_cdf(err_rng.next_open_float()) for _ in range(m))
-    return jobs, true_speeds, normals
+    return (CheckedFloats.check(jobs, "job processing times"),
+            CheckedFloats.check(true_speeds, "true speeds"), normals)
 
 
 def gen_synthetic(config: SyntheticConfig) -> Instance:

@@ -154,8 +154,12 @@ def _memoised(solves: dict[tuple, Any] | None, key: tuple, compute: Callable[[],
     """``compute()``, kept in ``solves`` under ``key`` when a memo is given;
     a failed ``compute()`` is not kept.
 
-    A hit looks ``key`` up once, and a miss once more to store it: a key
-    holds the instance's jobs, and a tuple re-hashes every member each time.
+    A hit looks ``key`` up once, and a miss once more to store it.  A key
+    holds an instance's jobs as the instance keeps them, a
+    :class:`~speedsched.model.CheckedFloats` whose hash was computed when
+    it was made, so a lookup does not hash a thousand floats again; an
+    instance of the next sweep point of the same seed holds the same jobs
+    object, so a hit compares it by identity.
     """
     if solves is None:
         return compute()
@@ -165,15 +169,21 @@ def _memoised(solves: dict[tuple, Any] | None, key: tuple, compute: Callable[[],
     return value
 
 
+def _as_tuple(values: Sequence[float]) -> tuple[float, ...]:
+    return values if isinstance(values, tuple) else tuple(values)
+
+
 def _solve(
     solves: dict[tuple, Any] | None, loads: Sequence[float], speeds: Sequence[float],
     scheduler: str, node_budget: int,
 ) -> SolveResult:
     """:func:`~speedsched.solvers.schedule`, memoised in ``solves`` under
     ``(scheduler, tuple(loads), tuple(speeds))``: in the items' own order,
-    because the schedule maps item positions.  Stage one, stage two and the
-    oracle of every evaluation solve through here."""
-    key = (scheduler, tuple(loads), tuple(speeds))
+    because the schedule maps item positions.  A tuple, an instance's
+    vectors included, is its own key, not copied (see :func:`_memoised`).
+    Stage one, stage two and the oracle of every evaluation solve through
+    here."""
+    key = (scheduler, _as_tuple(loads), _as_tuple(speeds))
     return _memoised(solves, key, lambda: schedule(loads, speeds, scheduler, node_budget))
 
 
@@ -319,12 +329,13 @@ def _instance_ratios(
     the :attr:`~speedsched.model.Instance.usable_speeds`.
     Both stages run for every algorithm before the oracle, and all three
     solve through :func:`_solve`, sharing ``solves``.  An exhausted node
-    budget names ``where``.  With the exact oracle, a ratio below ``1 - 1e-9``
-    fails loudly: the oracle would not be one.  With ``failure_context``, an
-    algorithm's error other than an exhausted node budget is re-raised with
-    a message that names ``failure_context(spec)``: a ``ValueError`` (an
-    input the algorithm rejects) as a ``ValueError``, any other as a
-    :class:`RuntimeError`.
+    budget names ``where``, and so does an instance the oracle rejects (past
+    the exact solver's item limit).  With the exact oracle, a ratio below
+    ``1 - 1e-9`` fails loudly: the oracle would not be one.  With
+    ``failure_context``, an algorithm's error other than an exhausted node
+    budget is re-raised with a message that names ``failure_context(spec)``:
+    a ``ValueError`` (an input the algorithm rejects) as a ``ValueError``,
+    any other as a :class:`RuntimeError`.
     """
     speeds = instance.usable_speeds
     makespans = []
@@ -339,7 +350,10 @@ def _instance_ratios(
                     raise
                 kind = ValueError if isinstance(exc, ValueError) else RuntimeError
                 raise kind(f"evaluation failed at {failure_context(spec)}: {exc}") from exc
-        ref = oracle_value(instance, oracle, node_budget, solves)
+        try:
+            ref = oracle_value(instance, oracle, node_budget, solves)
+        except ValueError as exc:
+            raise ValueError(f"{exc} [{where}]") from exc
     ratios = [alg / ref for alg in makespans]
     for ratio in ratios:
         if oracle == "exact" and ratio < 1.0 - 1e-9:

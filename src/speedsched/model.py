@@ -85,8 +85,12 @@ def finite_floats(
     accepted at once, both scans in C: a NaN or an infinity makes the sum NaN
     or ``inf``, and the sum is only a test, never part of the output.  Any
     other list, one whose finite values overflow the sum included, goes
-    through the per-value check, which names the first bad value.
+    through the per-value check, which names the first bad value.  A
+    :class:`CheckedFloats` passed this check when it was made, so it is only
+    copied, unless a zero in it is out of range here.
     """
+    if type(values) is CheckedFloats and (allow_zero or values.positive):
+        return list(values)
     try:
         out = list(map(float, values))
     except (TypeError, ValueError) as exc:
@@ -103,6 +107,53 @@ def finite_floats(
             sign = "non-negative" if allow_zero else "positive"
             raise ValueError(f"{what} must be {sign} finite, got {v!r}")
     return out
+
+
+class CheckedFloats(tuple):
+    """A non-empty tuple of floats that passed :func:`finite_floats`, made by
+    :meth:`check`; ``positive`` says whether every value is above 0.0.
+
+    An :class:`Instance` keeps its vectors as these, so each is checked once:
+    :func:`finite_floats` copies one without a second scan, and an instance
+    built from another's vectors, as :func:`~speedsched.gen.gen_synthetic`
+    builds every point of a seed from the seed's jobs, takes them as they
+    are.  The hash is computed once, when the vector is made: the memo of an
+    evaluation keys its entries by an instance's jobs, and a tuple would
+    hash its thousand floats again at every lookup.  It equals, and hashes
+    as, the plain tuple of the same values.  Its :meth:`descending` order is
+    sorted once too, on first use.
+    """
+
+    positive: bool
+    _hash: int
+    _descending: tuple[int, ...]
+
+    @classmethod
+    def check(cls, values: Sequence[float], what: str, allow_zero: bool = False) -> "CheckedFloats":
+        """``values`` through :func:`finite_floats` (non-empty, positive or,
+        with ``allow_zero``, non-negative), or ``values`` itself when it is
+        already a :class:`CheckedFloats` in that range."""
+        if type(values) is cls and (allow_zero or values.positive):
+            return values
+        out = finite_floats(values, what, allow_zero)
+        vector = super().__new__(cls, out)
+        vector.positive = not allow_zero or 0.0 not in out
+        vector._hash = tuple.__hash__(vector)
+        return vector
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def descending(self) -> tuple[int, ...]:
+        """The indices in non-increasing value order, equal values in index
+        order: ``sorted(range(len(self)), key=self.__getitem__, reverse=True)``,
+        sorted on the first call and kept."""
+        try:
+            return self._descending
+        except AttributeError:
+            order = sorted(range(len(self)), key=self.__getitem__, reverse=True)
+            self._descending = tuple(order)
+            return self._descending
 
 
 @dataclass(frozen=True)
@@ -122,6 +173,9 @@ class Instance:
         same length as ``true_speeds``.
     name, seed:
         Optional provenance labels carried through JSON round-trips.
+
+    Each vector is kept as a :class:`CheckedFloats`; one given as such, in
+    range, is kept as it is, without a second check.
     """
 
     jobs: tuple[float, ...]
@@ -131,18 +185,19 @@ class Instance:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        jobs = finite_floats(self.jobs, "job processing times")
-        true_speeds = finite_floats(self.true_speeds, "true speeds", allow_zero=True)
-        predicted_speeds = finite_floats(self.predicted_speeds, "predicted speeds", allow_zero=True)
+        jobs = CheckedFloats.check(self.jobs, "job processing times")
+        true_speeds = CheckedFloats.check(self.true_speeds, "true speeds", allow_zero=True)
+        predicted_speeds = CheckedFloats.check(self.predicted_speeds, "predicted speeds",
+                                               allow_zero=True)
         if len(predicted_speeds) != len(true_speeds):
             raise ValueError(
                 f"predicted_speeds has {len(predicted_speeds)} entries, "
                 f"true_speeds has {len(true_speeds)}"
             )
-        object.__setattr__(self, "jobs", tuple(jobs))
-        object.__setattr__(self, "true_speeds", tuple(true_speeds))
-        object.__setattr__(self, "predicted_speeds", tuple(predicted_speeds))
-        if 0.0 in self.true_speeds and not self.all_or_nothing:
+        object.__setattr__(self, "jobs", jobs)
+        object.__setattr__(self, "true_speeds", true_speeds)
+        object.__setattr__(self, "predicted_speeds", predicted_speeds)
+        if not true_speeds.positive and not self.all_or_nothing:
             raise ValueError(
                 "true speeds must be positive finite, got 0.0 "
                 "(a zero true speed needs every speed to be 0.0 or 1.0)"
@@ -167,7 +222,10 @@ class Instance:
 
     @property
     def usable_speeds(self) -> tuple[float, ...]:
-        """The true speeds of :attr:`usable_machines`, in the same order."""
+        """The true speeds of :attr:`usable_machines`, in the same order:
+        :attr:`true_speeds` itself when every machine is usable."""
+        if self.true_speeds.positive:
+            return self.true_speeds
         return tuple(self.true_speeds[i] for i in self.usable_machines)
 
     @property
@@ -240,6 +298,14 @@ class Partition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "bags", tuple(map(_sorted_bag, self.bags)))
 
+    @classmethod
+    def _of_sorted(cls, bags: tuple[Bag, ...]) -> "Partition":
+        """The partition of ``bags``, a tuple of bags that are canonical
+        already, as this package's partitioners form them: kept as given."""
+        part = object.__new__(cls)
+        object.__setattr__(part, "bags", bags)
+        return part
+
     @property
     def m(self) -> int:
         return len(self.bags)
@@ -272,8 +338,17 @@ class Assignment:
         canon = tuple(tuple(map(_sorted_bag, coll)) for coll in self.collections)
         object.__setattr__(self, "collections", canon)
 
+    @classmethod
+    def _of_sorted(cls, collections: tuple[tuple[Bag, ...], ...]) -> "Assignment":
+        """As :meth:`Partition._of_sorted`: collections of canonical bags,
+        kept as given."""
+        assignment = object.__new__(cls)
+        object.__setattr__(assignment, "collections", collections)
+        return assignment
+
     def to_partition(self) -> Partition:
-        return Partition(bags=tuple(bag for coll in self.collections for bag in coll))
+        """The bags in collection order; they are canonical already."""
+        return Partition._of_sorted(tuple(bag for coll in self.collections for bag in coll))
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ def lpt_partition(jobs: Sequence[float], k: int) -> Partition:
     how wrong the speed predictions were.
     """
     loads = finite_floats(jobs, "job processing times", allow_zero=True, allow_empty=True)
-    return Partition(tuple(_lpt_split([(p, j) for j, p in enumerate(loads)], k)))
+    return Partition._of_sorted(tuple(_lpt_split([(p, j) for j, p in enumerate(loads)], k)))
 
 
 def consistent_partition(
@@ -126,7 +126,7 @@ def consistent_partition(
         bags[i].append(j)
         loads[i] += jobs[j]
     order = sorted(range(m), key=lambda i: (-loads[i], i))
-    return Partition(tuple(tuple(bags[i]) for i in order))
+    return Partition._of_sorted(tuple(tuple(bags[i]) for i in order))
 
 
 def _check_start_jobs(bags: Sequence[Bag], n: int) -> None:
@@ -154,36 +154,50 @@ def _rebalance(
 
     ``collections[i]`` holds the bags of the machine with predicted speed
     ``speeds_desc[i]``, and ``loads[i]`` their loads, which the caller has
-    summed already.  Each pass scans every bag once for the first smallest
-    bag and the collection holding the first heaviest ``splittable`` bag, and
-    stops when there is no splittable bag or it is at most ``rho`` times the
-    smallest.  Otherwise it moves the smallest bag into that collection and
-    ``resplit``s the collection into as many bags as it now holds.  Only
+    summed already.  Each pass finds the first smallest bag and the
+    collection holding the first heaviest ``splittable`` bag ("first" in
+    collection order, then bag order), and stops when there is no
+    splittable bag or it is at most ``rho`` times the smallest.  Otherwise
+    it moves the smallest bag into that collection and ``resplit``s the
+    collection into as many bags as it now holds.  Only
     those two collections change; the step is kept if the makespan under
     ``speeds_desc`` stays within ``guard``, and otherwise discarded, which
     ends the loop.
 
-    Each collection's load sum is kept between steps, and the guard test
-    re-sums only the collections a step changes: the smallest bag's and the
-    receiving one, the same collection when the step stays inside one.
+    Each collection's load sum, least load and greatest load are kept
+    between steps, and recomputed only for the collections a step changes:
+    the smallest bag's and the receiving one, the same collection when the
+    step stays inside one.  So a pass finds its bags by scans in C: the
+    first collection holding the least (greatest) of the kept loads, and the
+    first bag of that load in it.  The loads are never NaN, so that is the
+    bag a walk over every bag, keeping the first strictly smaller (larger)
+    load, would find.  Only when that heaviest bag is not splittable does
+    such a walk, in Python, look for the first heaviest splittable one.
 
     Returns the final collections and their bags' loads (a discarded
     step's loads are dropped with it), the steps tried (a discarded one
     included) and the smallest bag load at the start of each pass.
     """
     sums = [left_sum(coll_loads) for coll_loads in loads]
+    # An empty collection has no bag, so it never holds the first smallest
+    # or the first heaviest one.
+    lows = [min(coll_loads, default=math.inf) for coll_loads in loads]
+    highs = [max(coll_loads, default=-math.inf) for coll_loads in loads]
     history: list[float] = []
     iterations = 0
     safety = 16 * len(speeds_desc) * len(speeds_desc) + 64
     while True:
-        min_load, min_ci, min_bi = math.inf, -1, -1
-        max_load, max_ci = -math.inf, -1
-        for ci, coll_loads in enumerate(loads):
-            for bi, load in enumerate(coll_loads):
-                if load < min_load:
-                    min_load, min_ci, min_bi = load, ci, bi
-                if load > max_load and splittable(collections[ci][bi]):
-                    max_load, max_ci = load, ci
+        min_load = min(lows)
+        min_ci = lows.index(min_load)
+        min_bi = loads[min_ci].index(min_load)
+        max_load = max(highs)
+        max_ci = highs.index(max_load)
+        if not splittable(collections[max_ci][loads[max_ci].index(max_load)]):
+            max_load, max_ci = -math.inf, -1
+            for ci, coll_loads in enumerate(loads):
+                for bi, load in enumerate(coll_loads):
+                    if load > max_load and splittable(collections[ci][bi]):
+                        max_load, max_ci = load, ci
         history.append(min_load)
         if max_ci < 0 or max_load <= rho * min_load:
             break
@@ -205,6 +219,9 @@ def _rebalance(
         if max(map(truediv, tentative_sums, speeds_desc)) > guard:
             break
         collections, loads, sums = tentative, tentative_loads, tentative_sums
+        for ci in (min_ci, max_ci):
+            lows[ci] = min(loads[ci], default=math.inf)
+            highs[ci] = max(loads[ci], default=-math.inf)
     return collections, loads, iterations, history
 
 
@@ -231,7 +248,9 @@ def ipr(
     trace (iteration count and minimum-bag-load history), and the final
     bags' loads in partition order, as the rebalance loop kept them: each
     is ``bag_load`` of its bag, bit for bit, so stage two need not sum the
-    bags again.
+    bags again.  Every final bag is a start bag or one that the LPT split
+    formed, canonical either way, so the result holds them without sorting
+    them again.
     """
     jobs = finite_floats(jobs, "job processing times", allow_zero=True, allow_empty=True)
     speeds = finite_floats(predicted_speeds, "predicted speeds")
@@ -257,7 +276,7 @@ def ipr(
         lambda bag: len(bag) >= 2,
         lpt_resplit,
     )
-    assignment = Assignment(tuple(tuple(coll) for coll in collections))
+    assignment = Assignment._of_sorted(tuple(map(tuple, collections)))
     state = IprState(
         assignment=assignment,
         opt_c_bar=opt_c_bar,
@@ -281,13 +300,16 @@ def fluid_ipr(
     prediction-optimal) and runs :func:`ipr`'s rebalance loop on them with the
     guard ``(1 + alpha)`` times that optimum: every bag is splittable, and a
     receiving collection's load is split into equal shares.  Returns the final
-    bag loads in collection order.
+    bag loads in collection order.  Speeds whose sum overflows a float raise
+    ``ValueError``: no share of the load could be computed from them.
     """
     speeds = finite_floats(predicted_speeds, "predicted speeds")
     (total_load,) = finite_floats([total_load], "total_load")
     IprConfig(alpha=alpha, rho=rho)  # validates ranges
     speeds_desc = sorted(speeds, reverse=True)
     total_speed = left_sum(speeds_desc)
+    if total_speed == math.inf:
+        raise ValueError("predicted speeds must have a finite sum")
 
     def equal_shares(bags: list[float]) -> list[float]:
         return [left_sum(bags) / len(bags)] * len(bags)
@@ -332,4 +354,4 @@ def binary_speed_partition(
         count = quotient + 1 if idx < remainder else quotient
         items = [(float(jobs[j]), j) for j in subset]
         bags.extend(_lpt_split(items, count))
-    return Partition(tuple(bags))
+    return Partition._of_sorted(tuple(bags))

@@ -23,10 +23,14 @@ from dataclasses import dataclass
 from operator import truediv
 from typing import Sequence
 
-from .model import Partition, bag_load, beta_ratio, finite_floats, left_sum
+from .model import CheckedFloats, Partition, bag_load, beta_ratio, finite_floats, left_sum
 
 DEFAULT_NODE_BUDGET = 20_000_000
 SCHEDULERS = ("exact", "lpt")
+# The most items of positive load the exact solver searches: its search
+# recurses once per item, and Python's default recursion limit of 1000
+# frames must leave room for the caller's own.
+MAX_EXACT_ITEMS = 500
 
 
 class BudgetExceededError(RuntimeError):
@@ -97,18 +101,22 @@ def lpt_schedule(loads: Sequence[float], speeds: Sequence[float]) -> SolveResult
     bound, so it takes the first machine unscanned.  At 1000 items on 50
     machines an item evaluates about 5 machines instead of 50; on a few items
     and at most 5 machines, as the exact solver's incumbent has, a call costs
-    a few microseconds more than a plain scan of every machine."""
+    a few microseconds more than a plain scan of every machine.  Loads given
+    as a :class:`~speedsched.model.CheckedFloats`, as an instance's jobs
+    are, keep their order between calls, so the jobs of a sweep's instances
+    are sorted once for all its points."""
+    order = loads.descending() if type(loads) is CheckedFloats else None
     loads = finite_floats(loads, "item loads", allow_zero=True, allow_empty=True)
     speeds = finite_floats(speeds, "machine speeds")
+    if order is None:
+        # A reverse sort is stable: equal loads keep their index order.
+        order = sorted(range(len(loads)), key=loads.__getitem__, reverse=True)
     m = len(speeds)
     assign = [0] * len(loads)
     machine = [0.0] * m
     ranked = list(zip(machine, range(m)))
-    # A reverse sort is stable: equal loads keep their index order.
-    order = sorted(range(len(loads)), key=loads.__getitem__, reverse=True)
     for start in range(0, len(order), m):
-        items = order[start : start + m]
-        last = items.pop()
+        *items, last = order[start : start + m]
         low = loads[last]
         # Built in the last round's order, which is nearly this one's.
         ranked = [((machine[i] + low) / speeds[i], i) for _, i in ranked]
@@ -193,6 +201,10 @@ def exact_schedule(
     2-CPU Xeon, Python 3.11).
 
     Raises :class:`BudgetExceededError` after ``node_budget`` node expansions.
+    The search recurses once per item of positive load, so an input whose
+    greedy incumbent does not meet the lower bound and that has more than
+    :data:`MAX_EXACT_ITEMS` (500) such items raises ``ValueError`` before
+    any search; the recursion limit is never raised.
     Ties in the returned placement are resolved deterministically (items in
     non-increasing load order, lowest machine index first).
     """
@@ -211,8 +223,11 @@ def exact_schedule(
 
     # Equal loads keep their index order, as in lpt_schedule.
     order = [j for j in sorted(range(n), key=loads.__getitem__, reverse=True) if loads[j] > 0.0]
-    sorted_loads = [loads[j] for j in order]
     k = len(order)
+    if k > MAX_EXACT_ITEMS:
+        raise ValueError(f"exact solver takes at most {MAX_EXACT_ITEMS} items of positive load, "
+                         f"got {k} ({n} items, {m} machines)")
+    sorted_loads = [loads[j] for j in order]
     # Per machine: whether another machine has its speed, as only then can
     # it have a twin.
     counts: dict[float, int] = {}

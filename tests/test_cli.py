@@ -382,6 +382,24 @@ def test_evaluate_ipr_rejects_predicted_unusable_machines(tmp_path, capsys):
     assert err.startswith("error: ipr ") and "machines [1] unusable" in err
 
 
+def test_exact_oracle_on_a_thousand_items_exits_2_naming_the_item_limit(tmp_path, capsys):
+    # Both once ran the exact solver's recursion past Python's limit and
+    # exited 4; the solver now rejects the input, an instance it does not
+    # take, before any search, and the message names the instance.
+    inst = write_instance(tmp_path, "big", [50.0] * 1000, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    assert main(["evaluate", "--in", str(inst), "--algo", "lpt"]) == 2
+    assert capsys.readouterr().err == ("error: exact solver takes at most 500 items of positive "
+                                       "load, got 1000 (1000 items, 3 machines) "
+                                       "[instance name='big' seed=None]\n")
+    config = tmp_path / "big-config.json"
+    config.write_text(json.dumps({"n": 1000, "m": 50, "scheduler": "lpt", "oracle": "exact",
+                                  "instances_per_point": 1, "sweep_values": [0.0]}))
+    assert main(["experiment", "--config", str(config)]) == 2
+    assert capsys.readouterr() == ("", "error: exact solver takes at most 500 items of positive "
+                                       "load, got 1000 (1000 items, 50 machines) "
+                                       "[err_sigma=0.0 seed=0]\n")
+
+
 def test_evaluate_one_consistent_rejects_predicted_unusable_machines(tmp_path, capsys):
     # one-consistent partitions on positive predicted speeds whatever the
     # true speeds are, related (2.0) or all-or-nothing, which is binary's

@@ -233,6 +233,38 @@ def test_solve_memo_keys_on_scheduler_and_item_order():
     assert len(solves) == 3
 
 
+def test_memo_never_shares_an_entry_between_instances_of_other_jobs():
+    # Keys hold an instance's jobs with their hash computed once.  Two
+    # instances with the same speeds and other jobs, one memo: the second's
+    # entries are its own, even when its jobs are the first's reordered or
+    # hash as the first's do (2**61 hashes as 1.0 does).
+    true, predicted = (1.0, 2.0, 3.0), (3.0, 1.0, 2.0)
+    jobs = (1.0, 5.0, 2.0, 4.0, 3.0, 1.0, 2.0)
+    specs = [AlgorithmSpec("one-consistent"), AlgorithmSpec("ipr"), AlgorithmSpec("lpt")]
+    others = [jobs[::-1], (2.0**61,) + jobs[1:]]
+    assert hash(others[1]) == hash(jobs) and others[1] != jobs
+    for other in others:
+        first = small_instance(jobs, true, predicted)
+        second = small_instance(other, true, predicted)
+        assert hash(second.jobs) == hash(other) and second.jobs == other
+        for scheduler in ("exact", "lpt"):
+            for oracle in ("exact", "lower_bound"):
+                solves = {}
+                harness._instance_ratios(first, specs, scheduler, oracle, 10**6, solves, "first")
+                kept = dict(solves)
+                shared = harness._instance_ratios(
+                    second, specs, scheduler, oracle, 10**6, solves, "second")
+                own = {}
+                alone = harness._instance_ratios(second, specs, scheduler, oracle, 10**6, own, "alone")
+                assert shared == alone
+                for key, value in own.items():
+                    assert solves[key] == value
+                    if any(part is second.jobs for part in key):
+                        assert key not in kept, key
+                assert {key for key in own if second.jobs in key}
+                assert all(solves[key] is value for key, value in kept.items())
+
+
 def test_make_partition_lpt_ignores_speeds():
     inst = small_instance([5.0, 4.0, 3.0, 3.0, 3.0], (1.0, 9.0), (9.0, 1.0))
     assert make_partition(inst, "lpt") == lpt_partition(inst.jobs, inst.m)

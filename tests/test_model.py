@@ -1,5 +1,6 @@
 """Tests for the core data model: instances, partitions, placements, metrics."""
 
+import dataclasses
 import enum
 import json
 import math
@@ -8,9 +9,10 @@ import pytest
 
 import speedsched
 from speedsched import cli
-from speedsched.gen import SplitMix64
+from speedsched.gen import SplitMix64, SyntheticConfig, gen_synthetic
 from speedsched.model import (
     Assignment,
+    CheckedFloats,
     Instance,
     IprState,
     Partition,
@@ -21,7 +23,7 @@ from speedsched.model import (
     validate_partition,
 )
 from speedsched.harness import oracle_value
-from speedsched.partition import consistent_partition, lpt_partition
+from speedsched.partition import IprConfig, consistent_partition, ipr, lpt_partition
 from speedsched.solvers import (
     DEFAULT_NODE_BUDGET,
     SCHEDULERS,
@@ -59,6 +61,8 @@ _VALIDATING_CALLS = {
     "consistent_partition-speed": lambda x: consistent_partition([2.0, 3.0], [1.0, x], _PLACED),
     "prediction_error-predicted": lambda x: prediction_error([1.0, x], [1.0, 2.0]),
     "prediction_error-true": lambda x: prediction_error([1.0, 2.0], [1.0, x]),
+    "ipr-job": lambda x: ipr([2.0, x], [1.0, 2.0], IprConfig(0.5), Partition(((0,), (1,)))),
+    "ipr-speed": lambda x: ipr([2.0, 3.0], [1.0, x], IprConfig(0.5), Partition(((0,), (1,)))),
 }
 
 
@@ -67,6 +71,57 @@ _VALIDATING_CALLS = {
 def test_entry_points_reject_non_finite_negative_and_missing_numbers(call, bad):
     with pytest.raises(ValueError):
         _VALIDATING_CALLS[call](bad)
+
+
+@pytest.mark.parametrize("bad", [-math.inf, -1e-300, "x"], ids=repr)
+@pytest.mark.parametrize("call", sorted(_VALIDATING_CALLS))
+def test_entry_points_reject_minus_infinity_and_non_numeric_values(call, bad):
+    with pytest.raises(ValueError):
+        _VALIDATING_CALLS[call](bad)
+
+
+def test_checked_vectors_are_taken_as_checked_only_in_their_range():
+    # An instance's vectors are CheckedFloats, which a second check copies
+    # without scanning; a zero in one still fails where zeros are not taken.
+    inst = Instance(jobs=(2.0, 1.0, 3.0), true_speeds=(1.0, 0.0), predicted_speeds=(1.0, 1.0))
+    assert type(inst.jobs) is CheckedFloats and inst.jobs.positive
+    assert inst.jobs == (2.0, 1.0, 3.0) and hash(inst.jobs) == hash((2.0, 1.0, 3.0))
+    assert not inst.true_speeds.positive
+    assert Instance(inst.jobs, inst.true_speeds, inst.predicted_speeds).jobs is inst.jobs
+    assert finite_floats(inst.jobs, "jobs") == [2.0, 1.0, 3.0]
+    assert finite_floats(inst.true_speeds, "speeds", allow_zero=True) == [1.0, 0.0]
+    with pytest.raises(ValueError, match="^speeds must be positive finite, got 0.0$"):
+        finite_floats(inst.true_speeds, "speeds")
+    for call in (lambda: lpt_schedule(inst.jobs, inst.true_speeds),
+                 lambda: exact_schedule(inst.jobs, inst.true_speeds),
+                 lambda: consistent_partition(inst.jobs, inst.true_speeds, _PLACED),
+                 lambda: ipr(inst.jobs, inst.true_speeds, IprConfig(0.5), Partition(((0, 1), (2,)))),
+                 lambda: Instance(inst.jobs, inst.true_speeds, (1.0, 2.0)),
+                 lambda: Instance(inst.true_speeds, inst.predicted_speeds, inst.predicted_speeds)):
+        with pytest.raises(ValueError):
+            call()
+    assert inst.usable_speeds == (1.0,)
+    related = Instance(jobs=(2.0,), true_speeds=(1.0, 2.0), predicted_speeds=(1.0, 2.0))
+    assert related.usable_speeds is related.true_speeds
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, "x", None], ids=repr)
+def test_gen_synthetic_checks_every_instance_when_its_draws_are_kept(bad):
+    # The draws of a seed are kept from one sweep point to the next, and
+    # with them the checked jobs and true speeds; the predicted speeds of
+    # each point are checked again.  A bad err_sigma is rejected by the
+    # config, and one forced past it still fails in the instance.
+    config = SyntheticConfig(n=1000, m=50, err_sigma=8.0, seed=7)
+    first = gen_synthetic(config)
+    with pytest.raises(ValueError):
+        SyntheticConfig(n=1000, m=50, err_sigma=bad, seed=7)
+    if isinstance(bad, float) and not math.isfinite(bad):
+        forced = dataclasses.replace(config)
+        object.__setattr__(forced, "err_sigma", bad)
+        with pytest.raises(ValueError, match="^predicted speeds must be non-negative finite"):
+            gen_synthetic(forced)
+    again = gen_synthetic(dataclasses.replace(config, err_sigma=4.0))
+    assert again.jobs is first.jobs and again.true_speeds is first.true_speeds
 
 
 @pytest.mark.parametrize("values, named", [

@@ -315,6 +315,96 @@ def test_lpt_rebalance_requires_a_multi_job_bag():
     assert iterations == 0
 
 
+def reference_rebalance(collections, loads, speeds_desc, rho, guard, load_of, splittable, resplit):
+    """The rebalance loop with the plain scan: every pass walks every bag in
+    Python, keeping the first strictly smaller load and the first strictly
+    larger splittable one, and the guard re-sums every collection."""
+    history, iterations = [], 0
+    safety = 16 * len(speeds_desc) * len(speeds_desc) + 64
+    while True:
+        min_load, min_ci, min_bi = math.inf, -1, -1
+        max_load, max_ci = -math.inf, -1
+        for ci, coll_loads in enumerate(loads):
+            for bi, load in enumerate(coll_loads):
+                if load < min_load:
+                    min_load, min_ci, min_bi = load, ci, bi
+                if load > max_load and splittable(collections[ci][bi]):
+                    max_load, max_ci = load, ci
+        history.append(min_load)
+        if max_ci < 0 or max_load <= rho * min_load:
+            break
+        iterations += 1
+        if iterations > safety:
+            raise RuntimeError("safety bound")
+        tentative = [list(coll) for coll in collections]
+        moved = tentative[min_ci].pop(min_bi)
+        tentative[max_ci] = resplit(tentative[max_ci] + [moved])
+        tentative_loads = [[load_of(bag) for bag in coll] for coll in tentative]
+        if max(left_sum(coll) / s for coll, s in zip(tentative_loads, speeds_desc)) > guard:
+            break
+        collections, loads = tentative, tentative_loads
+    return collections, loads, iterations, history
+
+
+def tie_rich_rebalance_inputs():
+    """About 2,000 seeded starts for the rebalance loop, heavy in ties: jobs
+    from a few small integers, zeros among them; empty bags and empty
+    collections; equal speeds; and a single-job bag that holds the largest
+    load, so that the first heaviest bag is often not splittable."""
+    rng = SplitMix64(3101)
+    for _ in range(2000):
+        m = 1 + rng.next_u64() % 5
+        n = rng.next_u64() % 13
+        jobs = [float(rng.next_u64() % 4) for _ in range(n)]
+        if n and rng.next_u64() % 3 == 0:
+            jobs[rng.next_u64() % n] = 9.0
+        bag_count = 1 + rng.next_u64() % 7
+        bags = [[] for _ in range(bag_count)]
+        for j in range(n):
+            if jobs[j] == 9.0:
+                bags.append([j])  # alone in a bag of its own
+            else:
+                bags[rng.next_u64() % bag_count].append(j)
+        collections = [[] for _ in range(m)]
+        for bag in bags:
+            collections[rng.next_u64() % m].append(tuple(bag))
+        speeds = sorted((float(1 + rng.next_u64() % 2) for _ in range(m)), reverse=True)
+        rho = (1.0, 1.5, 2.0, 4.0)[rng.next_u64() % 4]
+        guard = math.inf if rng.next_u64() % 2 else float(1 + rng.next_u64() % 12)
+        yield jobs, collections, speeds, rho, guard
+
+
+def test_rebalance_finds_the_bags_a_plain_scan_finds():
+    # The loop's scans in C pick the same first smallest bag and first
+    # heaviest splittable bag as a walk over every bag, ties, zero loads,
+    # empty collections and unsplittable heaviest bags included.
+    fallbacks = steps = 0
+    for jobs, start, speeds, rho, guard in tie_rich_rebalance_inputs():
+
+        def lpt_resplit(bags):
+            return _lpt_split([(jobs[j], j) for bag in bags for j in bag], len(bags))
+
+        def run(loop):
+            try:
+                collections, loads, iterations, history = loop(
+                    [list(coll) for coll in start], collection_loads(start, jobs), speeds, rho,
+                    guard, lambda bag: bag_load(bag, jobs), lambda bag: len(bag) >= 2, lpt_resplit,
+                )
+            except RuntimeError:
+                return "safety bound"
+            return ([list(coll) for coll in collections], [[x.hex() for x in c] for c in loads],
+                    iterations, [x.hex() for x in history])
+
+        got = run(_rebalance)
+        assert got == run(reference_rebalance), (jobs, start, speeds, rho, guard)
+        # The first heaviest start bag holds one job (or none): the walk
+        # over every bag runs.
+        flat_loads = sum(collection_loads(start, jobs), [])
+        fallbacks += len(sum(start, [])[flat_loads.index(max(flat_loads))]) < 2
+        steps += got[2] if got != "safety bound" else 0
+    assert fallbacks > 500 and steps > 1000
+
+
 # ---------------------------------------------------------------------------
 # ipr
 # ---------------------------------------------------------------------------
@@ -599,6 +689,14 @@ def test_fluid_ipr_rejects_bad_input():
         fluid_ipr(1.0, (1.0,), alpha=0.5, rho=0.9)
     with pytest.raises(ValueError):
         fluid_ipr(1.0, (0.0,), alpha=0.5)
+
+
+def test_fluid_ipr_rejects_speeds_whose_sum_overflows():
+    # Their total is inf, and each share total_load * s / inf would be NaN
+    # or 0.0, not a share of the load.
+    for total in (1e308, 1.0):
+        with pytest.raises(ValueError, match="^predicted speeds must have a finite sum$"):
+            fluid_ipr(total, (1e308, 1e308, 1.0), alpha=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import sys
 import tracemalloc
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from speedsched.gen import SplitMix64, SyntheticConfig, gen_synthetic
 from speedsched.model import Partition, bag_load, beta_ratio
 from speedsched.solvers import (
+    MAX_EXACT_ITEMS,
     BudgetExceededError,
     CapacityInfeasibleError,
     SolveResult,
@@ -316,6 +318,28 @@ def test_exact_schedule_results_pinned():
     assert digest.hexdigest() == (
         "961f5260449b19613f5a34b2ce9f2fdd1f5df5aed5dc1642b2f48ff9abf05c71"
     )
+
+
+def test_exact_schedule_rejects_more_items_than_its_search_recurses_through():
+    # The search recurses once per item of positive load: past
+    # MAX_EXACT_ITEMS it raises ValueError (no node searched), not a
+    # RecursionError, and the recursion limit stays as it was.
+    limit = sys.getrecursionlimit()
+    message = (f"^exact solver takes at most {MAX_EXACT_ITEMS} items of positive load, "
+               r"got 1000 \(1000 items, 3 machines\)$")
+    with pytest.raises(ValueError, match=message):
+        exact_schedule([50.0] * 1000, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="got 501 \\(503 items"):
+        exact_schedule([50.0] * 501 + [0.0, 0.0], [1.0, 2.0, 3.0], node_budget=1)
+    # At the limit the search runs, as deep as there are items, until the
+    # budget stops it.
+    with pytest.raises(BudgetExceededError):
+        exact_schedule([50.0] * MAX_EXACT_ITEMS, [1.0, 2.0, 3.0], node_budget=2 * MAX_EXACT_ITEMS)
+    # The greedy incumbent's check comes first: when it meets the lower
+    # bound, any number of items is solved without a search.
+    res = exact_schedule([50.0] * 1000, [1.0] * 50)
+    assert (res.makespan, res.nodes_explored, res.optimal) == (1000.0, 0, True)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_exact_schedule_budget_error():
