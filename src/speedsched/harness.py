@@ -867,9 +867,8 @@ def _dump(instance: Instance, extra: str = "") -> str:
 _Verdict = tuple[str, bool, Callable[[], str]]
 
 
-def _check_generator(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
+def _check_generator(rng: SplitMix64, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """Generated instances are valid: eta >= 1 and every job at the floor."""
-    rng = substream(seed, 101)
     for _ in range(trials):
         inst = random_small_instance(rng)
         try:
@@ -881,9 +880,8 @@ def _check_generator(seed: int, trials: int, node_budget: int) -> Iterator[_Verd
         yield "gen-valid-instances", ok, lambda: _dump(inst, detail)
 
 
-def _check_lpt_partition(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
+def _check_lpt_partition(rng: SplitMix64, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """LPT partition balance, the min-bag bound and eta symmetry."""
-    rng = substream(seed, 102)
     for _ in range(trials):
         inst = random_small_instance(rng)
         part = lpt_partition(inst.jobs, inst.m)
@@ -913,10 +911,9 @@ def _bmin_monotone(hist: Sequence[float]) -> bool:
     return all(_le(hist[i], hist[i + 1]) for i in range(start, len(hist) - 1))
 
 
-def _check_ipr_trace(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
+def _check_ipr_trace(rng: SplitMix64, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """The ``ipr`` trace with rho = 4: monotone b_min, at most m^2
     iterations, beta within the robust bound."""
-    rng = substream(seed, 103)
     for t in range(trials):
         inst = random_small_instance(rng)
         alpha = _ALPHA_CYCLE[t % len(_ALPHA_CYCLE)]
@@ -943,10 +940,9 @@ def _check_ipr_trace(seed: int, trials: int, node_budget: int) -> Iterator[_Verd
         validate_partition(result.partition, inst.n, inst.m)
 
 
-def _check_perfect_predictions(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
+def _check_perfect_predictions(rng: SplitMix64, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """Consistency: under perfect predictions ``ipr`` stays within
     ``(1 + alpha)`` of the prediction-trusting makespan."""
-    rng = substream(seed, 104)
     for t in range(trials):
         base = random_small_instance(rng)
         inst = replace(base, predicted_speeds=base.true_speeds)
@@ -966,10 +962,9 @@ def _check_perfect_predictions(seed: int, trials: int, node_budget: int) -> Iter
             )
 
 
-def _check_adversarial_speeds(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
+def _check_adversarial_speeds(rng: SplitMix64, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """Robustness: ``ipr`` at alpha = 0.5 within ratio 6 on adversarial true
     speeds."""
-    rng = substream(seed, 105)
     bound = theory_curve(0.5).robustness_general  # 6.0
     for _ in range(trials):
         base = random_small_instance(rng)
@@ -979,9 +974,8 @@ def _check_adversarial_speeds(seed: int, trials: int, node_budget: int) -> Itera
         yield "ipr-robust-ratio-le-6", _le(ratio, bound), lambda: _dump(inst, f"ratio={ratio}")
 
 
-def _check_unit_jobs(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
+def _check_unit_jobs(rng: SplitMix64, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """Unit jobs with rho = 2: the equal-size beta bound and monotone b_min."""
-    rng = substream(seed, 106)
     for t in range(trials):
         inst = random_small_instance(rng, unit_jobs=True)
         alpha = _ALPHA_CYCLE[t % len(_ALPHA_CYCLE)]
@@ -1001,9 +995,8 @@ def _check_unit_jobs(seed: int, trials: int, node_budget: int) -> Iterator[_Verd
         )
 
 
-def _check_fluid(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
+def _check_fluid(rng: SplitMix64, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """The fluid variant: balance bound with rho = 2, and load conserved."""
-    rng = substream(seed, 107)
     for t in range(trials):
         m = 2 + rng.next_u64() % 3
         speeds = [max(40.0 * rng.next_float(), CLAMP_FLOOR) for _ in range(m)]
@@ -1022,11 +1015,10 @@ def _check_fluid(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]
         )
 
 
-def _check_all_or_nothing(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
+def _check_all_or_nothing(rng: SplitMix64, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """All-or-nothing speeds: the stage-one bag bound of ``binary``, its
     partition formed by :func:`make_partition` as the CLI forms it, and the
     merge lemma."""
-    rng = substream(seed, 108)
     for _ in range(trials):
         n = 1 + rng.next_u64() % 12
         m = 1 + rng.next_u64() % 5
@@ -1064,9 +1056,8 @@ def _check_all_or_nothing(seed: int, trials: int, node_budget: int) -> Iterator[
         )
 
 
-def _check_capacity(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
+def _check_capacity(rng: SplitMix64, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """The capacity certificate on LPT and random partitions."""
-    rng = substream(seed, 109)
     for _ in range(trials):
         inst = random_small_instance(rng)
         opt = exact_schedule(inst.jobs, inst.true_speeds, node_budget).makespan
@@ -1089,9 +1080,8 @@ def _check_capacity(seed: int, trials: int, node_budget: int) -> Iterator[_Verdi
             yield "capacity-certificate", ok, lambda: _dump(inst, f"{detail} bags={part.bags}")
 
 
-def _check_oracle_agreement(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
+def _check_oracle_agreement(rng: SplitMix64, trials: int, node_budget: int) -> Iterator[_Verdict]:
     """The exact solver against enumeration, LPT and the lower bound."""
-    rng = substream(seed, 110)
     for _ in range(trials):
         inst = random_small_instance(rng, n_max=8, m_max=3)
         exact = exact_schedule(inst.jobs, inst.true_speeds, node_budget).makespan
@@ -1114,8 +1104,8 @@ def _check_oracle_agreement(seed: int, trials: int, node_budget: int) -> Iterato
         )
 
 
-def _check_families(seed: int, trials: int, node_budget: int) -> Iterator[_Verdict]:
-    """The fixed trap, tradeoff and binary lower-bound families (no seed, no
+def _check_families(rng: SplitMix64, trials: int, node_budget: int) -> Iterator[_Verdict]:
+    """The fixed trap, tradeoff and binary lower-bound families (no draws, no
     trials), with one memo of solves and partitions for the whole section."""
     solves: dict[tuple, Any] = {}
 
@@ -1155,63 +1145,53 @@ def _check_families(seed: int, trials: int, node_budget: int) -> Iterator[_Verdi
         )
 
 
-_VerifySection = Callable[[int, int, int], Iterator[_Verdict]]
+_VerifySection = Callable[[SplitMix64, int, int], Iterator[_Verdict]]
 
-# The sections in report order; each draws from its own substream of the seed.
-_VERIFY_SECTIONS: tuple[_VerifySection, ...] = (
-    _check_generator,
-    _check_lpt_partition,
-    _check_ipr_trace,
-    _check_perfect_predictions,
-    _check_adversarial_speeds,
-    _check_unit_jobs,
-    _check_fluid,
-    _check_all_or_nothing,
-    _check_capacity,
-    _check_oracle_agreement,
-    _check_families,
-)
-
-# The order the sections are handed to the workers: by their share of the
-# time of ``verify --trials 20`` over seeds 0-11 on one CPU, largest first
-# (33%, 24%, 13%, 8%, 8%, 6%, then 3% or less each), so that no long section
-# starts last.
-_HEAVIEST_FIRST: tuple[_VerifySection, ...] = (
-    _check_perfect_predictions,
-    _check_adversarial_speeds,
-    _check_capacity,
-    _check_all_or_nothing,
-    _check_ipr_trace,
-    _check_oracle_agreement,
-    _check_unit_jobs,
-    _check_families,
-    _check_lpt_partition,
-    _check_generator,
-    _check_fluid,
-)
+# The sections in report order, the k-th drawing from ``substream(seed,
+# 101 + k)`` (the families section draws none), each with its share (%) of
+# the time of ``verify --trials 20`` over seeds 0-11 on one CPU (median of
+# 5).  They are handed to the workers largest share first, so that no long
+# section starts last.  A new section goes at the end, where it moves no
+# other section's substream.
+_VERIFY_SECTIONS: dict[_VerifySection, float] = {
+    _check_generator: 1.3,
+    _check_lpt_partition: 1.7,
+    _check_ipr_trace: 7.9,
+    _check_perfect_predictions: 31.4,
+    _check_adversarial_speeds: 21.9,
+    _check_unit_jobs: 3.9,
+    _check_fluid: 0.5,
+    _check_all_or_nothing: 8.2,
+    _check_capacity: 13.0,
+    _check_oracle_agreement: 7.2,
+    _check_families: 3.0,
+}
 
 
 def _section_checks(
     seed: int, trials: int, node_budget: int, section: _VerifySection
 ) -> Iterator[tuple[int, Callable[[], list[PropertyCheck]]]]:
-    """A :func:`_map_tasks` task: one step at the section's report position,
-    which computes the checks of one verify section.  An exhausted budget
+    """A :func:`_map_tasks` task: one step at the section's report position
+    ``k`` in :data:`_VERIFY_SECTIONS`, which computes the checks of one
+    verify section on ``substream(seed, 101 + k)``.  An exhausted budget
     names section and seed.
 
-    A section is a generator ``section(seed, trials, node_budget)`` that
+    A section is a generator ``section(rng, trials, node_budget)`` that
+    draws from the :class:`~speedsched.gen.SplitMix64` it is handed and
     yields one :data:`_Verdict` ``(name, ok, detail)`` per property per trial.
     The checks count them per name, in the order each name first appears;
     ``detail()`` is called once, for each name's first failing verdict, while
     the section is suspended at that ``yield``, so a plain closure over the
     trial's variables describes that trial.
     """
+    position = list(_VERIFY_SECTIONS).index(section)
 
     def checks() -> list[PropertyCheck]:
         counts: dict[str, list] = {}  # name -> [passed, trials, counterexample]
         with _budget_failure_names(
             f"verify section {section.__name__.removeprefix('_check_')} seed={seed}"
         ):
-            for name, ok, detail in section(seed, trials, node_budget):
+            for name, ok, detail in section(substream(seed, 101 + position), trials, node_budget):
                 entry = counts.setdefault(name, [0, 0, None])
                 entry[1] += 1
                 if ok:
@@ -1220,7 +1200,7 @@ def _section_checks(
                     entry[2] = detail()
         return [PropertyCheck(name, *entry) for name, entry in counts.items()]
 
-    yield _VERIFY_SECTIONS.index(section), checks
+    yield position, checks
 
 
 def verify_properties(
@@ -1231,10 +1211,15 @@ def verify_properties(
     """Check every structural property over ``trials`` random small instances
     each, plus the fixed adversarial families.  Failures are reported as data
     (one :class:`PropertyCheck` per property: pass count and first
-    counterexample), never raised.
+    counterexample), never raised.  A ``seed``, ``trials`` or ``node_budget``
+    that is not an integer (a bool is not), or a ``trials`` or
+    ``node_budget`` below 1, raises ``ValueError`` naming it, before any
+    section runs.
 
-    The properties come in sections, each with its own substream of ``seed``,
-    run as :func:`_section_checks` tasks of :func:`_map_tasks`, heaviest
+    The properties come in the sections of :data:`_VERIFY_SECTIONS`, one
+    table row each, which sets the section's report position, its substream
+    of ``seed`` and its share of the time.  They run as
+    :func:`_section_checks` tasks of :func:`_map_tasks`, largest share
     first, on the CPUs this process may use (``taskset -c 0`` runs them here,
     in order).  The checks come in report order, so it does not
     depend on the number of CPUs, and an error a section raises (an exhausted
@@ -1242,10 +1227,13 @@ def verify_properties(
     The families section computes its ratios through
     :func:`_instance_ratios`, as :func:`evaluate` does.
     """
-    for name, value in (("trials", trials), ("node_budget", node_budget)):
-        if value < 1:
+    for name, value in (("seed", seed), ("trials", trials), ("node_budget", node_budget)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if name != "seed" and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    heaviest_first = sorted(_VERIFY_SECTIONS, key=_VERIFY_SECTIONS.__getitem__, reverse=True)
     results = _map_tasks(
-        functools.partial(_section_checks, seed, trials, node_budget), _HEAVIEST_FIRST
+        functools.partial(_section_checks, seed, trials, node_budget), heaviest_first
     )
     return tuple(c for position in sorted(results) for c in results[position])

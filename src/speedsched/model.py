@@ -71,6 +71,9 @@ def json_object(
     return doc
 
 
+_TEXT = (str, bytes, bytearray)
+
+
 def finite_floats(
     values: Sequence[float], what: str, allow_zero: bool = False, allow_empty: bool = False
 ) -> list[float]:
@@ -79,7 +82,9 @@ def finite_floats(
 
     Every layer validates jobs, loads and speeds through this one check.  Raises
     ``ValueError`` naming ``what`` for the first value that is not a number, is
-    NaN or infinite, or is out of range.
+    NaN or infinite, or is out of range.  Text is not a number: a ``str``,
+    ``bytes`` or ``bytearray``, as a value or as ``values`` itself, raises
+    too, though ``float`` would parse it.
 
     A list whose ``min`` is in range and whose ``sum`` is below ``inf`` is
     accepted at once, both scans in C: a NaN or an infinity makes the sum NaN
@@ -92,7 +97,15 @@ def finite_floats(
     if type(values) is CheckedFloats and (allow_zero or values.positive):
         return list(values)
     try:
+        if isinstance(values, _TEXT):
+            raise TypeError("text")
+        if not isinstance(values, list):
+            values = list(values)  # an iterator is read once, here
         out = list(map(float, values))
+        # float() parses text, but text never equals a float: only a vector
+        # that differs from its floats is searched for it.
+        if out != values and any(isinstance(v, _TEXT) for v in values):
+            raise TypeError("text")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} must be a sequence of numbers") from exc
     if not out:
@@ -270,19 +283,21 @@ class Instance:
         )
 
 
-def _sorted_bag(bag: Iterable[int]) -> Bag:
-    """``bag`` as a canonical :data:`Bag`: ``tuple(sorted(map(int, bag)))``.
+def _job_index(member: object) -> int:
+    """``int(member)``, except that a float that is not a whole number (a
+    fraction, an infinity, NaN) raises ``ValueError``: it names no job."""
+    if isinstance(member, float) and not member.is_integer():
+        raise ValueError(f"job index must be a whole number, got {member!r}")
+    return int(member)
 
-    A bag whose members all have type exactly ``int`` is sorted without
-    converting each member; the type test is one C-level pass and runs
-    before any sort, so a mixed bag such as ``(1, "0")`` is converted, never
-    compared raw.  Bools, ``IntEnum`` members and digit strings take the
-    converting path.  A generator is read once, into a tuple.
-    """
-    items = tuple(bag)
-    if set(map(type, items)) <= {int}:
-        return tuple(sorted(items))
-    return tuple(sorted(map(int, items)))
+
+def _sorted_bag(bag: Iterable[int]) -> Bag:
+    """``bag`` as a canonical :data:`Bag`: each member converted with
+    ``int`` (see :func:`_job_index`), then sorted; a generator is read once.
+    This package's partitioners form canonical bags themselves (see
+    :meth:`Partition._of_sorted`); only bags from JSON and from callers come
+    here."""
+    return tuple(sorted(map(_job_index, bag)))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import threading
 import time
@@ -1387,12 +1389,23 @@ def test_verify_properties_covers_every_check():
     assert failing == []
 
 
-def test_verify_properties_rejects_bad_trials():
+def test_verify_properties_rejects_bad_trials(monkeypatch):
     with pytest.raises(ValueError):
         verify_properties(trials=0)
     for budget in (0, -5):
         with pytest.raises(ValueError, match="node_budget must be at least 1"):
             verify_properties(trials=1, node_budget=budget)
+    # A value that is not an integer, a bool included, is named before any
+    # section is handed out.
+    handed_out = []
+    monkeypatch.setattr(harness, "_map_tasks", lambda *args: handed_out.append(args) or {})
+    for name, bad in (("trials", 2.5), ("trials", "3"), ("trials", True), ("seed", 1.5),
+                      ("seed", "0"), ("seed", False), ("node_budget", 10.0),
+                      ("node_budget", None)):
+        message = f"^{name} must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            verify_properties(**{"trials": 1, name: bad})
+    assert handed_out == []
 
 
 VERIFY_RUNS = [(0, 3), (4, 7), (11, 12)]
@@ -1406,6 +1419,49 @@ def verify_cli(capsys, tmp_path, seed, trials, *extra):
                      *extra])
     captured = capsys.readouterr()
     return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+
+def test_verify_report_bytes_are_pinned(capsys, tmp_path):
+    # sha256 of the stdout and --out JSON of `speedsched verify --trials 5
+    # --seed 3`: a section moved in the report, or a property renamed or
+    # recounted, changes them.
+    code, out, err, report = verify_cli(capsys, tmp_path, 3, 5)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "95e1e623fd4eb0f819df4555279aa78b367c9976748b980d15dc39753e15a004"
+    )
+    assert hashlib.sha256(report).hexdigest() == (
+        "b2719dd284fe83555ab65cfdf9654d3b82b65b04b04b5d47759db5838b107467"
+    )
+
+
+def test_verify_hands_out_heaviest_first_each_section_on_its_substream(monkeypatch):
+    # On one CPU the sections run in hand-out order, largest share of the
+    # time first, and the k-th in report order draws from substream(seed,
+    # 101 + k): the tags every pinned verify report was recorded with.  A
+    # passing report's bytes do not show a moved tag; this does.
+    runs = []
+    budget_failure_names = harness._budget_failure_names
+
+    def naming(where):
+        if where.startswith("verify section "):
+            runs.append(where.split()[2])
+        return budget_failure_names(where)
+
+    def drawing(seed, tag):
+        runs.append((seed, tag))
+        return substream(seed, tag)
+
+    monkeypatch.setattr(harness, "_budget_failure_names", naming)
+    monkeypatch.setattr(harness, "substream", drawing)
+    use_cpus(monkeypatch, 1)
+    verify_properties(seed=4, trials=1)
+    assert runs == [
+        "perfect_predictions", (4, 104), "adversarial_speeds", (4, 105), "capacity", (4, 109),
+        "all_or_nothing", (4, 108), "ipr_trace", (4, 103), "oracle_agreement", (4, 110),
+        "unit_jobs", (4, 106), "families", (4, 111), "lpt_partition", (4, 102),
+        "generator", (4, 101), "fluid", (4, 107),
+    ]
 
 
 @pytest.mark.parametrize("seed, trials", VERIFY_RUNS)

@@ -23,13 +23,16 @@ from speedsched.model import (
     validate_partition,
 )
 from speedsched.harness import oracle_value
-from speedsched.partition import IprConfig, consistent_partition, ipr, lpt_partition
+from speedsched.partition import IprConfig, consistent_partition, fluid_ipr, ipr, lpt_partition
 from speedsched.solvers import (
     DEFAULT_NODE_BUDGET,
     SCHEDULERS,
     SolveResult,
+    brute_force_makespan,
+    capacity_robust_schedule,
     exact_schedule,
     lpt_schedule,
+    merge_to_fit,
     opt_lower_bound,
     schedule,
 )
@@ -63,6 +66,17 @@ _VALIDATING_CALLS = {
     "prediction_error-true": lambda x: prediction_error([1.0, 2.0], [1.0, x]),
     "ipr-job": lambda x: ipr([2.0, x], [1.0, 2.0], IprConfig(0.5), Partition(((0,), (1,)))),
     "ipr-speed": lambda x: ipr([2.0, 3.0], [1.0, x], IprConfig(0.5), Partition(((0,), (1,)))),
+    "opt_lower_bound-load": lambda x: opt_lower_bound([2.0, x], [1.0, 2.0]),
+    "opt_lower_bound-speed": lambda x: opt_lower_bound([2.0, 3.0], [1.0, x]),
+    "merge_to_fit-load": lambda x: merge_to_fit([2.0, x], 1),
+    "brute_force_makespan-load": lambda x: brute_force_makespan([2.0, x], [1.0, 2.0]),
+    "brute_force_makespan-speed": lambda x: brute_force_makespan([2.0, 3.0], [1.0, x]),
+    "capacity_robust_schedule-job": lambda x: capacity_robust_schedule(
+        Partition(((0,), (1,))), [2.0, x], [1.0, 2.0]),
+    "capacity_robust_schedule-speed": lambda x: capacity_robust_schedule(
+        Partition(((0,), (1,))), [2.0, 3.0], [1.0, x]),
+    "fluid_ipr-total": lambda x: fluid_ipr(x, [1.0, 2.0], 0.5),
+    "fluid_ipr-speed": lambda x: fluid_ipr(5.0, [1.0, x], 0.5),
 }
 
 
@@ -73,7 +87,7 @@ def test_entry_points_reject_non_finite_negative_and_missing_numbers(call, bad):
         _VALIDATING_CALLS[call](bad)
 
 
-@pytest.mark.parametrize("bad", [-math.inf, -1e-300, "x"], ids=repr)
+@pytest.mark.parametrize("bad", [-math.inf, -1e-300, "x", "1.0", b"1"], ids=repr)
 @pytest.mark.parametrize("call", sorted(_VALIDATING_CALLS))
 def test_entry_points_reject_minus_infinity_and_non_numeric_values(call, bad):
     with pytest.raises(ValueError):
@@ -157,8 +171,10 @@ def test_finite_floats_empty_and_non_numbers():
     assert finite_floats([], "jobs", allow_empty=True) == []
     with pytest.raises(ValueError, match="^jobs must not be empty$"):
         finite_floats([], "jobs")
-    with pytest.raises(ValueError, match="^jobs must be a sequence of numbers$"):
-        finite_floats([1.0, "x"], "jobs")
+    # float() would parse each of these; bytes would read as their byte values.
+    for text in ([1.0, "x"], [1.0, "2"], (b"2",), iter([bytearray(b"2")]), "12", b"12"):
+        with pytest.raises(ValueError, match="^jobs must be a sequence of numbers$"):
+            finite_floats(text, "jobs")
 
 
 def make_instance(jobs, true_speeds, predicted_speeds, **kwargs):
@@ -322,6 +338,17 @@ def test_a_mixed_bag_is_converted_before_it_is_compared():
         Partition(((1, "x"),))
     with pytest.raises(ValueError):
         Assignment((((1, "x"),),))
+
+
+@pytest.mark.parametrize("member", [1.7, -0.5, math.inf, -math.inf, math.nan], ids=repr)
+def test_a_float_member_that_is_not_whole_names_no_job(member):
+    # int() would truncate 1.7 to job 1 and raise OverflowError on inf.
+    message = f"^job index must be a whole number, got {member!r}$"
+    with pytest.raises(ValueError, match=message):
+        Partition(((0, member),))
+    with pytest.raises(ValueError, match=message):
+        Assignment((((member,),),))
+    assert Partition(((3.0, -0.0),)).bags == ((0, 3),)
 
 
 def test_ipr_state_holds_trace_fields():
