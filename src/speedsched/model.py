@@ -72,6 +72,7 @@ def json_object(
 
 
 _TEXT = (str, bytes, bytearray)
+_NOT_NUMBERS = (*_TEXT, bool)
 
 
 def finite_floats(
@@ -82,9 +83,12 @@ def finite_floats(
 
     Every layer validates jobs, loads and speeds through this one check.  Raises
     ``ValueError`` naming ``what`` for the first value that is not a number, is
-    NaN or infinite, or is out of range.  Text is not a number: a ``str``,
-    ``bytes`` or ``bytearray``, as a value or as ``values`` itself, raises
-    too, though ``float`` would parse it.
+    NaN or infinite, or is out of range (an integer too large for a float
+    included).  Text and booleans are not numbers, as in
+    :func:`is_json_number`: a ``str``, ``bytes``, ``bytearray`` or ``bool``
+    value, or a text ``values``, raises too, though ``float`` would convert
+    it.  ``float`` returns a float itself, so only a vector that is not all
+    floats has its values' types read.
 
     A list whose ``min`` is in range and whose ``sum`` is below ``inf`` is
     accepted at once, both scans in C: a NaN or an infinity makes the sum NaN
@@ -102,12 +106,14 @@ def finite_floats(
         if not isinstance(values, list):
             values = list(values)  # an iterator is read once, here
         out = list(map(float, values))
-        # float() parses text, but text never equals a float: only a vector
-        # that differs from its floats is searched for it.
-        if out != values and any(isinstance(v, _TEXT) for v in values):
-            raise TypeError("text")
+        if not all(map(operator.is_, out, values)) and any(
+            issubclass(kind, _NOT_NUMBERS) for kind in set(map(type, values))
+        ):
+            raise TypeError("not a number")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} must be a sequence of numbers") from exc
+    except OverflowError as exc:
+        raise ValueError(f"{what} must be finite, got a number too large for a float") from exc
     if not out:
         if not allow_empty:
             raise ValueError(f"{what} must not be empty")
@@ -284,11 +290,18 @@ class Instance:
 
 
 def _job_index(member: object) -> int:
-    """``int(member)``, except that a float that is not a whole number (a
-    fraction, an infinity, NaN) raises ``ValueError``: it names no job."""
-    if isinstance(member, float) and not member.is_integer():
+    """``int(member)``, except that a number that is not whole, of any type
+    (a fraction, an infinity, NaN), raises ``ValueError`` rather than naming
+    the job ``int`` truncates it to.  Text is read as ``int`` reads it."""
+    if isinstance(member, _TEXT):
+        return int(member)
+    try:
+        index = int(member)
+    except (OverflowError, ValueError):  # an infinity or NaN
+        index = None
+    if index is None or index != member:
         raise ValueError(f"job index must be a whole number, got {member!r}")
-    return int(member)
+    return index
 
 
 def _sorted_bag(bag: Iterable[int]) -> Bag:

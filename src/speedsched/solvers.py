@@ -18,7 +18,7 @@ ratio, and the smallest-pair bag merge of the paper's all-or-nothing lemma
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import truediv
 from typing import Sequence
@@ -88,23 +88,48 @@ def lpt_schedule(loads: Sequence[float], speeds: Sequence[float]) -> SolveResult
     optimal-flagged.
 
     The choice skips machines that provably cannot win, with no slack.  The
-    items are taken in rounds of ``m``; at a round's start each machine gets
-    the bound ``(machine[i] + low) / speeds[i]``, ``low`` being the round's
-    last, smallest item.  Float addition and division by a positive speed
-    round monotonically, so every item of the round finishes on machine ``i``
-    at no less than its bound, bit for bit.  An item walks the machines in
+    items of positive load are taken in rounds of ``m``.
+
+    In the first round a machine is empty until it is chosen, and item ``p``
+    finishes on it at ``p / speeds[i]``, the bits of ``(0.0 + p) /
+    speeds[i]``.  Division of a positive load rounds monotonically, so that
+    finish time never decreases from a faster speed to a slower one: an item
+    walks the empty machines in (speed descending, index) order, keeping the
+    least ``(finish time, index)``, and stops at the first finish time above
+    the least, since no later machine can finish sooner.  Equal speeds give
+    equal finish times, so only the lowest empty index of a speed is
+    evaluated and the walk jumps past the rest.  It goes on through equal
+    finish times because distinct speeds can round to them too (``0.1 / 3.0
+    == 0.1 / 3.0000000000000004``) and the slower may have the lower index.
+    The machines the round has loaded are then walked as in later rounds,
+    with the best empty machine as the least so far.
+
+    At a later round's start each machine gets the bound
+    ``(machine[i] + low) / speeds[i]``, ``low`` being the round's last,
+    smallest item.  Float addition and division by a positive speed round
+    monotonically, so every item of the round finishes on machine ``i`` at no
+    less than its bound, bit for bit.  An item walks the machines in
     ``(bound, index)`` order, keeping the least ``(finish time, index)``, and
     stops at the first machine whose ``(bound, index)`` exceeds it: the index
-    clause ends a run of equal bounds, as equal speeds make, at once.  Only the
-    chosen machine's bound changes: it is recomputed from the new load and
+    clause ends a run of equal bounds, as equal speeds make, at once.  Only
+    the chosen machine's bound changes: it is recomputed from the new load and
     re-inserted in order.  The round's last item finishes at exactly its
-    bound, so it takes the first machine unscanned.  At 1000 items on 50
-    machines an item evaluates about 5 machines instead of 50; on a few items
-    and at most 5 machines, as the exact solver's incumbent has, a call costs
-    a few microseconds more than a plain scan of every machine.  Loads given
-    as a :class:`~speedsched.model.CheckedFloats`, as an instance's jobs
-    are, keep their order between calls, so the jobs of a sweep's instances
-    are sorted once for all its points."""
+    bound, so it takes the first machine unscanned.  An empty machine's bound
+    is loose by the gap between an item and ``low``, which is why the first
+    round walks its empty machines by speed instead.
+
+    Zero loads come last in the order and change no load, so each finishes
+    earliest on the same machine, the first whose finish time is least once
+    the positive loads are placed; they are all placed there in one step.
+
+    At 1000 items on 50 machines an item evaluates about 5 machines instead
+    of 50, and 50 bags on 50 machines about 6 each; 20,000 varied bags on as
+    many distinct speeds take 0.04 s.  On a few items and at most 5 machines,
+    as the exact solver's incumbent has, a call costs a few microseconds more
+    than a plain scan of every machine.  Loads given as a
+    :class:`~speedsched.model.CheckedFloats`, as an instance's jobs are, keep
+    their order between calls, so the jobs of a sweep's instances are sorted
+    once for all its points."""
     order = loads.descending() if type(loads) is CheckedFloats else None
     loads = finite_floats(loads, "item loads", allow_zero=True, allow_empty=True)
     speeds = finite_floats(speeds, "machine speeds")
@@ -114,9 +139,57 @@ def lpt_schedule(loads: Sequence[float], speeds: Sequence[float]) -> SolveResult
     m = len(speeds)
     assign = [0] * len(loads)
     machine = [0.0] * m
-    ranked = list(zip(machine, range(m)))
-    for start in range(0, len(order), m):
-        *items, last = order[start : start + m]
+    # Zero loads come last in the order and are placed after the rest.
+    positive = len(loads) - loads.count(0.0)
+    first = order[: min(m, positive)]
+    if first:
+        low = loads[first[-1]]
+        # The empty machines as (speed, -index), ascending: the fastest speed's
+        # lowest index is last.
+        empty = sorted(zip(speeds, range(0, -m, -1)))
+        loaded = []
+        for j in first:
+            p = loads[j]
+            # A round of m items leaves an empty machine for each, so the
+            # walk sets best_k.
+            best_v = math.inf
+            best_i = m
+            k = len(empty)
+            while k:
+                s, neg = empty[k - 1]
+                v = p / s
+                if v > best_v:
+                    break
+                if v < best_v or -neg < best_i:
+                    best_v = v
+                    best_i = -neg
+                    best_k = k - 1
+                k -= 1
+                if k and empty[k - 1][0] == s:
+                    # The other machines of speed s have higher indices.
+                    k = bisect_left(empty, (s,), 0, k)
+            chosen = None
+            for entry in loaded:
+                bound, i = entry
+                if bound >= best_v and (bound > best_v or i > best_i):
+                    break
+                v = (machine[i] + p) / speeds[i]
+                if v <= best_v and (v < best_v or i < best_i):
+                    best_v = v
+                    best_i = i
+                    chosen = entry
+            if chosen is None:
+                del empty[best_k]
+            else:
+                loaded.remove(chosen)
+            load = machine[best_i] + p
+            machine[best_i] = load
+            assign[j] = best_i
+            insort(loaded, ((load + low) / speeds[best_i], best_i))
+        if positive > m:
+            ranked = loaded + [(0.0, -neg) for _, neg in empty]
+    for start in range(m, positive, m):
+        *items, last = order[start : min(start + m, positive)]
         low = loads[last]
         # Built in the last round's order, which is nearly this one's.
         ranked = [((machine[i] + low) / speeds[i], i) for _, i in ranked]
@@ -145,6 +218,12 @@ def lpt_schedule(loads: Sequence[float], speeds: Sequence[float]) -> SolveResult
         i = ranked[0][1]
         machine[i] += low
         assign[last] = i
+    if positive < len(loads):
+        # A zero load changes no load: all finish earliest on one machine.
+        finish = list(map(truediv, machine, speeds))
+        zero = finish.index(min(finish))
+        for j in order[positive:]:
+            assign[j] = zero
     mk = max(map(truediv, machine, speeds))
     return SolveResult(tuple(assign), m, mk, optimal=False, nodes_explored=0)
 

@@ -4,6 +4,9 @@ import dataclasses
 import enum
 import json
 import math
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -92,6 +95,27 @@ def test_entry_points_reject_non_finite_negative_and_missing_numbers(call, bad):
 def test_entry_points_reject_minus_infinity_and_non_numeric_values(call, bad):
     with pytest.raises(ValueError):
         _VALIDATING_CALLS[call](bad)
+
+
+@pytest.mark.parametrize("bad", [2**2000, -(2**2000), True, False],
+                         ids=["2**2000", "-2**2000", "True", "False"])
+@pytest.mark.parametrize("call", sorted(_VALIDATING_CALLS))
+def test_entry_points_reject_integers_too_large_for_a_float_and_booleans(call, bad):
+    # float() raises OverflowError on the first two and reads a bool as 1.0
+    # or 0.0; no JSON reader takes either.
+    with pytest.raises(ValueError):
+        _VALIDATING_CALLS[call](bad)
+
+
+def test_finite_floats_names_a_number_too_large_for_a_float_and_a_boolean():
+    with pytest.raises(ValueError, match="^item loads must be finite, got a number too large for a float$"):
+        lpt_schedule([2**2000], [1.0])
+    with pytest.raises(ValueError, match="^predicted speeds must be a sequence of numbers$"):
+        Instance(jobs=(1.0,), true_speeds=(1.0,), predicted_speeds=(True,))
+    with pytest.raises(ValueError, match="^jobs must be a sequence of numbers$"):
+        finite_floats([2.0, 1, False], "jobs", allow_zero=True)
+    # Other numbers that are not floats are still taken as their floats.
+    assert finite_floats([2, Fraction(1, 2), Decimal("0.25"), 3.0], "jobs") == [2.0, 0.5, 0.25, 3.0]
 
 
 def test_checked_vectors_are_taken_as_checked_only_in_their_range():
@@ -349,6 +373,21 @@ def test_a_float_member_that_is_not_whole_names_no_job(member):
     with pytest.raises(ValueError, match=message):
         Assignment((((member,),),))
     assert Partition(((3.0, -0.0),)).bags == ((0, 3),)
+
+
+@pytest.mark.parametrize(
+    "member", [Decimal("1.5"), Fraction(5, 2), Decimal("-Infinity"), Decimal("NaN")], ids=repr
+)
+def test_a_member_of_any_number_type_that_is_not_whole_names_no_job(member):
+    # int() would truncate Decimal("1.5") and Fraction(5, 2) to jobs 1 and 2.
+    message = f"^job index must be a whole number, got {re.escape(repr(member))}$"
+    with pytest.raises(ValueError, match=message):
+        Partition(((0, member),))
+    with pytest.raises(ValueError, match=message):
+        Assignment((((member,),),))
+    with pytest.raises(ValueError):
+        Partition(((Decimal("1.5"), Fraction(5, 2)),))
+    assert Partition(((Decimal("3"), Fraction(4, 2)),)).bags == ((2, 3),)
 
 
 def test_ipr_state_holds_trace_fields():

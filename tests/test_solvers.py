@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -103,7 +104,11 @@ def plain_scan_lpt(loads, speeds):
 def lpt_reference_inputs():
     """Seeded inputs where a pruned scan can go wrong: ties everywhere, zero
     loads, one machine, fewer, as many and more items than machines, and a
-    speed of 5e-324, on which every non-zero load finishes at ``inf``."""
+    speed of 5e-324, on which every non-zero load finishes at ``inf``.  Then
+    the shapes of the first round, where every machine starts empty: at most
+    as many items as machines on many distinct speeds, runs of equal speeds,
+    speeds one ulp apart (0.1 / 3.0 and 0.1 / 3.0000000000000004 round to
+    the same finish time), and zero loads among positive ones."""
     rng = SplitMix64(306)
 
     def pick(values):
@@ -130,6 +135,29 @@ def lpt_reference_inputs():
             speeds = [pick([0.1, 0.3, 1.0, 3.0]) for _ in range(m)]
         yield loads, speeds
 
+    rng = SplitMix64(307)
+    for case in range(1200):
+        m = pick([2, 3, 5, 8, 13, 40, 90])
+        n = pick([1, m // 2, m - 1, m, m, m + 1, 2 * m + 1])
+        kind = case % 4
+        if kind == 0:  # many distinct speeds
+            loads = [10.0 * rng.next_float() for _ in range(n)]
+            speeds = [0.1 + 5.0 * rng.next_float() for _ in range(m)]
+        elif kind == 1:  # runs of equal speeds, and equal loads
+            speeds = []
+            while len(speeds) < m:
+                speeds += [pick([0.5, 1.0, 2.0, 3.0])] * (1 + rng.next_u64() % 6)
+            speeds = speeds[:m]
+            loads = [float(1 + rng.next_u64() % 5) for _ in range(n)]
+        elif kind == 2:  # distinct speeds on which a load finishes at one time
+            speeds = [pick([1.0, 1.0000000000000002, 3.0, 3.0000000000000004, 2.9999999999999996])
+                      for _ in range(m)]
+            loads = [pick([0.1, 0.2, 0.3, 1.0, 5e-324, 1e-323]) for _ in range(n)]
+        else:  # zero loads among positive ones
+            loads = [pick([0.0, -0.0, 0.0, 0.1, 1.0, 2.5, 7.0]) for _ in range(n)]
+            speeds = [pick([0.5, 1.0, 0.1 + 5.0 * rng.next_float()]) for _ in range(m)]
+        yield loads, speeds
+
 
 def test_lpt_schedule_matches_plain_scan():
     for loads, speeds in lpt_reference_inputs():
@@ -139,11 +167,30 @@ def test_lpt_schedule_matches_plain_scan():
 
 
 def test_lpt_schedule_on_many_equal_machines():
-    # A shape gen.MAX_SHAPE admits.  Each item evaluates one machine and stops
-    # at the next one's bound, where a plain scan would evaluate all of them.
+    # A shape gen.MAX_SHAPE admits.  Every item is in the first round: it
+    # evaluates the lowest-index empty machine, skips the other 99,999 of
+    # that speed at once, and stops at the first loaded machine's bound,
+    # where a plain scan would evaluate all of them.
     res = lpt_schedule([1.0] * 200, [1.0] * 100_000)
     assert res.bag_to_machine == tuple(range(200))
     assert res.makespan == 1.0
+
+
+def test_lpt_schedule_places_many_bags_on_many_speeds_in_near_linear_time():
+    # Stage two's shape in the many-machine regime: as many varied bags as
+    # distinct speeds, one round.  A scan that bounds each empty machine by
+    # the round's smallest bag evaluates about half of them per bag and took
+    # 17 s here on a 2-CPU Xeon VM; the speed-ordered scan takes 0.04 s.  The
+    # digest is of the placement and makespan bits that scan returned.
+    rng = SplitMix64(308)
+    loads = [1.0 + 9.0 * rng.next_float() for _ in range(20_000)]
+    speeds = [0.5 + 4.0 * rng.next_float() for _ in range(20_000)]
+    assert len(set(speeds)) == 20_000
+    start = time.perf_counter()
+    res = lpt_schedule(loads, speeds)
+    assert time.perf_counter() - start < 2.0
+    digest = hashlib.sha256(repr((res.bag_to_machine, res.makespan.hex())).encode()).hexdigest()
+    assert digest == "eb547f98737167bc1b86ac70526f08efe323ed3d4b3c97279950e6b38dff3cf2"
 
 
 # ---------------------------------------------------------------------------
