@@ -35,7 +35,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .model import CheckedFloats, Instance, is_json_number, json_object
+from .model import CheckedFloats, Instance, check_int, is_json_number, json_object
 
 CLAMP_FLOOR = 1e-3
 # The largest job or machine count of a generated instance, so that it fits
@@ -123,16 +123,12 @@ def normal_inv_cdf(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"inverse normal CDF needs p in (0, 1), got {p!r}")
     a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
-    if p < _ICDF_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+    if not _ICDF_P_LOW <= p <= 1.0 - _ICDF_P_LOW:  # the upper tail is the lower at 1 - p, negated
+        q = math.sqrt(-2.0 * math.log(p if p < _ICDF_P_LOW else 1.0 - p))
+        tail = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
             (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
         )
-    if p > 1.0 - _ICDF_P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
+        return tail if p < _ICDF_P_LOW else -tail
     q = p - 0.5
     r = q * q
     return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
@@ -238,18 +234,11 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for key in ("n", "m", "seed"):
-            value = getattr(self, key)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{key!r} must be an integer, got {value!r}")
+        check_int(self.n, "'n'", 1, MAX_SHAPE)
+        check_int(self.m, "'m'", 1, MAX_SHAPE)
+        check_int(self.seed, "'seed'")
         if not is_json_number(self.err_sigma):
             raise ValueError(f"'err_sigma' must be a number, got {self.err_sigma!r}")
-        for key in ("n", "m"):
-            value = getattr(self, key)
-            if value < 1:
-                raise ValueError(f"{key!r} must be at least 1, got {value!r}")
-            if value > MAX_SHAPE:
-                raise ValueError(f"{key!r} must be at most {MAX_SHAPE}, got {value!r}")
         if not 0.0 <= self.err_sigma < math.inf:
             raise ValueError(f"'err_sigma' must be non-negative finite, got {self.err_sigma!r}")
         speeds = self.speed_dist

@@ -54,6 +54,7 @@ from .model import (
     Partition,
     bag_load,
     beta_ratio,
+    check_int,
     is_json_number,
     json_object,
     left_sum,
@@ -231,10 +232,10 @@ def _stage_one(
     order, the items stage two places.
 
     Each load is :func:`~speedsched.model.bag_load` of its bag, bit for bit,
-    summed once: ``ipr``'s are the loads its rebalance loop kept, and the
-    LPT and prediction-trusting partitions' are summed once beside the
-    partition in ``solves``, so a seed's LPT partition is summed once for
-    all its sweep points; ``binary``'s bags are summed as they are formed.
+    summed once: ``ipr`` and ``consistent_partition`` return them, and the
+    LPT partition's are summed once beside the partition in ``solves``, so a
+    seed's LPT partition is summed once for all its sweep points;
+    ``binary``'s bags are summed as they are formed.
     """
     spec = parse_algorithm(algorithm)
     if spec.scheduler is not None:
@@ -249,7 +250,7 @@ def _stage_one(
     def trusting(speeds: tuple[float, ...]) -> tuple[Partition, tuple[float, ...]]:
         def start() -> tuple[Partition, tuple[float, ...]]:
             placed = _solve(solves, jobs, speeds, scheduler, node_budget)
-            return with_loads(consistent_partition(jobs, speeds, placed))
+            return consistent_partition(jobs, speeds, placed)
 
         return _memoised(solves, ("consistent_partition", scheduler, jobs, speeds), start)
 
@@ -435,14 +436,8 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"experiment config {what}: {exc}") from None
 
-        for key in ("n", "m", "instances_per_point", "seed", "node_budget"):
-            value = getattr(self, key)
-            require(key, is_json_number(value) and isinstance(value, int), "an integer")
-        for key in ("instances_per_point", "node_budget"):
-            require(key, getattr(self, key) >= 1, "at least 1")
-        require("instances_per_point", self.instances_per_point <= MAX_SHAPE,
-                f"at most {MAX_SHAPE}")
-        require("err_sigma", is_json_number(self.err_sigma), "a number")
+        check_int(self.instances_per_point, "experiment config 'instances_per_point'", 1, MAX_SHAPE)
+        check_int(self.node_budget, "experiment config 'node_budget'", 1)
         for key, allowed in zip(
             ("sweep_param", "scheduler", "oracle"), (SWEEP_PARAMS, SCHEDULERS, ORACLES)
         ):
@@ -466,7 +461,7 @@ class ExperimentConfig:
             raise ValueError(f"experiment config 'sweep_values' times 'instances_per_point' must "
                              f"be at most {MAX_SHAPE}, got {count} * {self.instances_per_point}")
 
-        # The sweep points.  A SyntheticConfig error names its field, the config key.
+        # The sweep points.  SyntheticConfig checks n, m, seed and err_sigma, naming the key.
         try:
             base = SyntheticConfig(self.n, self.m, self.job_dist, self.speed_dist,
                                    self.err_sigma, self.seed)
@@ -792,8 +787,8 @@ def theory_curve(alpha: float) -> CurveRow:
     """The guarantee envelopes at one alpha: consistency ``1 + a``; worst-case
     ratio ``2 + 2/a`` in general, ``2 + 1/a`` for equal-size jobs, ``1 + 1/a``
     for infinitesimal jobs.  ``verify`` checks its bounds against these."""
+    IprConfig(alpha=alpha)  # validates the type and range
     a = float(alpha)
-    IprConfig(alpha=a)  # validates the range
     return CurveRow(
         alpha=a,
         consistency=1.0 + a,
@@ -1212,9 +1207,9 @@ def verify_properties(
     each, plus the fixed adversarial families.  Failures are reported as data
     (one :class:`PropertyCheck` per property: pass count and first
     counterexample), never raised.  A ``seed``, ``trials`` or ``node_budget``
-    that is not an integer (a bool is not), or a ``trials`` or
-    ``node_budget`` below 1, raises ``ValueError`` naming it, before any
-    section runs.
+    that is not an integer (see :func:`~speedsched.model.check_int`), or a
+    ``trials`` or ``node_budget`` below 1, raises ``ValueError`` naming it,
+    before any section runs.
 
     The properties come in the sections of :data:`_VERIFY_SECTIONS`, one
     table row each, which sets the section's report position, its substream
@@ -1227,11 +1222,9 @@ def verify_properties(
     The families section computes its ratios through
     :func:`_instance_ratios`, as :func:`evaluate` does.
     """
-    for name, value in (("seed", seed), ("trials", trials), ("node_budget", node_budget)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if name != "seed" and value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    check_int(seed, "seed")
+    check_int(trials, "trials", 1)
+    check_int(node_budget, "node_budget", 1)
     heaviest_first = sorted(_VERIFY_SECTIONS, key=_VERIFY_SECTIONS.__getitem__, reverse=True)
     results = _map_tasks(
         functools.partial(_section_checks, seed, trials, node_budget), heaviest_first

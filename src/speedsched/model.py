@@ -54,6 +54,19 @@ def is_json_number(value: object) -> bool:
     )
 
 
+def check_int(value: object, what: str, least: int | None = None, most: int | None = None) -> int:
+    """``value``, if it is an ``int`` that a float holds (a bool is not: see
+    :func:`is_json_number`) in ``least..most``; else ``ValueError`` naming
+    ``what``.  Every count, index, seed and budget is checked by this rule."""
+    if not (is_json_number(value) and isinstance(value, int)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{what} must be at most {most}, got {value!r}")
+    return value
+
+
 def json_object(
     doc: object, what: str, required: Sequence[str], optional: Iterable[str] = ()
 ) -> dict:
@@ -191,7 +204,7 @@ class Instance:
         Predicted machine speeds, non-negative (0.0 means predicted unusable),
         same length as ``true_speeds``.
     name, seed:
-        Optional provenance labels carried through JSON round-trips.
+        Optional provenance labels (a ``str``, an integer) kept in JSON.
 
     Each vector is kept as a :class:`CheckedFloats`; one given as such, in
     range, is kept as it is, without a second check.
@@ -204,6 +217,10 @@ class Instance:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        if self.name is not None and not isinstance(self.name, str):
+            raise ValueError("instance name must be a string")
+        if self.seed is not None:
+            check_int(self.seed, "instance seed")
         jobs = CheckedFloats.check(self.jobs, "job processing times")
         true_speeds = CheckedFloats.check(self.true_speeds, "true speeds", allow_zero=True)
         predicted_speeds = CheckedFloats.check(self.predicted_speeds, "predicted speeds",
@@ -274,19 +291,7 @@ class Instance:
         for key in arrays:
             if not isinstance(doc[key], list) or not all(map(is_json_number, doc[key])):
                 raise ValueError(f"instance {key!r} must be a list of numbers, got {doc[key]!r}")
-        name = doc.get("name")
-        if name is not None and not isinstance(name, str):
-            raise ValueError("instance name must be a string")
-        seed = doc.get("seed")
-        if seed is not None and not (is_json_number(seed) and isinstance(seed, int)):
-            raise ValueError(f"instance seed must be an integer, got {seed!r}")
-        return cls(
-            jobs=doc["jobs"],
-            true_speeds=doc["true_speeds"],
-            predicted_speeds=doc["predicted_speeds"],
-            name=name,
-            seed=seed,
-        )
+        return cls(*(doc[key] for key in arrays), name=doc.get("name"), seed=doc.get("seed"))
 
 
 def _job_index(member: object) -> int:
@@ -347,8 +352,7 @@ class Partition:
         if not isinstance(bags, list) or not all(isinstance(b, list) for b in bags):
             raise ValueError("partition 'bags' must be a list of lists of job indices")
         for j in (j for b in bags for j in b):
-            if not (is_json_number(j) and isinstance(j, int)):
-                raise ValueError(f"partition 'bags' job index must be an integer, got {j!r}")
+            check_int(j, "partition 'bags' job index")
         return cls(bags=tuple(tuple(b) for b in bags))
 
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from operator import itemgetter, truediv
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
-from .model import Assignment, Bag, IprState, Partition, bag_load, finite_floats, left_sum
+from .model import (Assignment, Bag, IprState, Partition, bag_load, check_int, finite_floats,
+                    is_json_number, left_sum)
 from .solvers import SolveResult
 
 _BagT = TypeVar("_BagT")
@@ -41,13 +42,16 @@ class IprConfig:
     assignment's predicted-speed makespan never exceeds ``(1 + alpha)`` times
     the initial prediction-trusting one.  ``rho`` is the bag-balance target the
     rebalance loop drives toward (4 in general; 2 suffices when all jobs are
-    equal).
+    equal).  A value that is not a number, or out of range, raises ``ValueError``.
     """
 
     alpha: float
     rho: float = 4.0
 
     def __post_init__(self) -> None:
+        for key, value in (("alpha", self.alpha), ("rho", self.rho)):
+            if not is_json_number(value):
+                raise ValueError(f"{key} must be a number, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
         if not self.rho >= 1.0:
@@ -70,9 +74,7 @@ def _lpt_split(items: Sequence[tuple[float, int]], k: int) -> list[Bag]:
 
     The bags sit in a heap of ``(load, bag index)``, so the pick costs
     O(log k) and equal loads still go to the lowest index; each new load is
-    the old one plus the item, as in a plain scan."""
-    if k < 1:
-        raise ValueError("bag count must be at least 1")
+    the old one plus the item, as in a plain scan.  ``k`` is at least 1."""
     bags: list[list[int]] = [[] for _ in range(k)]
     heap = [(0.0, i) for i in range(k)]
     # By index, then stably by load, largest first: the order of the key
@@ -89,15 +91,16 @@ def lpt_partition(jobs: Sequence[float], k: int) -> Partition:
 
     The resulting bags are balanced to within a factor 2 (largest multi-job
     bag over smallest bag), which is what makes the baseline robust no matter
-    how wrong the speed predictions were.
+    how wrong the speed predictions were.  ``k`` must be an integer, at least 1.
     """
+    check_int(k, "k", 1)
     loads = finite_floats(jobs, "job processing times", allow_zero=True, allow_empty=True)
     return Partition._of_sorted(tuple(_lpt_split([(p, j) for j, p in enumerate(loads)], k)))
 
 
 def consistent_partition(
     jobs: Sequence[float], predicted_speeds: Sequence[float], placed: SolveResult
-) -> Partition:
+) -> tuple[Partition, tuple[float, ...]]:
     """Partition that trusts the predictions: one bag per machine, the bags
     of ``placed``, a solve of the jobs on the *predicted* speeds.  A placement
     of another item or machine count, or naming a machine outside ``0..m-1``,
@@ -107,7 +110,9 @@ def consistent_partition(
     with the predicted speeds sorted non-increasing; this pairing never
     increases the makespan, so its makespan, ``ipr``'s ``opt_c_bar``, is
     exactly optimal for an exact solve.  This doubles as the
-    prediction-trusting benchmark in experiments.
+    prediction-trusting benchmark in experiments.  Returns the partition and
+    its bags' loads in partition order, as :class:`IprResult` holds them:
+    each adds its jobs in index order from 0.0, ``bag_load`` bit for bit.
     """
     jobs = finite_floats(jobs, "job processing times", allow_zero=True, allow_empty=True)
     speeds = finite_floats(predicted_speeds, "predicted speeds")
@@ -126,7 +131,8 @@ def consistent_partition(
         bags[i].append(j)
         loads[i] += jobs[j]
     order = sorted(range(m), key=lambda i: (-loads[i], i))
-    return Partition._of_sorted(tuple(tuple(bags[i]) for i in order))
+    return (Partition._of_sorted(tuple(tuple(bags[i]) for i in order)),
+            tuple(loads[i] for i in order))
 
 
 def _check_start_jobs(bags: Sequence[Bag], n: int) -> None:
@@ -305,7 +311,7 @@ def fluid_ipr(
     """
     speeds = finite_floats(predicted_speeds, "predicted speeds")
     (total_load,) = finite_floats([total_load], "total_load")
-    IprConfig(alpha=alpha, rho=rho)  # validates ranges
+    IprConfig(alpha=alpha, rho=rho)  # validates types and ranges
     speeds_desc = sorted(speeds, reverse=True)
     total_speed = left_sum(speeds_desc)
     if total_speed == math.inf:
@@ -337,13 +343,14 @@ def binary_speed_partition(
     ``initial`` is stage one's split of the jobs into ``m_hat`` subsets,
     :func:`consistent_partition` on ``m_hat`` unit speeds (exactly optimal
     for an exact solve), its subsets in non-increasing load order; ``m_hat``
-    must be in ``1..m``, and the subsets must hold each of the ``len(jobs)``
-    jobs once (else ``ValueError``).  Each subset is then LPT-split into either
-    ``ceil(m / m_hat)`` or ``floor(m / m_hat)`` bags — the first
+    must be in ``1..m`` (an integer), and the subsets must hold each of the
+    ``len(jobs)`` jobs once (else ``ValueError``).  Each subset is then
+    LPT-split into either ``ceil(m / m_hat)`` or ``floor(m / m_hat)`` bags — the first
     ``m mod m_hat`` (heaviest) subsets get the extra bag — for ``m`` bags
     total.  Stage two places the bags with the chosen scheduler on the
     machines that turn out usable, however many there are.
     """
+    check_int(m, "m")
     m_hat = len(initial.bags)
     if not 1 <= m_hat <= m:
         raise ValueError(f"initial partition has {m_hat} subsets for {m} machines; need 1..{m}")

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from operator import truediv
 from typing import Sequence
 
-from .model import CheckedFloats, Partition, bag_load, beta_ratio, finite_floats, left_sum
+from .model import (CheckedFloats, Partition, bag_load, beta_ratio, check_int, finite_floats,
+                    left_sum)
 
 DEFAULT_NODE_BUDGET = 20_000_000
 SCHEDULERS = ("exact", "lpt")
@@ -279,7 +280,8 @@ def exact_schedule(
     this searches about 1.5-2.0M nodes/s (the solver alone on one CPU of a
     2-CPU Xeon, Python 3.11).
 
-    Raises :class:`BudgetExceededError` after ``node_budget`` node expansions.
+    Raises :class:`BudgetExceededError` after ``node_budget`` node expansions,
+    an integer of at least 0 (else ``ValueError``; 0 searches no node).
     The search recurses once per item of positive load, so an input whose
     greedy incumbent does not meet the lower bound and that has more than
     :data:`MAX_EXACT_ITEMS` (500) such items raises ``ValueError`` before
@@ -288,6 +290,7 @@ def exact_schedule(
     non-increasing load order, lowest machine index first).
     """
 
+    check_int(node_budget, "node_budget", 0)
     loads = finite_floats(loads, "item loads", allow_zero=True, allow_empty=True)
     speeds = finite_floats(speeds, "machine speeds")
     m = len(speeds)
@@ -471,10 +474,9 @@ def merge_to_fit(loads: Sequence[float], m0: int) -> list[float]:
     Each merge removes the two smallest positive loads (ties broken by lower
     index) and puts their sum at the earlier of the two positions, so a list
     that already fits comes back unchanged.  Total load is preserved and the
-    maximum load never decreases.
+    maximum load never decreases.  ``m0`` must be an integer, at least 1.
     """
-    if m0 < 1:
-        raise ValueError("m0 must be at least 1")
+    check_int(m0, "m0", 1)
     merged = finite_floats(loads, "item loads", allow_zero=True, allow_empty=True)
     while sum(1 for x in merged if x > 0.0) > m0:
         first, second = sorted(
@@ -505,8 +507,10 @@ def capacity_robust_schedule(
     to the least-loaded machine with room.  Failure to fit is an internal-invariant
     violation and raises :class:`CapacityInfeasibleError` loudly.
 
-    The returned makespan is measured under the original (unscaled) speeds.
+    The returned makespan is measured under the original (unscaled) speeds;
+    ``node_budget`` is checked at entry, as :func:`exact_schedule` checks it.
     """
+    check_int(node_budget, "node_budget", 0)
     jobs = finite_floats(jobs, "job processing times", allow_zero=True, allow_empty=True)
     speeds = finite_floats(speeds, "machine speeds")
     m = len(speeds)

@@ -275,7 +275,7 @@ def test_make_partition_lpt_ignores_speeds():
 def test_make_partition_one_consistent_uses_predictions():
     inst = small_instance([3.0, 2.0, 2.0], (1.0, 1.0), (2.0, 1.0))
     placed = exact_schedule(inst.jobs, inst.predicted_speeds)
-    expected = consistent_partition(inst.jobs, inst.predicted_speeds, placed)
+    expected, _ = consistent_partition(inst.jobs, inst.predicted_speeds, placed)
     assert make_partition(inst, "one-consistent") == expected
 
 
@@ -285,7 +285,7 @@ def test_make_partition_routes_binary_instances():
     for inst, m_hat in ((gen_binary_lb_instance(1), 3),
                         (small_instance([4.0, 3.0, 2.0, 1.0], (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)), 2)):
         speeds = [1.0] * m_hat
-        initial = consistent_partition(inst.jobs, speeds, exact_schedule(inst.jobs, speeds))
+        initial, _ = consistent_partition(inst.jobs, speeds, exact_schedule(inst.jobs, speeds))
         expected = binary_speed_partition(inst.jobs, inst.m, initial)
         assert make_partition(inst, "binary") == expected
 
@@ -332,7 +332,7 @@ def test_binary_equals_one_consistent_when_every_prediction_is_one():
 def test_make_partition_ipr_matches_direct_call():
     inst = gen_synthetic(SyntheticConfig(n=10, m=3, err_sigma=8.0, seed=4))
     placed = exact_schedule(inst.jobs, inst.predicted_speeds)
-    initial = consistent_partition(inst.jobs, inst.predicted_speeds, placed)
+    initial, _ = consistent_partition(inst.jobs, inst.predicted_speeds, placed)
     expected = ipr(inst.jobs, inst.predicted_speeds, IprConfig(alpha=0.5, rho=4.0), initial)
     assert make_partition(inst, "ipr") == expected.partition
 

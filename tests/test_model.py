@@ -25,8 +25,16 @@ from speedsched.model import (
     prediction_error,
     validate_partition,
 )
-from speedsched.harness import oracle_value
-from speedsched.partition import IprConfig, consistent_partition, fluid_ipr, ipr, lpt_partition
+from speedsched import harness
+from speedsched.harness import ExperimentConfig, oracle_value, theory_curve, verify_properties
+from speedsched.partition import (
+    IprConfig,
+    binary_speed_partition,
+    consistent_partition,
+    fluid_ipr,
+    ipr,
+    lpt_partition,
+)
 from speedsched.solvers import (
     DEFAULT_NODE_BUDGET,
     SCHEDULERS,
@@ -105,6 +113,99 @@ def test_entry_points_reject_integers_too_large_for_a_float_and_booleans(call, b
     # or 0.0; no JSON reader takes either.
     with pytest.raises(ValueError):
         _VALIDATING_CALLS[call](bad)
+
+
+# Each entry point that takes an integer: the name its errors give it, the
+# call with that integer replaced by ``x``, and its least value (None: no
+# floor).  An instance's seed may be None, so None is not a bad value there.
+_INSTANCE_DOC = {"jobs": [2.0, 3.0], "true_speeds": [1.0, 2.0], "predicted_speeds": [1.0, 2.0]}
+_INTEGER_CALLS = {
+    "SyntheticConfig-n": ("'n'", lambda x: SyntheticConfig(n=x, m=2), 1),
+    "SyntheticConfig-m": ("'m'", lambda x: SyntheticConfig(n=4, m=x), 1),
+    "SyntheticConfig-seed": ("'seed'", lambda x: SyntheticConfig(n=4, m=2, seed=x), None),
+    "ExperimentConfig-n": ("experiment config 'n'", lambda x: ExperimentConfig(
+        n=x, m=2, instances_per_point=1, sweep_values=(0.0,)), 1),
+    "ExperimentConfig-seed": ("experiment config 'seed'", lambda x: ExperimentConfig(
+        n=4, m=2, instances_per_point=1, sweep_values=(0.0,), seed=x), None),
+    "ExperimentConfig-instances_per_point": ("experiment config 'instances_per_point'",
+                                             lambda x: ExperimentConfig(instances_per_point=x), 1),
+    "ExperimentConfig-node_budget": ("experiment config 'node_budget'",
+                                     lambda x: ExperimentConfig(node_budget=x), 1),
+    "verify_properties-seed": ("seed", lambda x: verify_properties(seed=x, trials=1), None),
+    "verify_properties-trials": ("trials", lambda x: verify_properties(trials=x), 1),
+    "verify_properties-node_budget": ("node_budget",
+                                      lambda x: verify_properties(trials=1, node_budget=x), 1),
+    "exact_schedule-node_budget": ("node_budget",
+                                   lambda x: exact_schedule([3.0, 2.0, 2.0], [1.0, 1.0], x), 0),
+    "capacity_robust_schedule-node_budget": ("node_budget", lambda x: capacity_robust_schedule(
+        Partition(((0, 1),)), [2.0, 3.0], [1.0], x), 0),
+    "lpt_partition-k": ("k", lambda x: lpt_partition([2.0, 3.0], x), 1),
+    "binary_speed_partition-m": ("m", lambda x: binary_speed_partition(
+        [2.0, 3.0], x, Partition(((0,), (1,)))), None),
+    "merge_to_fit-m0": ("m0", lambda x: merge_to_fit([2.0, 3.0, 1.0], x), 1),
+    "Instance-seed": ("instance seed", lambda x: Instance(
+        (2.0, 3.0), (1.0, 2.0), (1.0, 2.0), seed=x), None),
+    "Instance.from_json_dict-seed": ("instance seed",
+                                     lambda x: Instance.from_json_dict({**_INSTANCE_DOC, "seed": x}),
+                                     None),
+    "Partition.from_json_dict-job": ("partition 'bags' job index",
+                                     lambda x: Partition.from_json_dict({"bags": [[0], [x]]}), None),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, "2", None, 2**2000],
+                         ids=["True", "False", "1.5", "2.0", "'2'", "None", "2**2000"])
+@pytest.mark.parametrize("call", sorted(_INTEGER_CALLS))
+def test_entry_points_name_an_integer_parameter_that_is_not_an_integer(monkeypatch, call, bad):
+    # No verify section runs, even for a value the check lets through.
+    monkeypatch.setattr(harness, "_map_tasks", lambda *args: {})
+    what, make, _ = _INTEGER_CALLS[call]
+    if bad is None and call.startswith("Instance"):
+        assert make(bad).seed is None
+        return
+    with pytest.raises(ValueError) as info:
+        make(bad)
+    assert str(info.value) == f"{what} must be an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("call", sorted(k for k, v in _INTEGER_CALLS.items() if v[2] is not None))
+def test_entry_points_name_an_integer_parameter_below_its_floor(monkeypatch, call):
+    monkeypatch.setattr(harness, "_map_tasks", lambda *args: {})
+    what, make, least = _INTEGER_CALLS[call]
+    with pytest.raises(ValueError) as info:
+        make(least - 1)
+    assert str(info.value) == f"{what} must be at least {least}, got {least - 1}"
+
+
+@pytest.mark.parametrize("name, seed, valid", [
+    ("a", 0, True), (None, None, True), ("b", -3, True), ("c", 2**60, True),
+    (5, 1, False), (b"d", 0, False), ("e", "x", False), ("f", 1.5, False), ("g", True, False),
+    ("h", 10**400, False),
+], ids=repr)
+def test_an_instance_its_constructor_accepts_round_trips_through_json(name, seed, valid):
+    # The constructor takes the name and seed its JSON reader takes, and no others.
+    make = lambda: Instance((2.0, 3.0), (1.0, 2.0), (1.0, 2.0), name=name, seed=seed)
+    if not valid:
+        with pytest.raises(ValueError, match="^instance (name|seed) must be"):
+            make()
+        return
+    inst = make()
+    back = Instance.from_json_dict(json.loads(json.dumps(inst.to_json_dict())))
+    assert (back, back.name, back.seed) == (inst, name, seed)
+
+
+@pytest.mark.parametrize("bad", ["0.5", b"0.5", True, False], ids=repr)
+@pytest.mark.parametrize("key", ["alpha", "rho"])
+def test_ipr_parameters_must_be_numbers(key, bad):
+    message = f"^{key} must be a number, got {re.escape(repr(bad))}$"
+    params = {"alpha": 0.5, "rho": 2.0, key: bad}
+    with pytest.raises(ValueError, match=message):
+        IprConfig(**params)
+    with pytest.raises(ValueError, match=message):
+        fluid_ipr(5.0, [1.0, 2.0], **params)
+    if key == "alpha":
+        with pytest.raises(ValueError, match=message):
+            theory_curve(bad)
 
 
 def test_finite_floats_names_a_number_too_large_for_a_float_and_a_boolean():

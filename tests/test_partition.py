@@ -36,7 +36,7 @@ def bag_loads(part, jobs):
 
 def trusting(jobs, speeds, solver="exact"):
     """The prediction-trusting partition of the jobs, solved by ``solver``."""
-    return consistent_partition(jobs, speeds, schedule(jobs, speeds, solver, DEFAULT_NODE_BUDGET))
+    return consistent_partition(jobs, speeds, schedule(jobs, speeds, solver, DEFAULT_NODE_BUDGET))[0]
 
 
 def predicted_makespan(part, jobs, speeds):
@@ -168,9 +168,23 @@ def test_consistent_partition_takes_its_placement_as_given():
     # The bags are the placement's, whatever solved it.
     jobs, speeds = [3.0, 2.0, 2.0], (2.0, 1.0)
     placed = SolveResult((1, 1, 0), 2, 5.0, optimal=False)
-    result = consistent_partition(jobs, speeds, placed)
+    result, _ = consistent_partition(jobs, speeds, placed)
     assert result.bags == ((0, 1), (2,))
     assert predicted_makespan(result, jobs, speeds) == 2.5
+
+
+def test_consistent_partition_returns_each_bags_load_bit_for_bit():
+    # Stage one hands these loads to stage two without summing the bags
+    # again, so each must be bag_load of its bag, bit for bit, in order.
+    rng = SplitMix64(407)
+    for _ in range(300):
+        n = 1 + rng.next_u64() % 12
+        m = 1 + rng.next_u64() % 5
+        jobs = [0.1 + 1e6 * rng.next_float() ** 3 for _ in range(n)]
+        speeds = [0.5 + 4.0 * rng.next_float() for _ in range(m)]
+        for solver in ("exact", "lpt"):
+            part, loads = consistent_partition(jobs, speeds, schedule(jobs, speeds, solver, 10**6))
+            assert [x.hex() for x in loads] == [bag_load(b, jobs).hex() for b in part.bags]
 
 
 @pytest.mark.parametrize("items, machines", [(2, 2), (4, 2), (3, 1), (3, 3), (0, 2)])
@@ -561,7 +575,7 @@ def greedy_results_digest():
         res = lpt_schedule(jobs, true)
         digest.update(repr((res.bag_to_machine, res.makespan.hex())).encode())
         digest.update(repr(lpt_partition(jobs, len(true)).bags).encode())
-        initial = consistent_partition(jobs, pred, lpt_schedule(jobs, pred))
+        initial, _ = consistent_partition(jobs, pred, lpt_schedule(jobs, pred))
         outs = [partition.ipr(jobs, pred, IprConfig(alpha=0.5, rho=rho), initial)
                 for rho in (2.0, 4.0)]
         digest.update(repr((initial.bags, outs[0].state.opt_c_bar.hex())).encode())
